@@ -146,18 +146,30 @@ class QidParams:
             raise PreconditionError("need at least two passwords")
         if not 0.0 < self.delta < 0.25:
             raise PreconditionError("delta must lie in (0, 1/4)")
-        if math.log2(self.m) >= self.n:
-            raise PreconditionError("log2(m) must be smaller than n")
+        object.__setattr__(self, "mu", _gv_relative_distance(self.n, self.m))
         if self.ell is not None and self.ell < 1:
             raise PreconditionError("ell must be a positive length")
-        object.__setattr__(
-            self, "mu", inv_binary_entropy(1.0 - math.log2(self.m) / self.n))
         if self.d_code is not None:
-            need = (4.0 + 4.0 * math.log2(self.m)) / self.delta
-            if self.d_code < need:
-                raise PreconditionError(
-                    "code distance %d below (4 + 4*log2(m))/delta = %.6g"
-                    % (self.d_code, need))
+            _check_code_distance(self.d_code, self.m, self.delta)
+
+
+def _gv_relative_distance(n, m):
+    """Achievable relative distance of ``m`` codewords of length ``n``.
+
+    mu = h^-1(1 - log2(m)/n).
+    """
+    if math.log2(m) >= n:
+        raise PreconditionError("log2(m) must be smaller than n")
+    return inv_binary_entropy(1.0 - math.log2(m) / n)
+
+
+def _check_code_distance(d_code, m, delta):
+    """Identification needs code distance at least (4 + 4 log2 m)/delta."""
+    need = (4.0 + 4.0 * math.log2(m)) / delta
+    if d_code < need:
+        raise PreconditionError(
+            "code distance %d below (4 + 4*log2(m))/delta = %.6g"
+            % (d_code, need))
 
 
 # --- elementary formulas ----------------------------------------------------
@@ -431,15 +443,10 @@ def qid_error_exponents(params):
     saturation.  Useful for checking decay rates in regimes where the
     saturated error is still 1.
     """
-    if params.d_code is None:
+    d_code = params.d_code
+    if d_code is None:
         d_code = math.floor(params.mu * params.n - 1.0)
-        need = (4.0 + 4.0 * math.log2(params.m)) / params.delta
-        if d_code < need:
-            raise PreconditionError(
-                "code distance %d below (4 + 4*log2(m))/delta = %.6g"
-                % (d_code, need))
-    else:
-        d_code = params.d_code
+        _check_code_distance(d_code, params.m, params.delta)
     if params.ell is None:
         raise PreconditionError("the hash length ell is required")
     storage = params.storage

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 invalid parameters, 2 infeasible bound (the
 storage carries too much information, or no positive string length
 remains), 3 internal numeric failure or a failed verification suite.
-Round counts accept scientific notation (``--n 1e10``); bound commands
-are formula-only, simulation commands run at desk scale.
+Round counts and code distances accept scientific notation (``--n 1e10``,
+``--d-code 3e8``); bound commands are formula-only, simulation commands
+run at desk scale.
 """
 
 import argparse
@@ -49,6 +50,33 @@ class CliParameterError(ValueError):
 class Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliParameterError(message)
+
+
+def _integer(text):
+    """Parse an integer, also in scientific notation (``3e8``)."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+        if value.is_integer():  # False for inf and nan
+            return int(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+
+
+def _trial_count(text):
+    """Parse ``--trials``: an integer of at least 1."""
+    try:
+        trials = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if trials < 1:
+        raise argparse.ArgumentTypeError(
+            "trial count must be at least 1, got %d" % trials)
+    return trials
 
 
 def _emit(text, out_path):
@@ -121,7 +149,7 @@ def build_parser():
     b_qid.add_argument("--m", type=int, required=True)
     b_qid.add_argument("--delta", type=float, required=True)
     b_qid.add_argument("--ell", type=int, required=True)
-    b_qid.add_argument("--d-code", type=int, default=None)
+    b_qid.add_argument("--d-code", type=_integer, default=None)
     _add_storage_args(b_qid)
     _add_output_args(b_qid)
 
@@ -159,7 +187,7 @@ def build_parser():
     s_rot.add_argument("--n", type=int, default=16)
     s_rot.add_argument("--ell", type=int, default=4)
     s_rot.add_argument("--choice", type=int, choices=(0, 1), default=0)
-    s_rot.add_argument("--trials", type=int, default=100)
+    s_rot.add_argument("--trials", type=_trial_count, default=100)
     s_rot.add_argument("--seed", type=int, default=0)
     _add_output_args(s_rot, default_fmt="json", choices=("json",))
 
@@ -177,7 +205,7 @@ def build_parser():
                        help="repetition block length for error correction")
     s_rob.add_argument("--r", type=float, default=0.2)
     s_rob.add_argument("--nu", type=float, default=1.0)
-    s_rob.add_argument("--trials", type=int, default=100)
+    s_rob.add_argument("--trials", type=_trial_count, default=100)
     s_rob.add_argument("--seed", type=int, default=0)
     _add_output_args(s_rob, default_fmt="json", choices=("json",))
 
@@ -187,13 +215,13 @@ def build_parser():
     s_qid.add_argument("--ell", type=int, default=8)
     s_qid.add_argument("--w-alice", type=int, default=1)
     s_qid.add_argument("--w-bob", type=int, default=1)
-    s_qid.add_argument("--trials", type=int, default=100)
+    s_qid.add_argument("--trials", type=_trial_count, default=100)
     s_qid.add_argument("--seed", type=int, default=0)
     _add_output_args(s_qid, default_fmt="json", choices=("json",))
 
     verify = sub.add_parser("verify", help="randomized verification suites")
     verify.add_argument("suite", choices=sorted(SUITES))
-    verify.add_argument("--trials", type=int, default=None)
+    verify.add_argument("--trials", type=_trial_count, default=None)
     verify.add_argument("--seed", type=int, default=7)
 
     return parser
@@ -260,6 +288,8 @@ def _rows_out(rows, header, args):
 def _cmd_curve(args):
     if args.steps < 2:
         raise CliParameterError("need at least 2 grid steps")
+    if not 0.0 < args.delta < 0.25:
+        raise CliParameterError("delta must lie in (0, 1/4)")
     grid = np.linspace(args.r_min, args.r_max, args.steps)
     rows = rate_curve(args.n, args.delta, args.nu, grid, dim=args.dim)
     return _rows_out(rows, RATE_CURVE_HEADER, args)
@@ -273,25 +303,36 @@ def _cmd_region(args):
     return _rows_out(rows, FEASIBLE_REGION_HEADER, args)
 
 
+def _run_trials(args, config, run, tallies):
+    """Run ``run(rng)`` once per trial and emit the JSON report.
+
+    Each trial gets its own Philox generator spawned from ``--seed``.
+    ``run`` returns the trial's transcript and updates ``tallies``, the
+    report entries that follow ``trials`` and ``seed``.
+    """
+    first = None
+    for ts in np.random.SeedSequence(args.seed).spawn(args.trials):
+        t = run(np.random.Generator(np.random.Philox(ts)))
+        first = first or t.to_json()
+    report = {**config, "trials": args.trials, "seed": args.seed, **tallies,
+              "first_transcript": json.loads(first)}
+    _emit(json.dumps(report, indent=2) + "\n", args.out)
+
+
 def _cmd_simulate(args):
-    seed_seq = np.random.SeedSequence(args.seed)
-    trial_seeds = seed_seq.spawn(args.trials)
     if args.protocol == "rot":
-        failures = 0
-        empties = 0
-        first = None
-        for ts in trial_seeds:
-            t = run_rot(args.n, args.ell, args.choice,
-                        rng=np.random.Generator(np.random.Philox(ts)))
+        tallies = {"failures": 0, "empty_choice_sets": 0}
+
+        def run(rng):
+            t = run_rot(args.n, args.ell, args.choice, rng=rng)
             target = t.s0 if args.choice == 0 else t.s1
-            failures += not np.array_equal(t.y, target)
-            empties += t.i_c_empty
-            first = first or t.to_json()
-        report = {"protocol": "rot", "n": args.n, "ell": args.ell,
-                  "choice": args.choice, "trials": args.trials,
-                  "seed": args.seed, "failures": failures,
-                  "empty_choice_sets": empties,
-                  "first_transcript": json.loads(first)}
+            tallies["failures"] += not np.array_equal(t.y, target)
+            tallies["empty_choice_sets"] += t.i_c_empty
+            return t
+
+        config = {"protocol": "rot", "n": args.n, "ell": args.ell,
+                  "choice": args.choice}
+        _run_trials(args, config, run, tallies)
     elif args.protocol == "robust":
         params = RobustParams(
             n=args.n, delta=args.delta,
@@ -299,51 +340,48 @@ def _cmd_simulate(args):
             p1_sent=args.p1_sent, ph_noclick=args.ph_noclick,
             pd_noclick=args.pd_noclick, ph_err=args.ph_err, ell=args.ell)
         code = repetition_code(args.code_block)
-        aborts = 0
-        decode_failures = 0
-        budget_ok = None
-        first = None
-        for ts in trial_seeds:
-            t = run_robust_rot(params, code, args.choice,
-                               rng=np.random.Generator(np.random.Philox(ts)),
+        tallies = {"eps_target": args.eps_target, "aborts": 0,
+                   "decode_failures": 0, "syndrome_budget_ok": None}
+
+        def run(rng):
+            t = run_robust_rot(params, code, args.choice, rng=rng,
                                eps_target=args.eps_target)
-            aborts += t.abort
+            tallies["aborts"] += t.abort
             if not t.abort:
-                decode_failures += not t.decode_ok
-                budget_ok = t.budget_ok
-            first = first or t.to_json()
-        report = {"protocol": "robust", "n": args.n, "ell": args.ell,
-                  "choice": args.choice, "trials": args.trials,
-                  "seed": args.seed, "eps_target": args.eps_target,
-                  "aborts": aborts, "decode_failures": decode_failures,
-                  "syndrome_budget_ok": budget_ok,
-                  "first_transcript": json.loads(first)}
-        if budget_ok is False:
+                tallies["decode_failures"] += not t.decode_ok
+                tallies["syndrome_budget_ok"] = t.budget_ok
+            return t
+
+        config = {"protocol": "robust", "n": args.n, "ell": args.ell,
+                  "choice": args.choice}
+        _run_trials(args, config, run, tallies)
+        if tallies["syndrome_budget_ok"] is False:
             sys.stderr.write(
                 "warning: the correction code spends more syndrome bits than "
                 "the 1.2 h(ph_err) n budget assumed by the length bound\n")
     else:
         qc = qid_code(args.m, args.code_n)
-        accepts = 0
-        first = None
-        for ts in trial_seeds:
-            t = run_qid(args.w_alice, args.w_bob, qc, args.ell,
-                        rng=np.random.Generator(np.random.Philox(ts)))
-            accepts += t.accept
-            first = first or t.to_json()
-        report = {"protocol": "qid", "m": args.m, "code_n": args.code_n,
+        tallies = {"accepts": 0}
+
+        def run(rng):
+            t = run_qid(args.w_alice, args.w_bob, qc, args.ell, rng=rng)
+            tallies["accepts"] += t.accept
+            return t
+
+        config = {"protocol": "qid", "m": args.m, "code_n": args.code_n,
                   "ell": args.ell, "w_alice": args.w_alice,
-                  "w_bob": args.w_bob, "trials": args.trials,
-                  "seed": args.seed, "accepts": accepts,
-                  "first_transcript": json.loads(first)}
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
+                  "w_bob": args.w_bob}
+        _run_trials(args, config, run, tallies)
     return 0
 
 
 def _cmd_verify(args):
     suite = SUITES[args.suite]
     kwargs = {"seed": args.seed}
-    if args.trials is not None and args.suite != "codes":
+    if args.trials is not None:
+        if args.suite == "codes":
+            raise CliParameterError("the codes suite takes no trial count "
+                                    "(--trials)")
         kwargs["trials"] = args.trials
     report = suite(**kwargs)
     line = "%s: %d checks, %d violations\n" % (

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2
-from .bounds import binary_entropy, inv_binary_entropy
+from .bounds import _gv_relative_distance, binary_entropy
 from .hashing import bits_to_hex, hex_to_bits
 
 MIN_DISTANCE_MAX_K = 20
@@ -273,9 +273,7 @@ def gv_parameters(n, m):
     mu = h^-1(1 - log2(m)/n); asymptotically good codes reach distance
     arbitrarily close to mu * n.
     """
-    if math.log2(m) >= n:
-        raise ValueError("log2(m) must be smaller than n")
-    mu = inv_binary_entropy(1.0 - math.log2(m) / n)
+    mu = _gv_relative_distance(n, m)
     return mu, mu * n
 
 

@@ -68,18 +68,28 @@ class JointDistribution:
     def size_of(self, name):
         return self.registers[self.axis(name)][1]
 
+    def _group(self, probs, target, given):
+        """Group ``probs``, any array of this table's shape, into a matrix.
+
+        Registers outside ``target`` and ``given`` are summed out; the rest
+        are reshaped to (|target alphabet|, |given alphabet|), both
+        row-major in the listed order.  ``probs`` is not validated, so
+        masked or mass-deficient tables are fine.
+        """
+        keep_axes = self.axes(list(target) + list(given))
+        drop = tuple(i for i in range(len(self.registers)) if i not in keep_axes)
+        arr = probs.sum(axis=drop) if drop else probs
+        # reorder surviving axes to the requested order
+        surviving = [i for i in range(len(self.registers)) if i not in drop]
+        arr = np.transpose(arr, [surviving.index(a) for a in keep_axes])
+        t_size = int(np.prod(arr.shape[:len(target)]))
+        return arr.reshape(t_size, -1)
+
     def marginal(self, keep):
         """Marginal distribution over the registers in ``keep`` (order kept)."""
         keep = list(keep)
-        keep_axes = self.axes(keep)
-        drop = tuple(i for i in range(len(self.registers)) if i not in keep_axes)
-        arr = self.probs.sum(axis=drop) if drop else self.probs
-        # reorder surviving axes to the requested order
-        surviving = [i for i in range(len(self.registers)) if i not in drop]
-        perm = [surviving.index(a) for a in keep_axes]
-        arr = np.transpose(arr, perm)
-        regs = [self.registers[a] for a in keep_axes]
-        return JointDistribution(regs, arr)
+        regs = [self.registers[a] for a in self.axes(keep)]
+        return JointDistribution(regs, self._group(self.probs, keep, []))
 
     def grouped(self, target, given):
         """Table reshaped to (|target alphabet|, |given alphabet|).
@@ -92,10 +102,7 @@ class JointDistribution:
         given = list(given)
         if set(target) & set(given):
             raise ValueError("target and given registers must be disjoint")
-        sub = self.marginal(target + given)
-        t_size = int(np.prod([sub.size_of(n) for n in target])) if target else 1
-        g_size = int(np.prod([sub.size_of(n) for n in given])) if given else 1
-        return sub.probs.reshape(t_size, g_size)
+        return self._group(self.probs, target, given)
 
     def with_register(self, name, size, values):
         """Append a register whose value is a deterministic function of the cell.

@@ -39,10 +39,6 @@ def guessing_probability(dist, target, given=()):
     return float(table.max(axis=0).sum())
 
 
-def _column_table(dist, target, given):
-    return dist.grouped(_names(target), _names(given))
-
-
 def _smoothed_columns(table, eps):
     """Optimally remove up to ``eps`` mass to minimize the sum of column maxima.
 
@@ -84,7 +80,7 @@ def min_entropy(dist, target, given=(), eps=0.0):
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must satisfy 0 <= eps < 1")
-    table = _column_table(dist, target, given)
+    table = dist.grouped(_names(target), _names(given))
     if eps == 0.0:
         return -float(np.log2(table.max(axis=0).sum()))
     if eps >= table.sum():
@@ -104,14 +100,13 @@ def smooth_sub_distribution(dist, target, given=(), eps=0.0):
         raise ValueError("eps must satisfy 0 <= eps < 1")
     target = _names(target)
     given = _names(given)
-    sub = dist.marginal(target + given)
-    t_size = int(np.prod([sub.size_of(n) for n in target]))
-    table = sub.probs.reshape(t_size, -1)
+    table = dist.grouped(target, given)
     ceilings, _ = _smoothed_columns(table, eps)
     q = np.minimum(table, ceilings[np.newaxis, :])
+    registers = [dist.registers[a] for a in dist.axes(target + given)]
     return SubDistribution(
-        registers=list(sub.registers),
-        probs=q.reshape(sub.probs.shape),
+        registers=registers,
+        probs=q.reshape([size for _, size in registers]),
         mass=float(q.sum()),
     )
 
@@ -123,7 +118,7 @@ def nonuniformity(dist, target, given=()):
     1/2 sum_{x,y} |P(x,y) - P(y)/|X||.  Zero exactly when ``target`` is
     uniform and independent of the conditioning registers.
     """
-    table = _column_table(dist, target, given)
+    table = dist.grouped(_names(target), _names(given))
     n_x = table.shape[0]
     col_mass = table.sum(axis=0)
     return float(0.5 * np.abs(table - col_mass[np.newaxis, :] / n_x).sum())
@@ -143,13 +138,50 @@ class SplitResult:
     achieved: float
 
 
-def _conditional_given(dist, part, given):
-    """P(part | given) as an array shaped (part size, joint given size)."""
-    table = dist.grouped([part], given)
-    col = table.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(col > 0.0, table / col[np.newaxis, :], 0.0)
-    return cond
+def _select_first_large(dist, alpha, parts, given):
+    """First-large-index selection shared by both splits.
+
+    Returns (V per cell, achieved): V is the first index j < m-1 whose
+    substring has P(X_j | Z) >= 2^(-alpha/2), else m-1; ``achieved`` is
+    -log2 of (1/(m-1)) sum_z sum_j sum_{i != j} max_xi P(Xi=xi, V=j, Z=z).
+    """
+    m = len(parts)
+    if m < 2:
+        raise ValueError("need at least two substrings to split")
+    expected = {*parts, *given}
+    if set(dist.names) != expected or len(expected) != m + len(given):
+        raise ValueError("distribution must consist of exactly the substrings "
+                         "and the side-information registers")
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+
+    threshold = 2.0 ** (-alpha / 2.0)
+    idx = np.indices(dist.sizes)
+    z_flat = np.zeros(dist.sizes, dtype=np.int64)
+    for a in dist.axes(given):
+        z_flat = z_flat * dist.sizes[a] + idx[a]
+
+    v_cells = np.full(dist.sizes, m - 1, dtype=np.int64)
+    taken = np.zeros(dist.sizes, dtype=bool)
+    for j, part in enumerate(parts[:-1]):  # the last index is the fallback
+        table = dist.grouped([part], given)
+        col = table.sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = np.where(col > 0.0, table / col[np.newaxis, :], 0.0)
+        hit = (cond[idx[dist.axis(part)], z_flat] >= threshold) & ~taken
+        v_cells[hit] = j
+        taken |= hit
+
+    total = 0.0
+    for j in range(m):
+        masked = np.where(v_cells == j, dist.probs, 0.0)
+        for i in range(m):
+            if i != j:
+                table = dist._group(masked, [parts[i]], given)
+                total += table.max(axis=0).sum()
+    p = total / (m - 1)
+    achieved = -float(np.log2(p)) if p > 0 else float("inf")
+    return v_cells, achieved
 
 
 def split_binary(dist, alpha, x0="X0", x1="X1", given=(), d_name="D"):
@@ -159,51 +191,13 @@ def split_binary(dist, alpha, x0="X0", x1="X1", given=(), d_name="D"):
     P(X0|Z) < 2^(-alpha/2) (strict; ties select D = 1).  Whenever the
     joint table satisfies H_min(X0 X1 | Z) >= alpha, the reported
     ``achieved`` = H_min(X_D | D Z) is at least alpha/2 - 1.
+
+    This is :func:`split_multi` with m = 2 and D = 1 - V.
     """
-    given = _names(given)
-    expected = {x0, x1, *given}
-    if set(dist.names) != expected or len(expected) != 2 + len(given):
-        raise ValueError("distribution must consist of exactly the two halves "
-                         "and the side-information registers")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-
-    threshold = 2.0 ** (-alpha / 2.0)
-    cond0 = _conditional_given(dist, x0, given)  # (|X0|, |Z|)
-    d_of = (cond0 >= threshold).astype(np.uint8)  # 0 iff P(x0|z) < threshold
-
-    # broadcast D over the full table's cells: index d_of by (x0, flat z)
-    idx = np.indices(dist.sizes)
-    given_axes = dist.axes(given)
-    z_flat = np.zeros(dist.sizes, dtype=np.int64)
-    for a in given_axes:
-        z_flat = z_flat * dist.sizes[a] + idx[a]
-    d_cells = d_of[idx[dist.axis(x0)], z_flat]
-
-    augmented = dist.with_register(d_name, 2, d_cells)
-
-    # p_guess(X_D | D Z) = sum_z [max_x0 P(x0, D=0, z) + max_x1 P(x1, D=1, z)]
-    p = 0.0
-    for part, d_val in ((x0, 0), (x1, 1)):
-        masked = np.where(d_cells == d_val, dist.probs, 0.0)
-        table = _masked_grouped(dist, masked, [part], given)
-        p += table.max(axis=0).sum()
-    achieved = -float(np.log2(p))
+    v_cells, achieved = _select_first_large(dist, alpha, [x0, x1],
+                                            _names(given))
+    augmented = dist.with_register(d_name, 2, 1 - v_cells)
     return SplitResult(augmented=augmented, alpha=float(alpha), achieved=achieved)
-
-
-def _masked_grouped(dist, masked, target, given):
-    """Like JointDistribution.grouped but on a mass-deficient table."""
-    target_axes = dist.axes(target)
-    given_axes = dist.axes(given)
-    drop = tuple(i for i in range(len(dist.registers))
-                 if i not in target_axes and i not in given_axes)
-    arr = masked.sum(axis=drop) if drop else masked
-    surviving = [i for i in range(len(dist.registers)) if i not in drop]
-    perm = [surviving.index(a) for a in target_axes + given_axes]
-    arr = np.transpose(arr, perm)
-    t_size = int(np.prod([dist.sizes[a] for a in target_axes])) if target_axes else 1
-    return arr.reshape(t_size, -1)
 
 
 def split_multi(dist, alpha, parts, given=(), v_name="V"):
@@ -219,50 +213,8 @@ def split_multi(dist, alpha, parts, given=(), v_name="V"):
     V's register values are 0-based: value v stands for index v+1.
     """
     parts = _names(parts)
-    given = _names(given)
-    m = len(parts)
-    if m < 2:
-        raise ValueError("need at least two substrings to split")
-    expected = {*parts, *given}
-    if set(dist.names) != expected or len(expected) != m + len(given):
-        raise ValueError("distribution must consist of exactly the substrings "
-                         "and the side-information registers")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-
-    threshold = 2.0 ** (-alpha / 2.0)
-    idx = np.indices(dist.sizes)
-    given_axes = dist.axes(given)
-    z_flat = np.zeros(dist.sizes, dtype=np.int64)
-    for a in given_axes:
-        z_flat = z_flat * dist.sizes[a] + idx[a]
-
-    large = []
-    for part in parts:
-        cond = _conditional_given(dist, part, given)
-        large.append(cond[idx[dist.axis(part)], z_flat] >= threshold)
-
-    v_cells = np.full(dist.sizes, m - 1, dtype=np.int64)
-    taken = np.zeros(dist.sizes, dtype=bool)
-    for j in range(m - 1):  # the last index is the fallback, never tested
-        hit = large[j] & ~taken
-        v_cells[hit] = j
-        taken |= hit
-
-    augmented = dist.with_register(v_name, m, v_cells)
-
-    # p_guess(X_W | V W Z, V != W), W uniform:
-    #   (1/(m-1)) sum_z sum_j sum_{i != j} max_xi P(Xi=xi, V=j, Z=z)
-    total = 0.0
-    for j in range(m):
-        masked = np.where(v_cells == j, dist.probs, 0.0)
-        for i in range(m):
-            if i == j:
-                continue
-            table = _masked_grouped(dist, masked, [parts[i]], given)
-            total += table.max(axis=0).sum()
-    p = total / (m - 1)
-    achieved = -float(np.log2(p)) if p > 0 else float("inf")
+    v_cells, achieved = _select_first_large(dist, alpha, parts, _names(given))
+    augmented = dist.with_register(v_name, len(parts), v_cells)
     return SplitResult(augmented=augmented, alpha=float(alpha), achieved=achieved)
 
 

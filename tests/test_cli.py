@@ -81,11 +81,15 @@ def test_bounds_robust(capsys):
 
 
 def test_bounds_qid_and_impersonation(capsys):
-    code, out, _ = run_cli(capsys, "bounds", "qid", "--n", "1e9", "--m", "16",
-                           "--delta", "0.2", "--ell", "1000",
-                           "--d-code", "300000000", "--r", "0.1")
-    assert code == 0
-    assert "error = " in out
+    outs = []
+    for d_code in ("300000000", "3e8"):
+        code, out, _ = run_cli(capsys, "bounds", "qid", "--n", "1e9", "--m",
+                               "16", "--delta", "0.2", "--ell", "1000",
+                               "--d-code", d_code, "--r", "0.1")
+        assert code == 0
+        assert "error = " in out
+        outs.append(out)
+    assert outs[1] == outs[0]
     code, out, _ = run_cli(capsys, "bounds", "impersonation", "--n", "1e8",
                            "--m", "2", "--delta", "0.2", "--r", "0.1")
     assert code == 0
@@ -123,14 +127,16 @@ def test_curve_csv_schema_and_rate(capsys, tmp_path):
     assert all(b < a for a, b in zip(feasible_rates, feasible_rates[1:]))
 
 
-def test_curve_empty_when_delta_out_of_range(capsys, tmp_path):
+def test_curve_rejects_delta_out_of_range(capsys, tmp_path):
     out_file = tmp_path / "empty.csv"
-    code, _, _ = run_cli(capsys, "curve", "--n", "1e10", "--delta", "0.3",
-                         "--steps", "10", "--out", str(out_file))
-    assert code == 0
-    lines = out_file.read_text().strip().splitlines()
-    assert len(lines) == 1  # header only
-    assert lines[0].startswith("r,nu,n,delta,gamma")
+    for delta in ("0.3", "0.25", "0", "-0.1"):
+        code, out, err = run_cli(capsys, "curve", "--n", "1e10", "--delta",
+                                 delta, "--steps", "10", "--out",
+                                 str(out_file))
+        assert code == 1
+        assert "delta must lie in (0, 1/4)" in err
+        assert out == ""
+        assert not out_file.exists()
 
 
 def test_outputs_byte_identical_for_same_seed(capsys, tmp_path):
@@ -168,6 +174,16 @@ def test_simulate_robust(capsys):
     assert "syndrome bits" in err
 
 
+@pytest.mark.parametrize("protocol", ["rot", "robust", "qid"])
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_simulate_rejects_nonpositive_trials(capsys, protocol, trials):
+    code, out, err = run_cli(capsys, "simulate", protocol, "--trials", trials)
+    assert code == 1
+    assert "trial count must be at least 1" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_simulate_qid(capsys):
     code, out, _ = run_cli(capsys, "simulate", "qid", "--m", "16",
                            "--code-n", "8", "--ell", "8", "--w-alice", "3",
@@ -196,3 +212,15 @@ def test_verify_suites_pass(capsys):
 def test_verify_unknown_suite_exit_1(capsys):
     code, _, _ = run_cli(capsys, "verify", "nonsense")
     assert code == 1
+
+
+def test_verify_rejects_vacuous_trial_counts(capsys):
+    for trials in ("0", "-1"):
+        code, out, err = run_cli(capsys, "verify", "split", "--trials", trials)
+        assert code == 1
+        assert "trial count must be at least 1" in err
+        assert out == ""
+    code, out, err = run_cli(capsys, "verify", "codes", "--trials", "5")
+    assert code == 1
+    assert "codes suite takes no trial count" in err
+    assert out == ""

@@ -110,6 +110,10 @@ def test_split_multi_m2_and_binary_both_meet_their_bounds():
         res_m = split_multi(d, alpha, parts=["X0", "X1"], given="Z")
         assert res_b.achieved >= alpha / 2.0 - 1.0 - 1e-9
         assert res_m.achieved >= alpha / 2.0 - np.log2(2) - 1.0 - 1e-9
+        # split_binary is split_multi with m = 2 and D = 1 - V, exactly
+        assert res_b.achieved == res_m.achieved
+        assert np.array_equal(res_b.augmented.probs,
+                              res_m.augmented.probs[..., ::-1])
 
 
 def test_split_multi_randomized_guarantee():
