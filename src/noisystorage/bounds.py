@@ -8,6 +8,7 @@ base 2; lengths are reported as whole bits.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 LN2 = math.log(2.0)
@@ -363,13 +364,63 @@ def strong_converse_exponent(R, storage):
 # --- string lengths and errors ----------------------------------------------
 
 
-def _require_feasible(storage, delta):
-    cap = depolarizing_capacity(storage)
-    if cap * storage.nu >= 0.25 - delta:
+def _require_capacity_below(product, limit, text):
+    """Raise InfeasibleStorageError unless capacity * nu < ``limit``."""
+    if product >= limit:
         raise InfeasibleStorageError(
-            "capacity * nu = %.6g exceeds 1/4 - delta = %.6g; no guarantee "
-            "is possible for this storage" % (cap * storage.nu, 0.25 - delta))
-    return cap
+            ("capacity * nu = %(product).6g " + text)
+            % {"product": product, "limit": limit})
+
+
+# One transfer-bound evaluation: ``value`` = gamma(R/nu)*nu*n/2 - ec_bits -
+# log2(1/eps) unfloored; ``ell`` is its floor where capacity * nu < R holds
+# and the floor is positive, else 0.
+_Transfer = namedtuple("_Transfer", "capacity gamma value ell eps")
+
+
+def _transfer_bound(storage, delta, n, rate, rounds, ec_bits=0.0, nu_n=None):
+    """The transfer bound at rate R, epsilon decaying in ``rounds``.
+
+    ``nu_n`` = nu*n keeps robust OT's float order gamma*(nu*n); plain OT's
+    (gamma*nu)*n can differ from it in ell.
+    """
+    cap = depolarizing_capacity(storage)
+    gamma = strong_converse_exponent(rate / storage.nu, storage)
+    gain = gamma * storage.nu * n if nu_n is None else gamma * nu_n
+    value = gain / 2.0 - ec_bits - log2_inv_ot_epsilon(delta, rounds)
+    ell = max(0, math.floor(value)) if cap * storage.nu < rate else 0
+    return _Transfer(cap, gamma, value, ell, ot_epsilon(delta, rounds))
+
+
+def _transfer(params, ec_variant="rounds"):
+    """The bound of ot_length (OtParams) or robust_ot_length (RobustParams).
+
+    Raises InfeasibleStorageError, then ValueError for an unknown
+    ``ec_variant``, then NoPositiveLengthError.
+    """
+    storage, delta, n = params.storage, params.delta, params.n
+    if isinstance(params, RobustParams):
+        rate = (0.25 - delta) * params.m1 / n
+        m_ec = {"rounds": params.m_total,
+                "error-complement": (1.0 - params.ph_err) * n}.get(ec_variant)
+        t = _transfer_bound(
+            storage, delta, n, rate, params.m1,
+            1.2 * binary_entropy(params.ph_err) * (m_ec or 0.0) / 2.0,
+            storage.nu * n)
+        text = "exceeds (1/4 - delta) * m1/n = %(limit).6g"
+    else:
+        rate, m_ec = 0.25 - delta, 0.0
+        t = _transfer_bound(storage, delta, n, rate, n)
+        text = ("exceeds 1/4 - delta = %(limit).6g; no guarantee is "
+                "possible for this storage")
+    _require_capacity_below(t.capacity * storage.nu, rate, text)
+    if m_ec is None:
+        raise ValueError("unknown ec_variant %r" % ec_variant)
+    if t.ell <= 0:
+        raise NoPositiveLengthError(
+            "no positive-length OT: the bound evaluates to %.6g bits"
+            % t.value)
+    return t
 
 
 def ot_length(params):
@@ -379,17 +430,8 @@ def ot_length(params):
     ell_max = floor(gamma((1/4-delta)/nu) * nu*n/2 - log2(1/epsilon)) and
     the protocol's security statement error is 2*epsilon.
     """
-    storage = params.storage
-    _require_feasible(storage, params.delta)
-    gamma = strong_converse_exponent((0.25 - params.delta) / storage.nu, storage)
-    value = gamma * storage.nu * params.n / 2.0 - log2_inv_ot_epsilon(
-        params.delta, params.n)
-    eps = ot_epsilon(params.delta, params.n)
-    ell = math.floor(value)
-    if ell <= 0:
-        raise NoPositiveLengthError(
-            "no positive-length OT: the bound evaluates to %.6g bits" % value)
-    return ell, eps
+    t = _transfer(params)
+    return t.ell, t.eps
 
 
 def robust_ot_length(params, ec_variant="rounds"):
@@ -401,31 +443,8 @@ def robust_ot_length(params, ec_variant="rounds"):
     (1 - ph_err) * n.  Epsilon decays in the surviving single-photon
     count m1 instead of n.
     """
-    storage = params.storage
-    nu_n = storage.nu * params.n
-    m1 = params.m1
-    rate = (0.25 - params.delta) * m1 / params.n
-    cap = depolarizing_capacity(storage)
-    if cap * storage.nu >= rate:
-        raise InfeasibleStorageError(
-            "capacity * nu = %.6g exceeds (1/4 - delta) * m1/n = %.6g"
-            % (cap * storage.nu, rate))
-    if ec_variant == "rounds":
-        m_ec = params.m_total
-    elif ec_variant == "error-complement":
-        m_ec = (1.0 - params.ph_err) * params.n
-    else:
-        raise ValueError("unknown ec_variant %r" % ec_variant)
-    gamma = strong_converse_exponent(rate / storage.nu, storage)
-    value = (gamma * nu_n / 2.0
-             - 1.2 * binary_entropy(params.ph_err) * m_ec / 2.0
-             - log2_inv_ot_epsilon(params.delta, m1))
-    eps = ot_epsilon(params.delta, m1)
-    ell = math.floor(value)
-    if ell <= 0:
-        raise NoPositiveLengthError(
-            "no positive-length OT: the bound evaluates to %.6g bits" % value)
-    return ell, eps
+    t = _transfer(params, ec_variant)
+    return t.ell, t.eps
 
 
 def _two_pow_capped(exponent):
@@ -490,10 +509,8 @@ def impersonation_exponents(params):
     2^-e1 + 2^-e2 before each term saturates at 1.
     """
     storage = params.storage
-    cap = depolarizing_capacity(storage)
-    if cap * storage.nu >= 0.25:
-        raise InfeasibleStorageError(
-            "capacity * nu = %.6g is not below 1/4" % (cap * storage.nu))
+    _require_capacity_below(depolarizing_capacity(storage) * storage.nu, 0.25,
+                            "is not below 1/4")
     gamma = strong_converse_exponent((0.25 - params.delta) / storage.nu, storage)
     mu = params.mu
     d = mu * params.n - 1.0
@@ -549,26 +566,16 @@ def rate_curve(n, delta, nu, r_grid, dim=2):
     """
     if not 0.0 < delta < 0.25:
         return []
-    if n < math.ceil(4.0 / delta):
-        raise PreconditionError("n >= 4/delta is required for the "
-                                "security statement")
-    eps = ot_epsilon(delta, n)
-    log2_inv_eps = log2_inv_ot_epsilon(delta, n)
+    OtParams(n=n, delta=delta, storage=None)  # n >= 4/delta; rows bring r
     rows = []
     for r in r_grid:
-        storage = StorageModel(r=float(r), nu=nu, dim=dim)
-        cap = depolarizing_capacity(storage)
-        gamma = strong_converse_exponent((0.25 - delta) / nu, storage)
-        feasible = cap * nu < 0.25 - delta
-        ell = 0
-        if feasible:
-            value = gamma * nu * n / 2.0 - log2_inv_eps
-            ell = max(0, math.floor(value))
-            feasible = ell > 0
+        t = _transfer_bound(StorageModel(r=float(r), nu=nu, dim=dim), delta,
+                            n, 0.25 - delta, n)
         rows.append({
-            "r": float(r), "nu": nu, "n": n, "delta": delta, "gamma": gamma,
-            "capacity": cap, "ell": ell, "ot_rate": ell / n, "eps": eps,
-            "two_eps": 2.0 * eps, "feasible": feasible,
+            "r": float(r), "nu": nu, "n": n, "delta": delta,
+            "gamma": t.gamma, "capacity": t.capacity, "ell": t.ell,
+            "ot_rate": t.ell / n, "eps": t.eps, "two_eps": 2.0 * t.eps,
+            "feasible": t.ell > 0,
         })
     return rows
 

@@ -25,18 +25,15 @@ from .bounds import (
     QidParams,
     RobustParams,
     StorageModel,
+    _transfer,
     depolarizing_capacity,
     dishonest_alice_error,
     feasible_region,
     format_value,
     impersonation_error,
-    ot_epsilon,
-    ot_length,
     qid_error,
     rate_curve,
-    robust_ot_length,
     rows_to_csv,
-    strong_converse_exponent,
 )
 from .checks import SUITES
 from .codes import qid_code, repetition_code
@@ -227,37 +224,30 @@ def build_parser():
     return parser
 
 
-def _threshold_pairs(args, eps):
+def _transfer_pairs(args, t):
+    pairs = [("ell", t.ell), ("ot_rate", t.ell / args.n),
+             ("eps", t.eps), ("two_eps", 2.0 * t.eps)]
     if args.threshold is None:
-        return []
-    return [("threshold", args.threshold),
-            ("eps_within_threshold", eps <= args.threshold),
-            ("two_eps_within_threshold", 2.0 * eps <= args.threshold)]
+        return pairs
+    return pairs + [("threshold", args.threshold),
+                    ("eps_within_threshold", t.eps <= args.threshold),
+                    ("two_eps_within_threshold", 2.0 * t.eps <= args.threshold)]
 
 
 def _cmd_bounds(args):
     storage = _storage(args)
     if args.bound == "ot":
-        params = OtParams(n=args.n, delta=args.delta, storage=storage)
-        gamma = strong_converse_exponent((0.25 - args.delta) / storage.nu,
-                                         storage)
-        ell, eps = ot_length(params)
-        pairs = [("gamma", gamma),
-                 ("capacity", depolarizing_capacity(storage)),
-                 ("ell", ell), ("ot_rate", ell / args.n),
-                 ("eps", eps), ("two_eps", 2.0 * eps)]
-        pairs += _threshold_pairs(args, eps)
+        t = _transfer(OtParams(n=args.n, delta=args.delta, storage=storage))
+        pairs = [("gamma", t.gamma),
+                 ("capacity", t.capacity)] + _transfer_pairs(args, t)
     elif args.bound == "robust":
         params = RobustParams(n=args.n, delta=args.delta, storage=storage,
                               p1_sent=args.p1_sent,
                               ph_noclick=args.ph_noclick,
                               pd_noclick=args.pd_noclick, ph_err=args.ph_err)
-        ell, eps = robust_ot_length(params, ec_variant=args.ec_variant)
+        t = _transfer(params, args.ec_variant)
         pairs = [("m1", params.m1), ("m_total", params.m_total),
-                 ("capacity", depolarizing_capacity(storage)),
-                 ("ell", ell), ("ot_rate", ell / args.n),
-                 ("eps", eps), ("two_eps", 2.0 * eps)]
-        pairs += _threshold_pairs(args, eps)
+                 ("capacity", t.capacity)] + _transfer_pairs(args, t)
     elif args.bound == "qid":
         params = QidParams(n=args.n, m=args.m, delta=args.delta,
                            storage=storage, ell=args.ell, d_code=args.d_code)
