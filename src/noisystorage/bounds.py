@@ -56,6 +56,7 @@ class StorageModel:
     def __post_init__(self):
         if not 0.0 <= self.r <= 1.0:
             raise PreconditionError("retention r must lie in [0, 1]")
+        _require_finite("nu", self.nu)
         if self.nu <= 0.0:
             raise PreconditionError("storage rate nu must be positive")
         if self.dim < 2:
@@ -74,6 +75,7 @@ class OtParams:
     def __post_init__(self):
         if not 0.0 < self.delta < 0.25:
             raise PreconditionError("delta must lie in (0, 1/4)")
+        _require_finite("n", self.n)
         if self.n < math.ceil(4.0 / self.delta):
             raise PreconditionError("n >= 4/delta is required for the "
                                     "security statement")
@@ -108,6 +110,7 @@ class RobustParams:
             raise PreconditionError("delta must lie in (0, 1/4)")
         if self.ph_err >= 0.5:
             raise PreconditionError("honest error rate must be below 1/2")
+        _require_finite("n", self.n)
         if self.m1 <= 0.0:
             raise PreconditionError("no single-photon rounds survive "
                                     "(p1_sent - ph_noclick + pd_noclick <= 0)")
@@ -147,11 +150,18 @@ class QidParams:
             raise PreconditionError("need at least two passwords")
         if not 0.0 < self.delta < 0.25:
             raise PreconditionError("delta must lie in (0, 1/4)")
+        _require_finite("n", self.n)
         object.__setattr__(self, "mu", _gv_relative_distance(self.n, self.m))
         if self.ell is not None and self.ell < 1:
             raise PreconditionError("ell must be a positive length")
         if self.d_code is not None:
             _check_code_distance(self.d_code, self.m, self.delta)
+
+
+def _require_finite(name, value):
+    """Reject nan and +-inf with a diagnostic that names the field."""
+    if not math.isfinite(value):
+        raise PreconditionError("%s must be finite, got %r" % (name, value))
 
 
 def _gv_relative_distance(n, m):
@@ -224,6 +234,10 @@ def sigma(delta):
 
 def _ot_eps_exponent(delta, n):
     """Natural-log decay rate: epsilon = 2 exp(-rate * n)."""
+    if not 0.0 < delta < 0.25:
+        raise ValueError("delta must lie in (0, 1/4)")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     return (delta / 4.0) ** 2 / (32.0 * (2.0 + math.log2(4.0 / delta)) ** 2) * n
 
 
@@ -234,19 +248,11 @@ def ot_epsilon(delta, n):
     equivalently 2 * 2^(-sigma(delta/4) * n).  The security statement
     error of the protocol is 2 * epsilon.
     """
-    if not 0.0 < delta < 0.25:
-        raise ValueError("delta must lie in (0, 1/4)")
-    if n < 1:
-        raise ValueError("n must be at least 1")
     return 2.0 * math.exp(-_ot_eps_exponent(delta, n))
 
 
 def log2_inv_ot_epsilon(delta, n):
     """log2(1/epsilon), evaluated in log space so huge n cannot underflow."""
-    if not 0.0 < delta < 0.25:
-        raise ValueError("delta must lie in (0, 1/4)")
-    if n < 1:
-        raise ValueError("n must be at least 1")
     return _ot_eps_exponent(delta, n) / LN2 - 1.0
 
 
@@ -543,6 +549,7 @@ def feasible_region(r_steps, nu_steps, r_max=1.0, nu_max=1.0, dim=2):
     """
     if r_steps < 2 or nu_steps < 2:
         raise ValueError("grids need at least 2 steps per axis")
+    StorageModel(r=r_max, nu=nu_max, dim=dim)  # bounds every cell's r, nu
     rows = []
     for i in range(r_steps):
         r = r_max * i / (r_steps - 1)
@@ -566,7 +573,7 @@ def rate_curve(n, delta, nu, r_grid, dim=2):
     """
     if not 0.0 < delta < 0.25:
         return []
-    OtParams(n=n, delta=delta, storage=None)  # n >= 4/delta; rows bring r
+    OtParams(n=n, delta=delta, storage=None)  # checks n; rows bring storage
     rows = []
     for r in r_grid:
         t = _transfer_bound(StorageModel(r=float(r), nu=nu, dim=dim), delta,

@@ -10,6 +10,7 @@ run at desk scale.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -64,6 +65,18 @@ def _integer(text):
     raise argparse.ArgumentTypeError("invalid int value: %r" % text)
 
 
+def _finite(text):
+    """Parse a float that is neither infinite nor nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid float value: %r" % text) from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be finite, got %r" % text)
+    return value
+
+
 def _trial_count(text):
     """Parse ``--trials``: an integer of at least 1."""
     try:
@@ -90,7 +103,8 @@ def _kv_text(pairs):
 
 def _report(pairs, fmt, out_path):
     if fmt == "json":
-        _emit(json.dumps(dict(pairs), indent=2) + "\n", out_path)
+        _emit(json.dumps(dict(pairs), indent=2, allow_nan=False) + "\n",
+              out_path)
     else:
         _emit(_kv_text(pairs), out_path)
 
@@ -121,7 +135,7 @@ def build_parser():
     b_ot = bsub.add_parser("ot", help="plain oblivious-transfer length")
     b_ot.add_argument("--n", type=float, required=True)
     b_ot.add_argument("--delta", type=float, required=True)
-    b_ot.add_argument("--threshold", type=float, default=None,
+    b_ot.add_argument("--threshold", type=_finite, default=None,
                       help="acceptable error; compared against eps (the "
                            "2*eps statement verdict is shown alongside)")
     _add_storage_args(b_ot)
@@ -130,7 +144,7 @@ def build_parser():
     b_rob = bsub.add_parser("robust", help="lossy/noisy oblivious transfer")
     b_rob.add_argument("--n", type=float, required=True)
     b_rob.add_argument("--delta", type=float, required=True)
-    b_rob.add_argument("--threshold", type=float, default=None,
+    b_rob.add_argument("--threshold", type=_finite, default=None,
                        help="acceptable error; compared against eps")
     b_rob.add_argument("--p1-sent", type=float, required=True)
     b_rob.add_argument("--ph-noclick", type=float, required=True)
@@ -197,7 +211,7 @@ def build_parser():
     s_rob.add_argument("--ph-noclick", type=float, default=0.1)
     s_rob.add_argument("--pd-noclick", type=float, default=0.0)
     s_rob.add_argument("--ph-err", type=float, default=0.01)
-    s_rob.add_argument("--eps-target", type=float, default=1e-3)
+    s_rob.add_argument("--eps-target", type=_finite, default=1e-3)
     s_rob.add_argument("--code-block", type=int, default=3,
                        help="repetition block length for error correction")
     s_rob.add_argument("--r", type=float, default=0.2)
@@ -229,9 +243,10 @@ def _transfer_pairs(args, t):
              ("eps", t.eps), ("two_eps", 2.0 * t.eps)]
     if args.threshold is None:
         return pairs
-    return pairs + [("threshold", args.threshold),
-                    ("eps_within_threshold", t.eps <= args.threshold),
-                    ("two_eps_within_threshold", 2.0 * t.eps <= args.threshold)]
+    return pairs + [
+        ("threshold", args.threshold),
+        ("eps_within_threshold", t.eps <= args.threshold),
+        ("two_eps_within_threshold", 2.0 * t.eps <= args.threshold)]
 
 
 def _cmd_bounds(args):
@@ -269,7 +284,7 @@ def _cmd_bounds(args):
 def _rows_out(rows, header, args):
     if args.format == "json":
         _emit(json.dumps([{k: row[k] for k in header} for row in rows],
-                         indent=2) + "\n", args.out)
+                         indent=2, allow_nan=False) + "\n", args.out)
     else:
         _emit(rows_to_csv(rows, header), args.out)
     return 0
@@ -306,7 +321,7 @@ def _run_trials(args, config, run, tallies):
         first = first or t.to_json()
     report = {**config, "trials": args.trials, "seed": args.seed, **tallies,
               "first_transcript": json.loads(first)}
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    _emit(json.dumps(report, indent=2, allow_nan=False) + "\n", args.out)
 
 
 def _cmd_simulate(args):

@@ -4,7 +4,15 @@ import json
 
 import pytest
 
+from noisystorage import bounds, cli
 from noisystorage.cli import dispatch
+
+OT_ARGS = ("bounds", "ot", "--n", "1e10", "--delta", "0.0106", "--r", "0.1")
+ROBUST_ARGS = ("bounds", "robust", "--n", "1e10", "--delta", "0.005",
+               "--r", "0.1", "--p1-sent", "1.0", "--ph-noclick", "0.6",
+               "--pd-noclick", "0.05", "--ph-err", "0.01")
+QID_ARGS = ("bounds", "qid", "--n", "1e9", "--m", "16", "--delta", "0.2",
+            "--ell", "1000", "--r", "0.1")
 
 
 def run_cli(capsys, *argv):
@@ -224,3 +232,51 @@ def test_verify_rejects_vacuous_trial_counts(capsys):
     assert code == 1
     assert "codes suite takes no trial count" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, diagnostic", [
+    (OT_ARGS + ("--n", "nan"), "n must be finite"),
+    (OT_ARGS + ("--n", "inf"), "n must be finite"),
+    (OT_ARGS + ("--nu", "nan"), "nu must be finite"),
+    (ROBUST_ARGS + ("--n", "nan"), "n must be finite"),
+    (ROBUST_ARGS + ("--n", "inf"), "n must be finite"),
+    (QID_ARGS + ("--n", "nan"), "n must be finite"),
+    (QID_ARGS + ("--nu", "nan"), "nu must be finite"),
+    (("curve", "--n", "1e10", "--delta", "0.0106", "--nu", "nan"),
+     "nu must be finite"),
+    (OT_ARGS + ("--threshold", "nan", "--format", "json"),
+     "--threshold: must be finite"),
+    (("simulate", "robust", "--eps-target", "nan"),
+     "--eps-target: must be finite"),
+    (("region", "--nu-max", "-1"), "nu must be positive"),
+    (("region", "--nu-max", "nan", "--format", "json"), "nu must be finite"),
+])
+def test_non_finite_and_negative_inputs_exit_1(capsys, argv, diagnostic):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert diagnostic in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [OT_ARGS, ROBUST_ARGS])
+def test_bounds_transfer_evaluates_gamma_and_capacity_once(capsys,
+                                                           monkeypatch, argv):
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("strong_converse_exponent", "depolarizing_capacity"):
+        wrapper = counted(name, getattr(bounds, name))
+        for module in (bounds, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert calls == {"strong_converse_exponent": 1,
+                     "depolarizing_capacity": 1}
