@@ -6,6 +6,11 @@ matrix-vector product over GF(2).  Inputs shorter than ``n`` bits are
 zero-padded on the right.  An optional ``ell``-bit offset turns the family
 into an affine one, which is strongly two-universal (needed where hash
 values of correlated inputs must look jointly fresh).
+
+``T`` is never materialised: each hash keeps a read-only strided view of
+its float64 seed (row ``i`` starts at ``seed[ell - 1 - i]`` and steps
+back one element per row), so a hash costs O(n) memory.  ``.matrix``
+builds the uint8 matrix on demand.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +31,8 @@ class ToeplitzHash:
     ell: int
     seed: tuple
     offset: tuple | None = None
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _shift: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.ell <= self.n:
@@ -34,16 +40,26 @@ class ToeplitzHash:
         seed = gf2.as_bits(self.seed)
         if seed.shape != (self.n + self.ell - 1,):
             raise ValueError("seed must have exactly n + ell - 1 bits")
-        object.__setattr__(self, "seed", tuple(int(b) for b in seed))
+        object.__setattr__(self, "seed", tuple(seed.tolist()))
+        shift = None
         if self.offset is not None:
             off = gf2.as_bits(self.offset)
             if off.shape != (self.ell,):
                 raise ValueError("offset must have exactly ell bits")
-            object.__setattr__(self, "offset", tuple(int(b) for b in off))
-        rows = np.arange(self.ell)[:, None]
-        cols = np.arange(self.n)[None, :]
-        object.__setattr__(
-            self, "matrix", seed[self.ell - 1 + cols - rows].astype(np.uint8))
+            object.__setattr__(self, "offset", tuple(off.tolist()))
+            shift = off.astype(np.float64)
+        diag = seed.astype(np.float64)
+        step = diag.itemsize
+        rows = np.ndarray((self.ell, self.n), dtype=np.float64, buffer=diag,
+                          offset=(self.ell - 1) * step, strides=(-step, step))
+        rows.flags.writeable = False
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_shift", shift)
+
+    @property
+    def matrix(self):
+        """The ell x n uint8 matrix T, built on each access."""
+        return self._rows.astype(np.uint8)
 
     def seed_hex(self):
         """Seed as hex, most-significant bit = first diagonal element."""
@@ -55,9 +71,8 @@ class ToeplitzHash:
     @classmethod
     def from_hex(cls, n, ell, seed_hex, offset_hex=None):
         seed = hex_to_bits(seed_hex, n + ell - 1)
-        offset = (None if offset_hex is None
-                  else tuple(int(b) for b in hex_to_bits(offset_hex, ell)))
-        return cls(n=n, ell=ell, seed=tuple(int(b) for b in seed), offset=offset)
+        offset = None if offset_hex is None else hex_to_bits(offset_hex, ell)
+        return cls(n=n, ell=ell, seed=seed, offset=offset)
 
 
 def bits_to_hex(bits):
@@ -79,28 +94,30 @@ def random_hash(n, ell, rng, affine=False):
     """Draw a uniformly random hash from the family."""
     seed = rng.integers(0, 2, size=n + ell - 1, dtype=np.uint8)
     offset = rng.integers(0, 2, size=ell, dtype=np.uint8) if affine else None
-    return ToeplitzHash(n=n, ell=ell, seed=tuple(seed),
-                        offset=None if offset is None else tuple(offset))
+    return ToeplitzHash(n=n, ell=ell, seed=seed, offset=offset)
 
 
-def _padded(x, n):
-    x = gf2.as_bits(x)
-    if x.ndim != 1:
-        raise ValueError("input must be a 1-D bit string")
-    if x.size > n:
-        raise ValueError("input longer than the hash input size %d" % n)
-    if x.size < n:
-        x = np.concatenate([x, np.zeros(n - x.size, dtype=np.uint8)])
-    return x
+def _apply(h, xs):
+    """T @ x (+ offset) over GF(2) for every row x of a (N, <=n) bit matrix.
+
+    A zero-padded input meets only the first k = xs.shape[1] columns of T,
+    so the padding is never built.  The float64 sums count at most n ones
+    and are exact.
+    """
+    out = xs @ h._rows[:, :xs.shape[1]].T
+    if h._shift is not None:
+        out += h._shift
+    return (out % 2).astype(np.uint8)
 
 
 def hash_apply(h, x):
     """Hash a bit string of length <= n down to ell bits."""
-    x = _padded(x, h.n)
-    out = (h.matrix.astype(np.int64) @ x.astype(np.int64)) % 2
-    if h.offset is not None:
-        out ^= np.asarray(h.offset, dtype=np.int64)
-    return out.astype(np.uint8)
+    x = gf2.as_bits(x)
+    if x.ndim != 1:
+        raise ValueError("input must be a 1-D bit string")
+    if x.size > h.n:
+        raise ValueError("input longer than the hash input size %d" % h.n)
+    return _apply(h, x[np.newaxis, :])[0]
 
 
 def hash_apply_many(h, xs):
@@ -110,13 +127,7 @@ def hash_apply_many(h, xs):
         raise ValueError("expected a 2-D bit matrix")
     if xs.shape[1] > h.n:
         raise ValueError("inputs longer than the hash input size")
-    if xs.shape[1] < h.n:
-        pad = np.zeros((xs.shape[0], h.n - xs.shape[1]), dtype=np.uint8)
-        xs = np.concatenate([xs, pad], axis=1)
-    out = (xs.astype(np.int64) @ h.matrix.T.astype(np.int64)) % 2
-    if h.offset is not None:
-        out ^= np.asarray(h.offset, dtype=np.int64)[np.newaxis, :]
-    return out.astype(np.uint8)
+    return _apply(h, xs)
 
 
 def _difference_map(n, ell, diff):

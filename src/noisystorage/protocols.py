@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qsim
+from . import gf2, qsim
 from .bounds import ot_epsilon
-from .codes import syndrome, syndrome_budget_ok, syndrome_decode
+from .codes import coset_leaders, syndrome_budget_ok
 from .hashing import ToeplitzHash, hash_apply, hash_apply_many, random_hash
 
 LEAKAGE_MAX_N = 24
@@ -277,30 +277,37 @@ class RobustTranscript:
         })
 
 
+def _blocks(code, bits):
+    """The string zero-padded to whole blocks, one block per row."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    words = np.zeros((-(-bits.size // code.n), code.n), dtype=np.uint8)
+    words.reshape(-1)[:bits.size] = bits
+    return words
+
+
 def block_syndromes(code, bits):
     """Concatenated per-block syndromes of a string padded to whole blocks."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    blocks = math.ceil(bits.size / code.n) if bits.size else 0
-    padded = np.zeros(blocks * code.n, dtype=np.uint8)
-    padded[:bits.size] = bits
-    out = [syndrome(code, padded[b * code.n:(b + 1) * code.n])
-           for b in range(blocks)]
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.uint8)
+    return gf2.matmul(_blocks(code, bits), code.parity.T).astype(
+        np.uint8).reshape(-1)
 
 
 def block_correct(code, bits, syndromes):
-    """Blockwise coset-leader correction towards the syndromes' string."""
+    """Blockwise coset-leader correction towards the syndromes' string.
+
+    Each block moves by the coset leader of (its syndrome XOR its target),
+    exactly as :func:`codes.syndrome_decode` corrects one block.
+    """
     bits = np.asarray(bits, dtype=np.uint8)
-    blocks = math.ceil(bits.size / code.n) if bits.size else 0
-    padded = np.zeros(blocks * code.n, dtype=np.uint8)
-    padded[:bits.size] = bits
-    red = code.n - code.k
-    out = padded.copy()
-    for b in range(blocks):
-        target = syndromes[b * red:(b + 1) * red]
-        out[b * code.n:(b + 1) * code.n] = syndrome_decode(
-            code, padded[b * code.n:(b + 1) * code.n], target)
-    return out[:bits.size]
+    words = _blocks(code, bits)
+    blocks, red = len(words), code.n - code.k
+    targets = gf2.as_bits(syndromes)[:blocks * red].reshape(blocks, red)
+    diff = gf2.matmul(words, code.parity.T) ^ targets
+    keys, inverse = np.unique(diff @ (1 << np.arange(red - 1, -1, -1)),
+                              return_inverse=True)
+    table = coset_leaders(code)
+    leaders = np.array([table[int(k)] for k in keys],
+                       dtype=np.uint8).reshape(-1, code.n)
+    return (words ^ leaders[inverse]).reshape(-1)[:bits.size]
 
 
 class RobustReportingStrategy:
@@ -343,7 +350,8 @@ def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3,
     ph_err.  The sender aborts when the reported click count leaves
     [(1 - p - zeta) n, (1 - p + zeta) n]; the default
     zeta = sqrt(ln(2/eps_target) / (2n)) keeps the honest abort
-    probability at most eps_target.  Error correction is blockwise
+    probability at most eps_target, which must lie in (0, 1].  Error
+    correction is blockwise
     syndrome decoding with the given code.
 
     ``bob`` may be a :class:`RobustReportingStrategy` to control the
@@ -355,6 +363,8 @@ def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3,
         raise ValueError("simulation needs an integer round count")
     if params.ell is None:
         raise ValueError("simulation needs the string length ell set")
+    if not 0.0 < eps_target <= 1.0:
+        raise ValueError("eps_target must lie in (0, 1]")
     rng = make_rng(rng)
     if zeta is None:
         zeta = math.sqrt(math.log(2.0 / eps_target) / (2.0 * n))

@@ -1,7 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisystorage.distributions import JointDistribution
 from noisystorage.hashing import (
@@ -22,6 +25,29 @@ def all_hashes(n, ell):
 
 def int_bits(v, n):
     return np.array([(v >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8)
+
+
+def literal_matrix(seed, n, ell):
+    """T[i, j] = seed[ell - 1 + j - i], cell by cell."""
+    return np.array([[seed[ell - 1 + j - i] for j in range(n)]
+                     for i in range(ell)], dtype=np.uint8)
+
+
+def literal_hashes(seed, offset, n, ell, rows):
+    """Each zero-padded row times the literal matrix, plus the offset."""
+    t = literal_matrix(seed, n, ell).astype(np.int64)
+    padded = np.zeros((len(rows), n), dtype=np.int64)
+    for r, x in enumerate(rows):
+        padded[r, :len(x)] = x
+    out = (padded @ t.T) % 2
+    if offset is not None:
+        out ^= np.array(offset)
+    return out.tolist()
+
+
+def all_inputs(k):
+    return np.array([int_bits(v, k) for v in range(2 ** k)],
+                    dtype=np.uint8).reshape(2 ** k, k)
 
 
 def test_zero_seed_maps_everything_to_zero():
@@ -46,6 +72,77 @@ def test_matrix_has_constant_diagonals():
     for i in range(1, 4):
         for j in range(1, 6):
             assert m[i, j] == m[i - 1, j - 1]
+
+
+def test_matrix_equals_literal_matrix():
+    for n in range(1, 6):
+        for ell in range(1, n + 1):
+            for h in all_hashes(n, ell):
+                m = h.matrix
+                assert m.dtype == np.uint8
+                assert np.array_equal(m, literal_matrix(h.seed, n, ell))
+
+
+def test_kernels_match_literal_matrix_exhaustively():
+    # every seed for n <= 5, ell <= 3; every input of every length 0..n
+    for n in range(1, 6):
+        for ell in range(1, min(n, 3) + 1):
+            offsets = [None] + list(itertools.product((0, 1), repeat=ell))
+            for h in all_hashes(n, ell):
+                t = literal_matrix(h.seed, n, ell).astype(int)
+                for k in range(n + 1):
+                    xs = all_inputs(k)
+                    plain = (xs @ t[:, :k].T) % 2
+                    for x, want in zip(xs, plain):
+                        assert hash_apply(h, x).tolist() == want.tolist()
+                    for offset in offsets:
+                        g = ToeplitzHash(n=n, ell=ell, seed=h.seed,
+                                         offset=offset)
+                        want = plain ^ np.array(offset or (0,) * ell)
+                        got = hash_apply_many(g, xs)
+                        assert got.dtype == np.uint8
+                        assert got.shape == (2 ** k, ell)
+                        assert np.array_equal(got, want)
+
+
+@st.composite
+def hash_cases(draw):
+    n = draw(st.integers(1, 300))
+    ell = draw(st.integers(1, n))
+    bits = st.integers(0, 1)
+    seed = draw(st.lists(bits, min_size=n + ell - 1, max_size=n + ell - 1))
+    offset = draw(st.none() | st.lists(bits, min_size=ell, max_size=ell))
+    k = draw(st.integers(0, n))
+    rows = draw(st.lists(st.lists(bits, min_size=k, max_size=k),
+                         min_size=1, max_size=3))
+    return n, ell, seed, offset, rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(hash_cases())
+def test_kernels_match_literal_matrix_property(case):
+    n, ell, seed, offset, rows = case
+    h = ToeplitzHash(n=n, ell=ell, seed=seed, offset=offset)
+    want = literal_hashes(seed, offset, n, ell, rows)
+    assert [hash_apply(h, x).tolist() for x in rows] == want
+    many = hash_apply_many(h, np.array(rows, dtype=np.uint8).reshape(
+        len(rows), -1))
+    assert many.tolist() == want
+
+
+def test_hash_memory_is_linear_in_n():
+    # a materialised 50,000 x 100,000 matrix would take 5 GB as uint8
+    rng = np.random.default_rng(127)
+    x = rng.integers(0, 2, 1000, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        h = random_hash(100_000, 50_000, rng)
+        out = hash_apply(h, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (50_000,)
+    assert peak < 16 * 2 ** 20
 
 
 def test_linearity():

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from noisystorage.bounds import RobustParams, StorageModel
-from noisystorage.codes import hamming_7_4, qid_code, repetition_code
+from noisystorage.codes import (
+    extended_hamming_8_4,
+    hamming_7_4,
+    qid_code,
+    repetition_code,
+    syndrome,
+    syndrome_decode,
+)
 from noisystorage.protocols import (
     StoreAllBob,
     WorstCaseReportingBob,
@@ -219,6 +226,53 @@ def test_block_syndrome_roundtrip():
     noisy[3] ^= 1
     noisy[9] ^= 1  # one error per block at most
     assert np.array_equal(block_correct(code, noisy, syn), word)
+
+
+def _padded_blocks(code, bits):
+    blocks = math.ceil(len(bits) / code.n) if len(bits) else 0
+    padded = np.zeros(blocks * code.n, dtype=np.uint8)
+    padded[:len(bits)] = bits
+    return [padded[b * code.n:(b + 1) * code.n] for b in range(blocks)]
+
+
+def loop_syndromes(code, bits):
+    """One codes.syndrome call per zero-padded block."""
+    out = [syndrome(code, block) for block in _padded_blocks(code, bits)]
+    return np.concatenate(out) if out else np.zeros(0, dtype=np.uint8)
+
+
+def loop_correct(code, bits, syndromes):
+    """One codes.syndrome_decode call per zero-padded block."""
+    red = code.n - code.k
+    out = [syndrome_decode(code, block, syndromes[b * red:(b + 1) * red])
+           for b, block in enumerate(_padded_blocks(code, bits))]
+    joined = np.concatenate(out) if out else np.zeros(0, dtype=np.uint8)
+    return joined[:len(bits)]
+
+
+@pytest.mark.parametrize("make_code", [
+    lambda: repetition_code(3), hamming_7_4, extended_hamming_8_4])
+def test_block_kernels_match_per_block_loop(make_code):
+    code = make_code()
+    rng = np.random.default_rng(157)
+    red = code.n - code.k
+    for size in [0, 1, code.n - 1, code.n, code.n + 1, 5 * code.n + 2, 200]:
+        for _ in range(10):
+            bits = rng.integers(0, 2, size, dtype=np.uint8)
+            syn = block_syndromes(code, bits)
+            assert syn.dtype == np.uint8
+            assert np.array_equal(syn, loop_syndromes(code, bits))
+            noisy = bits ^ (rng.random(size) < 0.25).astype(np.uint8)
+            # honest targets, arbitrary ones (every coset is hit), and a
+            # surplus block of targets that both ignore
+            targets = [syn, rng.integers(0, 2, syn.size, dtype=np.uint8),
+                       rng.integers(0, 2, syn.size + red, dtype=np.uint8)]
+            for target in targets:
+                got = block_correct(code, noisy, target)
+                assert got.dtype == np.uint8
+                assert got.shape == (size,)
+                assert np.array_equal(got, loop_correct(code, noisy, target))
+            assert syn.size == red * math.ceil(size / code.n)
 
 
 # --- password identification ---------------------------------------------------
