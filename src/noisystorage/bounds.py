@@ -504,8 +504,8 @@ def impersonation_error(params):
     guarantee at all.  Assumes the password has at least one bit of
     min-entropy.
     """
-    ell_choice, (e1, e2) = impersonation_exponents(params)
-    return ell_choice, _two_pow_capped(-e1) + _two_pow_capped(-e2)
+    t = _impersonation(params)
+    return t.ell, t.error
 
 
 def impersonation_exponents(params):
@@ -514,9 +514,19 @@ def impersonation_exponents(params):
     Returns (ell_choice, (e1, e2)) with the impersonation error equal to
     2^-e1 + 2^-e2 before each term saturates at 1.
     """
+    t = _impersonation(params)
+    return t.ell, (t.e1, t.e2)
+
+
+# One impersonation-bound evaluation: the storage capacity, the hash length
+# choice, the two uncapped exponents and the error they give.
+_Impersonation = namedtuple("_Impersonation", "capacity ell e1 e2 error")
+
+
+def _impersonation(params):
     storage = params.storage
-    _require_capacity_below(depolarizing_capacity(storage) * storage.nu, 0.25,
-                            "is not below 1/4")
+    cap = depolarizing_capacity(storage)
+    _require_capacity_below(cap * storage.nu, 0.25, "is not below 1/4")
     gamma = strong_converse_exponent((0.25 - params.delta) / storage.nu, storage)
     mu = params.mu
     d = mu * params.n - 1.0
@@ -524,7 +534,8 @@ def impersonation_exponents(params):
     log_m = math.log2(params.m)
     e1 = (gamma * storage.nu * mu * params.n - 6.0 * log_m - 1.0) / 3.0
     e2 = sigma(params.delta / 4.0) * mu * params.n - log_m - 4.0
-    return ell_choice, (e1, e2)
+    return _Impersonation(cap, ell_choice, e1, e2,
+                          _two_pow_capped(-e1) + _two_pow_capped(-e2))
 
 
 def dishonest_alice_error(m, ell):

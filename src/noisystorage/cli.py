@@ -26,12 +26,12 @@ from .bounds import (
     QidParams,
     RobustParams,
     StorageModel,
+    _impersonation,
     _transfer,
     depolarizing_capacity,
     dishonest_alice_error,
     feasible_region,
     format_value,
-    impersonation_error,
     qid_error,
     rate_curve,
     rows_to_csv,
@@ -39,6 +39,12 @@ from .bounds import (
 from .checks import SUITES
 from .codes import qid_code, repetition_code
 from .protocols import run_qid, run_robust_rot, run_rot
+
+
+# Table sizes the CLI accepts: each curve step runs one gamma optimisation
+# (about 0.2 ms), and each region row is one in-memory dict before output.
+CURVE_MAX_STEPS = 10_000
+REGION_MAX_ROWS = 250_000
 
 
 class CliParameterError(ValueError):
@@ -272,11 +278,10 @@ def _cmd_bounds(args):
     else:
         params = QidParams(n=args.n, m=args.m, delta=args.delta,
                            storage=storage)
-        ell, eps = impersonation_error(params)
-        pairs = [("mu", params.mu),
-                 ("capacity", depolarizing_capacity(storage)),
-                 ("ell", ell), ("error", eps),
-                 ("dishonest_user_error", dishonest_alice_error(args.m, ell))]
+        t = _impersonation(params)
+        pairs = [("mu", params.mu), ("capacity", t.capacity),
+                 ("ell", t.ell), ("error", t.error),
+                 ("dishonest_user_error", dishonest_alice_error(args.m, t.ell))]
     _report(pairs, args.format, args.out)
     return 0
 
@@ -293,6 +298,9 @@ def _rows_out(rows, header, args):
 def _cmd_curve(args):
     if args.steps < 2:
         raise CliParameterError("need at least 2 grid steps")
+    if args.steps > CURVE_MAX_STEPS:
+        raise CliParameterError("at most %d grid steps, got %d"
+                                % (CURVE_MAX_STEPS, args.steps))
     if not 0.0 < args.delta < 0.25:
         raise CliParameterError("delta must lie in (0, 1/4)")
     grid = np.linspace(args.r_min, args.r_max, args.steps)
@@ -303,6 +311,10 @@ def _cmd_curve(args):
 def _cmd_region(args):
     r_steps = args.r_steps or args.steps
     nu_steps = args.nu_steps or args.steps
+    if r_steps > 0 and nu_steps > 0 and r_steps * nu_steps > REGION_MAX_ROWS:
+        raise CliParameterError(
+            "at most %d region rows (r steps x nu steps), got %d x %d"
+            % (REGION_MAX_ROWS, r_steps, nu_steps))
     rows = feasible_region(r_steps, nu_steps, r_max=args.r_max,
                            nu_max=args.nu_max, dim=args.dim)
     return _rows_out(rows, FEASIBLE_REGION_HEADER, args)

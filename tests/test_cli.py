@@ -13,6 +13,8 @@ ROBUST_ARGS = ("bounds", "robust", "--n", "1e10", "--delta", "0.005",
                "--pd-noclick", "0.05", "--ph-err", "0.01")
 QID_ARGS = ("bounds", "qid", "--n", "1e9", "--m", "16", "--delta", "0.2",
             "--ell", "1000", "--r", "0.1")
+IMPERSONATION_ARGS = ("bounds", "impersonation", "--n", "1e8", "--m", "2",
+                      "--delta", "0.2", "--r", "0.1")
 
 
 def run_cli(capsys, *argv):
@@ -260,7 +262,7 @@ def test_non_finite_and_negative_inputs_exit_1(capsys, argv, diagnostic):
     assert out == ""
 
 
-@pytest.mark.parametrize("argv", [OT_ARGS, ROBUST_ARGS])
+@pytest.mark.parametrize("argv", [OT_ARGS, ROBUST_ARGS, IMPERSONATION_ARGS])
 def test_bounds_transfer_evaluates_gamma_and_capacity_once(capsys,
                                                            monkeypatch, argv):
     calls = {}
@@ -280,3 +282,56 @@ def test_bounds_transfer_evaluates_gamma_and_capacity_once(capsys,
     assert code == 0
     assert calls == {"strong_converse_exponent": 1,
                      "depolarizing_capacity": 1}
+
+
+@pytest.mark.parametrize("eps_target", ["0", "-1"])
+def test_simulate_robust_rejects_eps_target_outside_unit_interval(
+        capsys, eps_target):
+    code, out, err = run_cli(capsys, "simulate", "robust", "--trials", "1",
+                             "--eps-target", eps_target)
+    assert code == 1
+    assert err == "error: eps_target must lie in (0, 1]\n"
+    assert out == ""
+
+
+def test_table_grid_caps_admit_documented_sizes():
+    assert cli.CURVE_MAX_STEPS >= 200
+    assert cli.REGION_MAX_ROWS >= 100 * 100
+
+
+@pytest.mark.parametrize("argv, diagnostic", [
+    (("curve", "--n", "1e10", "--delta", "0.0106", "--steps", "10001"),
+     "at most 10000 grid steps, got 10001"),
+    (("region", "--steps", "501"),
+     "at most 250000 region rows (r steps x nu steps), got 501 x 501"),
+    (("region", "--r-steps", "1000", "--nu-steps", "251"),
+     "at most 250000 region rows (r steps x nu steps), got 1000 x 251"),
+    (("region", "--steps", "2", "--nu-steps", "125001", "--format", "json"),
+     "got 2 x 125001"),
+])
+def test_table_grids_above_cap_exit_1(capsys, tmp_path, argv, diagnostic):
+    out_file = tmp_path / "table.out"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert diagnostic in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not out_file.exists()
+
+
+def test_table_grid_caps_are_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "CURVE_MAX_STEPS", 3)
+    monkeypatch.setattr(cli, "REGION_MAX_ROWS", 6)
+    curve = ("curve", "--n", "1e10", "--delta", "0.0106", "--steps")
+    code, out, _ = run_cli(capsys, *curve, "3")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 3
+    assert run_cli(capsys, *curve, "4")[0] == 1
+    code, out, _ = run_cli(capsys, "region", "--r-steps", "2",
+                           "--nu-steps", "3")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 6
+    assert run_cli(capsys, "region", "--r-steps", "2",
+                   "--nu-steps", "4")[0] == 1
+    assert run_cli(capsys, "region", "--steps", "3")[0] == 1
