@@ -41,7 +41,7 @@ from .codes import qid_code, repetition_code
 from .protocols import run_qid, run_robust_rot, run_rot
 
 
-# Table sizes the CLI accepts: each curve step runs one gamma optimisation
+# Table sizes the CLI accepts: each curve step runs one gamma optimization
 # (about 0.2 ms), and each region row is one in-memory dict before output.
 CURVE_MAX_STEPS = 10_000
 REGION_MAX_ROWS = 250_000
