@@ -1,9 +1,11 @@
-"""Seeded runs pinned by the sha256 of their output bytes.
+"""Seeded runs and CLI outputs pinned by the sha256 of their bytes.
 
-The digests were recorded with the materialised l x n Toeplitz matrix and
-the per-block decoding loop.  A change in the order the runners consume
-their generator, in a hash output or in a corrected block shows up here
-as a digest mismatch.
+The transcript digests were recorded with the materialised l x n Toeplitz
+matrix and the per-block decoding loop.  A change in the order the runners
+consume their generator, in a hash output or in a corrected block shows up
+here as a digest mismatch.  The CLI digests cover exit code, stdout and
+stderr of the README bound and table commands, recorded with a parser
+built on every dispatch and the stdlib's indenting JSON encoder.
 """
 
 import hashlib
@@ -57,6 +59,26 @@ CASES = {
     "leakage-r1": lambda: _leakage(1.0, 43),
 }
 
+CLI_CASES = {
+    "cli-bounds-ot": "bounds ot --n 1e10 --delta 0.0106 --nu 1 --r 0.1 "
+                     "--threshold 1e-8",
+    "cli-bounds-robust": "bounds robust --n 1e10 --delta 0.005 --r 0.1 "
+                         "--p1-sent 1.0 --ph-noclick 0.6 --pd-noclick 0.05 "
+                         "--ph-err 0.01",
+    "cli-bounds-qid": "bounds qid --n 1e9 --m 16 --delta 0.2 --ell 1000 "
+                      "--d-code 3e8 --r 0.1",
+    "cli-bounds-impersonation": "bounds impersonation --n 1e8 --m 2 "
+                                "--delta 0.2 --r 0.1",
+    "cli-curve": "curve --n 1e10 --delta 0.0106 --nu 1 --steps 200",
+    "cli-region": "region --steps 100",
+    "cli-exit-1": "bounds ot --n 1e10 --delta 0.3 --r 0.1",
+    "cli-exit-2": "bounds ot --n 1e10 --delta 0.0106 --nu 1 --r 0.9",
+}
+CLI_CASES.update({
+    name + "-json": argv + " --format json"
+    for name, argv in list(CLI_CASES.items())
+    if name.startswith(("cli-bounds-", "cli-curve", "cli-region"))})
+
 DIGESTS = {
     "leakage-r0":
         "c336ce5213434e8d7bcf461635776be6360fe77f257269adc9243a81b56026d6",
@@ -84,6 +106,34 @@ DIGESTS = {
         "d812b1dda1b1495aeda3ad383f447166d1dc483343a5fd7b537b46b64c1f3ab7",
     "rot-4096":
         "917f0ba913f9ab869418c993978233914c473d2f852709f6d6a762c0eef86fd4",
+    "cli-bounds-impersonation":
+        "51c310104857cdd5d6a3dafead3444e867b85e82679d551e0ba7506d2e21e964",
+    "cli-bounds-impersonation-json":
+        "a7894bd6eee6b203910b4134dc4f78f7c39582261c71ced3c86c926ce5a08296",
+    "cli-bounds-ot":
+        "49781ce9889f18754f54e4120b195f6e169b0301d1e8208c25864e3ed39c14af",
+    "cli-bounds-ot-json":
+        "e6f69ed2eb23971af32e4e70356730b4ace9b60fe530085f25028e4dc2ee23dd",
+    "cli-bounds-qid":
+        "e34ee40d4fbe53951a9019df8ced803f22ac2f463fcb8aa2240145a3f2ddb59c",
+    "cli-bounds-qid-json":
+        "4ec7fc96dd0c1badee113cf8381be21b9541806f7fc803b4b407e2b421b300f9",
+    "cli-bounds-robust":
+        "75870204c4b27322e832e35a54be2de56e7a9325a8844c73b456fcf38fea0955",
+    "cli-bounds-robust-json":
+        "680b0baaca3dfbc941a16e0a5c8337eeb9b6758f7b867576caf5a657d4ef9e9a",
+    "cli-curve":
+        "4fb3835964428e7a8c99481c129620f541d9bf2b3f16617cf7f9ea408a39ac42",
+    "cli-curve-json":
+        "0be24fe0c117efac735724770879f4baaace98f81de50b445905e2adaf16c700",
+    "cli-exit-1":
+        "0c46a4851b427844d5f6d6f21ce5490985e8e7a41c3ef4918f9b1d922403510d",
+    "cli-exit-2":
+        "42cdaf7f67938e68587dccd8dbeedbcc51259bbc40d538762b1a0c3ef5615215",
+    "cli-region":
+        "ab853ed86cdef305ec08ffdc638a8bf39e11cda723437b456be416525d6eeba5",
+    "cli-region-json":
+        "ba0c57021f9b2e6c0f9fab05e6259f6863011193b8c175e4d92d6852d6b6c9bc",
     "cli-simulate-robust":
         "dffddcf5a25f5b44d53cbf806a2cd4024233181317d2d723d4a88c5396e47f15",
 }
@@ -93,6 +143,18 @@ DIGESTS = {
 def test_seeded_transcript_digest(name):
     data = CASES[name]().encode()
     assert hashlib.sha256(data).hexdigest() == DIGESTS[name]
+
+
+def _cli_digest(argv, capsys):
+    code = dispatch(argv.split())
+    out, err = capsys.readouterr()
+    data = b"%d\0%s\0%s" % (code, out.encode(), err.encode())
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_output_digest(name, capsys):
+    assert _cli_digest(CLI_CASES[name], capsys) == DIGESTS[name]
 
 
 def test_simulate_robust_stdout_digest(capsys):
