@@ -15,6 +15,7 @@ LN2 = math.log(2.0)
 ALPHA_MAX = 1e6          # cap for the exponent optimizer
 ALPHA_BRACKET_TOL = 1e-10
 GAMMA_NOISE_FLOOR = 1e-13  # optimizer results below this are numerically 0
+ALPHA_SCAN = tuple(10.0 ** (e / 10.0) for e in range(-120, 61))  # 1e-12 .. 1e6
 
 
 class BoundsError(Exception):
@@ -327,8 +328,7 @@ def strong_converse_exponent(R, storage):
     # bracket the maximizer: log-spaced scan in s = alpha - 1
     best_val = 0.0  # alpha -> 1 limit of the objective
     best_i = -1
-    grid = [10.0 ** (e / 10.0) for e in range(-120, 61)]  # 1e-12 .. 1e6
-    for i, s in enumerate(grid):
+    for i, s in enumerate(ALPHA_SCAN):
         v = objective(s)
         if v > best_val:
             best_val, best_i = v, i
@@ -336,8 +336,8 @@ def strong_converse_exponent(R, storage):
     if best_i < 0:
         return max(0.0, f_inf)
 
-    lo = grid[best_i - 1] if best_i > 0 else 0.0
-    hi = grid[best_i + 1] if best_i + 1 < len(grid) else ALPHA_MAX
+    lo = ALPHA_SCAN[best_i - 1] if best_i > 0 else 0.0
+    hi = ALPHA_SCAN[best_i + 1] if best_i + 1 < len(ALPHA_SCAN) else ALPHA_MAX
     hi = min(hi, ALPHA_MAX)
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0

@@ -9,6 +9,7 @@ run at desk scale.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -45,6 +46,11 @@ from .protocols import run_qid, run_robust_rot, run_rot
 # (about 0.2 ms), and each region row is one in-memory dict before output.
 CURVE_MAX_STEPS = 10_000
 REGION_MAX_ROWS = 250_000
+
+# JSON table rows go through the C encoder one at a time, because json.dumps
+# with an indent falls back to the pure-Python encoder.  _rows_out adds the
+# framing, so the bytes equal json.dumps(table, indent=2, allow_nan=False).
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "), allow_nan=False)
 
 
 class CliParameterError(ValueError):
@@ -183,8 +189,8 @@ def build_parser():
     curve.add_argument("--delta", type=float, required=True)
     curve.add_argument("--nu", type=float, default=1.0)
     curve.add_argument("--dim", type=int, default=2)
-    curve.add_argument("--r-min", type=float, default=0.0)
-    curve.add_argument("--r-max", type=float, default=0.9)
+    curve.add_argument("--r-min", type=_finite, default=0.0)
+    curve.add_argument("--r-max", type=_finite, default=0.9)
     curve.add_argument("--steps", type=int, default=200)
     _add_output_args(curve, default_fmt="csv", choices=("csv", "json"))
 
@@ -244,6 +250,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser every dispatch shares, built on the first one.
+
+    Reuse is safe because parsing keeps no state between calls:
+    ``Parser.error`` raises instead of exiting, and no default is mutable.
+    """
+    return build_parser()
+
+
 def _transfer_pairs(args, t):
     pairs = [("ell", t.ell), ("ot_rate", t.ell / args.n),
              ("eps", t.eps), ("two_eps", 2.0 * t.eps)]
@@ -288,8 +304,11 @@ def _cmd_bounds(args):
 
 def _rows_out(rows, header, args):
     if args.format == "json":
-        _emit(json.dumps([{k: row[k] for k in header} for row in rows],
-                         indent=2, allow_nan=False) + "\n", args.out)
+        items = ["{\n    %s\n  }"
+                 % _ROW_ENCODER.encode({k: row[k] for k in header})[1:-1]
+                 for row in rows]
+        text = "[\n  %s\n]" % ",\n  ".join(items) if items else "[]"
+        _emit(text + "\n", args.out)
     else:
         _emit(rows_to_csv(rows, header), args.out)
     return 0
@@ -309,8 +328,8 @@ def _cmd_curve(args):
 
 
 def _cmd_region(args):
-    r_steps = args.r_steps or args.steps
-    nu_steps = args.nu_steps or args.steps
+    r_steps = args.steps if args.r_steps is None else args.r_steps
+    nu_steps = args.steps if args.nu_steps is None else args.nu_steps
     if r_steps > 0 and nu_steps > 0 and r_steps * nu_steps > REGION_MAX_ROWS:
         raise CliParameterError(
             "at most %d region rows (r steps x nu steps), got %d x %d"
@@ -408,9 +427,8 @@ def _cmd_verify(args):
 
 
 def dispatch(argv):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "bounds":
             return _cmd_bounds(args)
         if args.command == "curve":

@@ -76,12 +76,12 @@ class ToeplitzHash:
 
 
 def bits_to_hex(bits):
+    """Big-endian hex of a bit string, ceil(len/4) digits ("0" when empty)."""
     bits = gf2.as_bits(bits)
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
     width = (len(bits) + 3) // 4
-    return format(value, "0%dx" % width)
+    padded = np.concatenate([np.zeros(-len(bits) % 8, np.uint8), bits])
+    digits = np.packbits(padded).tobytes().hex()
+    return digits[len(digits) - width:] or "0"
 
 
 def hex_to_bits(text, length):

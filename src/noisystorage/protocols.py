@@ -35,12 +35,18 @@ def make_rng(rng):
     return np.random.Generator(np.random.Philox(rng))
 
 
+def _spell(arr, alphabet):
+    """``alphabet[int(b)]`` for every entry b of arr, as one string."""
+    symbols = np.frombuffer(alphabet, dtype=np.uint8)
+    return symbols[np.asarray(arr, dtype=np.intp)].tobytes().decode("ascii")
+
+
 def bit_string(arr):
-    return "".join("01"[int(b)] for b in arr)
+    return _spell(arr, b"01")
 
 
 def basis_string(arr):
-    return "".join("+x"[int(b)] for b in arr)
+    return _spell(arr, b"+x")
 
 
 def _hash_json(h):

@@ -1,8 +1,14 @@
+import argparse
+import contextlib
 import csv
 import io
 import json
+import math
+import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from noisystorage import bounds, cli
 from noisystorage.cli import dispatch
@@ -320,6 +326,38 @@ def test_table_grids_above_cap_exit_1(capsys, tmp_path, argv, diagnostic):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("rows", [
+    [],
+    [{"r": 0, "nu": 0.5, "capacity": 1e-300, "product": -0.0,
+      "feasible": True}],
+    bounds.feasible_region(3, 2),
+])
+def test_json_tables_equal_indented_json_dumps(capsys, rows):
+    args = argparse.Namespace(format="json", out=None)
+    header = bounds.FEASIBLE_REGION_HEADER
+    assert cli._rows_out(rows, header, args) == 0
+    assert capsys.readouterr().out == json.dumps(rows, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_tables_reject_non_finite_values(capsys, value):
+    args = argparse.Namespace(format="json", out=None)
+    with pytest.raises(ValueError):
+        cli._rows_out([{"r": 0.5}, {"r": value}], ("r",), args)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("zero, other", [("--r-steps", "--nu-steps"),
+                                         ("--nu-steps", "--r-steps")])
+def test_region_zero_axis_steps_exit_1(capsys, tmp_path, zero, other):
+    argv = ("region", zero, "0", other, "3")
+    assert run_cli(capsys, *argv) == (
+        1, "", "error: grids need at least 2 steps per axis\n")
+    out_file = tmp_path / "region.csv"
+    assert run_cli(capsys, *argv, "--out", str(out_file))[0] == 1
+    assert not out_file.exists()
+
+
 def test_table_grid_caps_are_inclusive(capsys, monkeypatch):
     monkeypatch.setattr(cli, "CURVE_MAX_STEPS", 3)
     monkeypatch.setattr(cli, "REGION_MAX_ROWS", 6)
@@ -335,3 +373,70 @@ def test_table_grid_caps_are_inclusive(capsys, monkeypatch):
     assert run_cli(capsys, "region", "--r-steps", "2",
                    "--nu-steps", "4")[0] == 1
     assert run_cli(capsys, "region", "--steps", "3")[0] == 1
+
+
+def _options(parser, path):
+    """The option strings of the subcommand at ``path``."""
+    for name in path:
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return sorted(opt for a in parser._actions for opt in a.option_strings
+                  if opt not in ("-h", "--help", "--out"))
+
+
+FUZZ_BASES = {
+    ("bounds", "ot"): OT_ARGS[2:],
+    ("bounds", "robust"): ROBUST_ARGS[2:],
+    ("bounds", "qid"): QID_ARGS[2:],
+    ("bounds", "impersonation"): IMPERSONATION_ARGS[2:],
+    ("curve",): ("--n", "1e10", "--delta", "0.0106", "--steps", "20"),
+    ("region",): ("--steps", "10"),
+}
+FUZZ_OPTIONS = {path: _options(cli.build_parser(), path)
+                for path in FUZZ_BASES}
+FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "0", "1", "2", "1e400", "-0.0",
+               "0.1", "0.2", "0.25", "0.9", "1.5", "16", "1000", "1e10",
+               "3e8", "1e-300", "garbage", "", "json", "text", "csv",
+               "rounds", "error-complement"]
+# the values of the valid base argvs, drawn so that fuzzed runs go past parsing
+BASE_VALUES = sorted({v for base in FUZZ_BASES.values()
+                      for v in base if not v.startswith("--")})
+FUZZ_STEPS = ["nan", "-1", "0", "1", "2", "3", "300", "1e400", "garbage"]
+PREFIXES = {1: "error: ", 2: "infeasible: ", 3: "numeric failure: "}
+
+
+@st.composite
+def fuzz_argvs(draw):
+    path = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    argv = list(path)
+    if draw(st.integers(0, 3)):
+        argv += FUZZ_BASES[path]
+    for _ in range(draw(st.integers(0, 4))):
+        option = draw(st.sampled_from(FUZZ_OPTIONS[path]))
+        argv.append(option)
+        if draw(st.integers(0, 9)) == 0:
+            continue  # the value is missing
+        if option.endswith("steps"):
+            argv.append(draw(st.sampled_from(FUZZ_STEPS)))
+        else:
+            argv.append(draw(st.one_of(st.sampled_from(FUZZ_VALUES),
+                                       st.sampled_from(BASE_VALUES),
+                                       st.floats(0.0, 1.0).map(repr),
+                                       st.floats().map(repr))))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fuzz_argvs())
+@example(["curve", "--n", "1e10", "--delta", "0.0106", "--r-min", "inf"])
+def test_cli_fuzz_exits_with_documented_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = dispatch(argv)
+    assert code in (0, 1, 2, 3)
+    assert not caught  # a warning would reach stderr ahead of the diagnostic
+    if code:
+        assert err.getvalue().startswith(PREFIXES[code])

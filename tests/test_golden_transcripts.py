@@ -10,10 +10,11 @@ built on every dispatch and the stdlib's indenting JSON encoder.
 
 import hashlib
 import json
+import random
 
 import pytest
 
-from noisystorage import bounds, codes, protocols
+from noisystorage import bounds, cli, codes, protocols
 from noisystorage.cli import dispatch
 
 
@@ -155,6 +156,31 @@ def _cli_digest(argv, capsys):
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_output_digest(name, capsys):
     assert _cli_digest(CLI_CASES[name], capsys) == DIGESTS[name]
+
+
+def test_cli_outputs_repeat_through_one_parser(capsys, monkeypatch):
+    """Every pinned argv, dispatched twice in a shuffled order with an
+    argparse error after each, gives its pinned bytes from one parser."""
+    builds = []
+    build_parser = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    order = sorted(CLI_CASES) * 2
+    random.Random(5).shuffle(order)
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    try:
+        for name in order:
+            assert _cli_digest(CLI_CASES[name], capsys) == DIGESTS[name], name
+            assert dispatch(["bounds", "ot", "--n"]) == 1
+            assert capsys.readouterr() == (
+                "", "error: argument --n: expected one argument\n")
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
 
 
 def test_simulate_robust_stdout_digest(capsys):

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from noisystorage.bounds import RobustParams, StorageModel
 from noisystorage.codes import (
@@ -15,9 +17,12 @@ from noisystorage.codes import (
     syndrome,
     syndrome_decode,
 )
+from noisystorage.hashing import bits_to_hex
 from noisystorage.protocols import (
     StoreAllBob,
     WorstCaseReportingBob,
+    basis_string,
+    bit_string,
     block_correct,
     block_syndromes,
     estimate_leakage,
@@ -373,3 +378,32 @@ def test_leakage_intermediate_rate_matches_discrimination_value():
 def test_leakage_size_cap():
     with pytest.raises(ValueError):
         estimate_leakage(n=30, ell=2, r=0.5, trials=10, rng=1)
+
+
+# The per-bit loops the transcript serializers used to run, kept as oracles.
+def loop_bit_string(arr):
+    return "".join("01"[int(b)] for b in arr)
+
+
+def loop_basis_string(arr):
+    return "".join("+x"[int(b)] for b in arr)
+
+
+def loop_bits_to_hex(bits):
+    value = 0
+    for b in bits:
+        value = (value << 1) | int(b)
+    width = (len(bits) + 3) // 4
+    return format(value, "0%dx" % width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 1), max_size=300),
+       st.sampled_from([list, bool, np.uint8, np.int64, np.float64]))
+@example([], list)
+@example([], np.uint8)
+def test_transcript_serializers_match_per_bit_loops(bits, dtype):
+    arr = bits if dtype is list else np.array(bits, dtype=dtype)
+    assert bit_string(arr) == loop_bit_string(bits)
+    assert basis_string(arr) == loop_basis_string(bits)
+    assert bits_to_hex(arr) == loop_bits_to_hex(bits)
