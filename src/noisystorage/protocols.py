@@ -546,6 +546,59 @@ def _enumeration_bits(width):
             ).astype(np.uint8)
 
 
+def _hidden_nonuniformity(t, p_post, enum):
+    """Exact non-uniformity of the hidden string in one StoreAllBob run.
+
+    The receiver's posterior on each substring is the product of
+    ``p_post`` per agreeing guess and ``1 - p_post`` per disagreeing one;
+    the distance from uniform of the hidden string's hash, given the
+    other string's hash and the selector bit, is computed over every
+    value of both substrings.  ``enum`` caches the enumeration of each
+    substring width.
+    """
+    n, ell = t.n, t.ell
+    guesses = t.adversary["guesses"]
+    log_p = math.log2(p_post) if p_post > 0.0 else -math.inf
+    log_q = math.log2(1.0 - p_post) if p_post < 1.0 else -math.inf
+    parts = []
+    for idx, f in ((t.i0, t.f0), (t.i1, t.f1)):
+        width = idx.size
+        if width not in enum:
+            enum[width] = _enumeration_bits(width)
+        bits = enum[width]
+        agree = (bits == guesses[idx][np.newaxis, :]).sum(axis=1)
+        if 0.0 < p_post < 1.0:
+            weights = 2.0 ** (agree * log_p + (width - agree) * log_q)
+        else:  # perfect storage: posterior concentrated on the guess
+            weights = (agree == width).astype(float)
+        codes = hash_apply_many(f, bits) @ (1 << np.arange(ell - 1, -1, -1))
+        parts.append((agree, weights, codes))
+
+    (agree0, w0, codes0), (agree1, w1, codes1) = parts
+    # selector: 0 when the first substring's posterior is strictly
+    # below 2^(-alpha/2); that substring is then the provably hidden
+    # one.  The comparison p^a (1-p)^(w-a) >= p^(n/2) is evaluated as
+    # (2a - n) log p + 2(w - a) log(1-p) >= 0 so that a true tie
+    # (a = w = n/2) is exactly zero in floating point.
+    width0 = t.i0.size
+    if 0.0 < p_post < 1.0:
+        margin = (2 * agree0 - n) * log_p + 2 * (width0 - agree0) * log_q
+        selector = (margin >= 0.0).astype(np.int64)
+    else:
+        selector = (agree0 == width0).astype(np.int64)
+    grouped0 = np.zeros((2 ** ell, 2))
+    np.add.at(grouped0, (codes0, selector), w0)
+    grouped1 = np.bincount(codes1, weights=w1, minlength=2 ** ell)
+    # joint tables indexed (known string, hidden string) per selector
+    joint0 = grouped1[:, np.newaxis] * grouped0[:, 0][np.newaxis, :]
+    joint1 = grouped0[:, 1][:, np.newaxis] * grouped1[np.newaxis, :]
+    total = joint0.sum() + joint1.sum()
+    uniform0 = joint0.sum(axis=1, keepdims=True) / 2 ** ell
+    uniform1 = joint1.sum(axis=1, keepdims=True) / 2 ** ell
+    return 0.5 * (np.abs(joint0 - uniform0).sum()
+                  + np.abs(joint1 - uniform1).sum()) / total
+
+
 def estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
     """What an individually storing receiver learns, against the guarantees.
 
@@ -568,8 +621,6 @@ def estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
     helstrom_rate = qsim.stored_bit_guess_probability(r)
     p_post = helstrom_rate  # posterior of the true bit matching the guess
     alpha = -n * math.log2(p_post) if p_post < 1.0 else 0.0
-    log_p = math.log2(p_post) if p_post > 0.0 else -math.inf
-    log_q = math.log2(1.0 - p_post) if p_post < 1.0 else -math.inf
 
     enum = {}
     bit_hits = 0
@@ -577,48 +628,9 @@ def estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
     nonuni_sum = 0.0
     for _ in range(trials):
         t = run_rot(n, ell, c=0, bob=StoreAllBob(r), rng=rng.spawn(1)[0])
-        guesses = t.adversary["guesses"]
-        bit_hits += int((guesses == t.x).sum())
+        bit_hits += int((t.adversary["guesses"] == t.x).sum())
         bit_total += n
-
-        parts = []
-        for idx, f in ((t.i0, t.f0), (t.i1, t.f1)):
-            width = idx.size
-            if width not in enum:
-                enum[width] = _enumeration_bits(width)
-            bits = enum[width]
-            agree = (bits == guesses[idx][np.newaxis, :]).sum(axis=1)
-            if 0.0 < p_post < 1.0:
-                weights = 2.0 ** (agree * log_p + (width - agree) * log_q)
-            else:  # perfect storage: posterior concentrated on the guess
-                weights = (agree == width).astype(float)
-            codes = hash_apply_many(f, bits) @ (1 << np.arange(ell - 1, -1, -1))
-            parts.append((agree, weights, codes))
-
-        (agree0, w0, codes0), (agree1, w1, codes1) = parts
-        # selector: 0 when the first substring's posterior is strictly
-        # below 2^(-alpha/2); that substring is then the provably hidden
-        # one.  The comparison p^a (1-p)^(w-a) >= p^(n/2) is evaluated as
-        # (2a - n) log p + 2(w - a) log(1-p) >= 0 so that a true tie
-        # (a = w = n/2) is exactly zero in floating point.
-        width0 = t.i0.size
-        if 0.0 < p_post < 1.0:
-            margin = (2 * agree0 - n) * log_p + 2 * (width0 - agree0) * log_q
-            selector = (margin >= 0.0).astype(np.int64)
-        else:
-            selector = (agree0 == width0).astype(np.int64)
-        grouped0 = np.zeros((2 ** ell, 2))
-        np.add.at(grouped0, (codes0, selector), w0)
-        grouped1 = np.bincount(codes1, weights=w1, minlength=2 ** ell)
-        # joint tables indexed (known string, hidden string) per selector
-        joint0 = grouped1[:, np.newaxis] * grouped0[:, 0][np.newaxis, :]
-        joint1 = grouped0[:, 1][:, np.newaxis] * grouped1[np.newaxis, :]
-        total = joint0.sum() + joint1.sum()
-        uniform0 = joint0.sum(axis=1, keepdims=True) / 2 ** ell
-        uniform1 = joint1.sum(axis=1, keepdims=True) / 2 ** ell
-        nonuni = 0.5 * (np.abs(joint0 - uniform0).sum()
-                        + np.abs(joint1 - uniform1).sum()) / total
-        nonuni_sum += nonuni
+        nonuni_sum += _hidden_nonuniformity(t, p_post, enum)
 
     statement_bound = min(1.0, 2.0 * ot_epsilon(delta, n))
     pa_exponent = -0.5 * ((alpha / 2.0 - 1.0 - ell) - ell) - 1.0

@@ -183,40 +183,16 @@ def leakage_nonuniformity_oracle(transcript, p_post, ell, n):
 
 
 def test_leakage_nonuniformity_matches_literal_oracle():
-    # replicate one estimator trial by hand at small n and compare the
-    # exact posterior distance computations
-    from noisystorage.hashing import hash_apply_many
-    from noisystorage.protocols import _enumeration_bits, make_rng
+    # the estimator's per-trial post-processing against the literal
+    # posterior sum, at small n
+    from noisystorage.protocols import _hidden_nonuniformity, make_rng
     n, ell, r = 6, 2, 0.4
     p_post = (1.0 + r) / 2.0
-    log_p, log_q = math.log2(p_post), math.log2(1.0 - p_post)
     for seed in range(10):
         rng = make_rng(seed)
         t = run_rot(n, ell, c=0, bob=StoreAllBob(r), rng=rng)
         want = leakage_nonuniformity_oracle(t, p_post, ell, n)
-
-        # vectorized path, extracted to mirror estimate_leakage exactly
-        parts = []
-        for idx, f in ((t.i0, t.f0), (t.i1, t.f1)):
-            bits = _enumeration_bits(idx.size)
-            agree = (bits == t.adversary["guesses"][idx][np.newaxis, :]).sum(
-                axis=1)
-            weights = 2.0 ** (agree * log_p + (idx.size - agree) * log_q)
-            codes = hash_apply_many(f, bits) @ (1 << np.arange(ell - 1, -1, -1))
-            parts.append((agree, weights, codes))
-        (agree0, w0, codes0), (agree1, w1, codes1) = parts
-        margin = (2 * agree0 - n) * log_p + 2 * (t.i0.size - agree0) * log_q
-        selector = (margin >= 0.0).astype(np.int64)
-        grouped0 = np.zeros((2 ** ell, 2))
-        np.add.at(grouped0, (codes0, selector), w0)
-        grouped1 = np.bincount(codes1, weights=w1, minlength=2 ** ell)
-        joint0 = grouped1[:, np.newaxis] * grouped0[:, 0][np.newaxis, :]
-        joint1 = grouped0[:, 1][:, np.newaxis] * grouped1[np.newaxis, :]
-        total = joint0.sum() + joint1.sum()
-        uniform0 = joint0.sum(axis=1, keepdims=True) / 2 ** ell
-        uniform1 = joint1.sum(axis=1, keepdims=True) / 2 ** ell
-        got = 0.5 * (np.abs(joint0 - uniform0).sum()
-                     + np.abs(joint1 - uniform1).sum()) / total
+        got = _hidden_nonuniformity(t, p_post, {})
         assert got == pytest.approx(want, abs=1e-12)
 
 
