@@ -96,20 +96,12 @@ def min_distance(code):
         raise ValueError("brute-force distance limited to k <= %d"
                          % MIN_DISTANCE_MAX_K)
     best = code.n
-    g = code.generator.astype(np.int64)
     chunk = 1 << 14
     for start in range(1, 2 ** code.k, chunk):
         msgs = np.arange(start, min(start + chunk, 2 ** code.k))
-        bits = (msgs[:, None] >> np.arange(code.k - 1, -1, -1)[None, :]) & 1
-        words = (bits @ g) % 2
+        words = gf2.matmul(gf2.unpack(msgs, code.k), code.generator)
         best = min(best, int(words.sum(axis=1).min()))
     return best
-
-
-def _syndrome_codes(code, patterns):
-    """Integer syndrome of each row of a bit-pattern matrix."""
-    syn = (patterns.astype(np.int64) @ code.parity.T.astype(np.int64)) % 2
-    return syn @ (1 << np.arange(code.n - code.k - 1, -1, -1))
 
 
 def coset_leaders(code):
@@ -117,7 +109,8 @@ def coset_leaders(code):
 
     Ties within a weight go to the lexicographically smallest pattern,
     i.e. the numerically smallest when the bits are read as a binary
-    number.
+    number.  Position tuples in reverse lexicographic order are exactly
+    the patterns of one weight in ascending numeric order, at any n.
     """
     if code._coset_leaders is not None:
         return code._coset_leaders
@@ -130,17 +123,14 @@ def coset_leaders(code):
     for weight in range(code.n + 1):
         if len(table) == wanted:
             break
-        positions = list(itertools.combinations(range(code.n), weight))
+        positions = list(itertools.combinations(range(code.n), weight))[::-1]
         patterns = np.zeros((len(positions), code.n), dtype=np.uint8)
         for i, pos in enumerate(positions):
             patterns[i, list(pos)] = 1
-        values = patterns @ (1 << np.arange(code.n - 1, -1, -1))
-        order = np.argsort(values, kind="stable")
-        codes_int = _syndrome_codes(code, patterns)
-        for i in order:
-            s = int(codes_int[i])
+        codes_int = gf2.pack(gf2.matmul(patterns, code.parity.T))
+        for pattern, s in zip(patterns, codes_int.tolist()):
             if s not in table:
-                table[s] = patterns[i].copy()
+                table[s] = pattern.copy()
     code._coset_leaders = table
     return table
 
@@ -160,8 +150,7 @@ def syndrome_decode(code, received, syndrome_target):
         raise ValueError("syndrome must have n - k = %d bits"
                          % (code.n - code.k))
     diff = syndrome(code, received) ^ target
-    key = int(diff @ (1 << np.arange(code.n - code.k - 1, -1, -1)))
-    leader = coset_leaders(code)[key]
+    leader = coset_leaders(code)[int(gf2.pack(diff))]
     return (received ^ leader).astype(np.uint8)
 
 
@@ -227,9 +216,7 @@ class QidCode:
     def password_bits(self, w):
         if not 1 <= w <= self.m:
             raise ValueError("password must lie in 1..%d" % self.m)
-        v = w - 1
-        return np.array([(v >> (self.code.k - 1 - i)) & 1
-                         for i in range(self.code.k)], dtype=np.uint8)
+        return gf2.unpack(w - 1, self.code.k)
 
     def password_bases(self, w):
         """Codeword of password w as a 0/1 basis mask (0 = +, 1 = x)."""

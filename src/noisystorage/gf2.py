@@ -1,4 +1,8 @@
-"""Small dense linear algebra over GF(2), on uint8 numpy arrays."""
+"""Small dense linear algebra over GF(2), on uint8 numpy arrays.
+
+Bit strings and integers convert big-endian, first bit most significant,
+in ``pack`` and ``unpack`` only.
+"""
 
 import numpy as np
 
@@ -14,6 +18,26 @@ def as_bits(a):
 def matmul(a, b):
     """Matrix product over GF(2)."""
     return (as_bits(a).astype(np.int64) @ as_bits(b).astype(np.int64)) % 2
+
+
+def pack(bits):
+    """int64 value of each bit string along the last axis (<= 63 bits)."""
+    bits = as_bits(bits).astype(np.int64)
+    return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1))
+
+
+def unpack(values, width):
+    """The low ``width`` bits of each value, shape ``values.shape + (width,)``.
+
+    uint8; arrays are read as int64, a Python int exactly at any width.
+    """
+    if isinstance(values, int):
+        value = (values & ((1 << width) - 1)).to_bytes(-(-width // 8), "big")
+        raw = np.unpackbits(np.frombuffer(value, dtype=np.uint8))
+        return raw[raw.size - width:]
+    shifts = np.arange(width - 1, -1, -1)
+    return ((np.asarray(values, np.int64)[..., None] >> shifts) & 1).astype(
+        np.uint8)
 
 
 def rref(mat):

@@ -85,9 +85,8 @@ def bits_to_hex(bits):
 
 
 def hex_to_bits(text, length):
-    value = int(text, 16)
-    bits = [(value >> (length - 1 - i)) & 1 for i in range(length)]
-    return np.array(bits, dtype=np.uint8)
+    """The low ``length`` bits of a hex number, most significant first."""
+    return gf2.unpack(int(text, 16), length)
 
 
 def random_hash(n, ell, rng, affine=False):
@@ -155,8 +154,7 @@ def collision_bound(n, ell):
     if not 1 <= ell <= n:
         raise ValueError("need 1 <= ell <= n")
     worst = 0.0
-    for d_int in range(1, 2 ** n):
-        diff = [(d_int >> (n - 1 - j)) & 1 for j in range(n)]
+    for diff in gf2.unpack(np.arange(1, 2 ** n), n):
         a = _difference_map(n, ell, diff)
         worst = max(worst, 2.0 ** (-gf2.rank(a)))
     return worst
@@ -186,8 +184,7 @@ def pa_distance(dist, ell, sample_count, rng, x_register=None):
         raise ValueError("need 1 <= ell <= input bits")
 
     table = dist.grouped([x_register], side)  # (2^n_bits, |side|)
-    xs = np.array([[(x >> (n_bits - 1 - b)) & 1 for b in range(n_bits)]
-                   for x in range(size)], dtype=np.uint8)
+    xs = gf2.unpack(np.arange(size), n_bits)
     n_side = table.shape[1]
     side_mass = table.sum(axis=0)
 
@@ -196,7 +193,7 @@ def pa_distance(dist, ell, sample_count, rng, x_register=None):
         h = random_hash(n_bits, ell, rng)
         outs = hash_apply_many(h, xs)
         weights = np.zeros((2 ** ell, n_side))
-        out_codes = outs @ (1 << np.arange(ell - 1, -1, -1))
+        out_codes = gf2.pack(outs)
         for code in range(2 ** ell):
             weights[code] = table[out_codes == code].sum(axis=0)
         total += 0.5 * np.abs(

@@ -308,8 +308,7 @@ def block_correct(code, bits, syndromes):
     blocks, red = len(words), code.n - code.k
     targets = gf2.as_bits(syndromes)[:blocks * red].reshape(blocks, red)
     diff = gf2.matmul(words, code.parity.T) ^ targets
-    keys, inverse = np.unique(diff @ (1 << np.arange(red - 1, -1, -1)),
-                              return_inverse=True)
+    keys, inverse = np.unique(gf2.pack(diff), return_inverse=True)
     table = coset_leaders(code)
     leaders = np.array([table[int(k)] for k in keys],
                        dtype=np.uint8).reshape(-1, code.n)
@@ -538,14 +537,6 @@ def run_qid(w_alice, w_bob, qcode, ell, rng=None, force_theta_hat=None):
 # --- individual-attack leakage estimation ---------------------------------------
 
 
-def _enumeration_bits(width):
-    if width == 0:
-        return np.zeros((1, 0), dtype=np.uint8)
-    vals = np.arange(2 ** width)
-    return ((vals[:, None] >> np.arange(width - 1, -1, -1)[None, :]) & 1
-            ).astype(np.uint8)
-
-
 def _hidden_nonuniformity(t, p_post, enum):
     """Exact non-uniformity of the hidden string in one StoreAllBob run.
 
@@ -564,15 +555,14 @@ def _hidden_nonuniformity(t, p_post, enum):
     for idx, f in ((t.i0, t.f0), (t.i1, t.f1)):
         width = idx.size
         if width not in enum:
-            enum[width] = _enumeration_bits(width)
+            enum[width] = gf2.unpack(np.arange(2 ** width), width)
         bits = enum[width]
         agree = (bits == guesses[idx][np.newaxis, :]).sum(axis=1)
         if 0.0 < p_post < 1.0:
             weights = 2.0 ** (agree * log_p + (width - agree) * log_q)
         else:  # perfect storage: posterior concentrated on the guess
             weights = (agree == width).astype(float)
-        codes = hash_apply_many(f, bits) @ (1 << np.arange(ell - 1, -1, -1))
-        parts.append((agree, weights, codes))
+        parts.append((agree, weights, gf2.pack(hash_apply_many(f, bits))))
 
     (agree0, w0, codes0), (agree1, w1, codes1) = parts
     # selector: 0 when the first substring's posterior is strictly
