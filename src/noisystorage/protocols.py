@@ -156,8 +156,7 @@ class RotTranscript:
             "theta_hat": None if self.theta_hat is None
             else basis_string(self.theta_hat),
             "x_hat": None if self.x_hat is None else bit_string(self.x_hat),
-            "i0": [int(i) for i in self.i0],
-            "i1": [int(i) for i in self.i1],
+            "i0": self.i0.tolist(), "i1": self.i1.tolist(),
             "f0": _hash_json(self.f0), "f1": _hash_json(self.f1),
             "s0": bit_string(self.s0), "s1": bit_string(self.s1),
             "y": None if self.y is None else bit_string(self.y),
@@ -270,11 +269,11 @@ class RobustTranscript:
             "theta_hat": None if self.theta_hat is None
             else basis_string(self.theta_hat),
             "click_mask": bit_string(self.click_mask),
-            "s_remain": [int(i) for i in self.s_remain],
+            "s_remain": self.s_remain.tolist(),
             "abort": self.abort,
             "x_hat": bits(self.x_hat),
-            "i0": None if self.i0 is None else [int(i) for i in self.i0],
-            "i1": None if self.i1 is None else [int(i) for i in self.i1],
+            "i0": None if self.i0 is None else self.i0.tolist(),
+            "i1": None if self.i1 is None else self.i1.tolist(),
             "f0": _hash_json(self.f0), "f1": _hash_json(self.f1),
             "syn0": bits(self.syn0), "syn1": bits(self.syn1),
             "s0": bits(self.s0), "s1": bits(self.s1),
@@ -415,7 +414,7 @@ def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3,
         # assumed able to split off a photon without touching the basis).
         multi = np.nonzero(~single_mask[s_remain])[0]
         transcript.adversary = {
-            "multi_rounds": [int(i) for i in multi],
+            "multi_rounds": multi.tolist(),
             "free_bits": bit_string(x_rem[multi]),
         }
         i_perm = rng.permutation(m)
@@ -479,8 +478,8 @@ class QidTranscript:
             "theta_hat": basis_string(self.theta_hat),
             "x_hat": bit_string(self.x_hat),
             "kappa": basis_string(self.kappa),
-            "i_w_alice": [int(i) for i in self.i_w_alice],
-            "i_w_bob": [int(i) for i in self.i_w_bob],
+            "i_w_alice": self.i_w_alice.tolist(),
+            "i_w_bob": self.i_w_bob.tolist(),
             "f": _hash_json(self.f), "g": _hash_json(self.g),
             "z": bit_string(self.z), "accept": self.accept,
         })
