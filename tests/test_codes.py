@@ -137,6 +137,60 @@ def test_syndrome_decode_tie_break_lexicographic():
                     >= (key_weight, val)
 
 
+def python_int_leaders(parity):
+    """Syndrome -> leader value, by enumeration over Python ints.
+
+    Walks the patterns weight by weight and keeps, per syndrome, the
+    numerically smallest pattern of the lowest weight; the first bit is
+    the most significant, for patterns and syndromes alike.
+    """
+    red, n = parity.shape
+    columns = [sum(int(parity[r, p]) << (red - 1 - r) for r in range(red))
+               for p in range(n)]
+    best = {}
+    for weight in range(n + 1):
+        for pos in itertools.combinations(range(n), weight):
+            syn = 0
+            for p in pos:
+                syn ^= columns[p]
+            value = sum(1 << (n - 1 - p) for p in pos)
+            if syn not in best or best[syn] > (weight, value):
+                best[syn] = (weight, value)
+        if len(best) == 1 << red:
+            return {s: value for s, (_, value) in best.items()}
+    raise AssertionError("parity matrix does not reach every syndrome")
+
+
+def _codes_for_leader_oracle():
+    for n in (60, 63, 64, 65, 66, 70):
+        # row 0 all ones, row 1 only at position 0: syndrome (1, 0) has
+        # n - 1 weight-1 patterns, and the last position is the smallest
+        parity = np.zeros((2, n), dtype=np.uint8)
+        parity[0] = 1
+        parity[1, 0] = 1
+        yield parity
+    rng = np.random.default_rng(11)
+    while True:
+        n = int(rng.integers(4, 15))
+        parity = rng.integers(0, 2, (int(rng.integers(1, 5)), n),
+                              dtype=np.uint8)
+        if gf2.row_independent(parity):
+            yield parity
+
+
+@pytest.mark.parametrize("parity", list(itertools.islice(
+    _codes_for_leader_oracle(), 16)), ids=lambda p: "%dx%d" % p.shape)
+def test_coset_leaders_match_python_int_oracle(parity):
+    from noisystorage.codes import coset_leaders
+    code = LinearCode(generator=gf2.nullspace(parity), parity=parity)
+    want = python_int_leaders(parity)
+    leaders = coset_leaders(code)
+    assert sorted(leaders) == sorted(want)
+    for syn, value in want.items():
+        expect = [(value >> (code.n - 1 - i)) & 1 for i in range(code.n)]
+        assert leaders[syn].tolist() == expect, syn
+
+
 def test_decode_size_cap():
     from noisystorage.codes import coset_leaders
     big = random_code(30, 2, seed=3, tries=5)
