@@ -47,6 +47,14 @@ from .protocols import run_qid, run_robust_rot, run_rot
 CURVE_MAX_STEPS = 10_000
 REGION_MAX_ROWS = 250_000
 
+# Run sizes the simulate and verify commands accept.  A run's memory grows
+# with its rounds (--n, or --code-n for qid, whose code keeps a parity matrix
+# of about code-n squared bits), and time with the rounds of all trials.
+SIMULATE_MAX_N = 100_000
+QID_MAX_CODE_N = 1_024
+SIMULATE_MAX_ROUNDS = 10_000_000
+VERIFY_MAX_TRIALS = 100_000
+
 # JSON table rows go through the C encoder one at a time, because json.dumps
 # with an indent falls back to the pure-Python encoder.  _rows_out adds the
 # framing, so the bytes equal json.dumps(table, indent=2, allow_nan=False).
@@ -356,6 +364,17 @@ def _run_trials(args, config, run, tallies):
 
 
 def _cmd_simulate(args):
+    if args.protocol == "qid":
+        rounds, cap, option = args.code_n, QID_MAX_CODE_N, "--code-n"
+    else:
+        rounds, cap, option = args.n, SIMULATE_MAX_N, "--n"
+    if rounds > cap:
+        raise CliParameterError("at most %d rounds per run (%s), got %d"
+                                % (cap, option, rounds))
+    if args.trials * rounds > SIMULATE_MAX_ROUNDS:
+        raise CliParameterError(
+            "at most %d simulated rounds (--trials x %s), got %d x %d"
+            % (SIMULATE_MAX_ROUNDS, option, args.trials, rounds))
     if args.protocol == "rot":
         tallies = {"failures": 0, "empty_choice_sets": 0}
 
@@ -418,6 +437,9 @@ def _cmd_verify(args):
         if args.suite == "codes":
             raise CliParameterError("the codes suite takes no trial count "
                                     "(--trials)")
+        if args.trials > VERIFY_MAX_TRIALS:
+            raise CliParameterError("at most %d verification trials, got %d"
+                                    % (VERIFY_MAX_TRIALS, args.trials))
         kwargs["trials"] = args.trials
     report = suite(**kwargs)
     line = "%s: %d checks, %d violations\n" % (

@@ -375,6 +375,121 @@ def test_table_grid_caps_are_inclusive(capsys, monkeypatch):
     assert run_cli(capsys, "region", "--steps", "3")[0] == 1
 
 
+def test_run_size_caps_admit_documented_sizes():
+    # README: rot n=16 x 10000 trials, robust n=512, qid code n=8, verify
+    # split 10000 trials; the benchmark's largest runner is n=4096
+    assert cli.SIMULATE_MAX_N >= 4096
+    assert cli.QID_MAX_CODE_N >= 8
+    assert cli.SIMULATE_MAX_ROUNDS >= max(16 * 10_000, 100 * 4096)
+    assert cli.VERIFY_MAX_TRIALS >= 10_000
+
+
+class _Reached(Exception):
+    """Raised by stand-ins for the work a size cap guards."""
+
+
+def _unreached(*args, **kwargs):
+    raise _Reached(args, kwargs)
+
+
+@pytest.fixture
+def no_simulation_work(monkeypatch):
+    """Replace every runner, the qid code search and the suites by stubs."""
+    for name in ("run_rot", "run_robust_rot", "run_qid", "qid_code"):
+        monkeypatch.setattr(cli, name, _unreached)
+    for suite in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, suite, _unreached)
+
+
+@pytest.mark.parametrize("argv, diagnostic", [
+    # reproduced: numpy's allocation error, and gf2.nullspace's MemoryError
+    (("simulate", "rot", "--n", "1000000000000", "--trials", "1"),
+     "at most 100000 rounds per run (--n), got 1000000000000"),
+    (("simulate", "robust", "--n", "1000000000000"),
+     "at most 100000 rounds per run (--n), got 1000000000000"),
+    (("simulate", "qid", "--code-n", "100000000"),
+     "at most 1024 rounds per run (--code-n), got 100000000"),
+    (("simulate", "rot", "--n", "100000", "--trials", "100000000"),
+     "at most 10000000 simulated rounds (--trials x --n), "
+     "got 100000000 x 100000"),
+    (("verify", "split", "--trials", "1000000000000"),
+     "at most 100000 verification trials, got 1000000000000"),
+    # one past each cap
+    (("simulate", "rot", "--n", "100001", "--trials", "1"),
+     "at most 100000 rounds per run (--n), got 100001"),
+    (("simulate", "robust", "--n", "100001", "--trials", "1"),
+     "at most 100000 rounds per run (--n), got 100001"),
+    (("simulate", "qid", "--code-n", "1025", "--trials", "1"),
+     "at most 1024 rounds per run (--code-n), got 1025"),
+    (("simulate", "robust", "--n", "100000", "--trials", "101"),
+     "at most 10000000 simulated rounds (--trials x --n), got 101 x 100000"),
+    (("simulate", "rot", "--n", "1", "--ell", "1", "--trials", "10000001"),
+     "got 10000001 x 1"),
+    (("simulate", "qid", "--code-n", "1000", "--trials", "10001"),
+     "at most 10000000 simulated rounds (--trials x --code-n), "
+     "got 10001 x 1000"),
+    (("verify", "split", "--trials", "100001"),
+     "at most 100000 verification trials, got 100001"),
+    (("verify", "pa", "--trials", "100001"),
+     "at most 100000 verification trials, got 100001"),
+])
+def test_run_sizes_above_cap_exit_1(capsys, tmp_path, no_simulation_work,
+                                    argv, diagnostic):
+    extra = ("--out", str(tmp_path / "report.json")) if argv[0] == "simulate" \
+        else ()
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert diagnostic in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "rot", "--n", "100000", "--trials", "1"),
+    ("simulate", "robust", "--n", "100000", "--trials", "100"),
+    ("simulate", "qid", "--code-n", "1024", "--trials", "1"),
+    ("simulate", "qid", "--code-n", "1000", "--trials", "10000"),
+])
+def test_run_size_caps_admit_their_boundary(capsys, no_simulation_work,
+                                            argv):
+    with pytest.raises(_Reached):
+        dispatch(list(argv))
+
+
+def test_verify_trial_cap_admits_its_boundary(capsys, monkeypatch):
+    seen = []
+
+    def suite(**kwargs):
+        seen.append(kwargs)
+        return {"suite": "split", "checks": 0, "violations": 0}
+
+    monkeypatch.setitem(cli.SUITES, "split", suite)
+    assert run_cli(capsys, "verify", "split", "--trials", "100000")[0] == 0
+    assert seen == [{"seed": 7, "trials": 100_000}]
+
+
+def test_run_size_caps_are_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "SIMULATE_MAX_N", 20)
+    monkeypatch.setattr(cli, "QID_MAX_CODE_N", 9)
+    monkeypatch.setattr(cli, "SIMULATE_MAX_ROUNDS", 40)
+    monkeypatch.setattr(cli, "VERIFY_MAX_TRIALS", 2)
+    rot = ("simulate", "rot", "--n")
+    assert run_cli(capsys, *rot, "20", "--trials", "2")[0] == 0
+    assert run_cli(capsys, *rot, "21", "--trials", "1")[0] == 1
+    assert run_cli(capsys, *rot, "20", "--trials", "3")[0] == 1
+    qid = ("simulate", "qid", "--code-n")
+    assert run_cli(capsys, *qid, "9", "--trials", "4")[0] == 0
+    assert run_cli(capsys, *qid, "10", "--trials", "1")[0] == 1
+    assert run_cli(capsys, *qid, "9", "--trials", "5")[0] == 1
+    verify = ("verify", "lemma4", "--trials")
+    code, out, _ = run_cli(capsys, *verify, "2")
+    assert code == 0
+    assert out.startswith("lemma4: ") and out.endswith(", 0 violations\n")
+    assert run_cli(capsys, *verify, "3")[0] == 1
+
+
 def _options(parser, path):
     """The option strings of the subcommand at ``path``."""
     for name in path:
