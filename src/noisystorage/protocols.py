@@ -539,12 +539,8 @@ def run_qid(w_alice, w_bob, qcode, ell, rng=None, force_theta_hat=None):
 def _hidden_nonuniformity(t, p_post, enum):
     """Exact non-uniformity of the hidden string in one StoreAllBob run.
 
-    The receiver's posterior on each substring is the product of
-    ``p_post`` per agreeing guess and ``1 - p_post`` per disagreeing one;
-    the distance from uniform of the hidden string's hash, given the
-    other string's hash and the selector bit, is computed over every
-    value of both substrings.  ``enum`` caches the enumeration of each
-    substring width.
+    Sums the receiver's product posterior over every value of both
+    substrings; ``enum`` caches the enumeration of each substring width.
     """
     n, ell = t.n, t.ell
     guesses = t.adversary["guesses"]
