@@ -21,8 +21,8 @@ def matmul(a, b):
 
 
 def pack(bits):
-    """int64 value of each bit string along the last axis (<= 63 bits)."""
-    bits = as_bits(bits).astype(np.int64)
+    """int64 value of each 0/1 string along the last axis (<= 63 bits)."""
+    bits = np.asarray(bits, dtype=np.int64)
     return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1))
 
 
