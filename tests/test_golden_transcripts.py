@@ -5,7 +5,10 @@ matrix and the per-block decoding loop.  A change in the order the runners
 consume their generator, in a hash output or in a corrected block shows up
 here as a digest mismatch.  The CLI digests cover exit code, stdout and
 stderr of the README bound and table commands, recorded with a parser
-built on every dispatch and the stdlib's indenting JSON encoder.
+built on every dispatch and the stdlib's indenting JSON encoder.  The
+stdout digests of ``simulate`` and ``verify`` were recorded with one
+hand-written ``to_json`` per transcript class and a hand-counted tally per
+verification suite.
 """
 
 import hashlib
@@ -46,6 +49,9 @@ CASES = {
     "rot-16": lambda: protocols.run_rot(16, 4, 0, rng=11).to_json(),
     "rot-1024": lambda: protocols.run_rot(1024, 256, 1, rng=12).to_json(),
     "rot-4096": lambda: protocols.run_rot(4096, 1024, 0, rng=13).to_json(),
+    # the storing receiver leaves theta_hat, x_hat and y null
+    "rot-16-store-all": lambda: protocols.run_rot(
+        16, 4, 0, bob=protocols.StoreAllBob(0.5), rng=14).to_json(),
     "robust-512": lambda: _robust(512, 8, 0, 21),
     "robust-512-worst-case": lambda: _robust(
         512, 8, 1, 22, bob=protocols.WorstCaseReportingBob()),
@@ -80,6 +86,17 @@ CLI_CASES.update({
     for name, argv in list(CLI_CASES.items())
     if name.startswith(("cli-bounds-", "cli-curve", "cli-region"))})
 
+# argvs whose stdout alone is pinned; each must exit 0 with empty stderr
+STDOUT_CASES = {
+    "cli-simulate-rot": "simulate rot --trials 3",
+    "cli-simulate-qid": "simulate qid --trials 3",
+    "cli-verify-split": "verify split --trials 8",
+    "cli-verify-hashing": "verify hashing --trials 4",
+    "cli-verify-pa": "verify pa --trials 4",
+    "cli-verify-lemma4": "verify lemma4 --trials 4",
+    "cli-verify-codes": "verify codes",
+}
+
 DIGESTS = {
     "leakage-r0":
         "c336ce5213434e8d7bcf461635776be6360fe77f257269adc9243a81b56026d6",
@@ -105,6 +122,8 @@ DIGESTS = {
         "21bbfc14b3b77b428f6c7d6af797341521cdbf5e6df4d55625264fa05f3e85eb",
     "rot-16":
         "d812b1dda1b1495aeda3ad383f447166d1dc483343a5fd7b537b46b64c1f3ab7",
+    "rot-16-store-all":
+        "6eb0b18ea08e926dc7f5b02daf63a5ba38273e152b27abc73228a80e9b7d0f10",
     "rot-4096":
         "917f0ba913f9ab869418c993978233914c473d2f852709f6d6a762c0eef86fd4",
     "cli-bounds-impersonation":
@@ -137,6 +156,20 @@ DIGESTS = {
         "ba0c57021f9b2e6c0f9fab05e6259f6863011193b8c175e4d92d6852d6b6c9bc",
     "cli-simulate-robust":
         "dffddcf5a25f5b44d53cbf806a2cd4024233181317d2d723d4a88c5396e47f15",
+    "cli-simulate-rot":
+        "253123758a1830879c1e348eaf5f19d335b0da996fba841955cba7afa81aebde",
+    "cli-simulate-qid":
+        "425be94780f13c2dbf90f30548b9d8ff4ed93fa670a527b34c6bb969dd232979",
+    "cli-verify-split":
+        "bea3cfdcbe5696d358bbcd88426ff198cf262ebd3b9be69d0aecc222d81c2d10",
+    "cli-verify-hashing":
+        "f6e524cecb3df5b303c42b01a7d4a28c51e2aac18e96ba4b5c95d9ef724416de",
+    "cli-verify-pa":
+        "c19fee0ff40a75567ef4ad8d11177a9edbceb5ccb938450cd89239a05a6af8bb",
+    "cli-verify-lemma4":
+        "84c4fcffa65b4e61a4e832443482607d55bf8c18bf2480acf0d670db015857c6",
+    "cli-verify-codes":
+        "f633441251b4ef8880297ab5d2546570bd16bed2b7278b0af365f07fb8ca8e02",
 }
 
 
@@ -187,3 +220,11 @@ def test_simulate_robust_stdout_digest(capsys):
     assert dispatch(["simulate", "robust", "--trials", "3"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == DIGESTS["cli-simulate-robust"]
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_CASES))
+def test_cli_stdout_digest(name, capsys):
+    assert dispatch(STDOUT_CASES[name].split()) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
