@@ -2,9 +2,11 @@
 
 Each suite draws randomized instances (seeded), checks an exact guarantee
 on every one, and reports a violation count.  A nonzero count means the
-implementation, not the instance, is wrong.
+implementation, not the instance, is wrong.  A check counts as passed
+only when its guarantee holds, so a NaN comparison is a violation.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -21,7 +23,7 @@ from .codes import (
 )
 from .distributions import JointDistribution
 from .entropy import min_entropy, psucc_classical, split_binary, split_multi
-from .hashing import collision_bound, pa_distance
+from .hashing import collision_bound, hash_apply, pa_distance, random_hash
 from . import gf2
 
 
@@ -34,20 +36,32 @@ def _random_table(rng, sizes, names, zero_fraction=0.15):
     return JointDistribution(list(zip(names, sizes)), probs)
 
 
+def _tally(checks):
+    """The suite report of a generator yielding one outcome per check.
+
+    An outcome is whether the check's guarantee holds; the suite is named
+    after the generator, without its ``verify_`` prefix.
+    """
+    @functools.wraps(checks)
+    def suite(*args, **kwargs):
+        outcomes = list(checks(*args, **kwargs))
+        return {"suite": checks.__name__.removeprefix("verify_"),
+                "checks": len(outcomes),
+                "violations": sum(not ok for ok in outcomes)}
+    return suite
+
+
+@_tally
 def verify_split(trials=10000, seed=7):
     """Both index-selection constructions meet their guarantees."""
     rng = np.random.default_rng(seed)
-    violations = 0
-    done = 0
     for _ in range(trials):
         sizes = (int(rng.integers(2, 9)), int(rng.integers(2, 9)),
                  int(rng.integers(1, 5)))
         d = _random_table(rng, sizes, ["X0", "X1", "Z"])
         alpha = min_entropy(d, ["X0", "X1"], "Z")
         res = split_binary(d, alpha, given="Z")
-        if res.achieved < alpha / 2.0 - 1.0 - 1e-9:
-            violations += 1
-        done += 1
+        yield res.achieved >= alpha / 2.0 - 1.0 - 1e-9
     for m in (2, 3, 4):
         names = [f"X{i + 1}" for i in range(m)] + ["Z"]
         for _ in range(trials // 4):
@@ -58,34 +72,25 @@ def verify_split(trials=10000, seed=7):
                 min_entropy(d, [names[i], names[j]], "Z")
                 for i in range(m) for j in range(i + 1, m))
             res = split_multi(d, alpha, parts=names[:-1], given="Z")
-            if res.achieved < alpha / 2.0 - math.log2(m) - 1.0 - 1e-9:
-                violations += 1
-            done += 1
-    return {"suite": "split", "checks": done, "violations": violations}
+            yield res.achieved >= alpha / 2.0 - math.log2(m) - 1.0 - 1e-9
 
 
+@_tally
 def verify_hashing(trials=200, seed=7):
     """Exhaustive two-universality plus linearity spot checks."""
     rng = np.random.default_rng(seed)
-    violations = 0
-    done = 0
     for n in range(1, 7):
         for ell in range(1, min(n, 3) + 1):
-            if collision_bound(n, ell) > 2.0 ** -ell + 1e-15:
-                violations += 1
-            done += 1
-    from .hashing import hash_apply, random_hash
+            yield collision_bound(n, ell) <= 2.0 ** -ell + 1e-15
     for _ in range(trials):
         h = random_hash(int(rng.integers(2, 12)), 2, rng)
         x = rng.integers(0, 2, h.n, dtype=np.uint8)
         y = rng.integers(0, 2, h.n, dtype=np.uint8)
-        if not np.array_equal(hash_apply(h, x ^ y),
-                              hash_apply(h, x) ^ hash_apply(h, y)):
-            violations += 1
-        done += 1
-    return {"suite": "hashing", "checks": done, "violations": violations}
+        yield np.array_equal(hash_apply(h, x ^ y),
+                             hash_apply(h, x) ^ hash_apply(h, y))
 
 
+@_tally
 def verify_pa(trials=1000, seed=7, sample_count=16):
     """Empirical hash-output distance never beats its guarantee.
 
@@ -94,7 +99,6 @@ def verify_pa(trials=1000, seed=7, sample_count=16):
     the sampling error applies.
     """
     rng = np.random.default_rng(seed)
-    violations = 0
     for _ in range(trials):
         n_bits = int(rng.integers(2, 5))
         side = int(rng.integers(1, 5))
@@ -109,11 +113,10 @@ def verify_pa(trials=1000, seed=7, sample_count=16):
             draws.append(value)
         mean = float(np.mean(draws))
         sem = float(np.std(draws)) / math.sqrt(sample_count)
-        if mean > bound + 3.0 * sem + 1e-12:
-            violations += 1
-    return {"suite": "pa", "checks": trials, "violations": violations}
+        yield mean <= bound + 3.0 * sem + 1e-12
 
 
+@_tally
 def verify_lemma4(trials=300, seed=7):
     """Min-entropy kept through a lossy channel is bounded by its decoding power.
 
@@ -122,8 +125,6 @@ def verify_lemma4(trials=300, seed=7):
     H_min^(e+e')(X | T, F(Q)) >= -log2 psucc(F, floor(H_min^e(X|T) - log2(1/e'))).
     """
     rng = np.random.default_rng(seed)
-    violations = 0
-    done = 0
     for _ in range(trials):
         n_x = int(rng.integers(2, 8))
         n_q = int(rng.integers(2, 6))
@@ -137,9 +138,8 @@ def verify_lemma4(trials=300, seed=7):
         h_x = min_entropy(
             JointDistribution([("X", n_x)], joint.sum(axis=1)), "X")
         k = max(0, min(3, int(math.floor(h_x))))
-        if min_entropy(d, "X", "O") < -math.log2(psucc_classical(channel, k)) - 1e-9:
-            violations += 1
-        done += 1
+        yield (min_entropy(d, "X", "O")
+               >= -math.log2(psucc_classical(channel, k)) - 1e-9)
     for _ in range(trials):
         n_x = int(rng.integers(2, 8))
         n_t = int(rng.integers(1, 4))
@@ -157,27 +157,19 @@ def verify_lemma4(trials=300, seed=7):
             k = max(0, min(3, int(math.floor(budget))))
             lhs = min_entropy(d_out, "X", ["T", "O"], eps=eps + eps2)
             rhs = -math.log2(psucc_classical(channel, k))
-            if lhs < rhs - 1e-9:
-                violations += 1
-            done += 1
-    return {"suite": "lemma4", "checks": done, "violations": violations}
+            yield lhs >= rhs - 1e-9
 
 
+@_tally
 def verify_codes(seed=7):
     """Catalog invariants: orthogonality, exact distances, decoding radius."""
     rng = np.random.default_rng(seed)
-    violations = 0
-    done = 0
     catalog = [repetition_code(3), repetition_code(5), hamming_7_4(),
                extended_hamming_8_4(), qid_code(16, 7).code,
                qid_code(8, 12).code]
     for code in catalog:
-        if gf2.matmul(code.parity, code.generator.T).any():
-            violations += 1
-        done += 1
-        if code.min_distance != min_distance(code):
-            violations += 1
-        done += 1
+        yield not gf2.matmul(code.parity, code.generator.T).any()
+        yield code.min_distance == min_distance(code)
         t = (code.min_distance - 1) // 2
         for _ in range(40):
             msg = rng.integers(0, 2, code.k, dtype=np.uint8)
@@ -186,16 +178,10 @@ def verify_codes(seed=7):
             err = np.zeros(code.n, dtype=np.uint8)
             err[rng.choice(code.n, size=weight, replace=False)] = 1
             fixed = syndrome_decode(code, word ^ err, syndrome(code, word))
-            if not np.array_equal(fixed, word):
-                violations += 1
-            done += 1
+            yield np.array_equal(fixed, word)
     # distinct codewords for distinct passwords
     qc = qid_code(16, 8)
-    words = {qc.basis_string(w) for w in range(1, 17)}
-    if len(words) != 16:
-        violations += 1
-    done += 1
-    return {"suite": "codes", "checks": done, "violations": violations}
+    yield len({qc.basis_string(w) for w in range(1, 17)}) == 16
 
 
 SUITES = {

@@ -16,7 +16,7 @@ one yields a uniform bit, which is how the honest path is sampled.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,11 +49,27 @@ def basis_string(arr):
     return _spell(arr, b"+x")
 
 
-def _hash_json(h):
-    if h is None:
-        return None
-    return {"n": h.n, "ell": h.ell, "seed": h.seed_hex(),
-            "offset": h.offset_hex()}
+_BASIS_FIELDS = frozenset({"theta", "theta_hat", "kappa"})
+
+
+def _json_value(name, value):
+    """One transcript field as JSON: hashes by their seeds, bit arrays as
+    strings (bases spelled "+x"), index arrays as lists."""
+    if isinstance(value, ToeplitzHash):
+        return {"n": value.n, "ell": value.ell, "seed": value.seed_hex(),
+                "offset": value.offset_hex()}
+    if not isinstance(value, np.ndarray):
+        return value
+    if value.dtype != np.uint8:
+        return value.tolist()
+    return basis_string(value) if name in _BASIS_FIELDS else bit_string(value)
+
+
+class _Transcript:
+    def to_json(self):
+        """Every field but ``adversary``, in declaration order."""
+        return json.dumps({f.name: _json_value(f.name, getattr(self, f.name))
+                           for f in fields(self) if f.name != "adversary"})
 
 
 def honest_index_sets(theta, theta_hat, c):
@@ -130,7 +146,7 @@ class StoreAllBob(AdversaryStrategy):
 
 
 @dataclass
-class RotTranscript:
+class RotTranscript(_Transcript):
     n: int
     ell: int
     c: int
@@ -147,21 +163,6 @@ class RotTranscript:
     y: np.ndarray | None
     i_c_empty: bool = False
     adversary: dict | None = None
-
-    def to_json(self):
-        return json.dumps({
-            "n": self.n, "ell": self.ell, "c": self.c,
-            "x": bit_string(self.x),
-            "theta": basis_string(self.theta),
-            "theta_hat": None if self.theta_hat is None
-            else basis_string(self.theta_hat),
-            "x_hat": None if self.x_hat is None else bit_string(self.x_hat),
-            "i0": self.i0.tolist(), "i1": self.i1.tolist(),
-            "f0": _hash_json(self.f0), "f1": _hash_json(self.f1),
-            "s0": bit_string(self.s0), "s1": bit_string(self.s1),
-            "y": None if self.y is None else bit_string(self.y),
-            "i_c_empty": self.i_c_empty,
-        })
 
 
 def run_rot(n, ell, c, bob=None, rng=None, force_theta_hat=None):
@@ -231,7 +232,7 @@ def run_rot(n, ell, c, bob=None, rng=None, force_theta_hat=None):
 
 
 @dataclass
-class RobustTranscript:
+class RobustTranscript(_Transcript):
     n: int
     ell: int
     c: int
@@ -257,29 +258,6 @@ class RobustTranscript:
     decode_ok: bool | None = None
     budget_ok: bool | None = None
     adversary: dict | None = None
-
-    def to_json(self):
-        def bits(a):
-            return None if a is None else bit_string(a)
-
-        return json.dumps({
-            "n": self.n, "ell": self.ell, "c": self.c,
-            "params": self.params, "zeta": self.zeta,
-            "x": bit_string(self.x), "theta": basis_string(self.theta),
-            "theta_hat": None if self.theta_hat is None
-            else basis_string(self.theta_hat),
-            "click_mask": bit_string(self.click_mask),
-            "s_remain": self.s_remain.tolist(),
-            "abort": self.abort,
-            "x_hat": bits(self.x_hat),
-            "i0": None if self.i0 is None else self.i0.tolist(),
-            "i1": None if self.i1 is None else self.i1.tolist(),
-            "f0": _hash_json(self.f0), "f1": _hash_json(self.f1),
-            "syn0": bits(self.syn0), "syn1": bits(self.syn1),
-            "s0": bits(self.s0), "s1": bits(self.s1),
-            "corrected": bits(self.corrected), "y": bits(self.y),
-            "decode_ok": self.decode_ok, "budget_ok": self.budget_ok,
-        })
 
 
 def _blocks(code, bits):
@@ -455,7 +433,7 @@ def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3,
 
 
 @dataclass
-class QidTranscript:
+class QidTranscript(_Transcript):
     w_alice: int
     w_bob: int
     ell: int
@@ -470,19 +448,6 @@ class QidTranscript:
     g: ToeplitzHash
     z: np.ndarray
     accept: bool
-
-    def to_json(self):
-        return json.dumps({
-            "w_alice": self.w_alice, "w_bob": self.w_bob, "ell": self.ell,
-            "x": bit_string(self.x), "theta": basis_string(self.theta),
-            "theta_hat": basis_string(self.theta_hat),
-            "x_hat": bit_string(self.x_hat),
-            "kappa": basis_string(self.kappa),
-            "i_w_alice": self.i_w_alice.tolist(),
-            "i_w_bob": self.i_w_bob.tolist(),
-            "f": _hash_json(self.f), "g": _hash_json(self.g),
-            "z": bit_string(self.z), "accept": self.accept,
-        })
 
 
 def qid_kappa(qcode, w_bob, theta_hat):

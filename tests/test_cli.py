@@ -4,13 +4,14 @@ import csv
 import io
 import json
 import math
+import types
 import warnings
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisystorage import bounds, cli
+from noisystorage import bounds, checks, cli
 from noisystorage.cli import dispatch
 
 OT_ARGS = ("bounds", "ot", "--n", "1e10", "--delta", "0.0106", "--r", "0.1")
@@ -240,6 +241,48 @@ def test_verify_rejects_vacuous_trial_counts(capsys):
     assert code == 1
     assert "codes suite takes no trial count" in err
     assert out == ""
+
+
+def _achieved(value):
+    return lambda *args, **kwargs: types.SimpleNamespace(achieved=value)
+
+
+# suite, --trials, the checks module name stubbed, the stub's value and the
+# report line: every check that reads the stub fails
+FORCED_FAILURES = [
+    ("split", "4", "split_binary", _achieved(-math.inf),
+     "split: 7 checks, 4 violations\n"),
+    ("hashing", "2", "collision_bound", lambda n, ell: 1.0,
+     "hashing: 17 checks, 15 violations\n"),
+    ("pa", "2", "pa_distance", lambda *args, **kwargs: (1.0, 0.0),
+     "pa: 2 checks, 2 violations\n"),
+    ("lemma4", "2", "psucc_classical", lambda channel, k: 2.0 ** -1000,
+     "lemma4: 8 checks, 8 violations\n"),
+    ("codes", None, "min_distance", lambda code: -1,
+     "codes: 253 checks, 6 violations\n"),
+]
+# the same checks fed NaN: no guarantee holds, so each NaN is a violation
+FORCED_NANS = [
+    ("split", "4", "split_binary", _achieved(math.nan),
+     "split: 7 checks, 4 violations\n"),
+    ("hashing", "2", "collision_bound", lambda n, ell: math.nan,
+     "hashing: 17 checks, 15 violations\n"),
+    ("pa", "2", "pa_distance", lambda *args, **kwargs: (math.nan, 0.5),
+     "pa: 2 checks, 2 violations\n"),
+    ("lemma4", "2", "psucc_classical", lambda channel, k: math.nan,
+     "lemma4: 8 checks, 8 violations\n"),
+]
+
+
+@pytest.mark.parametrize("suite, trials, name, stub, line",
+                         FORCED_FAILURES + FORCED_NANS,
+                         ids=[case[0] for case in FORCED_FAILURES]
+                         + [case[0] + "-nan" for case in FORCED_NANS])
+def test_verify_counts_failed_checks(capsys, monkeypatch, suite, trials,
+                                     name, stub, line):
+    monkeypatch.setattr(checks, name, stub)
+    argv = ("verify", suite) + (("--trials", trials) if trials else ())
+    assert run_cli(capsys, *argv) == (3, line, "")
 
 
 @pytest.mark.parametrize("argv, diagnostic", [
