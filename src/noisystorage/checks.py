@@ -91,12 +91,12 @@ def verify_hashing(trials=200, seed=7):
 
 
 @_tally
-def verify_pa(trials=1000, seed=7, sample_count=16):
+def verify_pa(trials=1000, seed=7):
     """Empirical hash-output distance never beats its guarantee.
 
     The guarantee bounds the average over the whole hash family; each
-    instance is checked with a sampled mean, so a 3-sigma allowance for
-    the sampling error applies.
+    instance is checked with the mean over 16 sampled hashes, so a 3-sigma
+    allowance for the sampling error applies.
     """
     rng = np.random.default_rng(seed)
     for _ in range(trials):
@@ -108,11 +108,11 @@ def verify_pa(trials=1000, seed=7, sample_count=16):
         ell = int(rng.integers(1, n_bits + 1))
         draws = []
         bound = None
-        for _ in range(sample_count):
+        for _ in range(16):
             value, bound = pa_distance(d, ell=ell, sample_count=1, rng=rng)
             draws.append(value)
         mean = float(np.mean(draws))
-        sem = float(np.std(draws)) / math.sqrt(sample_count)
+        sem = float(np.std(draws)) / math.sqrt(len(draws))
         yield mean <= bound + 3.0 * sem + 1e-12
 
 

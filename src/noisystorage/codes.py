@@ -264,10 +264,11 @@ def gv_parameters(n, m):
     return mu, mu * n
 
 
-def syndrome_budget_ok(code, p_err, factor=1.2):
+def syndrome_budget_ok(code, p_err):
     """Whether the code's redundancy fits the error-correction budget.
 
     Correcting a bit-error rate ``p_err`` on a block of ``n`` bits is
-    budgeted at ``factor * h(p_err) * n`` syndrome bits.
+    budgeted at ``1.2 * h(p_err) * n`` syndrome bits, as the robust
+    transfer length bound assumes.
     """
-    return code.n - code.k <= factor * binary_entropy(p_err) * code.n
+    return code.n - code.k <= 1.2 * binary_entropy(p_err) * code.n

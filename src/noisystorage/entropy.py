@@ -184,7 +184,7 @@ def _select_first_large(dist, alpha, parts, given):
     return v_cells, achieved
 
 
-def split_binary(dist, alpha, x0="X0", x1="X1", given=(), d_name="D"):
+def split_binary(dist, alpha, x0="X0", x1="X1", given=()):
     """Augment (X0, X1; Z) with a bit D so that X_D stays hard to guess.
 
     D is a deterministic function of (X0, Z): it is 0 exactly when
@@ -196,11 +196,11 @@ def split_binary(dist, alpha, x0="X0", x1="X1", given=(), d_name="D"):
     """
     v_cells, achieved = _select_first_large(dist, alpha, [x0, x1],
                                             _names(given))
-    augmented = dist.with_register(d_name, 2, 1 - v_cells)
+    augmented = dist.with_register("D", 2, 1 - v_cells)
     return SplitResult(augmented=augmented, alpha=float(alpha), achieved=achieved)
 
 
-def split_multi(dist, alpha, parts, given=(), v_name="V"):
+def split_multi(dist, alpha, parts, given=()):
     """Augment (X1..Xm; Z) with a first-large-index register V.
 
     V picks the first index j whose substring has conditional probability
@@ -214,7 +214,7 @@ def split_multi(dist, alpha, parts, given=(), v_name="V"):
     """
     parts = _names(parts)
     v_cells, achieved = _select_first_large(dist, alpha, parts, _names(given))
-    augmented = dist.with_register(v_name, len(parts), v_cells)
+    augmented = dist.with_register("V", len(parts), v_cells)
     return SplitResult(augmented=augmented, alpha=float(alpha), achieved=achieved)
 
 

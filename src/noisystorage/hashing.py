@@ -160,11 +160,11 @@ def collision_bound(n, ell):
     return worst
 
 
-def pa_distance(dist, ell, sample_count, rng, x_register=None):
+def pa_distance(dist, ell, sample_count, rng):
     """Empirical privacy-amplification distance against its guarantee.
 
-    ``x_register`` (default: the first register) must have a power-of-two
-    alphabet; all other registers are classical side information.  For
+    The first register is hashed and must have a power-of-two alphabet;
+    all other registers are classical side information.  For
     ``sample_count`` uniformly drawn hashes the exact non-uniformity of
     the hash output given the side information is computed and averaged,
     and returned together with the guarantee
@@ -172,9 +172,7 @@ def pa_distance(dist, ell, sample_count, rng, x_register=None):
     """
     if sample_count < 1:
         raise ValueError("need at least one sample")
-    names = dist.names
-    x_register = x_register or names[0]
-    side = [nm for nm in names if nm != x_register]
+    x_register, *side = dist.names
     size = dist.size_of(x_register)
     n_bits = int(size).bit_length() - 1
     if 2 ** n_bits != size:

@@ -323,18 +323,16 @@ class WorstCaseReportingBob(RobustReportingStrategy):
         return reported
 
 
-def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3,
-                   zeta=None):
+def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3):
     """One run of the loss/error-tolerant oblivious transfer.
 
     Honest receiver: clicks are lost independently with probability
     ph_noclick, surviving matched-basis bits flip with probability
     ph_err.  The sender aborts when the reported click count leaves
-    [(1 - p - zeta) n, (1 - p + zeta) n]; the default
-    zeta = sqrt(ln(2/eps_target) / (2n)) keeps the honest abort
-    probability at most eps_target, which must lie in (0, 1].  Error
-    correction is blockwise
-    syndrome decoding with the given code.
+    [(1 - p - zeta) n, (1 - p + zeta) n]; zeta = sqrt(ln(2/eps_target)
+    / (2n)) keeps the honest abort probability at most eps_target, which
+    must lie in (0, 1].  Error correction is blockwise syndrome decoding
+    with the given code.
 
     ``bob`` may be a :class:`RobustReportingStrategy` to control the
     erasure-report message of a dishonest receiver (the run then stops
@@ -348,8 +346,7 @@ def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3,
     if not 0.0 < eps_target <= 1.0:
         raise ValueError("eps_target must lie in (0, 1]")
     rng = make_rng(rng)
-    if zeta is None:
-        zeta = math.sqrt(math.log(2.0 / eps_target) / (2.0 * n))
+    zeta = math.sqrt(math.log(2.0 / eps_target) / (2.0 * n))
 
     x = rng.integers(0, 2, n, dtype=np.uint8)
     theta = rng.integers(0, 2, n, dtype=np.uint8)
