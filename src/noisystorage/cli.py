@@ -50,8 +50,12 @@ REGION_MAX_ROWS = 250_000
 # Run sizes the simulate and verify commands accept.  A run's memory grows
 # with its rounds (--n, or --code-n for qid, whose code keeps a parity matrix
 # of about code-n squared bits), and time with the rounds of all trials.
+# The robust coset table holds 2^(code-block - 1) leaders, and the qid code
+# search certifies up to 200 codes over all 2^ceil(log2 m) messages.
 SIMULATE_MAX_N = 100_000
 QID_MAX_CODE_N = 1_024
+ROBUST_MAX_CODE_BLOCK = 17
+QID_MAX_PASSWORDS = 256
 SIMULATE_MAX_ROUNDS = 10_000_000
 VERIFY_MAX_TRIALS = 100_000
 
@@ -394,6 +398,10 @@ def _cmd_simulate(args):
             storage=StorageModel(r=args.r, nu=args.nu),
             p1_sent=args.p1_sent, ph_noclick=args.ph_noclick,
             pd_noclick=args.pd_noclick, ph_err=args.ph_err, ell=args.ell)
+        if args.code_block > ROBUST_MAX_CODE_BLOCK:
+            raise CliParameterError(
+                "at most %d positions per code block (--code-block), got %d"
+                % (ROBUST_MAX_CODE_BLOCK, args.code_block))
         code = repetition_code(args.code_block)
         tallies = {"eps_target": args.eps_target, "aborts": 0,
                    "decode_failures": 0, "syndrome_budget_ok": None}
@@ -415,6 +423,9 @@ def _cmd_simulate(args):
                 "warning: the correction code spends more syndrome bits than "
                 "the 1.2 h(ph_err) n budget assumed by the length bound\n")
     else:
+        if args.m > QID_MAX_PASSWORDS:
+            raise CliParameterError("at most %d passwords (--m), got %d"
+                                    % (QID_MAX_PASSWORDS, args.m))
         qc = qid_code(args.m, args.code_n)
         tallies = {"accepts": 0}
 

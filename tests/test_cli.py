@@ -423,6 +423,8 @@ def test_run_size_caps_admit_documented_sizes():
     # split 10000 trials; the benchmark's largest runner is n=4096
     assert cli.SIMULATE_MAX_N >= 4096
     assert cli.QID_MAX_CODE_N >= 8
+    assert cli.ROBUST_MAX_CODE_BLOCK >= 3
+    assert cli.QID_MAX_PASSWORDS >= 16
     assert cli.SIMULATE_MAX_ROUNDS >= max(16 * 10_000, 100 * 4096)
     assert cli.VERIFY_MAX_TRIALS >= 10_000
 
@@ -437,8 +439,9 @@ def _unreached(*args, **kwargs):
 
 @pytest.fixture
 def no_simulation_work(monkeypatch):
-    """Replace every runner, the qid code search and the suites by stubs."""
-    for name in ("run_rot", "run_robust_rot", "run_qid", "qid_code"):
+    """Replace every runner, both code builders and the suites by stubs."""
+    for name in ("run_rot", "run_robust_rot", "run_qid", "qid_code",
+                 "repetition_code"):
         monkeypatch.setattr(cli, name, _unreached)
     for suite in cli.SUITES:
         monkeypatch.setitem(cli.SUITES, suite, _unreached)
@@ -475,6 +478,19 @@ def no_simulation_work(monkeypatch):
      "at most 100000 verification trials, got 100001"),
     (("verify", "pa", "--trials", "100001"),
      "at most 100000 verification trials, got 100001"),
+    # reproduced: gf2.nullspace's allocation error, and a code search that
+    # ran past 30 s
+    (("simulate", "robust", "--code-block", "100000", "--trials", "1"),
+     "at most 17 positions per code block (--code-block), got 100000"),
+    (("simulate", "qid", "--m", "1048576", "--code-n", "40", "--trials", "1"),
+     "at most 256 passwords (--m), got 1048576"),
+    (("simulate", "qid", "--m", "65536", "--code-n", "40", "--trials", "1"),
+     "at most 256 passwords (--m), got 65536"),
+    # one past each code cap
+    (("simulate", "robust", "--code-block", "18", "--trials", "1"),
+     "at most 17 positions per code block (--code-block), got 18"),
+    (("simulate", "qid", "--m", "257", "--code-n", "1024", "--trials", "1"),
+     "at most 256 passwords (--m), got 257"),
 ])
 def test_run_sizes_above_cap_exit_1(capsys, tmp_path, no_simulation_work,
                                     argv, diagnostic):
@@ -494,6 +510,8 @@ def test_run_sizes_above_cap_exit_1(capsys, tmp_path, no_simulation_work,
     ("simulate", "robust", "--n", "100000", "--trials", "100"),
     ("simulate", "qid", "--code-n", "1024", "--trials", "1"),
     ("simulate", "qid", "--code-n", "1000", "--trials", "10000"),
+    ("simulate", "robust", "--code-block", "17", "--trials", "1"),
+    ("simulate", "qid", "--m", "256", "--code-n", "1024", "--trials", "1"),
 ])
 def test_run_size_caps_admit_their_boundary(capsys, no_simulation_work,
                                             argv):
@@ -526,6 +544,15 @@ def test_run_size_caps_are_inclusive(capsys, monkeypatch):
     assert run_cli(capsys, *qid, "9", "--trials", "4")[0] == 0
     assert run_cli(capsys, *qid, "10", "--trials", "1")[0] == 1
     assert run_cli(capsys, *qid, "9", "--trials", "5")[0] == 1
+    monkeypatch.setattr(cli, "ROBUST_MAX_CODE_BLOCK", 5)
+    monkeypatch.setattr(cli, "QID_MAX_PASSWORDS", 4)
+    robust = ("simulate", "robust", "--n", "20", "--delta", "0.24", "--ell",
+              "1", "--trials", "1", "--code-block")
+    assert run_cli(capsys, *robust, "5")[0] == 0
+    assert run_cli(capsys, *robust, "6")[0] == 1
+    passwords = ("simulate", "qid", "--trials", "1", "--m")
+    assert run_cli(capsys, *passwords, "4")[0] == 0
+    assert run_cli(capsys, *passwords, "5")[0] == 1
     verify = ("verify", "lemma4", "--trials")
     code, out, _ = run_cli(capsys, *verify, "2")
     assert code == 0
