@@ -561,10 +561,15 @@ def test_run_size_caps_are_inclusive(capsys, monkeypatch):
 
 
 def _options(parser, path):
-    """The option strings of the subcommand at ``path``."""
+    """The option strings of the subcommand at ``path``.
+
+    The walk stops at a positional choice, such as the suite of ``verify``.
+    """
     for name in path:
-        sub = next(a for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction))
+        sub = next((a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)), None)
+        if sub is None:
+            break
         parser = sub.choices[name]
     return sorted(opt for a in parser._actions for opt in a.option_strings
                   if opt not in ("-h", "--help", "--out"))
@@ -577,6 +582,15 @@ FUZZ_BASES = {
     ("bounds", "impersonation"): IMPERSONATION_ARGS[2:],
     ("curve",): ("--n", "1e10", "--delta", "0.0106", "--steps", "20"),
     ("region",): ("--steps", "10"),
+    ("simulate", "rot"): ("--n", "8", "--ell", "2", "--trials", "2"),
+    ("simulate", "robust"): ("--n", "256", "--trials", "2"),
+    ("simulate", "qid"): ("--m", "4", "--code-n", "6", "--ell", "3",
+                          "--trials", "2"),
+    ("verify", "split"): ("--trials", "2"),
+    ("verify", "hashing"): ("--trials", "2"),
+    ("verify", "pa"): ("--trials", "2"),
+    ("verify", "lemma4"): ("--trials", "2"),
+    ("verify", "codes"): ("--seed", "3"),
 }
 FUZZ_OPTIONS = {path: _options(cli.build_parser(), path)
                 for path in FUZZ_BASES}
@@ -588,7 +602,52 @@ FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "0", "1", "2", "1e400", "-0.0",
 BASE_VALUES = sorted({v for base in FUZZ_BASES.values()
                       for v in base if not v.startswith("--")})
 FUZZ_STEPS = ["nan", "-1", "0", "1", "2", "3", "300", "1e400", "garbage"]
+FUZZ_TRIALS = ["nan", "-1", "0", "1", "2", "3", "1e400", "garbage", ""]
 PREFIXES = {1: "error: ", 2: "infeasible: ", 3: "numeric failure: "}
+
+# The work a fuzzed command really runs.  Above these sizes a stand-in
+# raises _Reached instead, which means the command admitted its input.
+FUZZ_WORK = {
+    "run_rot": lambda n, *args, **kwargs: n <= 1024,
+    "run_robust_rot": lambda params, *args, **kwargs: params.n <= 1024,
+    "qid_code": lambda m, n: n <= 64,
+    "repetition_code": lambda n: n <= 12,
+}
+FUZZ_MAX_TRIALS = 8
+# the reproduced unbounded runs, and both sides of every run-size cap
+FUZZ_EXAMPLES = [
+    ["curve", "--n", "1e10", "--delta", "0.0106", "--r-min", "inf"],
+    ["simulate", "rot", "--n", "1000000000000", "--trials", "1"],
+    ["simulate", "robust", "--n", "1000000000000"],
+    ["simulate", "qid", "--code-n", "100000000"],
+    ["simulate", "rot", "--n", "100000", "--trials", "100000000"],
+    ["verify", "split", "--trials", "1000000000000"],
+    ["simulate", "robust", "--code-block", "100000", "--trials", "1"],
+    ["simulate", "qid", "--m", "1048576", "--code-n", "40", "--trials", "1"],
+    ["simulate", "qid", "--m", "65536", "--code-n", "40", "--trials", "1"],
+    ["simulate", "rot", "--n", "100000", "--trials", "1"],
+    ["simulate", "rot", "--n", "100001", "--trials", "1"],
+    ["simulate", "robust", "--n", "100000", "--trials", "100"],
+    ["simulate", "robust", "--n", "100000", "--trials", "101"],
+    ["simulate", "qid", "--code-n", "1024", "--trials", "1"],
+    ["simulate", "qid", "--code-n", "1025", "--trials", "1"],
+    ["simulate", "qid", "--code-n", "1000", "--trials", "10000"],
+    ["simulate", "qid", "--code-n", "1000", "--trials", "10001"],
+    ["simulate", "robust", "--code-block", "17", "--trials", "1"],
+    ["simulate", "robust", "--code-block", "18", "--trials", "1"],
+    ["simulate", "qid", "--m", "256", "--trials", "1"],
+    ["simulate", "qid", "--m", "257", "--trials", "1"],
+    ["verify", "split", "--trials", "100000"],
+    ["verify", "split", "--trials", "100001"],
+]
+
+
+def _gated(work, fits):
+    def gate(*args, **kwargs):
+        if not fits(*args, **kwargs):
+            raise _Reached(args, kwargs)
+        return work(*args, **kwargs)
+    return gate
 
 
 @st.composite
@@ -604,24 +663,47 @@ def fuzz_argvs(draw):
             continue  # the value is missing
         if option.endswith("steps"):
             argv.append(draw(st.sampled_from(FUZZ_STEPS)))
+        elif option == "--trials":
+            argv.append(draw(st.sampled_from(FUZZ_TRIALS)))
         else:
             argv.append(draw(st.one_of(st.sampled_from(FUZZ_VALUES),
                                        st.sampled_from(BASE_VALUES),
+                                       st.integers(-2, 40).map(str),
                                        st.floats(0.0, 1.0).map(repr),
                                        st.floats().map(repr))))
     return argv
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+def _with_examples(test):
+    for argv in FUZZ_EXAMPLES:
+        test = example(argv)(test)
+    return test
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@_with_examples
 @given(fuzz_argvs())
-@example(["curve", "--n", "1e10", "--delta", "0.0106", "--r-min", "inf"])
 def test_cli_fuzz_exits_with_documented_codes(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings(record=True) as caught:
+            warnings.catch_warnings(record=True) as caught, \
+            pytest.MonkeyPatch.context() as mp:
         warnings.simplefilter("always")
-        code = dispatch(argv)
-    assert code in (0, 1, 2, 3)
+        for name, fits in FUZZ_WORK.items():
+            mp.setattr(cli, name, _gated(getattr(cli, name), fits))
+        for suite, run in cli.SUITES.items():
+            mp.setitem(cli.SUITES, suite, _gated(
+                run, lambda suite=suite, **kwargs: suite == "codes"
+                or kwargs.get("trials", math.inf) <= FUZZ_MAX_TRIALS))
+        try:
+            code = dispatch(argv)
+        except _Reached:
+            code = None  # admitted into work too large to run here
     assert not caught  # a warning would reach stderr ahead of the diagnostic
+    assert "Traceback" not in err.getvalue()
+    if code is None:
+        assert out.getvalue() == ""
+        return
+    assert code in (0, 1, 2, 3)
     if code:
         assert err.getvalue().startswith(PREFIXES[code])
