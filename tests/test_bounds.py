@@ -580,6 +580,24 @@ def test_rate_curve_shape_and_limits():
     assert rate_curve(1e10, 0.26, 1.0, grid) == []
 
 
+def test_capacity_guard_binds_where_gamma_is_positive():
+    """At C * nu = R exactly, R / nu rounds above C and gamma is 2.2e-16.
+
+    So gamma does not vanish wherever C * nu >= R, and the capacity guard
+    in the transfer bound, not gamma alone, makes this point infeasible.
+    """
+    nu, delta = 0.012302602785296943, 0.2305008359240367
+    storage = StorageModel(r=1.0, nu=nu, dim=3)
+    rate = 0.25 - delta
+    assert depolarizing_capacity(storage) * nu >= rate
+    assert strong_converse_exponent(rate / nu, storage) > 0.0
+    (row,) = rate_curve(100, delta, nu, [1.0], dim=3)
+    assert row["ell"] == 0
+    assert row["feasible"] is False
+    with pytest.raises(InfeasibleStorageError):
+        ot_length(OtParams(n=100, delta=delta, storage=storage))
+
+
 def test_csv_formatting():
     rows = [{"r": 0.1234567890123456, "feasible": True, "ell": 7}]
     text = rows_to_csv(rows, ("r", "feasible", "ell"))
