@@ -5,10 +5,9 @@ variant, and password-based identification, plus a Monte-Carlo estimator
 for what an individually storing adversary actually learns.
 
 The enforced waiting time is a phase boundary in the runner, not wall
-clock: an adversarial receiver hands the runner the qubits it wants to
-keep, the runner pushes every kept qubit through the storage channel,
-and only the noised states (plus the adversary's own classical notes and
-the later public messages) reach the post-wait callbacks.  Honest
+clock: the runner pushes every qubit an adversarial receiver holds
+through the storage channel, and only the noised states (plus the later
+public messages) reach the adversary after the wait.  Honest
 parties never store quantum states across the boundary at all: a
 measurement in a matching basis reproduces the encoded bit, a mismatched
 one yields a uniform bit, which is how the honest path is sampled.
@@ -93,28 +92,17 @@ def honest_index_sets(theta, theta_hat, c):
 class AdversaryStrategy:
     """Dishonest receiver driven through the runner's phase boundary.
 
-    ``receive``         sees the transmitted qubits, measures what it
-                        wants immediately, and returns (classical notes,
-                        qubits to store).
     ``storage_r``       retention of the per-qubit depolarizing storage
-                        the runner applies to every stored qubit.
-    ``after_reveal``    gets only the noised qubits, its own notes and
-                        the revealed bases; must return the index-set
+                        the runner applies to every qubit.
+    ``after_reveal``    gets only the noised qubits (an (n, 2, 2) stack)
+                        and the revealed bases; must return the index-set
                         message (set_0, set_1) plus a record dict.
-    ``after_hashes``    sees the hash functions; may record guesses.
     """
 
-    role = "bob"
     storage_r = 0.0
 
-    def receive(self, states, rng):
+    def after_reveal(self, noisy_states, theta, rng):
         raise NotImplementedError
-
-    def after_reveal(self, noisy_states, notes, theta, rng):
-        raise NotImplementedError
-
-    def after_hashes(self, f0, f1, record, rng):
-        return record
 
 
 class StoreAllBob(AdversaryStrategy):
@@ -128,13 +116,8 @@ class StoreAllBob(AdversaryStrategy):
     def __init__(self, storage_r):
         self.storage_r = float(storage_r)
 
-    def receive(self, states, rng):
-        return None, list(states)
-
-    def after_reveal(self, noisy_states, notes, theta, rng):
-        guesses = np.array(
-            [qsim.measure(rho, int(t), rng)
-             for rho, t in zip(noisy_states, theta)], dtype=np.uint8)
+    def after_reveal(self, noisy_states, theta, rng):
+        guesses = qsim.measure(noisy_states, theta, rng)
         n = len(noisy_states)
         perm = rng.permutation(n)
         set_0 = np.sort(perm[:n // 2])
@@ -195,11 +178,12 @@ def run_rot(n, ell, c, bob=None, rng=None, force_theta_hat=None):
         # -- waiting time --
         i0, i1 = honest_index_sets(theta, theta_hat, c)
     else:
-        states = [qsim.bb84_prepare(int(b), int(t)) for b, t in zip(x, theta)]
-        notes, stored = bob.receive(states, rng)
-        # -- waiting time: everything kept goes through storage --
-        noisy = [qsim.depolarize(s, bob.storage_r) for s in stored]
-        i0, i1, adversary_record = bob.after_reveal(noisy, notes, theta, rng)
+        # the four (bit, basis) states, indexed [bit, basis]
+        states = np.array([[qsim.bb84_prepare(b, t) for t in (0, 1)]
+                           for b in (0, 1)])
+        # -- waiting time: every qubit goes through storage --
+        noisy = qsim.depolarize(states, bob.storage_r)[x, theta]
+        i0, i1, adversary_record = bob.after_reveal(noisy, theta, rng)
 
     i0 = np.asarray(i0, dtype=np.int64)
     i1 = np.asarray(i1, dtype=np.int64)
@@ -219,8 +203,6 @@ def run_rot(n, ell, c, bob=None, rng=None, force_theta_hat=None):
         f_c = f0 if c == 0 else f1
         y = hash_apply(f_c, x_hat[i_c])
         i_c_empty = i_c.size == 0
-    elif adversary_record is not None:
-        adversary_record = bob.after_hashes(f0, f1, adversary_record, rng)
 
     return RotTranscript(n=n, ell=ell, c=c, x=x, theta=theta,
                          theta_hat=theta_hat, x_hat=x_hat, i0=i0, i1=i1,

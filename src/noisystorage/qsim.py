@@ -2,8 +2,9 @@
 
 Covers exactly what the protocol simulations need: conjugate-basis state
 preparation, Born-rule measurement, depolarizing noise, and optimal
-two-state discrimination.  States are 2x2 complex numpy arrays; basis
-values are 0 (computational, "+") or 1 (Hadamard, "x").
+two-state discrimination.  States are 2x2 complex numpy arrays, or
+(..., 2, 2) stacks with arrays of bases; basis values are 0
+(computational, "+") or 1 (Hadamard, "x").
 """
 
 import numpy as np
@@ -11,17 +12,16 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
-_BASIS_VECTORS = {
-    0: (np.array([1.0, 0.0], dtype=complex),
-        np.array([0.0, 1.0], dtype=complex)),
-    1: (np.array([_SQRT_HALF, _SQRT_HALF], dtype=complex),
-        np.array([_SQRT_HALF, -_SQRT_HALF], dtype=complex)),
-}
+_BASIS_VECTORS = np.array(  # indexed [basis, outcome]
+    [np.eye(2), _SQRT_HALF * np.array([[1.0, 1.0], [1.0, -1.0]])],
+    dtype=complex)
 
 IDENTITY = np.eye(2, dtype=complex)
 
 
 def _basis_index(basis):
+    if np.ndim(basis):
+        return np.asarray(basis, dtype=np.intp)
     if basis in (0, 1):
         return int(basis)
     if basis in ("+", 0.0):
@@ -35,7 +35,7 @@ def bb84_prepare(bit, basis):
     """Projector of the conjugate-coding state |bit> in the given basis."""
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
-    v = _BASIS_VECTORS[_basis_index(basis)][bit]
+    v = _BASIS_VECTORS[_basis_index(basis), bit]
     return np.outer(v, v.conj())
 
 
@@ -54,15 +54,23 @@ def validate_state(rho, tol=HERMITICITY_TOL):
 
 
 def born_probability(state, basis, outcome):
-    """Probability of the given measurement outcome in the given basis."""
-    v = _BASIS_VECTORS[_basis_index(basis)][outcome]
-    p = (v.conj() @ state @ v).real
-    return min(1.0, max(0.0, float(p)))
+    """Probability of the given measurement outcome in the given basis
+    (one per state for a stack of states and an array of bases)."""
+    v = _BASIS_VECTORS[_basis_index(basis), outcome]
+    p = (v.conj()[..., None, :] @ state @ v[..., :, None])[..., 0, 0].real
+    p = np.clip(p, 0.0, 1.0)
+    return p if p.ndim else float(p)
 
 
 def measure(state, basis, rng):
-    """Sample a measurement outcome with Born probabilities."""
+    """Sample a measurement outcome with Born probabilities.
+
+    A stack of n states takes one ``rng.random(n)`` draw, the same
+    doubles as n single measurements, and gives uint8 outcomes.
+    """
     p1 = born_probability(state, basis, 1)
+    if np.ndim(p1):
+        return (rng.random(p1.size) < p1).astype(np.uint8)
     return int(rng.random() < p1)
 
 
@@ -72,7 +80,8 @@ def depolarize(state, r):
         raise ValueError("retention r must lie in [0, 1]")
     state = np.asarray(state, dtype=complex)
     out = r * state + (1.0 - r) * 0.5 * IDENTITY
-    return 0.5 * (out + out.conj().T)  # re-symmetrize double-precision drift
+    # re-symmetrize double-precision drift
+    return 0.5 * (out + np.swapaxes(out, -1, -2).conj())
 
 
 def helstrom(rho0, rho1, p0=0.5):
