@@ -325,6 +325,8 @@ def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3):
         raise ValueError("simulation needs an integer round count")
     if params.ell is None:
         raise ValueError("simulation needs the string length ell set")
+    if not 1 <= params.ell <= n:
+        raise ValueError("need 1 <= ell <= n")
     if not 0.0 < eps_target <= 1.0:
         raise ValueError("eps_target must lie in (0, 1]")
     rng = make_rng(rng)

@@ -333,6 +333,21 @@ def test_bounds_transfer_evaluates_gamma_and_capacity_once(capsys,
                      "depolarizing_capacity": 1}
 
 
+# n = 40 at this noise aborts on seed 0, so an unchecked ell went unread
+ROBUST_ABORTING = ("simulate", "robust", "--n", "40", "--delta", "0.24",
+                   "--ph-noclick", "0.5", "--eps-target", "1", "--trials", "1")
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("ell", ["0", "41"])
+def test_simulate_robust_rejects_ell_outside_round_count(capsys, ell, seed):
+    code, out, err = run_cli(capsys, *ROBUST_ABORTING, "--ell", ell,
+                             "--seed", seed)
+    assert code == 1
+    assert err == "error: need 1 <= ell <= n\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("eps_target", ["0", "-1"])
 def test_simulate_robust_rejects_eps_target_outside_unit_interval(
         capsys, eps_target):
@@ -614,7 +629,8 @@ FUZZ_WORK = {
     "repetition_code": lambda n: n <= 12,
 }
 FUZZ_MAX_TRIALS = 8
-# the reproduced unbounded runs, and both sides of every run-size cap
+# the reproduced unbounded runs, both sides of every run-size cap, and the
+# out-of-range ell that an aborting robust run used to accept
 FUZZ_EXAMPLES = [
     ["curve", "--n", "1e10", "--delta", "0.0106", "--r-min", "inf"],
     ["simulate", "rot", "--n", "1000000000000", "--trials", "1"],
@@ -639,6 +655,8 @@ FUZZ_EXAMPLES = [
     ["simulate", "qid", "--m", "257", "--trials", "1"],
     ["verify", "split", "--trials", "100000"],
     ["verify", "split", "--trials", "100001"],
+    [*ROBUST_ABORTING, "--ell", "0", "--seed", "0"],
+    [*ROBUST_ABORTING, "--ell", "41", "--seed", "0"],
 ]
 
 
