@@ -14,8 +14,10 @@ from noisystorage.bounds import (
     QidParams,
     RobustParams,
     StorageModel,
+    depolarizing_capacity,
     ot_length,
     rate_curve,
+    strong_converse_exponent,
 )
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -78,3 +80,40 @@ def test_params_records_reject_non_finite_values(bad, r, delta):
                      ph_noclick=0.1, pd_noclick=0.0, ph_err=0.01)
     with pytest.raises(PreconditionError, match="^n must be finite"):
         QidParams(n=bad, m=16, delta=delta, storage=storage)
+
+
+# Exact monotonicity fails at the ulp level: a sweep of near-equal pairs
+# broke it by at most 4.4e-16.  The tolerance sits well above that and
+# well below GAMMA_NOISE_FLOOR (1e-13), so a clipping fault still shows.
+MONOTONE_TOL = 1e-14
+
+rates = st.floats(0.0, 3.0)
+# near-equal pairs, where float noise lives, and separated ones
+gaps = st.one_of(st.floats(0.0, 1e-9), st.floats(0.0, 1.0))
+dims = st.sampled_from([2, 3, 4])
+
+
+@PROPERTY
+@given(rates, gaps, retentions, dims)
+def test_gamma_nondecreasing_in_rate(R, gap, r, dim):
+    storage = StorageModel(r=r, dim=dim)
+    assert (strong_converse_exponent(R + gap, storage)
+            >= strong_converse_exponent(R, storage) - MONOTONE_TOL)
+
+
+@PROPERTY
+@given(rates, retentions, gaps, dims)
+def test_gamma_nonincreasing_in_retention(R, r, gap, dim):
+    noisier = StorageModel(r=r, dim=dim)
+    better = StorageModel(r=min(1.0, r + gap), dim=dim)
+    assert (strong_converse_exponent(R, better)
+            <= strong_converse_exponent(R, noisier) + MONOTONE_TOL)
+
+
+@PROPERTY
+@given(retentions, gaps, dims)
+def test_capacity_nondecreasing_in_retention(r, gap, dim):
+    noisier = StorageModel(r=r, dim=dim)
+    better = StorageModel(r=min(1.0, r + gap), dim=dim)
+    assert (depolarizing_capacity(better)
+            >= depolarizing_capacity(noisier) - MONOTONE_TOL)

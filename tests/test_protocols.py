@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from noisystorage import qsim
 from noisystorage.bounds import RobustParams, StorageModel
 from noisystorage.codes import (
     extended_hamming_8_4,
@@ -17,8 +18,9 @@ from noisystorage.codes import (
     syndrome,
     syndrome_decode,
 )
-from noisystorage.hashing import bits_to_hex
+from noisystorage.hashing import bits_to_hex, hash_apply, random_hash
 from noisystorage.protocols import (
+    RotTranscript,
     StoreAllBob,
     WorstCaseReportingBob,
     basis_string,
@@ -27,6 +29,7 @@ from noisystorage.protocols import (
     block_syndromes,
     estimate_leakage,
     honest_index_sets,
+    make_rng,
     qid_kappa,
     run_qid,
     run_robust_rot,
@@ -73,7 +76,6 @@ def test_rot_outputs_are_hashes_of_disjoint_substrings():
     t = run_rot(10, ell=3, c=1, rng=11)
     assert set(t.i0.tolist()).isdisjoint(t.i1.tolist())
     assert sorted(t.i0.tolist() + t.i1.tolist()) == list(range(10))
-    from noisystorage.hashing import hash_apply
     assert np.array_equal(t.s0, hash_apply(t.f0, t.x[t.i0]))
     assert np.array_equal(t.s1, hash_apply(t.f1, t.x[t.i1]))
 
@@ -121,6 +123,73 @@ def test_rot_adversary_runs_and_partitions():
 def test_rot_validates_lengths():
     with pytest.raises(ValueError):
         run_rot(4, ell=5, c=0, rng=1)
+
+
+# The per-qubit loop the storing receiver used to run, kept as an oracle:
+# one prepared, depolarized and measured 2x2 matrix and one draw per qubit,
+# written without qsim so that a fault there cannot hide in both paths.
+_SQRT_HALF = 1.0 / np.sqrt(2.0)
+_ORACLE_VECTORS = {
+    0: (np.array([1.0, 0.0], dtype=complex),
+        np.array([0.0, 1.0], dtype=complex)),
+    1: (np.array([_SQRT_HALF, _SQRT_HALF], dtype=complex),
+        np.array([_SQRT_HALF, -_SQRT_HALF], dtype=complex)),
+}
+
+
+def loop_store_all_rot(n, ell, c, r, rng):
+    x = rng.integers(0, 2, n, dtype=np.uint8)
+    theta = rng.integers(0, 2, n, dtype=np.uint8)
+    guesses = []
+    for b, t in zip(x, theta):
+        v = _ORACLE_VECTORS[int(t)][int(b)]
+        out = (r * np.outer(v, v.conj())
+               + (1.0 - r) * 0.5 * np.eye(2, dtype=complex))
+        rho = 0.5 * (out + out.conj().T)
+        w = _ORACLE_VECTORS[int(t)][1]
+        p1 = min(1.0, max(0.0, float((w.conj() @ rho @ w).real)))
+        guesses.append(int(rng.random() < p1))
+    perm = rng.permutation(n)
+    i0 = np.sort(perm[:n // 2]).astype(np.int64)
+    i1 = np.sort(perm[n // 2:]).astype(np.int64)
+    f0 = random_hash(n, ell, rng)
+    f1 = random_hash(n, ell, rng)
+    return RotTranscript(
+        n=n, ell=ell, c=c, x=x, theta=theta, theta_hat=None, x_hat=None,
+        i0=i0, i1=i1, f0=f0, f1=f1, s0=hash_apply(f0, x[i0]),
+        s1=hash_apply(f1, x[i1]), y=None,
+        adversary={"guesses": np.array(guesses, dtype=np.uint8)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 255, 1024, 4096])
+@pytest.mark.parametrize("r", [0.0, 0.3, 0.77, 1.0])
+def test_store_all_matches_per_qubit_loop(n, r):
+    ell = max(1, n // 4)
+    for seed in range(12):
+        rng, oracle_rng = make_rng(seed), make_rng(seed)
+        t = run_rot(n, ell, seed % 2, bob=StoreAllBob(r), rng=rng)
+        ref = loop_store_all_rot(n, ell, seed % 2, r, oracle_rng)
+        assert t.to_json() == ref.to_json()
+        guesses, ref_guesses = t.adversary["guesses"], ref.adversary["guesses"]
+        assert guesses.dtype == ref_guesses.dtype == np.uint8
+        assert guesses.tobytes() == ref_guesses.tobytes()
+        # the generator continues where the per-qubit loop left it
+        assert rng.random(3).tobytes() == oracle_rng.random(3).tobytes()
+
+
+def test_store_all_run_makes_six_qsim_calls(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("bb84_prepare", "depolarize", "measure"):
+        monkeypatch.setattr(qsim, name, counted(name, getattr(qsim, name)))
+    run_rot(1024, 256, 0, bob=StoreAllBob(0.5), rng=3)
+    assert calls == {"bb84_prepare": 4, "depolarize": 1, "measure": 1}
 
 
 # --- robust oblivious transfer ----------------------------------------------
@@ -321,7 +390,6 @@ def test_qid_kappa_uniform_and_independent_of_password():
 def test_qid_accept_condition_matches_definition():
     qc = qid_code(16, 8)
     t = run_qid(3, 3, qc, ell=4, rng=9)
-    from noisystorage.hashing import hash_apply
     check = hash_apply(t.f, t.x_hat[t.i_w_bob]) ^ hash_apply(
         t.g, qc.password_bits(t.w_bob))
     assert t.accept == bool(np.array_equal(t.z, check))

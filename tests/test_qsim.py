@@ -112,3 +112,59 @@ def test_validate_state_rejects_bad_matrices():
         validate_state(np.diag([0.7, 0.7]))  # trace != 1
     with pytest.raises(ValueError):
         validate_state(np.diag([1.5, -0.5]))  # negative eigenvalue
+
+
+# retention grid for the stack tests, endpoints included
+STACK_RS = np.concatenate([np.linspace(0.0, 1.0, 201), [0.3, 0.77]])
+
+
+def loop_born_probability(state, basis, outcome):
+    """The one-state Born rule with 1-D vectors, kept as an oracle."""
+    s = 1.0 / np.sqrt(2.0)
+    v = np.array([[1.0, 0.0], [0.0, 1.0], [s, s], [s, -s]],
+                 dtype=complex)[2 * basis + outcome]
+    return min(1.0, max(0.0, float((v.conj() @ state @ v).real)))
+
+
+def four_states():
+    """The four (bit, basis) states, indexed [bit, basis]."""
+    return np.array([[bb84_prepare(b, t) for t in (0, 1)] for b in (0, 1)])
+
+
+def test_stacked_depolarize_equals_per_matrix_calls():
+    states = four_states()
+    for r in STACK_RS:
+        stacked = depolarize(states, r)
+        assert stacked.shape == (2, 2, 2, 2)
+        for b in (0, 1):
+            for t in (0, 1):
+                assert np.array_equal(stacked[b, t],
+                                      depolarize(states[b, t], r))
+
+
+def test_stacked_born_probabilities_equal_one_state_rule():
+    # every state measured in both bases; exact equality, because the
+    # storing receiver's seeded guesses compare a draw against these values
+    for r in STACK_RS:
+        noisy = depolarize(four_states(), r).reshape(4, 2, 2)
+        for basis in (0, 1):
+            for outcome in (0, 1):
+                stacked = born_probability(noisy, np.full(4, basis), outcome)
+                for k in range(4):
+                    one = born_probability(noisy[k], basis, outcome)
+                    assert isinstance(one, float)
+                    assert stacked[k] == one == loop_born_probability(
+                        noisy[k], basis, outcome)
+
+
+def test_stacked_measure_draws_like_single_measurements():
+    states = depolarize(four_states(), 0.6)
+    x = np.random.default_rng(5).integers(0, 2, 300)
+    theta = np.random.default_rng(6).integers(0, 2, 300)
+    rng, loop_rng = np.random.default_rng(7), np.random.default_rng(7)
+    stacked = measure(states[x, theta], theta.astype(np.uint8), rng)
+    singles = [measure(states[b, t], int(t), loop_rng)
+               for b, t in zip(x, theta)]
+    assert stacked.dtype == np.uint8
+    assert stacked.tolist() == singles
+    assert rng.random() == loop_rng.random()
