@@ -73,17 +73,19 @@ class JointDistribution:
 
         Registers outside ``target`` and ``given`` are summed out; the rest
         are reshaped to (|target alphabet|, |given alphabet|), both
-        row-major in the listed order.  ``probs`` is not validated, so
-        masked or mass-deficient tables are fine.
+        row-major in the listed order.  A stack of such arrays along one
+        leading axis gives a stack of matrices.  ``probs`` is not validated,
+        so masked or mass-deficient tables are fine.
         """
-        keep_axes = self.axes(list(target) + list(given))
-        drop = tuple(i for i in range(len(self.registers)) if i not in keep_axes)
-        arr = probs.sum(axis=drop) if drop else probs
+        lead = probs.ndim - len(self.registers)  # 1 for a stack
+        keep = self.axes(list(target) + list(given))
+        drop = [lead + i for i in range(len(self.registers)) if i not in keep]
+        arr = probs.sum(axis=tuple(drop)) if drop else probs
         # reorder surviving axes to the requested order
-        surviving = [i for i in range(len(self.registers)) if i not in drop]
-        arr = np.transpose(arr, [surviving.index(a) for a in keep_axes])
-        t_size = int(np.prod(arr.shape[:len(target)]))
-        return arr.reshape(t_size, -1)
+        rank = sorted(keep).index
+        arr = np.transpose(arr, [*range(lead), *(lead + rank(a) for a in keep)])
+        t_size = int(np.prod(arr.shape[lead:lead + len(target)]))
+        return arr.reshape(*arr.shape[:lead], t_size, -1)
 
     def marginal(self, keep):
         """Marginal distribution over the registers in ``keep`` (order kept)."""
@@ -108,7 +110,8 @@ class JointDistribution:
         """Append a register whose value is a deterministic function of the cell.
 
         ``values`` is an integer array of shape ``self.probs.shape`` giving the
-        new register's value in each cell.
+        new register's value in each cell; the new axis holds the cell's mass
+        one-hot at that value.
         """
         if name in self.names:
             raise ValueError("register %r already present" % name)
@@ -117,9 +120,8 @@ class JointDistribution:
             raise ValueError("values must match the table shape")
         if values.min() < 0 or values.max() >= size:
             raise ValueError("values out of range for size %d" % size)
-        arr = np.zeros(self.probs.shape + (size,), dtype=float)
-        idx = np.indices(self.probs.shape)
-        arr[tuple(idx) + (values,)] = self.probs
+        arr = np.where(values[..., None] == np.arange(size),
+                       self.probs[..., None], 0.0)
         return JointDistribution(self.registers + [(name, size)], arr)
 
     def to_json(self):

@@ -156,29 +156,23 @@ def _select_first_large(dist, alpha, parts, given):
         raise ValueError("alpha must be nonnegative")
 
     threshold = 2.0 ** (-alpha / 2.0)
-    idx = np.indices(dist.sizes)
-    z_flat = np.zeros(dist.sizes, dtype=np.int64)
-    for a in dist.axes(given):
-        z_flat = z_flat * dist.sizes[a] + idx[a]
-
     v_cells = np.full(dist.sizes, m - 1, dtype=np.int64)
-    taken = np.zeros(dist.sizes, dtype=bool)
-    for j, part in enumerate(parts[:-1]):  # the last index is the fallback
-        table = dist.grouped([part], given)
-        col = table.sum(axis=0)
+    # the last index is the fallback; walking down, the first large j wins
+    for j in range(m - 2, -1, -1):
+        keep = dist.axes([parts[j], *given])
+        drop = tuple(a for a in range(len(dist.sizes)) if a not in keep)
+        joint = dist.probs.sum(axis=drop, keepdims=True)  # P(X_j, Z)
+        col = joint.sum(axis=keep[0], keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
-            cond = np.where(col > 0.0, table / col[np.newaxis, :], 0.0)
-        hit = (cond[idx[dist.axis(part)], z_flat] >= threshold) & ~taken
-        v_cells[hit] = j
-        taken |= hit
+            cond = np.where(col > 0.0, joint / col, 0.0)
+        v_cells[np.broadcast_to(cond >= threshold, v_cells.shape)] = j
 
+    # stack[j] keeps the cells where V = j
+    stacked = np.where(np.equal.outer(np.arange(m), v_cells), dist.probs, 0.0)
+    best = [dist._group(stacked, [part], given).max(axis=-2) for part in parts]
     total = 0.0
-    for j in range(m):
-        masked = np.where(v_cells == j, dist.probs, 0.0)
-        for i in range(m):
-            if i != j:
-                table = dist._group(masked, [parts[i]], given)
-                total += table.max(axis=0).sum()
+    for j, i in itertools.permutations(range(m), 2):  # j, then i != j
+        total += best[i][j].sum()
     p = total / (m - 1)
     achieved = -float(np.log2(p)) if p > 0 else float("inf")
     return v_cells, achieved
