@@ -152,7 +152,7 @@ def _select_first_large(dist, alpha, parts, given):
     if set(dist.names) != expected or len(expected) != m + len(given):
         raise ValueError("distribution must consist of exactly the substrings "
                          "and the side-information registers")
-    if alpha < 0:
+    if not alpha >= 0:  # also rejects NaN
         raise ValueError("alpha must be nonnegative")
 
     threshold = 2.0 ** (-alpha / 2.0)

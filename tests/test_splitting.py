@@ -135,3 +135,13 @@ def test_split_multi_needs_two_parts():
     d = JointDistribution([("X1", 2), ("Z", 2)], np.full((2, 2), 0.25))
     with pytest.raises(ValueError):
         split_multi(d, 1.0, parts=["X1"], given="Z")
+
+
+@pytest.mark.parametrize("split", ["binary", "multi"])
+def test_splits_reject_nan_alpha(split):
+    d = JointDistribution([("X0", 2), ("X1", 2), ("Z", 2)], np.full(8, 0.125))
+    with pytest.raises(ValueError, match="alpha must be nonnegative"):
+        if split == "binary":
+            split_binary(d, float("nan"), given="Z")
+        else:
+            split_multi(d, float("nan"), parts=["X0", "X1"], given="Z")
