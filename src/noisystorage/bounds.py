@@ -579,12 +579,10 @@ def rate_curve(n, delta, nu, r_grid, dim=2):
     """OT rate ell/n over a grid of retention values r.
 
     Rows where the storage is infeasible, or where no positive length
-    remains, carry ell = 0 and feasible = False.  Returns an empty table
-    when delta is outside (0, 1/4).
+    remains, carry ell = 0 and feasible = False.  A delta outside (0, 1/4)
+    raises :class:`PreconditionError`.
     """
-    if not 0.0 < delta < 0.25:
-        return []
-    OtParams(n=n, delta=delta, storage=None)  # checks n; rows bring storage
+    OtParams(n=n, delta=delta, storage=None)  # checks delta and n
     rows = []
     for r in r_grid:
         t = _transfer_bound(StorageModel(r=float(r), nu=nu, dim=dim), delta,

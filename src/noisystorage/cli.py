@@ -332,8 +332,6 @@ def _cmd_curve(args):
     if args.steps > CURVE_MAX_STEPS:
         raise CliParameterError("at most %d grid steps, got %d"
                                 % (CURVE_MAX_STEPS, args.steps))
-    if not 0.0 < args.delta < 0.25:
-        raise CliParameterError("delta must lie in (0, 1/4)")
     grid = np.linspace(args.r_min, args.r_max, args.steps)
     rows = rate_curve(args.n, args.delta, args.nu, grid, dim=args.dim)
     return _rows_out(rows, RATE_CURVE_HEADER, args)

@@ -577,7 +577,8 @@ def test_rate_curve_shape_and_limits():
     for row in rows:
         if not row["feasible"]:
             assert row["ell"] == 0
-    assert rate_curve(1e10, 0.26, 1.0, grid) == []
+    with pytest.raises(PreconditionError, match="delta must lie in"):
+        rate_curve(1e10, 0.26, 1.0, grid)
 
 
 def test_capacity_guard_binds_where_gamma_is_positive():
