@@ -461,9 +461,9 @@ def run_qid(w_alice, w_bob, qcode, ell, rng=None, force_theta_hat=None):
     # -- waiting time --
     kappa = qid_kappa(qcode, w_bob, theta_hat)
     shifted_alice = qcode.password_bases(w_alice) ^ kappa
-    shifted_bob = qcode.password_bases(w_bob) ^ kappa
     i_w_alice = np.nonzero(theta == shifted_alice)[0]
-    i_w_bob = np.nonzero(theta == shifted_bob)[0]
+    # the server's own shifted bases are theta_hat, by construction of kappa
+    i_w_bob = np.nonzero(theta == theta_hat)[0]
 
     f = random_hash(n, ell, rng, affine=True)
     g_inputs = max(code.k, ell)
