@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,103 @@ def test_splits_reject_nan_alpha(split):
             split_binary(d, float("nan"), given="Z")
         else:
             split_multi(d, float("nan"), parts=["X0", "X1"], given="Z")
+
+
+# --- reference: selection through a flattened side-information index --------
+
+
+def loop_group(dist, probs, target, given):
+    """Group ``probs`` into (|target|, |given|), both in the listed order."""
+    keep_axes = dist.axes(list(target) + list(given))
+    drop = tuple(i for i in range(len(dist.sizes)) if i not in keep_axes)
+    arr = probs.sum(axis=drop) if drop else probs
+    surviving = [i for i in range(len(dist.sizes)) if i not in drop]
+    arr = np.transpose(arr, [surviving.index(a) for a in keep_axes])
+    t_size = int(np.prod(arr.shape[:len(target)]))
+    return arr.reshape(t_size, -1)
+
+
+def loop_select_first_large(dist, alpha, parts, given):
+    """V per cell and achieved, gathering one conditional per cell."""
+    m = len(parts)
+    threshold = 2.0 ** (-alpha / 2.0)
+    idx = np.indices(dist.sizes)
+    z_flat = np.zeros(dist.sizes, dtype=np.int64)
+    for a in dist.axes(given):
+        z_flat = z_flat * dist.sizes[a] + idx[a]
+    v_cells = np.full(dist.sizes, m - 1, dtype=np.int64)
+    taken = np.zeros(dist.sizes, dtype=bool)
+    for j, part in enumerate(parts[:-1]):
+        table = loop_group(dist, dist.probs, [part], given)
+        col = table.sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = np.where(col > 0.0, table / col[np.newaxis, :], 0.0)
+        hit = (cond[idx[dist.axis(part)], z_flat] >= threshold) & ~taken
+        v_cells[hit] = j
+        taken |= hit
+    total = 0.0
+    for j in range(m):
+        masked = np.where(v_cells == j, dist.probs, 0.0)
+        for i in range(m):
+            if i != j:
+                table = loop_group(dist, masked, [parts[i]], given)
+                total += table.max(axis=0).sum()
+    p = total / (m - 1)
+    return v_cells, (-float(np.log2(p)) if p > 0 else float("inf"))
+
+
+def loop_with_register(dist, name, size, values):
+    """Append a register by scattering each cell's mass to its value."""
+    arr = np.zeros(dist.probs.shape + (size,), dtype=float)
+    idx = np.indices(dist.probs.shape)
+    arr[tuple(idx) + (values,)] = dist.probs
+    return JointDistribution(dist.registers + [(name, size)], arr)
+
+
+def shuffled_split_table(rng, m, n_side, uniform, wide):
+    """Parts and side registers in a shuffled table order.
+
+    The side registers are listed to the split in a shuffled order too;
+    with ``wide`` one random axis has 9 to 20 values.  The augmented table
+    stays within the cell cap.
+    """
+    parts = [f"X{i}" for i in range(m)]
+    sides = [f"Z{i}" for i in range(n_side)]
+    names = list(rng.permutation(parts + sides))
+    top = 5 if len(names) <= 4 else 4
+    sizes = [int(rng.integers(1, top)) for _ in names]
+    if wide:
+        sizes[int(rng.integers(len(sizes)))] = int(rng.integers(9, 21))
+    if uniform:
+        d = JointDistribution(list(zip(names, sizes)),
+                              np.full(sizes, 1.0 / np.prod(sizes)))
+    else:
+        d = random_split_table(rng, tuple(sizes), names)
+    return d, parts, [str(z) for z in rng.permutation(sides)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("n_side", [0, 1, 2])
+def test_splits_match_index_scatter_reference(m, n_side):
+    rng = np.random.default_rng(6100 + 10 * m + n_side)
+    for trial in range(80):
+        uniform = trial % 4 == 0
+        d, parts, given = shuffled_split_table(rng, m, n_side, uniform,
+                                               wide=trial % 3 == 0)
+        alphas = [0.0, 2.0 * math.log2(d.probs.size),
+                  float(rng.uniform(0.0, 2.0 * math.log2(d.probs.size)))]
+        if uniform:  # P(X_j | Z) = 1/|X_j| sits on the threshold
+            alphas += [2.0 * math.log2(d.size_of(p)) for p in parts[:-1]]
+        for alpha in alphas:
+            v_cells, achieved = loop_select_first_large(d, alpha, parts, given)
+            res = split_multi(d, alpha, parts=parts, given=given)
+            want = loop_with_register(d, "V", m, v_cells)
+            assert res.achieved == achieved
+            assert res.augmented.registers == want.registers
+            assert res.augmented.probs.tobytes() == want.probs.tobytes()
+            if m == 2:
+                res = split_binary(d, alpha, x0=parts[0], x1=parts[1],
+                                   given=given)
+                want = loop_with_register(d, "D", 2, 1 - v_cells)
+                assert res.achieved == achieved
+                assert res.augmented.probs.tobytes() == want.probs.tobytes()
