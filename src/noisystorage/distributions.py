@@ -118,6 +118,8 @@ class JointDistribution:
         values = np.asarray(values)
         if values.shape != self.probs.shape:
             raise ValueError("values must match the table shape")
+        if values.dtype.kind not in "iu":  # a fraction would match no slot
+            raise ValueError("values must be integers")
         if values.min() < 0 or values.max() >= size:
             raise ValueError("values out of range for size %d" % size)
         arr = np.where(values[..., None] == np.arange(size),

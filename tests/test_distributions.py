@@ -65,6 +65,18 @@ def test_with_register_is_deterministic_extension():
     np.testing.assert_allclose(e.marginal(["X", "Y"]).probs, d.probs)
 
 
+def test_with_register_rejects_non_integer_values():
+    d = uniform([("X", 2), ("Y", 2)])
+    for values in (np.full((2, 2), 0.5), np.ones((2, 2)),
+                   np.ones((2, 2), dtype=bool)):
+        with pytest.raises(ValueError, match="values must be integers"):
+            d.with_register("P", 2, values)
+    with pytest.raises(ValueError, match="out of range"):
+        d.with_register("P", 2, np.full((2, 2), 2))
+    with pytest.raises(ValueError, match="table shape"):
+        d.with_register("P", 2, np.zeros(4, dtype=int))
+
+
 def test_sub_distribution_validation():
     d = uniform([("X", 4)])
     q = SubDistribution(list(d.registers), d.probs * 0.5, mass=0.5)
