@@ -160,18 +160,18 @@ def _select_first_large(dist, alpha, parts, given):
     # the last index is the fallback; walking down, the first large j wins
     for j in range(m - 2, -1, -1):
         keep = dist.axes([parts[j], *given])
-        drop = tuple(a for a in range(len(dist.sizes)) if a not in keep)
+        drop = tuple(a for a in range(dist.probs.ndim) if a not in keep)
         joint = dist.probs.sum(axis=drop, keepdims=True)  # P(X_j, Z)
         col = joint.sum(axis=keep[0], keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = np.where(col > 0.0, joint / col, 0.0)
         v_cells[np.broadcast_to(cond >= threshold, v_cells.shape)] = j
 
-    # stack[j] keeps the cells where V = j
+    # stacked[j] keeps the cells where V = j
     stacked = np.where(np.equal.outer(np.arange(m), v_cells), dist.probs, 0.0)
     best = [dist._group(stacked, [part], given).max(axis=-2) for part in parts]
     total = 0.0
-    for j, i in itertools.permutations(range(m), 2):  # j, then i != j
+    for j, i in itertools.permutations(range(m), 2):  # j-major; order sets bits
         total += best[i][j].sum()
     p = total / (m - 1)
     achieved = -float(np.log2(p)) if p > 0 else float("inf")
