@@ -8,7 +8,8 @@ stderr of the README bound and table commands, recorded with a parser
 built on every dispatch and the stdlib's indenting JSON encoder.  The
 stdout digests of ``simulate`` and ``verify`` were recorded with one
 hand-written ``to_json`` per transcript class and a hand-counted tally per
-verification suite.
+verification suite.  The stdout of ``simulate rot --n 100000 --ell 50000``
+was recorded with every hash applied as a strided float64 matrix product.
 """
 
 import hashlib
@@ -90,6 +91,9 @@ CLI_CASES.update({
 STDOUT_CASES = {
     "cli-simulate-rot": "simulate rot --trials 3",
     "cli-simulate-qid": "simulate qid --trials 3",
+    # the one pinned run with large hashes (50,000 x 100,000)
+    "cli-simulate-rot-n100000": "simulate rot --n 100000 --ell 50000 "
+                                "--trials 1 --seed 3",
     "cli-verify-split": "verify split --trials 8",
     "cli-verify-hashing": "verify hashing --trials 4",
     "cli-verify-pa": "verify pa --trials 4",
@@ -160,6 +164,8 @@ DIGESTS = {
         "253123758a1830879c1e348eaf5f19d335b0da996fba841955cba7afa81aebde",
     "cli-simulate-qid":
         "425be94780f13c2dbf90f30548b9d8ff4ed93fa670a527b34c6bb969dd232979",
+    "cli-simulate-rot-n100000":
+        "f617db2350e922b3d83a9108bd25b57afd60baaa7f515b78eca98cbe5f24de28",
     "cli-verify-split":
         "bea3cfdcbe5696d358bbcd88426ff198cf262ebd3b9be69d0aecc222d81c2d10",
     "cli-verify-hashing":
