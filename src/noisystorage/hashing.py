@@ -7,15 +7,24 @@ zero-padded on the right.  An optional ``ell``-bit offset turns the family
 into an affine one, which is strongly two-universal (needed where hash
 values of correlated inputs must look jointly fresh).
 
-``T`` is never materialised: each hash keeps a read-only strided view of
-its float64 seed (row ``i`` starts at ``seed[ell - 1 - i]`` and steps
-back one element per row), so a hash costs O(n) memory.  ``.matrix``
-builds the uint8 matrix on demand.
+``T`` is never materialised: each hash keeps its seed as float64 and a
+read-only strided view of it (row ``i`` starts at ``seed[ell - 1 - i]``
+and steps back one element per row), so a hash costs O(n) memory.
+``.matrix`` builds the uint8 matrix on demand.
+
+Two kernels compute the product.  Batches, and single inputs with fewer
+than ``FFT_MIN_CELLS`` products ``ell * k`` (``k`` the input length), run
+one float64 matrix product against the view.  A larger single input runs
+one real FFT convolution of the seed with the reversed input, in
+O((ell + k) log(ell + k)) time.  Its sums are integers of at most ``k``;
+when any of them lands 0.25 or more from an integer, the call falls back
+to the matrix product, so both kernels give the same bits.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
 from . import gf2
 from .entropy import min_entropy
@@ -24,6 +33,9 @@ from .entropy import min_entropy
 COLLISION_MAX_N = 8
 COLLISION_MAX_ELL = 4
 
+# single inputs with at least this many ell x k products take the FFT kernel
+FFT_MIN_CELLS = 2 ** 16
+
 
 @dataclass(frozen=True)
 class ToeplitzHash:
@@ -31,6 +43,7 @@ class ToeplitzHash:
     ell: int
     seed: tuple
     offset: tuple | None = None
+    _diag: np.ndarray = field(init=False, repr=False, compare=False)
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
     _shift: np.ndarray | None = field(init=False, repr=False, compare=False)
 
@@ -49,10 +62,11 @@ class ToeplitzHash:
             object.__setattr__(self, "offset", tuple(off.tolist()))
             shift = off.astype(np.float64)
         diag = seed.astype(np.float64)
+        diag.flags.writeable = False
         step = diag.itemsize
         rows = np.ndarray((self.ell, self.n), dtype=np.float64, buffer=diag,
                           offset=(self.ell - 1) * step, strides=(-step, step))
-        rows.flags.writeable = False
+        object.__setattr__(self, "_diag", diag)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_shift", shift)
 
@@ -96,14 +110,41 @@ def random_hash(n, ell, rng, affine=False):
     return ToeplitzHash(n=n, ell=ell, seed=seed, offset=offset)
 
 
-def _apply(h, xs):
-    """T @ x (+ offset) over GF(2) for every row x of a (N, <=n) bit matrix.
+def _convolve(h, x):
+    """T @ x over the integers for one input x of k bits, by one real FFT.
 
-    A zero-padded input meets only the first k = xs.shape[1] columns of T,
-    so the padding is never built.  The float64 sums count at most n ones
-    and are exact.
+    (T x)_i = sum_j seed[ell - 1 + j - i] x_j is entry ell + k - 2 - i of
+    the linear convolution of seed[:ell + k - 1] with x reversed.  A cyclic
+    transform of at least ell + k - 1 points leaves those entries free of
+    wrap-around.  Returns None when a sum lands 0.25 or more from an
+    integer.
     """
-    out = xs @ h._rows[:, :xs.shape[1]].T
+    k = x.size
+    size = 1 << (h.ell + k - 2).bit_length()
+    spec = rfft(h._diag[:h.ell + k - 1], size) * rfft(x[::-1], size)
+    sums = irfft(spec, size)[k - 1:h.ell + k - 1][::-1]
+    out = np.rint(sums)
+    if np.abs(sums - out).max() >= 0.25:
+        return None
+    return out
+
+
+def _apply(h, xs):
+    """T @ x (+ offset) over GF(2) for one input x or each row of a matrix.
+
+    ``xs`` is a 1-D input or an (N, <=n) bit matrix.  A zero-padded input
+    meets only the first k = xs.shape[-1] columns of T, so the padding is
+    never built.  A 1-D input with ell * k >= FFT_MIN_CELLS is convolved
+    with the seed by FFT; everything else, and an FFT result that fails its
+    rounding check, is one float64 product with the strided view.  The
+    product's sums count at most n ones and are exact.
+    """
+    k = xs.shape[-1]
+    out = None
+    if xs.ndim == 1 and h.ell * k >= FFT_MIN_CELLS:
+        out = _convolve(h, xs)
+    if out is None:
+        out = xs @ h._rows[:, :k].T
     if h._shift is not None:
         out += h._shift
     return (out % 2).astype(np.uint8)
@@ -116,7 +157,7 @@ def hash_apply(h, x):
         raise ValueError("input must be a 1-D bit string")
     if x.size > h.n:
         raise ValueError("input longer than the hash input size %d" % h.n)
-    return _apply(h, x[np.newaxis, :])[0]
+    return _apply(h, x)
 
 
 def hash_apply_many(h, xs):

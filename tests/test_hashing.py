@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisystorage import hashing
 from noisystorage.distributions import JointDistribution
 from noisystorage.hashing import (
+    FFT_MIN_CELLS,
     ToeplitzHash,
     collision_bound,
     hash_apply,
@@ -128,6 +130,69 @@ def test_kernels_match_literal_matrix_property(case):
     many = hash_apply_many(h, np.array(rows, dtype=np.uint8).reshape(
         len(rows), -1))
     assert many.tolist() == want
+
+
+# (n, ell, k) one below, exactly at and well above the FFT crossover, each
+# with the input shorter than n and as long as n
+CROSSOVER_CASES = [
+    (300, 255, 257), (257, 255, 257),
+    (300, 256, 256), (256, 256, 256),
+    (2048, 512, 1500), (2048, 1024, 2048),
+]
+
+
+def test_crossover_cases_straddle_the_constant():
+    products = sorted({ell * k for _, ell, k in CROSSOVER_CASES})
+    assert products[:2] == [FFT_MIN_CELLS - 1, FFT_MIN_CELLS]
+    assert products[-1] >= 16 * FFT_MIN_CELLS
+
+
+@pytest.mark.parametrize("n, ell, k", CROSSOVER_CASES)
+def test_kernels_match_literal_matrix_across_fft_crossover(n, ell, k,
+                                                           monkeypatch):
+    rng = np.random.default_rng(n * ell + k)
+    seed = rng.integers(0, 2, n + ell - 1).tolist()
+    offset = rng.integers(0, 2, ell).tolist()
+    x = rng.integers(0, 2, k, dtype=np.uint8)
+    transforms = []
+
+    def counted(*args):
+        transforms.append(1)
+        return np.fft.rfft(*args)
+
+    monkeypatch.setattr(hashing, "rfft", counted)
+    for off in (None, offset):
+        h = ToeplitzHash(n=n, ell=ell, seed=seed, offset=off)
+        want = literal_hashes(seed, off, n, ell, [x])
+        transforms.clear()
+        assert [hash_apply(h, x).tolist()] == want
+        # only a single input at or above the crossover is convolved
+        assert bool(transforms) == (ell * k >= FFT_MIN_CELLS)
+        transforms.clear()
+        assert hash_apply_many(h, x[np.newaxis, :]).tolist() == want
+        assert not transforms
+
+
+def test_fft_rounding_guard_falls_back_to_matrix_product(monkeypatch):
+    # every convolution sum shifted by 0.6: rounded, it would flip each bit
+    n, ell, k = 2048, 1024, 2048
+    rng = np.random.default_rng(131)
+    seed = rng.integers(0, 2, n + ell - 1).tolist()
+    offset = rng.integers(0, 2, ell).tolist()
+    x = rng.integers(0, 2, k, dtype=np.uint8)
+    shifted = []
+
+    def off_by_0_6(*args):
+        shifted.append(1)
+        return np.fft.irfft(*args) + 0.6
+
+    monkeypatch.setattr(hashing, "irfft", off_by_0_6)
+    for off in (None, offset):
+        h = ToeplitzHash(n=n, ell=ell, seed=seed, offset=off)
+        shifted.clear()
+        assert [hash_apply(h, x).tolist()] == literal_hashes(
+            seed, off, n, ell, [x])
+        assert shifted
 
 
 def test_hash_memory_is_linear_in_n():
