@@ -14,6 +14,12 @@ NORMALIZATION_TOL = 1e-12
 MAX_CELLS = 2 ** 16
 
 
+def _check_cells(cells):
+    if cells > MAX_CELLS:
+        raise ValueError(
+            "table has %d cells, exceeding the %d-cell cap" % (cells, MAX_CELLS))
+
+
 class JointDistribution:
     """Joint probability table over an ordered list of named registers.
 
@@ -34,10 +40,7 @@ class JointDistribution:
         if any(size < 1 for _, size in regs):
             raise ValueError("register sizes must be >= 1")
         shape = tuple(size for _, size in regs)
-        cells = int(np.prod(shape)) if shape else 1
-        if cells > MAX_CELLS:
-            raise ValueError(
-                "table has %d cells, exceeding the %d-cell cap" % (cells, MAX_CELLS))
+        _check_cells(int(np.prod(shape)) if shape else 1)
         arr = np.asarray(probs, dtype=float).reshape(shape)
         if np.any(arr < -NORMALIZATION_TOL):
             raise ValueError("probabilities must be nonnegative")
@@ -113,6 +116,7 @@ class JointDistribution:
         new register's value in each cell; the new axis holds the cell's mass
         one-hot at that value.
         """
+        name, size = str(name), int(size)
         if name in self.names:
             raise ValueError("register %r already present" % name)
         values = np.asarray(values)
@@ -122,9 +126,13 @@ class JointDistribution:
             raise ValueError("values must be integers")
         if values.min() < 0 or values.max() >= size:
             raise ValueError("values out of range for size %d" % size)
-        arr = np.where(values[..., None] == np.arange(size),
-                       self.probs[..., None], 0.0)
-        return JointDistribution(self.registers + [(name, size)], arr)
+        _check_cells(self.probs.size * size)
+        # a one-hot copy of a validated table needs no second validation
+        out = JointDistribution.__new__(JointDistribution)
+        out.registers = self.registers + [(name, size)]
+        out.probs = np.where(values[..., None] == np.arange(size),
+                             self.probs[..., None], 0.0)
+        return out
 
     def to_json(self):
         return json.dumps({

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from noisystorage.distributions import JointDistribution, SubDistribution
+from noisystorage.distributions import (
+    MAX_CELLS,
+    JointDistribution,
+    SubDistribution,
+)
 
 
 def uniform(registers):
@@ -75,6 +79,14 @@ def test_with_register_rejects_non_integer_values():
         d.with_register("P", 2, np.full((2, 2), 2))
     with pytest.raises(ValueError, match="table shape"):
         d.with_register("P", 2, np.zeros(4, dtype=int))
+
+
+def test_with_register_keeps_cell_cap():
+    d = uniform([("X", 2 ** 8), ("Y", 2 ** 7)])  # half the cap
+    zeros = np.zeros(d.sizes, dtype=int)
+    assert d.with_register("P", 2, zeros).probs.size == MAX_CELLS
+    with pytest.raises(ValueError, match="cell cap"):
+        d.with_register("P", 3, zeros)
 
 
 def test_sub_distribution_validation():
