@@ -7,9 +7,10 @@ zero-padded on the right.  An optional ``ell``-bit offset turns the family
 into an affine one, which is strongly two-universal (needed where hash
 values of correlated inputs must look jointly fresh).
 
-``T`` is never materialised: each hash keeps its seed as float64 and a
-read-only strided view of it (row ``i`` starts at ``seed[ell - 1 - i]``
-and steps back one element per row), so a hash costs O(n) memory.
+``T`` is never materialised: each hash keeps its seed bits as a read-only
+uint8 array, a float64 copy of them and a read-only strided view of that
+copy (row ``i`` starts at ``seed[ell - 1 - i]`` and steps back one
+element per row), so a hash costs O(n) memory.
 ``.matrix`` builds the uint8 matrix on demand.
 
 Two kernels compute the product.  Batches, and single inputs with fewer
@@ -37,29 +38,42 @@ COLLISION_MAX_ELL = 4
 FFT_MIN_CELLS = 2 ** 16
 
 
-@dataclass(frozen=True)
+def _frozen_bits(bits):
+    """A read-only uint8 copy of a 0/1 sequence."""
+    arr = gf2.as_bits(np.array(bits, dtype=np.uint8))
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class ToeplitzHash:
+    """One member of the family; seed and offset are read-only uint8 arrays.
+
+    Two hashes are equal when n, ell, the seed bits and the offset bits
+    (or its absence) agree.
+    """
+
     n: int
     ell: int
-    seed: tuple
-    offset: tuple | None = None
-    _diag: np.ndarray = field(init=False, repr=False, compare=False)
-    _rows: np.ndarray = field(init=False, repr=False, compare=False)
-    _shift: np.ndarray | None = field(init=False, repr=False, compare=False)
+    seed: np.ndarray
+    offset: np.ndarray | None = None
+    _diag: np.ndarray = field(init=False, repr=False)
+    _rows: np.ndarray = field(init=False, repr=False)
+    _shift: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.ell <= self.n:
             raise ValueError("need 1 <= ell <= n")
-        seed = gf2.as_bits(self.seed)
+        seed = _frozen_bits(self.seed)
         if seed.shape != (self.n + self.ell - 1,):
             raise ValueError("seed must have exactly n + ell - 1 bits")
-        object.__setattr__(self, "seed", tuple(seed.tolist()))
+        object.__setattr__(self, "seed", seed)
         shift = None
         if self.offset is not None:
-            off = gf2.as_bits(self.offset)
+            off = _frozen_bits(self.offset)
             if off.shape != (self.ell,):
                 raise ValueError("offset must have exactly ell bits")
-            object.__setattr__(self, "offset", tuple(off.tolist()))
+            object.__setattr__(self, "offset", off)
             shift = off.astype(np.float64)
         diag = seed.astype(np.float64)
         diag.flags.writeable = False
@@ -69,6 +83,18 @@ class ToeplitzHash:
         object.__setattr__(self, "_diag", diag)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_shift", shift)
+
+    def _key(self):
+        offset = None if self.offset is None else self.offset.tobytes()
+        return self.n, self.ell, self.seed.tobytes(), offset
+
+    def __eq__(self, other):
+        if not isinstance(other, ToeplitzHash):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def matrix(self):

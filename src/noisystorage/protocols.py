@@ -15,6 +15,7 @@ one yields a uniform bit, which is how the honest path is sampled.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -22,9 +23,14 @@ import numpy as np
 from . import gf2, qsim
 from .bounds import ot_epsilon
 from .codes import coset_leaders, syndrome_budget_ok
-from .hashing import ToeplitzHash, hash_apply, hash_apply_many, random_hash
+from .hashing import ToeplitzHash, hash_apply, random_hash
 
 LEAKAGE_MAX_N = 24
+# estimate_leakage's chunks hold at most this many cells of their largest
+# stacked tables; a trial counts at least _TRIAL_CELLS, for the child
+# generator (about 1 kB) and the two hashes it keeps until its chunk is done
+_LEAKAGE_CHUNK_CELLS = 2 ** 15
+_TRIAL_CELLS = 2 ** 8
 
 
 def make_rng(rng):
@@ -105,6 +111,13 @@ class AdversaryStrategy:
         raise NotImplementedError
 
 
+def _stored_states(r):
+    """The four (bit, basis) states after storage, indexed [bit, basis]."""
+    states = np.array([[qsim.bb84_prepare(b, t) for t in (0, 1)]
+                       for b in (0, 1)])
+    return qsim.depolarize(states, r)
+
+
 class StoreAllBob(AdversaryStrategy):
     """Individual storage attack: keep every qubit, measure after reveal.
 
@@ -178,11 +191,8 @@ def run_rot(n, ell, c, bob=None, rng=None, force_theta_hat=None):
         # -- waiting time --
         i0, i1 = honest_index_sets(theta, theta_hat, c)
     else:
-        # the four (bit, basis) states, indexed [bit, basis]
-        states = np.array([[qsim.bb84_prepare(b, t) for t in (0, 1)]
-                           for b in (0, 1)])
         # -- waiting time: every qubit goes through storage --
-        noisy = qsim.depolarize(states, bob.storage_r)[x, theta]
+        noisy = _stored_states(bob.storage_r)[x, theta]
         i0, i1, adversary_record = bob.after_reveal(noisy, theta, rng)
 
     i0 = np.asarray(i0, dtype=np.int64)
@@ -482,28 +492,41 @@ def run_qid(w_alice, w_bob, qcode, ell, rng=None, force_theta_hat=None):
 # --- individual-attack leakage estimation ---------------------------------------
 
 
-def _hidden_nonuniformity(t, p_post, enum):
-    """Exact non-uniformity of the hidden string in one StoreAllBob run.
+def _hidden_nonuniformity(n, ell, p_post, runs):
+    """Exact non-uniformity of the hidden string in each of T StoreAllBob runs.
 
+    Each run is (guesses, i0, i1, f0, f1): the receiver's n guesses, the
+    index sets it sent (n//2 and n - n//2 rounds) and the two hashes.
     Sums the receiver's product posterior over every value of both
-    substrings; ``enum`` caches the enumeration of each substring width.
+    substrings, for all T runs at once; returns the T distances.
     """
-    n, ell = t.n, t.ell
-    guesses = t.adversary["guesses"]
+    guesses, i0, i1, f0, f1 = zip(*runs)
+    guesses = np.array(guesses)
+    trials = len(runs)
     log_p = math.log2(p_post) if p_post > 0.0 else -math.inf
     log_q = math.log2(1.0 - p_post) if p_post < 1.0 else -math.inf
     parts = []
-    for idx, f in ((t.i0, t.f0), (t.i1, t.f1)):
-        width = idx.size
-        if width not in enum:
-            enum[width] = gf2.unpack(np.arange(2 ** width), width)
-        bits = enum[width]
-        agree = (bits == guesses[idx][np.newaxis, :]).sum(axis=1)
+    for idx, hashes in ((i0, f0), (i1, f1)):
+        width = len(idx[0])
+        values = np.arange(2 ** width)
+        bits = gf2.unpack(values, width)
+        # agreement of every value with every run's guesses, (T, 2^w)
+        sub_guesses = np.take_along_axis(guesses, np.array(idx), axis=1)
+        agree = width - bits.sum(axis=1, dtype=np.int64)[
+            values ^ gf2.pack(sub_guesses)[:, np.newaxis]]
+        # the posterior weight of each agreement count, looked up
+        counts = np.arange(width + 1)
         if 0.0 < p_post < 1.0:
-            weights = 2.0 ** (agree * log_p + (width - agree) * log_q)
+            weight = 2.0 ** (counts * log_p + (width - counts) * log_q)
         else:  # perfect storage: posterior concentrated on the guess
-            weights = (agree == width).astype(float)
-        parts.append((agree, weights, gf2.pack(hash_apply_many(f, bits))))
+            weight = (counts == width).astype(float)
+        # every value under every run's hash, by one product with the
+        # stacked Toeplitz rows
+        rows = np.array([f._rows[:, :width] for f in hashes])
+        sums = rows.reshape(trials * ell, width) @ bits.T
+        parity = sums.astype(np.int64).reshape(trials, ell, -1) & 1
+        parts.append((agree, weight[agree],
+                      gf2.pack(parity.transpose(0, 2, 1))))
 
     (agree0, w0, codes0), (agree1, w1, codes1) = parts
     # selector: 0 when the first substring's posterior is strictly
@@ -511,59 +534,106 @@ def _hidden_nonuniformity(t, p_post, enum):
     # one.  The comparison p^a (1-p)^(w-a) >= p^(n/2) is evaluated as
     # (2a - n) log p + 2(w - a) log(1-p) >= 0 so that a true tie
     # (a = w = n/2) is exactly zero in floating point.
-    width0 = t.i0.size
+    width0 = len(i0[0])
     if 0.0 < p_post < 1.0:
-        margin = (2 * agree0 - n) * log_p + 2 * (width0 - agree0) * log_q
-        selector = (margin >= 0.0).astype(np.int64)
+        counts = np.arange(width0 + 1)
+        margin = (2 * counts - n) * log_p + 2 * (width0 - counts) * log_q
+        selector = (margin >= 0.0).astype(np.int64)[agree0]
     else:
         selector = (agree0 == width0).astype(np.int64)
-    grouped0 = np.zeros((2 ** ell, 2))
-    np.add.at(grouped0, (codes0, selector), w0)
-    grouped1 = np.bincount(codes1, weights=w1, minlength=2 ** ell)
-    # joint tables indexed (known string, hidden string) per selector
-    joint0 = grouped1[:, np.newaxis] * grouped0[:, 0][np.newaxis, :]
-    joint1 = grouped0[:, 1][:, np.newaxis] * grouped1[np.newaxis, :]
-    total = joint0.sum() + joint1.sum()
-    uniform0 = joint0.sum(axis=1, keepdims=True) / 2 ** ell
-    uniform1 = joint1.sum(axis=1, keepdims=True) / 2 ** ell
-    return 0.5 * (np.abs(joint0 - uniform0).sum()
-                  + np.abs(joint1 - uniform1).sum()) / total
+    # per-run tables by hash value, each bin summed in value order
+    run = np.arange(trials)[:, np.newaxis] * 2 ** ell
+    grouped0 = np.bincount(((run + codes0) * 2 + selector).ravel(),
+                           weights=w0.ravel(), minlength=trials * 2 ** ell * 2
+                           ).reshape(trials, 2 ** ell, 2)
+    grouped1 = np.bincount((run + codes1).ravel(), weights=w1.ravel(),
+                           minlength=trials * 2 ** ell
+                           ).reshape(trials, 2 ** ell)
+    # joint tables indexed (run, known string, hidden string) per selector
+    joint0 = grouped1[:, :, np.newaxis] * grouped0[:, np.newaxis, :, 0]
+    joint1 = grouped0[:, :, 1, np.newaxis] * grouped1[:, np.newaxis, :]
+    total = joint0.sum(axis=(1, 2)) + joint1.sum(axis=(1, 2))
+    uniform0 = joint0.sum(axis=2, keepdims=True) / 2 ** ell
+    uniform1 = joint1.sum(axis=2, keepdims=True) / 2 ** ell
+    return 0.5 * (np.abs(joint0 - uniform0).sum(axis=(1, 2))
+                  + np.abs(joint1 - uniform1).sum(axis=(1, 2))) / total
+
+
+def _storing_trial(n, ell, bob, stored, rng):
+    """One transfer against ``bob``, drawn in :func:`run_rot`'s order.
+
+    ``stored`` is the table of :func:`_stored_states`.  Returns how many
+    bits of x the receiver guessed, and the run (guesses, i0, i1, f0, f1)
+    that :func:`_hidden_nonuniformity` reads; the sender's strings are
+    never computed.
+    """
+    x = rng.integers(0, 2, n, dtype=np.uint8)
+    theta = rng.integers(0, 2, n, dtype=np.uint8)
+    i0, i1, record = bob.after_reveal(stored[x, theta], theta, rng)
+    f0 = random_hash(n, ell, rng)
+    f1 = random_hash(n, ell, rng)
+    guesses = record["guesses"]
+    return int((guesses == x).sum()), (guesses, i0, i1, f0, f1)
+
+
+def _leakage_chunk(n, ell):
+    """Trials per stacked chunk of :func:`estimate_leakage`."""
+    cells = max(2 ** (n - n // 2) * ell, 4 ** ell, _TRIAL_CELLS)
+    return max(1, _LEAKAGE_CHUNK_CELLS // cells)
 
 
 def estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
     """What an individually storing receiver learns, against the guarantees.
 
     Runs ``trials`` transfers against :class:`StoreAllBob` with per-qubit
-    depolarizing retention ``r``.  Reports the empirical per-bit guess
-    rate (oracle: the optimal-discrimination value (1+r)/2) and the
-    empirical non-uniformity of the provably hidden string given the
-    other string and the selector bit, computed exactly per run from the
-    receiver's product posterior and averaged.  Two one-sided guarantees
-    accompany it: the protocol-level statement error min(1, 2 eps(delta, n))
-    and the hash-smoothing bound
-    2^(-((alpha/2 - 1 - ell) - ell)/2 - 1) at alpha = n log2(2/(1+r)).
+    depolarizing retention ``r``; trial t draws from the t-th child of
+    ``rng.spawn``, exactly as a :func:`run_rot` call with that child would.
+    Reports the empirical per-bit guess rate (oracle: the
+    optimal-discrimination value (1+r)/2) and the empirical
+    non-uniformity of the provably hidden string given the other string
+    and the selector bit, computed exactly per run from the receiver's
+    product posterior and averaged.  Two one-sided guarantees accompany
+    it: the protocol-level statement error min(1, 2 eps(delta, n)) and
+    the hash-smoothing bound 2^(-((alpha/2 - 1 - ell) - ell)/2 - 1) at
+    alpha = n log2(2/(1+r)).
+
+    Every input is checked before the first draw.  The draws run trial
+    by trial; the posterior sums run on stacked chunks of trials.  A
+    chunk holds at most ``_LEAKAGE_CHUNK_CELLS`` cells of its largest
+    tables, the (chunk, ell, 2^(n - n//2)) hash sums and the
+    (chunk, 2^ell, 2^ell) joint tables, so memory does not grow with
+    ``trials``.  The per-run non-uniformities are added to the average
+    in trial order, so the report does not depend on the chunking.
     """
-    if n > LEAKAGE_MAX_N:
-        raise ValueError("exact post-processing limited to n <= %d"
+    for name, value in (("n", n), ("ell", ell), ("trials", trials)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError("%s must be an integer" % name)
+    if not 1 <= n <= LEAKAGE_MAX_N:
+        raise ValueError("exact post-processing needs 1 <= n <= %d"
                          % LEAKAGE_MAX_N)
+    if not 1 <= ell <= n:
+        raise ValueError("need 1 <= ell <= n")
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = make_rng(rng)
+    statement_bound = min(1.0, 2.0 * ot_epsilon(delta, n))
     helstrom_rate = qsim.stored_bit_guess_probability(r)
     p_post = helstrom_rate  # posterior of the true bit matching the guess
     alpha = -n * math.log2(p_post) if p_post < 1.0 else 0.0
+    rng = make_rng(rng)
 
-    enum = {}
+    bob = StoreAllBob(r)
+    stored = _stored_states(r)
+    chunk = _leakage_chunk(n, ell)
     bit_hits = 0
-    bit_total = 0
     nonuni_sum = 0.0
-    for _ in range(trials):
-        t = run_rot(n, ell, c=0, bob=StoreAllBob(r), rng=rng.spawn(1)[0])
-        bit_hits += int((t.adversary["guesses"] == t.x).sum())
-        bit_total += n
-        nonuni_sum += _hidden_nonuniformity(t, p_post, enum)
+    for start in range(0, trials, chunk):
+        hits, runs = zip(*(_storing_trial(n, ell, bob, stored, child) for child
+                           in rng.spawn(min(chunk, trials - start))))
+        bit_hits += sum(hits)
+        for value in _hidden_nonuniformity(n, ell, p_post, runs).tolist():
+            nonuni_sum += value
 
-    statement_bound = min(1.0, 2.0 * ot_epsilon(delta, n))
+    bit_total = trials * n
     pa_exponent = -0.5 * ((alpha / 2.0 - 1.0 - ell) - ell) - 1.0
     pa_bound = min(1.0, 2.0 ** pa_exponent)
     return {

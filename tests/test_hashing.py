@@ -258,6 +258,38 @@ def test_seed_hex_roundtrip():
     assert hex_to_bits("9", 4).tolist() == [1, 0, 0, 1]
 
 
+def test_hash_keeps_read_only_bits_and_compares_by_value():
+    seed = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
+    h = ToeplitzHash(n=3, ell=3, seed=seed, offset=(0, 1, 1))
+    seed[0] = 0  # the hash keeps its own copy
+    assert h.seed.tolist() == [1, 0, 1, 1, 0]
+    assert h.seed.dtype == h.offset.dtype == np.uint8
+    for bits in (h.seed, h.offset):
+        with pytest.raises(ValueError):
+            bits[0] = 0
+    same = ToeplitzHash(n=3, ell=3, seed=(1, 0, 1, 1, 0),
+                        offset=np.array([0, 1, 1]))
+    assert same == h and hash(same) == hash(h)
+    assert len({h, same}) == 1
+    others = [ToeplitzHash(n=3, ell=3, seed=(1, 0, 1, 1, 0)),
+              ToeplitzHash(n=3, ell=3, seed=(1, 0, 1, 1, 0), offset=(1, 1, 1)),
+              ToeplitzHash(n=3, ell=3, seed=(1, 0, 1, 1, 1), offset=(0, 1, 1)),
+              ToeplitzHash(n=4, ell=2, seed=(1, 0, 1, 1, 0))]
+    assert all(other != h for other in others)
+    assert h != h.seed.tobytes()
+
+
+@pytest.mark.parametrize("n,ell", [(1, 1), (9, 4), (4096, 1024)])
+def test_seed_hex_matches_bit_by_bit_hex(n, ell):
+    rng = np.random.default_rng(n + ell)
+    h = random_hash(n, ell, rng, affine=True)
+    seed_bits = "".join(str(b) for b in h.seed.tolist())
+    offset_bits = "".join(str(b) for b in h.offset.tolist())
+    assert h.seed_hex() == "%0*x" % (-(-len(seed_bits) // 4),
+                                     int(seed_bits, 2))
+    assert h.offset_hex() == "%0*x" % (-(-ell // 4), int(offset_bits, 2))
+
+
 def test_collision_bound_examples():
     assert collision_bound(2, 1) == pytest.approx(0.5)
     assert collision_bound(3, 2) == pytest.approx(0.25)

@@ -183,17 +183,19 @@ def leakage_nonuniformity_oracle(transcript, p_post, ell, n):
 
 
 def test_leakage_nonuniformity_matches_literal_oracle():
-    # the estimator's per-trial post-processing against the literal
-    # posterior sum, at small n
+    # the estimator's stacked post-processing against the literal
+    # posterior sum, at small n: one stack of ten runs
     from noisystorage.protocols import _hidden_nonuniformity, make_rng
     n, ell, r = 6, 2, 0.4
     p_post = (1.0 + r) / 2.0
+    runs, want = [], []
     for seed in range(10):
         rng = make_rng(seed)
         t = run_rot(n, ell, c=0, bob=StoreAllBob(r), rng=rng)
-        want = leakage_nonuniformity_oracle(t, p_post, ell, n)
-        got = _hidden_nonuniformity(t, p_post, {})
-        assert got == pytest.approx(want, abs=1e-12)
+        runs.append((t.adversary["guesses"], t.i0, t.i1, t.f0, t.f1))
+        want.append(leakage_nonuniformity_oracle(t, p_post, ell, n))
+    got = _hidden_nonuniformity(n, ell, p_post, runs)
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_block_helpers_empty_input():

@@ -1,15 +1,17 @@
 import itertools
 import json
 import math
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisystorage import qsim
-from noisystorage.bounds import RobustParams, StorageModel
+from noisystorage import gf2, protocols, qsim
+from noisystorage.bounds import RobustParams, StorageModel, ot_epsilon
 from noisystorage.codes import (
     extended_hamming_8_4,
     hamming_7_4,
@@ -18,7 +20,12 @@ from noisystorage.codes import (
     syndrome,
     syndrome_decode,
 )
-from noisystorage.hashing import bits_to_hex, hash_apply, random_hash
+from noisystorage.hashing import (
+    bits_to_hex,
+    hash_apply,
+    hash_apply_many,
+    random_hash,
+)
 from noisystorage.protocols import (
     RotTranscript,
     StoreAllBob,
@@ -446,6 +453,153 @@ def test_leakage_intermediate_rate_matches_discrimination_value():
 def test_leakage_size_cap():
     with pytest.raises(ValueError):
         estimate_leakage(n=30, ell=2, r=0.5, trials=10, rng=1)
+
+
+# The per-trial estimator that estimate_leakage replaced: one run_rot and
+# one posterior sum per trial.  Kept as the reference for the stacked one.
+def reference_hidden_nonuniformity(t, p_post, enum):
+    n, ell = t.n, t.ell
+    guesses = t.adversary["guesses"]
+    log_p = math.log2(p_post) if p_post > 0.0 else -math.inf
+    log_q = math.log2(1.0 - p_post) if p_post < 1.0 else -math.inf
+    parts = []
+    for idx, f in ((t.i0, t.f0), (t.i1, t.f1)):
+        width = idx.size
+        if width not in enum:
+            enum[width] = gf2.unpack(np.arange(2 ** width), width)
+        bits = enum[width]
+        agree = (bits == guesses[idx][np.newaxis, :]).sum(axis=1)
+        if 0.0 < p_post < 1.0:
+            weights = 2.0 ** (agree * log_p + (width - agree) * log_q)
+        else:
+            weights = (agree == width).astype(float)
+        parts.append((agree, weights, gf2.pack(hash_apply_many(f, bits))))
+    (agree0, w0, codes0), (agree1, w1, codes1) = parts
+    width0 = t.i0.size
+    if 0.0 < p_post < 1.0:
+        margin = (2 * agree0 - n) * log_p + 2 * (width0 - agree0) * log_q
+        selector = (margin >= 0.0).astype(np.int64)
+    else:
+        selector = (agree0 == width0).astype(np.int64)
+    grouped0 = np.zeros((2 ** ell, 2))
+    np.add.at(grouped0, (codes0, selector), w0)
+    grouped1 = np.bincount(codes1, weights=w1, minlength=2 ** ell)
+    joint0 = grouped1[:, np.newaxis] * grouped0[:, 0][np.newaxis, :]
+    joint1 = grouped0[:, 1][:, np.newaxis] * grouped1[np.newaxis, :]
+    total = joint0.sum() + joint1.sum()
+    uniform0 = joint0.sum(axis=1, keepdims=True) / 2 ** ell
+    uniform1 = joint1.sum(axis=1, keepdims=True) / 2 ** ell
+    return 0.5 * (np.abs(joint0 - uniform0).sum()
+                  + np.abs(joint1 - uniform1).sum()) / total
+
+
+def reference_estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
+    rng = make_rng(rng)
+    helstrom_rate = qsim.stored_bit_guess_probability(r)
+    p_post = helstrom_rate
+    alpha = -n * math.log2(p_post) if p_post < 1.0 else 0.0
+    enum = {}
+    bit_hits = 0
+    bit_total = 0
+    nonuni_sum = 0.0
+    for _ in range(trials):
+        t = run_rot(n, ell, c=0, bob=StoreAllBob(r), rng=rng.spawn(1)[0])
+        bit_hits += int((t.adversary["guesses"] == t.x).sum())
+        bit_total += n
+        nonuni_sum += reference_hidden_nonuniformity(t, p_post, enum)
+    statement_bound = min(1.0, 2.0 * ot_epsilon(delta, n))
+    pa_exponent = -0.5 * ((alpha / 2.0 - 1.0 - ell) - ell) - 1.0
+    pa_bound = min(1.0, 2.0 ** pa_exponent)
+    return {
+        "n": n, "ell": ell, "r": r, "trials": trials, "delta": delta,
+        "bit_samples": bit_total,
+        "per_bit_guess_rate": bit_hits / bit_total,
+        "helstrom_rate": helstrom_rate,
+        "alpha": alpha,
+        "empirical_nonuniformity": nonuni_sum / trials,
+        "pa_bound": pa_bound,
+        "statement_bound": statement_bound,
+    }
+
+
+def generator_state(rng):
+    """The bit generator's state and how many children it has spawned."""
+    state = json.dumps(rng.bit_generator.state, sort_keys=True,
+                       default=lambda a: a.tolist())
+    return state, rng.bit_generator.seed_seq.n_children_spawned
+
+
+def assert_matches_reference(n, ell, r, trials, seed):
+    """Equal reports, and the caller's generator left in the same state."""
+    mine, theirs = make_rng(seed), make_rng(seed)
+    assert (estimate_leakage(n, ell, r, trials, rng=mine)
+            == reference_estimate_leakage(n, ell, r, trials, rng=theirs))
+    assert generator_state(mine) == generator_state(theirs)
+    assert generator_state(mine)[1] == trials
+
+
+LEAKAGE_GRID = [(n, ell) for n in (1, 2, 3, 8, 15, 16, 24)
+                for ell in sorted({1, min(n // 2, 8) or 1, min(n, 4)})]
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3, 0.77, 1.0])
+@pytest.mark.parametrize("n,ell", LEAKAGE_GRID)
+def test_leakage_matches_per_trial_reference(n, ell, r):
+    # chunks of two trials: five trials cross two chunk boundaries
+    with mock.patch.object(protocols, "_leakage_chunk", return_value=2):
+        for seed in (3, 4):
+            for trials in (1, 5):
+                assert_matches_reference(n, ell, r, trials, seed)
+
+
+@pytest.mark.parametrize("n,ell,r", [(16, 1, 0.3), (24, 1, 0.77),
+                                     (4, 4, 0.3), (8, 3, 1.0)])
+def test_leakage_matches_reference_across_real_chunks(n, ell, r):
+    chunk = protocols._leakage_chunk(n, ell)
+    assert chunk > 1
+    assert_matches_reference(n, ell, r, 2 * chunk + 1, seed=11)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), data=st.data(),
+       r=st.floats(0.0, 1.0), trials=st.integers(1, 7),
+       chunk=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
+def test_leakage_reference_property(n, data, r, trials, chunk, seed):
+    ell = data.draw(st.integers(1, n), label="ell")
+    with mock.patch.object(protocols, "_leakage_chunk", return_value=chunk):
+        assert_matches_reference(n, ell, r, trials, seed)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(delta=0.3), "delta"),
+    (dict(delta=0.0), "delta"),
+    (dict(trials=2.5), "trials must be an integer"),
+    (dict(trials=0), "at least one trial"),
+    (dict(n=16.0), "n must be an integer"),
+    (dict(n=0), "1 <= n"),
+    (dict(ell=1.0), "ell must be an integer"),
+    (dict(ell=17), "ell <= n"),
+    (dict(r=1.5), "retention r"),
+])
+def test_leakage_checks_inputs_before_drawing(kwargs, message):
+    rng = make_rng(5)
+    before = generator_state(rng)
+    args = {"n": 16, "ell": 1, "r": 0.3, "trials": 4, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        estimate_leakage(rng=rng, **args)
+    assert generator_state(rng) == before
+
+
+@pytest.mark.parametrize("n,trials", [(16, 20000), (24, 200)])
+def test_leakage_memory_does_not_grow_with_trials(n, trials):
+    tracemalloc.start()
+    try:
+        report = estimate_leakage(n, 1, 0.3, trials, rng=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["bit_samples"] == n * trials
+    assert peak < 16 * 2 ** 20
 
 
 # The per-bit loops the transcript serializers used to run, kept as oracles.
