@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -263,3 +265,23 @@ def test_syndrome_budget():
     rep = repetition_code(3)
     assert not syndrome_budget_ok(rep, 0.01)  # 2 > 1.2 h(0.01) * 3
     assert syndrome_budget_ok(rep, 0.25)      # 1.2 * 0.811 * 3 = 2.92 >= 2
+
+
+QID_GRID = [(m, n) for m in (2, 3, 4, 5, 8, 9, 16, 17, 64, 100, 256)
+            for n in (3, 5, 7, 8, 12, 24, 64)
+            if math.ceil(math.log2(m)) <= n] + [
+    (3, 256), (64, 256), (256, 256), (16, 1024), (256, 1024)]
+QID_GRID_DIGEST = (
+    "a7c78399104457a5ece2cf7a62d71d3738c9d75f863a08ea4c60131ea3ea7cd7")
+
+
+def test_qid_code_grid_digest():
+    # one sha256 over every grid code: (m, n, distance), generator, parity
+    assert len(QID_GRID) == 72
+    digest = hashlib.sha256()
+    for m, n in QID_GRID:
+        code = qid_code(m, n).code
+        digest.update(b"%d %d %d;" % (m, n, code.min_distance))
+        digest.update(np.ascontiguousarray(code.generator, np.uint8).tobytes())
+        digest.update(np.ascontiguousarray(code.parity, np.uint8).tobytes())
+    assert digest.hexdigest() == QID_GRID_DIGEST
