@@ -10,6 +10,7 @@ codes, which is enough to drive the protocol machinery at test scale.
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,11 +21,12 @@ from .hashing import bits_to_hex, hex_to_bits
 
 MIN_DISTANCE_MAX_K = 20
 COSET_TABLE_MAX_REDUNDANCY = 24
+RANDOM_CODE_TRIES = 200
 
 
 @dataclass
 class LinearCode:
-    """An [n, k] code given by a full-rank generator matrix."""
+    """An [n, k] code; full rank is read off a nullspace of n - k rows."""
 
     generator: np.ndarray
     parity: np.ndarray = None
@@ -35,13 +37,11 @@ class LinearCode:
         g = gf2.as_bits(self.generator)
         if g.ndim != 2:
             raise ValueError("generator must be a k x n bit matrix")
-        if not gf2.row_independent(g):
+        null = gf2.nullspace(g)
+        if null.shape[0] != g.shape[1] - g.shape[0]:
             raise ValueError("generator rows must be linearly independent")
         self.generator = g
-        if self.parity is None:
-            self.parity = gf2.nullspace(g)
-        else:
-            self.parity = gf2.as_bits(self.parity)
+        self.parity = null if self.parity is None else gf2.as_bits(self.parity)
         if self.parity.shape != (self.n - self.k, self.n):
             raise ValueError("parity matrix must be (n-k) x n")
         if gf2.matmul(self.parity, g.T).any():
@@ -91,15 +91,21 @@ def syndrome(code, word):
 
 
 def min_distance(code):
-    """Exact minimum weight over all nonzero codewords (k <= 20)."""
-    if code.k > MIN_DISTANCE_MAX_K:
+    """Exact minimum weight over nonzero codewords (k <= 20), by _min_weight."""
+    return _min_weight(code.generator)
+
+
+def _min_weight(generator):
+    """Least weight of a nonzero row combination, 0 iff dependent (k <= 20)."""
+    k, n = generator.shape
+    if k > MIN_DISTANCE_MAX_K:
         raise ValueError("brute-force distance limited to k <= %d"
                          % MIN_DISTANCE_MAX_K)
-    best = code.n
+    best = n
     chunk = 1 << 14
-    for start in range(1, 2 ** code.k, chunk):
-        msgs = np.arange(start, min(start + chunk, 2 ** code.k))
-        words = gf2.matmul(gf2.unpack(msgs, code.k), code.generator)
+    for start in range(1, 2 ** k, chunk):
+        msgs = np.arange(start, min(start + chunk, 2 ** k))
+        words = gf2.matmul(gf2.unpack(msgs, k), generator)
         best = min(best, int(words.sum(axis=1).min()))
     return best
 
@@ -180,22 +186,24 @@ def identity_code(n):
     return LinearCode(generator=np.eye(n, dtype=np.uint8))
 
 
-def random_code(n, k, seed=0, tries=200):
-    """Best-of random generator matrices, distance certified exactly."""
+def random_code(n, k, seed=0):
+    """Best of ``RANDOM_CODE_TRIES`` random generators, distance exact.
+
+    A draw's minimum weight is 0 exactly when its rows are dependent, so
+    it is the rank check too.  Only the first best draw becomes a code.
+    """
     if k > n:
         raise ValueError("need k <= n")
     rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(tries):
+    best, best_d = None, 0
+    for _ in range(RANDOM_CODE_TRIES):
         g = rng.integers(0, 2, (k, n), dtype=np.uint8)
-        if gf2.rank(g) != k:
-            continue
-        cand = LinearCode(generator=g)
-        if best is None or cand.min_distance > best.min_distance:
-            best = cand
+        d = _min_weight(g)
+        if d > best_d:
+            best, best_d = g, d
     if best is None:
         raise RuntimeError("no full-rank generator found")
-    return best
+    return LinearCode(generator=best, _min_distance=best_d)
 
 
 # --- password encoding --------------------------------------------------------
@@ -214,8 +222,8 @@ class QidCode:
     m: int
 
     def password_bits(self, w):
-        if not 1 <= w <= self.m:
-            raise ValueError("password must lie in 1..%d" % self.m)
+        if not (isinstance(w, numbers.Integral) and 1 <= w <= self.m):
+            raise ValueError("password must be an integer in 1..%d" % self.m)
         return gf2.unpack(w - 1, self.code.k)
 
     def password_bases(self, w):
@@ -233,6 +241,8 @@ def qid_code(m, n, min_d=None):
     unreachable by the construction, the achievable distance is part of
     the error.
     """
+    if not all(isinstance(v, numbers.Integral) for v in (m, n)):
+        raise ValueError("m and n must be integers")
     if m < 2:
         raise ValueError("need at least 2 passwords")
     k = math.ceil(math.log2(m))

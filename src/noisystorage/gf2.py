@@ -66,27 +66,15 @@ def rref(mat):
 
 
 def rank(mat):
-    mat = as_bits(mat)
-    if mat.size == 0:
-        return 0
-    _, pivots = rref(mat)
-    return len(pivots)
+    return len(rref(mat)[1])
 
 
 def nullspace(mat):
     """Basis of {x : mat @ x = 0 over GF(2)}, as rows of the returned matrix."""
-    mat = as_bits(mat)
-    rows, cols = mat.shape
     red, pivots = rref(mat)
+    cols = red.shape[1]
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for r, p in enumerate(pivots):
-            basis[i, p] = red[r, f]
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = red[:len(pivots), free].T
     return basis
-
-
-def row_independent(mat):
-    mat = as_bits(mat)
-    return rank(mat) == mat.shape[0]

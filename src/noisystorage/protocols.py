@@ -616,13 +616,13 @@ def estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
     if trials < 1:
         raise ValueError("need at least one trial")
     statement_bound = min(1.0, 2.0 * ot_epsilon(delta, n))
-    helstrom_rate = qsim.stored_bit_guess_probability(r)
+    stored = _stored_states(r)
+    helstrom_rate = qsim.helstrom(stored[0, 0], stored[1, 0])
     p_post = helstrom_rate  # posterior of the true bit matching the guess
     alpha = -n * math.log2(p_post) if p_post < 1.0 else 0.0
     rng = make_rng(rng)
 
     bob = StoreAllBob(r)
-    stored = _stored_states(r)
     chunk = _leakage_chunk(n, ell)
     bit_hits = 0
     nonuni_sum = 0.0

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from noisystorage import gf2
+from noisystorage import codes, gf2
 from noisystorage.bounds import inv_binary_entropy
 from noisystorage.codes import (
+    RANDOM_CODE_TRIES,
     LinearCode,
+    _min_weight,
     encode,
     extended_hamming_8_4,
     gv_parameters,
@@ -22,6 +26,7 @@ from noisystorage.codes import (
     syndrome_budget_ok,
     syndrome_decode,
 )
+from noisystorage.protocols import run_qid
 
 
 def bits(s):
@@ -38,6 +43,14 @@ def test_generator_parity_orthogonal_for_catalog():
 def test_rejects_dependent_generator():
     with pytest.raises(ValueError):
         LinearCode(generator=np.array([[1, 0, 1], [1, 0, 1]], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("rows", [[[1, 0, 1], [1, 0, 1]], [[0, 0, 0]],
+                                  [[1, 1], [0, 1], [1, 0]]])
+def test_dependent_generator_error_names_independence(rows):
+    # the nullspace's row count decides, before any parity check runs
+    with pytest.raises(ValueError, match="linearly independent"):
+        LinearCode(generator=np.array(rows, dtype=np.uint8))
 
 
 def test_encode_examples():
@@ -176,7 +189,7 @@ def _codes_for_leader_oracle():
         n = int(rng.integers(4, 15))
         parity = rng.integers(0, 2, (int(rng.integers(1, 5)), n),
                               dtype=np.uint8)
-        if gf2.row_independent(parity):
+        if gf2.rank(parity) == parity.shape[0]:
             yield parity
 
 
@@ -195,7 +208,7 @@ def test_coset_leaders_match_python_int_oracle(parity):
 
 def test_decode_size_cap():
     from noisystorage.codes import coset_leaders
-    big = random_code(30, 2, seed=3, tries=5)
+    big = random_code(30, 2, seed=3)
     with pytest.raises(ValueError):
         coset_leaders(big)
 
@@ -285,3 +298,94 @@ def test_qid_code_grid_digest():
         digest.update(np.ascontiguousarray(code.generator, np.uint8).tobytes())
         digest.update(np.ascontiguousarray(code.parity, np.uint8).tobytes())
     assert digest.hexdigest() == QID_GRID_DIGEST
+
+
+def reference_random_code(n, k, seed=0):
+    """The search as a loop of full codes: rank, LinearCode, distance."""
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(RANDOM_CODE_TRIES):
+        g = rng.integers(0, 2, (k, n), dtype=np.uint8)
+        if gf2.rank(g) != k:
+            continue
+        cand = LinearCode(generator=g)
+        if best is None or min_distance(cand) > best.min_distance:
+            best = cand
+    return best
+
+
+@pytest.mark.parametrize("n, k, seed", [
+    (1, 1, 0), (2, 2, 0), (3, 3, 2), (4, 4, 1), (5, 5, 0), (8, 8, 3),
+    (3, 2, 0), (4, 3, 5), (6, 5, 7), (10, 4, 1), (12, 3, 8 * 1009 + 12),
+    (16, 4, 9), (30, 2, 3)])
+def test_random_code_matches_full_code_loop(n, k, seed):
+    # small n and k = n draw dependent rows often
+    code = random_code(n, k, seed=seed)
+    want = reference_random_code(n, k, seed)
+    assert np.array_equal(code.generator, want.generator)
+    assert np.array_equal(code.parity, want.parity)
+    assert code.min_distance == want.min_distance
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_min_weight_matches_python_int_oracle(data):
+    n = data.draw(st.integers(1, 12))
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1),
+                              min_size=1, max_size=6))
+    want = n
+    for mask in range(1, 1 << len(rows)):
+        v = 0
+        for i, row in enumerate(rows):
+            if mask >> i & 1:
+                v ^= row
+        want = min(want, bin(v).count("1"))
+    g = gf2.unpack(np.array(rows), n)
+    assert _min_weight(g) == want
+    assert (want == 0) == (gf2.rank(g) < len(rows))
+
+
+def test_random_search_makes_no_rank_call_and_one_code(monkeypatch):
+    calls = {"rank": 0, "code": 0}
+    rank, post_init = gf2.rank, LinearCode.__post_init__
+
+    def counting_rank(mat):
+        calls["rank"] += 1
+        return rank(mat)
+
+    def counting_post_init(self):
+        calls["code"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(gf2, "rank", counting_rank)
+    monkeypatch.setattr(LinearCode, "__post_init__", counting_post_init)
+    random_code(6, 5, seed=7)
+    assert calls == {"rank": 0, "code": 1}
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("random_code drew before the inputs were checked")
+
+
+SIZES, PASSWORD = "m and n must be integers", "password must be an integer"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: qid_code(16, 12.0), SIZES),
+    (lambda: qid_code(16.5, 12), SIZES),
+    (lambda: qid_code(8.0, 12), SIZES),
+    (lambda: qid_code(16, 8).password_bits(2.5), PASSWORD),
+    (lambda: qid_code(16, 8).basis_string(3.0), PASSWORD),
+    (lambda: run_qid(2.5, 2, qid_code(16, 8), 8), PASSWORD),
+    (lambda: run_qid(2, 2.5, qid_code(16, 8), 8), PASSWORD),
+], ids=["n", "m", "m-random", "bits", "bases", "run-alice", "run-bob"])
+def test_non_integer_sizes_and_passwords_rejected(monkeypatch, call, message):
+    monkeypatch.setattr(codes, "random_code", _no_search)
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_numpy_integer_sizes_and_passwords_accepted():
+    qc = qid_code(np.int64(16), np.uint16(8))
+    assert qc.code.min_distance == 4
+    assert qc.password_bits(np.int64(3)).tolist() == [0, 0, 1, 0]
