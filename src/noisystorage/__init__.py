@@ -41,7 +41,6 @@ from .entropy import (
 )
 from .hashing import ToeplitzHash, collision_bound, hash_apply, pa_distance
 from .protocols import (
-    AdversaryStrategy,
     StoreAllBob,
     estimate_leakage,
     run_qid,

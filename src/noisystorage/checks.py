@@ -7,6 +7,7 @@ only when its guarantee holds, so a NaN comparison is a violation.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -160,6 +161,15 @@ def verify_lemma4(trials=300, seed=7):
             yield lhs >= rhs - 1e-9
 
 
+def _python_int_distance(generator):
+    """Least weight of a nonzero codeword over Python ints, as an oracle
+    for :func:`codes.min_distance`: rows become ints, messages XOR them."""
+    rows = [int("".join(map(str, row.tolist())), 2) for row in generator]
+    return min(bin(functools.reduce(int.__xor__, message)).count("1")
+               for size in range(1, len(rows) + 1)
+               for message in itertools.combinations(rows, size))
+
+
 @_tally
 def verify_codes(seed=7):
     """Catalog invariants: orthogonality, exact distances, decoding radius."""
@@ -169,7 +179,8 @@ def verify_codes(seed=7):
                qid_code(8, 12).code]
     for code in catalog:
         yield not gf2.matmul(code.parity, code.generator.T).any()
-        yield code.min_distance == min_distance(code)
+        yield (code.min_distance == min_distance(code)
+               == _python_int_distance(code.generator))
         t = (code.min_distance - 1) // 2
         for _ in range(40):
             msg = rng.integers(0, 2, code.k, dtype=np.uint8)

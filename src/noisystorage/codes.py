@@ -2,9 +2,10 @@
 
 Desk-scale codes only: minimum distances are certified by brute force
 (dimension capped at 20) and syndrome decoding uses an exact coset-leader
-table (redundancy capped at 24 bits).  The catalog covers repetition,
-Hamming [7,4], its extended [8,4] variant, and deterministic random
-codes, which is enough to drive the protocol machinery at test scale.
+table (redundancy capped at 24 bits), over one word or a stack of them.
+The catalog covers repetition, Hamming [7,4], its extended [8,4]
+variant, and deterministic random codes, which is enough to drive the
+protocol machinery at test scale.
 """
 
 import itertools
@@ -31,7 +32,8 @@ class LinearCode:
     generator: np.ndarray
     parity: np.ndarray = None
     _min_distance: int = field(default=None, repr=False)
-    _coset_leaders: dict = field(default=None, repr=False)
+    # read-only (2^(n-k), n) leader table, built by coset_leaders
+    _coset_leaders: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         g = gf2.as_bits(self.generator)
@@ -83,11 +85,12 @@ def encode(code, message):
 
 
 def syndrome(code, word):
-    """parity @ word; zero exactly for codewords."""
+    """parity @ word for one word or a stack (last axis n bits); zero
+    exactly for codewords."""
     word = gf2.as_bits(word)
-    if word.shape != (code.n,):
+    if word.shape[-1:] != (code.n,):
         raise ValueError("word must have exactly n = %d bits" % code.n)
-    return gf2.matmul(code.parity, word[:, np.newaxis])[:, 0].astype(np.uint8)
+    return gf2.matmul(word, code.parity.T).astype(np.uint8)
 
 
 def min_distance(code):
@@ -111,12 +114,14 @@ def _min_weight(generator):
 
 
 def coset_leaders(code):
-    """Map from syndrome (as integer) to its minimum-weight error pattern.
+    """Read-only (2^(n-k), n) table: row s is the minimum-weight error
+    pattern whose syndrome :func:`gf2.pack` reads as s.  Cached on the code.
 
     Ties within a weight go to the lexicographically smallest pattern,
     i.e. the numerically smallest when the bits are read as a binary
     number.  Position tuples in reverse lexicographic order are exactly
-    the patterns of one weight in ascending numeric order, at any n.
+    the patterns of one weight in ascending numeric order, at any n, so
+    each syndrome keeps the first pattern of its lowest weight.
     """
     if code._coset_leaders is not None:
         return code._coset_leaders
@@ -124,19 +129,21 @@ def coset_leaders(code):
     if redundancy > COSET_TABLE_MAX_REDUNDANCY:
         raise ValueError("coset table limited to n - k <= %d"
                          % COSET_TABLE_MAX_REDUNDANCY)
-    table = {}
-    wanted = 1 << redundancy
+    table = np.zeros((1 << redundancy, code.n), dtype=np.uint8)
+    found = np.zeros(1 << redundancy, dtype=bool)
     for weight in range(code.n + 1):
-        if len(table) == wanted:
+        if found.all():
             break
-        positions = list(itertools.combinations(range(code.n), weight))[::-1]
+        positions = np.array(list(itertools.combinations(
+            range(code.n), weight))[::-1], dtype=np.intp)
         patterns = np.zeros((len(positions), code.n), dtype=np.uint8)
-        for i, pos in enumerate(positions):
-            patterns[i, list(pos)] = 1
-        codes_int = gf2.pack(gf2.matmul(patterns, code.parity.T))
-        for pattern, s in zip(patterns, codes_int.tolist()):
-            if s not in table:
-                table[s] = pattern.copy()
+        np.put_along_axis(patterns, positions, 1, axis=1)
+        keys, first = np.unique(gf2.pack(gf2.matmul(patterns, code.parity.T)),
+                                return_index=True)
+        new = ~found[keys]
+        table[keys[new]] = patterns[first[new]]
+        found[keys] = True
+    table.flags.writeable = False
     code._coset_leaders = table
     return table
 
@@ -146,18 +153,18 @@ def syndrome_decode(code, received, syndrome_target):
 
     Coset-leader correction: any error of weight up to (d-1)/2 from a
     word with the target syndrome is undone; heavier errors may
-    miscorrect, as for any code.
+    miscorrect, as for any code.  A stack of words takes a matching
+    stack of targets.
     """
     received = gf2.as_bits(received)
-    if received.shape != (code.n,):
+    if received.shape[-1:] != (code.n,):
         raise ValueError("received word must have n = %d bits" % code.n)
     target = gf2.as_bits(syndrome_target)
-    if target.shape != (code.n - code.k,):
-        raise ValueError("syndrome must have n - k = %d bits"
+    if target.shape != received.shape[:-1] + (code.n - code.k,):
+        raise ValueError("syndrome must have n - k = %d bits per word"
                          % (code.n - code.k))
     diff = syndrome(code, received) ^ target
-    leader = coset_leaders(code)[int(gf2.pack(diff))]
-    return (received ^ leader).astype(np.uint8)
+    return received ^ coset_leaders(code)[gf2.pack(diff)]
 
 
 # --- catalog -----------------------------------------------------------------

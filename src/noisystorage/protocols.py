@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gf2, qsim
 from .bounds import ot_epsilon
-from .codes import coset_leaders, syndrome_budget_ok
+from .codes import syndrome, syndrome_budget_ok, syndrome_decode
 from .hashing import ToeplitzHash, hash_apply, random_hash
 
 LEAKAGE_MAX_N = 24
@@ -92,23 +92,19 @@ def honest_index_sets(theta, theta_hat, c):
     return differ, match
 
 
-# --- adversary interface ------------------------------------------------------
+def _honest_measurement(x, theta, theta_hat, rng):
+    """Matched bases reproduce the bit, mismatched ones are uniform."""
+    return np.where(theta == theta_hat, x,
+                    rng.integers(0, 2, len(x), dtype=np.uint8)).astype(np.uint8)
 
 
-class AdversaryStrategy:
-    """Dishonest receiver driven through the runner's phase boundary.
+def _random_halves(m, rng):
+    """A uniformly random split of range(m) into m//2 and m - m//2 indices."""
+    perm = rng.permutation(m)
+    return np.sort(perm[:m // 2]), np.sort(perm[m // 2:])
 
-    ``storage_r``       retention of the per-qubit depolarizing storage
-                        the runner applies to every qubit.
-    ``after_reveal``    gets only the noised qubits (an (n, 2, 2) stack)
-                        and the revealed bases; must return the index-set
-                        message (set_0, set_1) plus a record dict.
-    """
 
-    storage_r = 0.0
-
-    def after_reveal(self, noisy_states, theta, rng):
-        raise NotImplementedError
+# --- storing adversary -------------------------------------------------------
 
 
 def _stored_states(r):
@@ -118,7 +114,7 @@ def _stored_states(r):
     return qsim.depolarize(states, r)
 
 
-class StoreAllBob(AdversaryStrategy):
+class StoreAllBob:
     """Individual storage attack: keep every qubit, measure after reveal.
 
     Once the bases are public, each stored (noised) qubit is measured in
@@ -131,10 +127,7 @@ class StoreAllBob(AdversaryStrategy):
 
     def after_reveal(self, noisy_states, theta, rng):
         guesses = qsim.measure(noisy_states, theta, rng)
-        n = len(noisy_states)
-        perm = rng.permutation(n)
-        set_0 = np.sort(perm[:n // 2])
-        set_1 = np.sort(perm[n // 2:])
+        set_0, set_1 = _random_halves(len(noisy_states), rng)
         return set_0, set_1, {"guesses": guesses}
 
 
@@ -161,15 +154,18 @@ class RotTranscript(_Transcript):
     adversary: dict | None = None
 
 
-def run_rot(n, ell, c, bob=None, rng=None, force_theta_hat=None):
+def run_rot(n, ell, c, bob=None, rng=None):
     """One run of randomized oblivious transfer over n rounds.
 
-    ``bob=None`` plays the honest receiver with choice bit ``c``;
-    otherwise ``bob`` is an :class:`AdversaryStrategy`.  With honest
-    parties the receiver's output equals the chosen string; when its
-    chosen index set comes out empty (probability 2^-n) both sides hash
-    the zero-padded empty string, and the event is flagged.
-    ``force_theta_hat`` pins the receiver's bases for exact tests.
+    ``bob=None`` plays the honest receiver with choice bit ``c``.  With
+    honest parties the receiver's output equals the chosen string; when
+    its chosen index set comes out empty (probability 2^-n) both sides
+    hash the zero-padded empty string, and the event is flagged.
+    Otherwise ``bob`` is a dishonest receiver such as :class:`StoreAllBob`
+    with two members: ``storage_r``, the retention of the storage every
+    qubit passes through, and ``after_reveal(noisy_states, theta, rng)``,
+    which gets only the noised (n, 2, 2) states and the revealed bases
+    and returns the index-set message (set_0, set_1) and a record dict.
     """
     if not 1 <= ell <= n:
         raise ValueError("need 1 <= ell <= n")
@@ -181,13 +177,8 @@ def run_rot(n, ell, c, bob=None, rng=None, force_theta_hat=None):
     theta_hat = None
     x_hat = None
     if bob is None:
-        if force_theta_hat is not None:
-            theta_hat = np.asarray(force_theta_hat, dtype=np.uint8)
-        else:
-            theta_hat = rng.integers(0, 2, n, dtype=np.uint8)
-        # matched bases reproduce the bit, mismatched ones are uniform
-        x_hat = np.where(theta == theta_hat, x,
-                         rng.integers(0, 2, n, dtype=np.uint8)).astype(np.uint8)
+        theta_hat = rng.integers(0, 2, n, dtype=np.uint8)
+        x_hat = _honest_measurement(x, theta, theta_hat, rng)
         # -- waiting time --
         i0, i1 = honest_index_sets(theta, theta_hat, c)
     else:
@@ -262,36 +253,24 @@ def _blocks(code, bits):
 
 def block_syndromes(code, bits):
     """Concatenated per-block syndromes of a string padded to whole blocks."""
-    return gf2.matmul(_blocks(code, bits), code.parity.T).astype(
-        np.uint8).reshape(-1)
+    return syndrome(code, _blocks(code, bits)).reshape(-1)
 
 
 def block_correct(code, bits, syndromes):
     """Blockwise coset-leader correction towards the syndromes' string.
 
-    Each block moves by the coset leader of (its syndrome XOR its target),
-    exactly as :func:`codes.syndrome_decode` corrects one block.
+    One :func:`codes.syndrome_decode` call corrects the stacked blocks,
+    each towards its own n - k target bits; the padding is trimmed off.
+    Targets past the last block are ignored.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     words = _blocks(code, bits)
     blocks, red = len(words), code.n - code.k
     targets = gf2.as_bits(syndromes)[:blocks * red].reshape(blocks, red)
-    diff = gf2.matmul(words, code.parity.T) ^ targets
-    keys, inverse = np.unique(gf2.pack(diff), return_inverse=True)
-    table = coset_leaders(code)
-    leaders = np.array([table[int(k)] for k in keys],
-                       dtype=np.uint8).reshape(-1, code.n)
-    return (words ^ leaders[inverse]).reshape(-1)[:bits.size]
+    return syndrome_decode(code, words, targets).reshape(-1)[:bits.size]
 
 
-class RobustReportingStrategy:
-    """Hook for a dishonest receiver's erasure reporting in the robust runner."""
-
-    def reported_clicks(self, single_mask, click_mask, params, rng):
-        raise NotImplementedError
-
-
-class WorstCaseReportingBob(RobustReportingStrategy):
+class WorstCaseReportingBob:
     """Reports the maximal credible number of single-photon rounds missing.
 
     On top of its genuine no-click rounds it drops
@@ -326,9 +305,10 @@ def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3):
     must lie in (0, 1].  Error correction is blockwise syndrome decoding
     with the given code.
 
-    ``bob`` may be a :class:`RobustReportingStrategy` to control the
-    erasure-report message of a dishonest receiver (the run then stops
-    after the sender's messages, with no receiver output).
+    ``bob`` may be a dishonest receiver such as
+    :class:`WorstCaseReportingBob`, whose ``reported_clicks(single_mask,
+    click_mask, params, rng)`` returns the click mask it reports; the run
+    then stops after the sender's messages, with no receiver output.
     """
     n = int(params.n)
     if n != params.n:
@@ -386,17 +366,14 @@ def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3):
             "multi_rounds": multi.tolist(),
             "free_bits": bit_string(x_rem[multi]),
         }
-        i_perm = rng.permutation(m)
-        i0 = np.sort(i_perm[:m // 2])
-        i1 = np.sort(i_perm[m // 2:])
+        i0, i1 = _random_halves(m, rng)
     else:
         hat_rem = theta_hat[s_remain]
+        # the flips are drawn before the measurement's uniform bits
         flips = rng.random(m) < params.ph_err
-        meas = np.where(theta_rem == hat_rem, x_rem,
-                        rng.integers(0, 2, m, dtype=np.uint8))
-        meas = (meas ^ flips.astype(np.uint8)).astype(np.uint8)
+        transcript.x_hat = (_honest_measurement(x_rem, theta_rem, hat_rem, rng)
+                            ^ flips.astype(np.uint8))
         i0, i1 = honest_index_sets(theta_rem, hat_rem, c)
-        transcript.x_hat = meas
 
     syn0 = block_syndromes(code, x_rem[i0])
     syn1 = block_syndromes(code, x_rem[i1])
@@ -447,7 +424,7 @@ def qid_kappa(qcode, w_bob, theta_hat):
                                                      dtype=np.uint8))
 
 
-def run_qid(w_alice, w_bob, qcode, ell, rng=None, force_theta_hat=None):
+def run_qid(w_alice, w_bob, qcode, ell, rng=None):
     """One noiseless honest run of the password identification protocol.
 
     Matching passwords always accept; differing passwords accept only on
@@ -461,12 +438,8 @@ def run_qid(w_alice, w_bob, qcode, ell, rng=None, force_theta_hat=None):
     rng = make_rng(rng)
     x = rng.integers(0, 2, n, dtype=np.uint8)
     theta = rng.integers(0, 2, n, dtype=np.uint8)
-    if force_theta_hat is not None:
-        theta_hat = np.asarray(force_theta_hat, dtype=np.uint8)
-    else:
-        theta_hat = rng.integers(0, 2, n, dtype=np.uint8)
-    x_hat = np.where(theta == theta_hat, x,
-                     rng.integers(0, 2, n, dtype=np.uint8)).astype(np.uint8)
+    theta_hat = rng.integers(0, 2, n, dtype=np.uint8)
+    x_hat = _honest_measurement(x, theta, theta_hat, rng)
 
     # -- waiting time --
     kappa = qid_kappa(qcode, w_bob, theta_hat)

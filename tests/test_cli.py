@@ -6,12 +6,13 @@ import json
 import math
 import types
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisystorage import bounds, checks, cli
+from noisystorage import bounds, checks, cli, codes
 from noisystorage.cli import dispatch
 
 OT_ARGS = ("bounds", "ot", "--n", "1e10", "--delta", "0.0106", "--r", "0.1")
@@ -224,6 +225,20 @@ def test_verify_suites_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "codes")
     assert code == 0
     assert "0 violations" in out
+
+
+def test_verify_codes_catches_a_wrong_distance(capsys):
+    # the distance check has its own oracle, so an enumeration that is off
+    # by one fails the suite instead of agreeing with itself
+    minimum = codes._min_weight
+    with mock.patch.object(codes, "_min_weight",
+                           lambda generator: minimum(generator) - 1):
+        report = checks.verify_codes()
+        code, out, _ = run_cli(capsys, "verify", "codes")
+    assert report["checks"] == 253
+    assert report["violations"] > 0
+    assert code == 3
+    assert "0 violations" not in out
 
 
 def test_verify_unknown_suite_exit_1(capsys):

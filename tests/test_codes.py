@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from noisystorage import codes, gf2
@@ -139,7 +139,7 @@ def test_syndrome_decode_tie_break_lexicographic():
                                          dtype=np.uint8))
     from noisystorage.codes import coset_leaders
     leaders = coset_leaders(code)
-    for leader in leaders.values():
+    for leader in leaders:
         # minimal weight, and among candidates of that weight the
         # numerically smallest pattern
         syn = syndrome(code, leader)
@@ -200,7 +200,7 @@ def test_coset_leaders_match_python_int_oracle(parity):
     code = LinearCode(generator=gf2.nullspace(parity), parity=parity)
     want = python_int_leaders(parity)
     leaders = coset_leaders(code)
-    assert sorted(leaders) == sorted(want)
+    assert sorted(want) == list(range(len(leaders)))
     for syn, value in want.items():
         expect = [(value >> (code.n - 1 - i)) & 1 for i in range(code.n)]
         assert leaders[syn].tolist() == expect, syn
@@ -211,6 +211,74 @@ def test_decode_size_cap():
     big = random_code(30, 2, seed=3)
     with pytest.raises(ValueError):
         coset_leaders(big)
+
+
+def test_coset_table_is_read_only_and_cached():
+    code = hamming_7_4()
+    table = codes.coset_leaders(code)
+    assert table.shape == (8, 7) and table.dtype == np.uint8
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    assert codes.coset_leaders(code) is table
+
+
+CATALOG = [lambda: repetition_code(3), lambda: repetition_code(5),
+           hamming_7_4, extended_hamming_8_4, lambda: identity_code(4),
+           lambda: qid_code(16, 7).code, lambda: qid_code(8, 12).code]
+
+
+@st.composite
+def codes_for_stacks(draw):
+    """A catalog code, or one from a random full-rank parity matrix."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(CATALOG))()
+    red = draw(st.integers(1, 6))
+    n = draw(st.integers(red + 1, 12))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1),
+                         min_size=red, max_size=red))
+    parity = gf2.unpack(np.array(rows), n)
+    assume(gf2.rank(parity) == red)
+    return LinearCode(generator=gf2.nullspace(parity), parity=parity)
+
+
+@settings(max_examples=150, deadline=None)
+@given(code=codes_for_stacks(),
+       lead=st.sampled_from([(), (0,), (1,), (5,), (0, 3), (2, 3)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_syndromes_and_decoding_match_per_word_calls(code, lead, seed):
+    rng = np.random.default_rng(seed)
+    red = code.n - code.k
+    words = rng.integers(0, 2, lead + (code.n,), dtype=np.uint8)
+    targets = rng.integers(0, 2, lead + (red,), dtype=np.uint8)
+    syn = syndrome(code, words)
+    fixed = syndrome_decode(code, words, targets)
+    assert syn.dtype == fixed.dtype == np.uint8
+    assert syn.shape == lead + (red,) and fixed.shape == words.shape
+    for idx in np.ndindex(lead):
+        assert np.array_equal(syn[idx], syndrome(code, words[idx]))
+        assert np.array_equal(fixed[idx],
+                              syndrome_decode(code, words[idx], targets[idx]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda c: syndrome(c, np.zeros((3, 8), np.uint8)), "n = 7 bits"),
+    (lambda c: syndrome(c, np.zeros(0, np.uint8)), "n = 7 bits"),
+    (lambda c: syndrome_decode(c, np.zeros((3, 6), np.uint8),
+                               np.zeros((3, 3), np.uint8)), "n = 7 bits"),
+    (lambda c: syndrome_decode(c, np.zeros((3, 7), np.uint8),
+                               np.zeros((2, 3), np.uint8)), "n - k = 3 bits"),
+    (lambda c: syndrome_decode(c, np.zeros((3, 7), np.uint8),
+                               np.zeros(3, np.uint8)), "n - k = 3 bits"),
+    (lambda c: syndrome_decode(c, np.zeros(7, np.uint8),
+                               np.zeros((1, 3), np.uint8)), "n - k = 3 bits"),
+    (lambda c: syndrome_decode(c, np.zeros((0, 7), np.uint8),
+                               np.zeros((1, 3), np.uint8)), "n - k = 3 bits"),
+], ids=["word-bits", "empty-word", "received-bits", "stack-length",
+        "flat-target", "stacked-target", "empty-stack"])
+def test_mismatched_stack_shapes_name_the_bit_count(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(hamming_7_4())
 
 
 def test_json_roundtrip():

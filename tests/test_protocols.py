@@ -55,10 +55,11 @@ def robust_params(n=512, delta=0.02, ph_noclick=0.0, pd_noclick=0.0,
 
 
 def test_rot_forced_all_match():
-    n = 12
-    t = run_rot(n, ell=4, c=0, rng=5, force_theta_hat=None)
-    forced = t.theta.copy()
-    t = run_rot(n, ell=4, c=0, rng=5, force_theta_hat=forced)
+    # a seed whose drawn receiver bases all match the sender's
+    n = 4
+    t = next(t for t in (run_rot(n, ell=2, c=0, rng=seed)
+                         for seed in range(200))
+             if np.array_equal(t.theta, t.theta_hat))
     assert t.i0.tolist() == list(range(n))
     assert t.i1.size == 0
     assert np.array_equal(t.y, t.s0)
@@ -356,6 +357,19 @@ def test_block_kernels_match_per_block_loop(make_code):
             assert syn.size == red * math.ceil(size / code.n)
 
 
+@pytest.mark.parametrize("size", [0, 1, 7, 20, 200])
+def test_block_correct_decodes_all_blocks_in_one_call(size):
+    code = hamming_7_4()
+    rng = np.random.default_rng(size)
+    bits = rng.integers(0, 2, size, dtype=np.uint8)
+    syn = block_syndromes(code, bits)
+    with mock.patch.object(protocols, "syndrome_decode",
+                           wraps=syndrome_decode) as spy:
+        got = block_correct(code, bits, syn)
+    assert spy.call_count == 1
+    assert np.array_equal(got, loop_correct(code, bits, syn))
+
+
 # --- password identification ---------------------------------------------------
 
 
@@ -603,8 +617,11 @@ def test_leakage_checks_inputs_before_drawing(kwargs, message):
     assert generator_state(rng) == before
 
 
-@pytest.mark.parametrize("n,trials", [(16, 20000), (24, 200)])
+# sixteen whole chunks and one more trial, written out so that a broken
+# _leakage_chunk cannot size the run
+@pytest.mark.parametrize("n,trials", [(16, 2049), (24, 129)])
 def test_leakage_memory_does_not_grow_with_trials(n, trials):
+    assert trials == 16 * protocols._leakage_chunk(n, 1) + 1
     tracemalloc.start()
     try:
         report = estimate_leakage(n, 1, 0.3, trials, rng=7)
