@@ -71,7 +71,6 @@ class OtParams:
     n: float
     delta: float
     storage: StorageModel
-    ell: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.delta < 0.25:
@@ -80,8 +79,6 @@ class OtParams:
         if self.n < math.ceil(4.0 / self.delta):
             raise PreconditionError("n >= 4/delta is required for the "
                                     "security statement")
-        if self.ell is not None and self.ell < 1:
-            raise PreconditionError("ell must be a positive length")
 
 
 @dataclass(frozen=True)

@@ -350,15 +350,16 @@ def _cmd_region(args):
 
 
 def _run_trials(args, config, run, tallies):
-    """Run ``run(rng)`` once per trial and emit the JSON report.
+    """Run ``run(seed)`` once per trial and emit the JSON report.
 
-    Each trial gets its own Philox generator spawned from ``--seed``.
+    Each trial gets its own ``SeedSequence`` spawned from ``--seed``,
+    which the runner turns into its generator (:func:`protocols.make_rng`).
     ``run`` returns the trial's transcript and updates ``tallies``, the
     report entries that follow ``trials`` and ``seed``.
     """
     first = None
     for ts in np.random.SeedSequence(args.seed).spawn(args.trials):
-        t = run(np.random.Generator(np.random.Philox(ts)))
+        t = run(ts)
         first = first or t.to_json()
     report = {**config, "trials": args.trials, "seed": args.seed, **tallies,
               "first_transcript": json.loads(first)}

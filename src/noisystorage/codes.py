@@ -121,7 +121,9 @@ def coset_leaders(code):
     i.e. the numerically smallest when the bits are read as a binary
     number.  Position tuples in reverse lexicographic order are exactly
     the patterns of one weight in ascending numeric order, at any n, so
-    each syndrome keeps the first pattern of its lowest weight.
+    each syndrome keeps the first pattern of its lowest weight.  A
+    pattern's syndrome is the XOR of the packed parity columns at its
+    positions, so a weight costs its position array, not a bit matrix.
     """
     if code._coset_leaders is not None:
         return code._coset_leaders
@@ -131,17 +133,19 @@ def coset_leaders(code):
                          % COSET_TABLE_MAX_REDUNDANCY)
     table = np.zeros((1 << redundancy, code.n), dtype=np.uint8)
     found = np.zeros(1 << redundancy, dtype=bool)
-    for weight in range(code.n + 1):
+    found[0] = True  # the zero pattern leads the codewords' coset
+    columns = gf2.pack(code.parity.T)  # the syndrome of each single bit
+    for weight in range(1, code.n + 1):
         if found.all():
             break
-        positions = np.array(list(itertools.combinations(
-            range(code.n), weight))[::-1], dtype=np.intp)
-        patterns = np.zeros((len(positions), code.n), dtype=np.uint8)
-        np.put_along_axis(patterns, positions, 1, axis=1)
-        keys, first = np.unique(gf2.pack(gf2.matmul(patterns, code.parity.T)),
-                                return_index=True)
+        positions = np.fromiter(itertools.combinations(range(code.n), weight),
+                                dtype=(np.intp, weight),
+                                count=math.comb(code.n, weight))[::-1]
+        keys, first = np.unique(
+            np.bitwise_xor.reduce(columns[positions], axis=1),
+            return_index=True)
         new = ~found[keys]
-        table[keys[new]] = patterns[first[new]]
+        table[keys[new, np.newaxis], positions[first[new]]] = 1
         found[keys] = True
     table.flags.writeable = False
     code._coset_leaders = table
@@ -241,12 +245,10 @@ class QidCode:
         return "".join("+x"[b] for b in self.password_bases(w))
 
 
-def qid_code(m, n, min_d=None):
+def qid_code(m, n):
     """A deterministic [n, ceil(log2 m)] code for an m-password set.
 
-    Reports the exact minimum distance.  When ``min_d`` is requested and
-    unreachable by the construction, the achievable distance is part of
-    the error.
+    The code's ``min_distance`` is exact.
     """
     if not all(isinstance(v, numbers.Integral) for v in (m, n)):
         raise ValueError("m and n must be integers")
@@ -265,9 +267,6 @@ def qid_code(m, n, min_d=None):
         code = identity_code(n)
     else:
         code = random_code(n, k, seed=(m * 1009 + n))
-    if min_d is not None and code.min_distance < min_d:
-        raise ValueError("requested distance %d not met: achievable distance "
-                         "is %d at n = %d" % (min_d, code.min_distance, n))
     return QidCode(code=code, m=m)
 
 

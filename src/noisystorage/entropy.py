@@ -111,17 +111,24 @@ def smooth_sub_distribution(dist, target, given=(), eps=0.0):
     )
 
 
+def _uniform_distance(tables):
+    """1/2 sum_{x,y} |P(x,y) - P(y)/|X|| of each table in a stack, with x
+    on axis -2, y on axis -1 and P(y) the table's own column mass."""
+    n_x = tables.shape[-2]
+    col_mass = tables.sum(axis=-2, keepdims=True)
+    return 0.5 * np.abs(tables - col_mass / n_x).sum(axis=(-2, -1))
+
+
 def nonuniformity(dist, target, given=()):
     """Statistical distance of ``target`` from uniform-and-independent.
 
-    d(X|Y) = 1/2 sum_y P(y) sum_x |P(x|y) - 1/|X||, computed as
-    1/2 sum_{x,y} |P(x,y) - P(y)/|X||.  Zero exactly when ``target`` is
-    uniform and independent of the conditioning registers.
+    d(X|Y) = 1/2 sum_y P(y) sum_x |P(x|y) - 1/|X||, which is
+    :func:`_uniform_distance` of the (target, given) table.  Zero exactly
+    when ``target`` is uniform and independent of the conditioning
+    registers.
     """
-    table = dist.grouped(_names(target), _names(given))
-    n_x = table.shape[0]
-    col_mass = table.sum(axis=0)
-    return float(0.5 * np.abs(table - col_mass[np.newaxis, :] / n_x).sum())
+    return float(_uniform_distance(dist.grouped(_names(target),
+                                                _names(given))))
 
 
 @dataclass

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from . import gf2
-from .entropy import min_entropy
+from .entropy import _uniform_distance, min_entropy
 
 # exhaustive-regime caps for collision_bound
 COLLISION_MAX_N = 8
@@ -228,14 +228,14 @@ def collision_bound(n, ell):
 
 
 def pa_distance(dist, ell, sample_count, rng):
-    """Empirical privacy-amplification distance against its guarantee.
+    """Exact hash-output distances of sampled hashes, and their guarantee.
 
     The first register is hashed and must have a power-of-two alphabet;
-    all other registers are classical side information.  For
-    ``sample_count`` uniformly drawn hashes the exact non-uniformity of
-    the hash output given the side information is computed and averaged,
-    and returned together with the guarantee
-    2^(-(H_min(X | side) - ell)/2 - 1).
+    all other registers are classical side information.  Returns
+    ``(distances, bound)``: the exact non-uniformity of the output given
+    the side information for each of ``sample_count`` uniformly drawn
+    hashes, and the guarantee 2^(-(H_min(X | side) - ell)/2 - 1) on
+    their average over the whole family, not on any one hash.
     """
     if sample_count < 1:
         raise ValueError("need at least one sample")
@@ -250,21 +250,12 @@ def pa_distance(dist, ell, sample_count, rng):
 
     table = dist.grouped([x_register], side)  # (2^n_bits, |side|)
     xs = gf2.unpack(np.arange(size), n_bits)
-    n_side = table.shape[1]
-    side_mass = table.sum(axis=0)
-
-    total = 0.0
-    for _ in range(sample_count):
-        h = random_hash(n_bits, ell, rng)
-        outs = hash_apply_many(h, xs)
-        weights = np.zeros((2 ** ell, n_side))
-        out_codes = gf2.pack(outs)
-        for code in range(2 ** ell):
-            weights[code] = table[out_codes == code].sum(axis=0)
-        total += 0.5 * np.abs(
-            weights - side_mass[np.newaxis, :] / 2 ** ell).sum()
-    empirical = total / sample_count
+    distances = np.empty(sample_count)
+    for i in range(sample_count):
+        codes = gf2.pack(hash_apply_many(random_hash(n_bits, ell, rng), xs))
+        grouped = np.zeros((2 ** ell, table.shape[1]))
+        np.add.at(grouped, codes, table)  # each output value's table rows
+        distances[i] = _uniform_distance(grouped)
 
     h_min = min_entropy(dist, x_register, side)
-    bound = 2.0 ** (-0.5 * (h_min - ell) - 1.0)
-    return empirical, bound
+    return distances, 2.0 ** (-0.5 * (h_min - ell) - 1.0)

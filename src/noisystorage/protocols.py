@@ -23,6 +23,7 @@ import numpy as np
 from . import gf2, qsim
 from .bounds import ot_epsilon
 from .codes import syndrome, syndrome_budget_ok, syndrome_decode
+from .entropy import _uniform_distance
 from .hashing import ToeplitzHash, hash_apply, random_hash
 
 LEAKAGE_MAX_N = 24
@@ -34,7 +35,8 @@ _TRIAL_CELLS = 2 ** 8
 
 
 def make_rng(rng):
-    """Counter-based generator; integers are seeds, generators pass through."""
+    """Counter-based generator; integers and ``SeedSequence``s are seeds,
+    generators pass through.  The one place a Philox generator is built."""
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.Generator(np.random.Philox(rng))
@@ -279,18 +281,12 @@ class WorstCaseReportingBob:
     round-count check deterministically.
     """
 
-    def __init__(self, extra_fraction=None):
-        self.extra_fraction = extra_fraction
-
     def reported_clicks(self, single_mask, click_mask, params, rng):
-        extra = self.extra_fraction
-        if extra is None:
-            extra = params.ph_noclick - params.pd_noclick
+        extra = params.ph_noclick - params.pd_noclick
         budget = int(round(extra * len(click_mask)))
         reported = click_mask.copy()
         candidates = np.nonzero(single_mask & click_mask)[0]
-        drop = candidates[:budget]
-        reported[drop] = False
+        reported[candidates[:budget]] = False
         return reported
 
 
@@ -471,7 +467,9 @@ def _hidden_nonuniformity(n, ell, p_post, runs):
     Each run is (guesses, i0, i1, f0, f1): the receiver's n guesses, the
     index sets it sent (n//2 and n - n//2 rounds) and the two hashes.
     Sums the receiver's product posterior over every value of both
-    substrings, for all T runs at once; returns the T distances.
+    substrings, for all T runs at once.  A run's distance adds the
+    ``_uniform_distance`` of its (hidden, known) table at each selector
+    value and divides by the run's mass; returns the T distances.
     """
     guesses, i0, i1, f0, f1 = zip(*runs)
     guesses = np.array(guesses)
@@ -526,10 +524,9 @@ def _hidden_nonuniformity(n, ell, p_post, runs):
     joint0 = grouped1[:, :, np.newaxis] * grouped0[:, np.newaxis, :, 0]
     joint1 = grouped0[:, :, 1, np.newaxis] * grouped1[:, np.newaxis, :]
     total = joint0.sum(axis=(1, 2)) + joint1.sum(axis=(1, 2))
-    uniform0 = joint0.sum(axis=2, keepdims=True) / 2 ** ell
-    uniform1 = joint1.sum(axis=2, keepdims=True) / 2 ** ell
-    return 0.5 * (np.abs(joint0 - uniform0).sum(axis=(1, 2))
-                  + np.abs(joint1 - uniform1).sum(axis=(1, 2))) / total
+    # the hidden string is the table's x: it goes to axis -2
+    return (_uniform_distance(joint0.swapaxes(1, 2))
+            + _uniform_distance(joint1.swapaxes(1, 2))) / total
 
 
 def _storing_trial(n, ell, bob, stored, rng):

@@ -259,8 +259,6 @@ def test_ot_params_validation():
         OtParams(n=1e6, delta=0.3, storage=QUBIT(0.1))
     with pytest.raises(PreconditionError):
         OtParams(n=10, delta=0.01, storage=QUBIT(0.1))  # n < 4/delta
-    with pytest.raises(PreconditionError):
-        OtParams(n=1e6, delta=0.01, storage=QUBIT(0.1), ell=0)
 
 
 def test_robust_params_validation():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisystorage import bounds, checks, cli, codes
+from noisystorage import bounds, checks, cli, codes, entropy, hashing
 from noisystorage.cli import dispatch
 
 OT_ARGS = ("bounds", "ot", "--n", "1e10", "--delta", "0.0106", "--r", "0.1")
@@ -298,6 +298,19 @@ def test_verify_counts_failed_checks(capsys, monkeypatch, suite, trials,
     monkeypatch.setattr(checks, name, stub)
     argv = ("verify", suite) + (("--trials", trials) if trials else ())
     assert run_cli(capsys, *argv) == (3, line, "")
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_verify_pa_computes_each_guarantee_once_per_instance(trials):
+    with mock.patch.object(checks, "pa_distance",
+                           wraps=hashing.pa_distance) as pa, \
+            mock.patch.object(hashing, "min_entropy",
+                              wraps=entropy.min_entropy) as h_min:
+        report = checks.verify_pa(trials=trials, seed=11)
+    assert report == {"suite": "pa", "checks": trials, "violations": 0}
+    assert pa.call_count == h_min.call_count == trials
+    assert all(call.kwargs["sample_count"] == 16
+               for call in pa.call_args_list)
 
 
 @pytest.mark.parametrize("argv, diagnostic", [

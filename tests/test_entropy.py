@@ -2,10 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
 from noisystorage.distributions import JointDistribution
 from noisystorage.entropy import (
+    _uniform_distance,
     guessing_probability,
     min_entropy,
     nonuniformity,
@@ -187,6 +191,31 @@ def test_nonuniformity_ignores_independent_register():
     with_d = nonuniformity(joint, "X", ["E", "D"])
     without = nonuniformity(base, "X", "E")
     assert with_d == pytest.approx(without, abs=1e-12)
+
+
+def expanded_nonuniformity(table):
+    """The distance as nonuniformity wrote it out for one 2-D table."""
+    n_x = table.shape[0]
+    col_mass = table.sum(axis=0)
+    return float(0.5 * np.abs(table - col_mass[np.newaxis, :] / n_x).sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=3, max_dims=3,
+                                               max_side=6),
+                  elements=st.floats(0.0, 1.0)))
+def test_uniform_distance_matches_the_expanded_formula(stack):
+    # one table by ==, and every table of a stack (x on axis -2)
+    assert float(_uniform_distance(stack[0])) == expanded_nonuniformity(
+        stack[0])
+    got = _uniform_distance(stack)
+    assert got.shape == stack.shape[:1]
+    assert got.tolist() == [expanded_nonuniformity(t) for t in stack]
+    if stack[0].sum() > 0.0:
+        table = stack[0] / stack[0].sum()
+        d = JointDistribution([("X", table.shape[0]), ("Y", table.shape[1])],
+                              table)
+        assert nonuniformity(d, "X", "Y") == expanded_nonuniformity(table)
 
 
 def test_nonuniformity_triangle_inequality():

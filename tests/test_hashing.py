@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisystorage import hashing
+from noisystorage import gf2, hashing
 from noisystorage.distributions import JointDistribution
+from noisystorage.entropy import min_entropy
 from noisystorage.hashing import (
     FFT_MIN_CELLS,
     ToeplitzHash,
@@ -341,7 +342,8 @@ def test_pa_distance_uniform_input():
     n_bits = 6
     d = JointDistribution([("X", 2 ** n_bits)], np.full(2 ** n_bits, 2.0 ** -n_bits))
     rng = np.random.default_rng(107)
-    empirical, bound = pa_distance(d, ell=1, sample_count=50, rng=rng)
+    distances, bound = pa_distance(d, ell=1, sample_count=50, rng=rng)
+    empirical = distances.mean()
     assert bound == pytest.approx(2.0 ** (-(n_bits - 1) / 2.0 - 1.0))
     assert empirical <= bound + 1e-12
 
@@ -352,7 +354,8 @@ def test_pa_distance_known_input_vacuous_bound():
     np.fill_diagonal(probs, 0.25)
     d = JointDistribution([("X", 4), ("E", 4)], probs)
     rng = np.random.default_rng(109)
-    empirical, bound = pa_distance(d, ell=1, sample_count=20, rng=rng)
+    distances, bound = pa_distance(d, ell=1, sample_count=20, rng=rng)
+    empirical = distances.mean()
     assert bound >= 0.5
     assert empirical <= bound
 
@@ -365,8 +368,52 @@ def test_pa_distance_random_tables_never_beat_bound():
         probs /= probs.sum()
         d = JointDistribution([("X", 8), ("E", 3)], probs)
         ell = int(rng.integers(1, 4))
-        empirical, bound = pa_distance(d, ell=ell, sample_count=8, rng=rng)
+        distances, bound = pa_distance(d, ell=ell, sample_count=8, rng=rng)
+        empirical = distances.mean()
         assert empirical <= bound + 1e-9
+
+
+def reference_pa_distances(dist, ell, sample_count, rng):
+    """The per-sample loop pa_distance replaced: each hash's output table
+    filled value by value, its distance written out."""
+    x_register, *side = dist.names
+    n_bits = dist.size_of(x_register).bit_length() - 1
+    table = dist.grouped([x_register], side)
+    xs = gf2.unpack(np.arange(2 ** n_bits), n_bits)
+    side_mass = table.sum(axis=0)
+    distances = []
+    for _ in range(sample_count):
+        h = random_hash(n_bits, ell, rng)
+        out_codes = gf2.pack(hash_apply_many(h, xs))
+        weights = np.zeros((2 ** ell, table.shape[1]))
+        for code in range(2 ** ell):
+            weights[code] = table[out_codes == code].sum(axis=0)
+        distances.append(0.5 * np.abs(
+            weights - side_mass[np.newaxis, :] / 2 ** ell).sum())
+    return np.array(distances)
+
+
+@pytest.mark.parametrize("side_sizes", [(), (3,), (2, 3)])
+def test_pa_distances_match_the_per_sample_loop(side_sizes):
+    rng = np.random.default_rng(127)
+    for _ in range(30):
+        n_bits = int(rng.integers(1, 7))
+        ell = int(rng.integers(1, n_bits + 1))
+        samples = int(rng.choice([1, 5, 16]))
+        sizes = (2 ** n_bits,) + side_sizes
+        probs = rng.random(sizes)
+        probs /= probs.sum()
+        names = ["X"] + ["E%d" % i for i in range(len(side_sizes))]
+        d = JointDistribution(list(zip(names, sizes)), probs)
+        seed = int(rng.integers(2 ** 32))
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        distances, bound = pa_distance(d, ell, samples, mine)
+        want = reference_pa_distances(d, ell, samples, theirs)
+        assert distances.shape == (samples,)
+        assert np.abs(distances - want).max() <= 1e-15
+        assert mine.bit_generator.state == theirs.bit_generator.state
+        assert bound == 2.0 ** (-0.5 * (min_entropy(d, "X", names[1:]) - ell)
+                                - 1.0)
 
 
 def test_pa_distance_validation():

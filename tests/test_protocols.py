@@ -279,13 +279,24 @@ def test_robust_worst_case_reporting_passes_check():
     assert ok >= 35
 
 
+class OverReportingBob:
+    """Reports 40% of the rounds as missing single-photon clicks, well over
+    the 25% worst case that ph_noclick - pd_noclick allows below."""
+
+    def reported_clicks(self, single_mask, click_mask, params, rng):
+        reported = click_mask.copy()
+        candidates = np.nonzero(single_mask & click_mask)[0]
+        reported[candidates[:round(0.4 * len(click_mask))]] = False
+        return reported
+
+
 def test_robust_over_reporting_aborts_deterministically():
     params = robust_params(n=4096, delta=0.002, ph_noclick=0.3,
                            pd_noclick=0.05, p1_sent=0.9)
     for seed in range(20):
         t = run_robust_rot(params, repetition_code(3), c=0,
-                           bob=WorstCaseReportingBob(extra_fraction=0.4),
-                           rng=seed, eps_target=0.001)
+                           bob=OverReportingBob(), rng=seed,
+                           eps_target=0.001)
         assert t.abort
 
 
