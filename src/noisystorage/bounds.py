@@ -8,6 +8,7 @@ base 2; lengths are reported as whole bits.
 """
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -62,6 +63,9 @@ class StorageModel:
             raise PreconditionError("storage rate nu must be positive")
         if self.dim < 2:
             raise PreconditionError("channel dimension must be at least 2")
+        if self.dim > sys.float_info.max:
+            raise PreconditionError("channel dimension dim has no finite "
+                                    "float value")
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,8 @@ class OtParams:
         if not 0.0 < self.delta < 0.25:
             raise PreconditionError("delta must lie in (0, 1/4)")
         _require_finite("n", self.n)
-        if self.n < math.ceil(4.0 / self.delta):
+        need = 4.0 / self.delta
+        if not math.isfinite(need) or self.n < math.ceil(need):
             raise PreconditionError("n >= 4/delta is required for the "
                                     "security statement")
 
@@ -153,6 +158,10 @@ class QidParams:
         if self.ell is not None and self.ell < 1:
             raise PreconditionError("ell must be a positive length")
         if self.d_code is not None:
+            if self.d_code > self.n:
+                raise PreconditionError(
+                    "code distance d_code = %d exceeds the code length "
+                    "n = %.6g" % (self.d_code, self.n))
             _check_code_distance(self.d_code, self.m, self.delta)
 
 
@@ -288,6 +297,11 @@ def strong_converse_exponent(R, storage):
     1e-10, alpha capped at 1e6); the alpha -> 1 and alpha -> infinity
     limits are evaluated analytically.  gamma(R) > 0 exactly when R
     exceeds the capacity.
+
+    Precondition: the optimum is a finite float.  The scan's
+    s * (R - log2 d) overflows for R above about 1.8e302 (a storage rate
+    nu below about 1e-303 at the bound calculators' rates), and that
+    raises :class:`PreconditionError` naming R and nu.
     """
     if R < 0.0:
         raise ValueError("rate R must be nonnegative")
@@ -298,7 +312,7 @@ def strong_converse_exponent(R, storage):
 
     if lam_minus == 0.0:
         # noiseless channel: objective is (1 - 1/alpha)(R - log2 d)
-        return max(0.0, f_inf)
+        return _finite_exponent(max(0.0, f_inf), R, storage)
 
     ln_p = math.log(lam_plus)
     ln_m = math.log(lam_minus)
@@ -361,6 +375,16 @@ def strong_converse_exponent(R, storage):
     # the smallest real exponents of interest are orders above this
     if value < GAMMA_NOISE_FLOOR:
         return 0.0
+    return _finite_exponent(value, R, storage)
+
+
+def _finite_exponent(value, R, storage):
+    """``value``, unless the exponent overflowed to infinity."""
+    if not math.isfinite(value):
+        raise PreconditionError(
+            "the exponent at rate R = %.6g per use of storage at rate "
+            "nu = %.6g is not a finite float; R must stay below about 1e302"
+            % (R, storage.nu))
     return value
 
 
@@ -395,35 +419,40 @@ def _transfer_bound(storage, delta, n, rate, rounds, ec_bits=0.0, nu_n=None):
     return _Transfer(cap, gamma, value, ell, ot_epsilon(delta, rounds))
 
 
-def _transfer(params, ec_variant="rounds"):
-    """The bound of ot_length (OtParams) or robust_ot_length (RobustParams).
-
-    Raises InfeasibleStorageError, then ValueError for an unknown
-    ``ec_variant``, then NoPositiveLengthError.
-    """
-    storage, delta, n = params.storage, params.delta, params.n
-    if isinstance(params, RobustParams):
-        rate = (0.25 - delta) * params.m1 / n
-        m_ec = {"rounds": params.m_total,
-                "error-complement": (1.0 - params.ph_err) * n}.get(ec_variant)
-        t = _transfer_bound(
-            storage, delta, n, rate, params.m1,
-            1.2 * binary_entropy(params.ph_err) * (m_ec or 0.0) / 2.0,
-            storage.nu * n)
-        text = "exceeds (1/4 - delta) * m1/n = %(limit).6g"
-    else:
-        rate, m_ec = 0.25 - delta, 0.0
-        t = _transfer_bound(storage, delta, n, rate, n)
-        text = ("exceeds 1/4 - delta = %(limit).6g; no guarantee is "
-                "possible for this storage")
+def _positive(t, storage, rate, text):
+    """``t``, else InfeasibleStorageError, then NoPositiveLengthError."""
     _require_capacity_below(t.capacity * storage.nu, rate, text)
-    if m_ec is None:
-        raise ValueError("unknown ec_variant %r" % ec_variant)
     if t.ell <= 0:
         raise NoPositiveLengthError(
             "no positive-length OT: the bound evaluates to %.6g bits"
             % t.value)
     return t
+
+
+def _ot(params):
+    """The :func:`ot_length` bound; raises as :func:`_positive` does."""
+    rate = 0.25 - params.delta
+    t = _transfer_bound(params.storage, params.delta, params.n, rate,
+                        params.n)
+    return _positive(t, params.storage, rate,
+                     "exceeds 1/4 - delta = %(limit).6g; no guarantee is "
+                     "possible for this storage")
+
+
+def _robust(params, ec_variant="rounds"):
+    """The :func:`robust_ot_length` bound.  Rejects an unknown ``ec_variant``
+    (ValueError) before evaluating anything, then raises as _positive."""
+    if ec_variant not in ("rounds", "error-complement"):
+        raise ValueError("unknown ec_variant %r" % ec_variant)
+    storage, n = params.storage, params.n
+    m_ec = (params.m_total if ec_variant == "rounds"
+            else (1.0 - params.ph_err) * n)
+    rate = (0.25 - params.delta) * params.m1 / n
+    t = _transfer_bound(storage, params.delta, n, rate, params.m1,
+                        1.2 * binary_entropy(params.ph_err) * m_ec / 2.0,
+                        storage.nu * n)
+    return _positive(t, storage, rate,
+                     "exceeds (1/4 - delta) * m1/n = %(limit).6g")
 
 
 def ot_length(params):
@@ -433,7 +462,7 @@ def ot_length(params):
     ell_max = floor(gamma((1/4-delta)/nu) * nu*n/2 - log2(1/epsilon)) and
     the protocol's security statement error is 2*epsilon.
     """
-    t = _transfer(params)
+    t = _ot(params)
     return t.ell, t.eps
 
 
@@ -446,7 +475,7 @@ def robust_ot_length(params, ec_variant="rounds"):
     (1 - ph_err) * n.  Epsilon decays in the surviving single-photon
     count m1 instead of n.
     """
-    t = _transfer(params, ec_variant)
+    t = _robust(params, ec_variant)
     return t.ell, t.eps
 
 
@@ -458,27 +487,26 @@ def _two_pow_capped(exponent):
     return 2.0 ** exponent
 
 
-def qid_error_exponents(params):
-    """The two decay exponents behind :func:`qid_error` (uncapped).
+# One identification-bound evaluation: the storage capacity, the two
+# uncapped exponents and the error 2^-e1 + 2^-e2 they give, capped at 1.
+_Qid = namedtuple("_Qid", "capacity e1 e2 error")
 
-    Returns (e1, e2) with the error equal to 2^-e1 + 2^-e2 before
-    saturation.  Useful for checking decay rates in regimes where the
-    saturated error is still 1.
-    """
+
+def _qid(params):
+    """The :func:`qid_error` bound; ``d_code`` defaults to floor(mu*n - 1)."""
     d_code = params.d_code
     if d_code is None:
         d_code = math.floor(params.mu * params.n - 1.0)
         _check_code_distance(d_code, params.m, params.delta)
     if params.ell is None:
         raise PreconditionError("the hash length ell is required")
-    storage = params.storage
-    nu_n = storage.nu * params.n
+    nu_n = params.storage.nu * params.n
     gamma = strong_converse_exponent(
-        (0.25 - params.delta) * d_code / nu_n, storage)
-    minus_log_psucc = gamma * nu_n
-    e1 = 0.5 * (minus_log_psucc - params.ell)
+        (0.25 - params.delta) * d_code / nu_n, params.storage)
+    e1 = 0.5 * (gamma * nu_n - params.ell)
     e2 = sigma(params.delta / 4.0) * d_code - math.log2(params.m) - 3.0
-    return e1, e2
+    return _Qid(depolarizing_capacity(params.storage), e1, e2,
+                min(1.0, _two_pow_capped(-e1) + _two_pow_capped(-e2)))
 
 
 def qid_error(params):
@@ -488,8 +516,7 @@ def qid_error(params):
     channel, and the failure probability of the measurement uncertainty
     bound.  Saturates at 1.
     """
-    e1, e2 = qid_error_exponents(params)
-    return min(1.0, _two_pow_capped(-e1) + _two_pow_capped(-e2))
+    return _qid(params).error
 
 
 def impersonation_error(params):
@@ -503,16 +530,6 @@ def impersonation_error(params):
     """
     t = _impersonation(params)
     return t.ell, t.error
-
-
-def impersonation_exponents(params):
-    """Hash length choice and the two uncapped decay exponents.
-
-    Returns (ell_choice, (e1, e2)) with the impersonation error equal to
-    2^-e1 + 2^-e2 before each term saturates at 1.
-    """
-    t = _impersonation(params)
-    return t.ell, (t.e1, t.e2)
 
 
 # One impersonation-bound evaluation: the storage capacity, the hash length

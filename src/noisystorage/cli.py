@@ -28,12 +28,12 @@ from .bounds import (
     RobustParams,
     StorageModel,
     _impersonation,
-    _transfer,
-    depolarizing_capacity,
+    _ot,
+    _qid,
+    _robust,
     dishonest_alice_error,
     feasible_region,
     format_value,
-    qid_error,
     rate_curve,
     rows_to_csv,
 )
@@ -286,7 +286,7 @@ def _transfer_pairs(args, t):
 def _cmd_bounds(args):
     storage = _storage(args)
     if args.bound == "ot":
-        t = _transfer(OtParams(n=args.n, delta=args.delta, storage=storage))
+        t = _ot(OtParams(n=args.n, delta=args.delta, storage=storage))
         pairs = [("gamma", t.gamma),
                  ("capacity", t.capacity)] + _transfer_pairs(args, t)
     elif args.bound == "robust":
@@ -294,15 +294,15 @@ def _cmd_bounds(args):
                               p1_sent=args.p1_sent,
                               ph_noclick=args.ph_noclick,
                               pd_noclick=args.pd_noclick, ph_err=args.ph_err)
-        t = _transfer(params, args.ec_variant)
+        t = _robust(params, args.ec_variant)
         pairs = [("m1", params.m1), ("m_total", params.m_total),
                  ("capacity", t.capacity)] + _transfer_pairs(args, t)
     elif args.bound == "qid":
         params = QidParams(n=args.n, m=args.m, delta=args.delta,
                            storage=storage, ell=args.ell, d_code=args.d_code)
-        pairs = [("mu", params.mu),
-                 ("capacity", depolarizing_capacity(storage)),
-                 ("error", qid_error(params))]
+        t = _qid(params)
+        pairs = [("mu", params.mu), ("capacity", t.capacity),
+                 ("error", t.error)]
     else:
         params = QidParams(n=args.n, m=args.m, delta=args.delta,
                            storage=storage)

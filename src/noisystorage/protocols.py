@@ -79,6 +79,14 @@ class _Transcript:
                            for f in fields(self) if f.name != "adversary"})
 
 
+def _choice_bit(c):
+    """``c`` as a Python int, or ValueError unless it is an integer 0 or 1."""
+    if not (isinstance(c, numbers.Integral) and c in (0, 1)):
+        raise ValueError("choice bit c must be an integer 0 or 1, got %r"
+                         % (c,))
+    return int(c)
+
+
 def honest_index_sets(theta, theta_hat, c):
     """The two index sets an honest receiver reports, choice-side first.
 
@@ -159,7 +167,8 @@ class RotTranscript(_Transcript):
 def run_rot(n, ell, c, bob=None, rng=None):
     """One run of randomized oblivious transfer over n rounds.
 
-    ``bob=None`` plays the honest receiver with choice bit ``c``.  With
+    ``bob=None`` plays the honest receiver with choice bit ``c``, an
+    integer 0 or 1 (else ValueError before anything is drawn).  With
     honest parties the receiver's output equals the chosen string; when
     its chosen index set comes out empty (probability 2^-n) both sides
     hash the zero-padded empty string, and the event is flagged.
@@ -171,6 +180,7 @@ def run_rot(n, ell, c, bob=None, rng=None):
     """
     if not 1 <= ell <= n:
         raise ValueError("need 1 <= ell <= n")
+    c = _choice_bit(c)
     rng = make_rng(rng)
     x = rng.integers(0, 2, n, dtype=np.uint8)
     theta = rng.integers(0, 2, n, dtype=np.uint8)
@@ -299,7 +309,8 @@ def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3):
     [(1 - p - zeta) n, (1 - p + zeta) n]; zeta = sqrt(ln(2/eps_target)
     / (2n)) keeps the honest abort probability at most eps_target, which
     must lie in (0, 1].  Error correction is blockwise syndrome decoding
-    with the given code.
+    with the given code.  The choice bit ``c`` is an integer 0 or 1, else
+    ValueError before anything is drawn.
 
     ``bob`` may be a dishonest receiver such as
     :class:`WorstCaseReportingBob`, whose ``reported_clicks(single_mask,
@@ -315,6 +326,7 @@ def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3):
         raise ValueError("need 1 <= ell <= n")
     if not 0.0 < eps_target <= 1.0:
         raise ValueError("eps_target must lie in (0, 1]")
+    c = _choice_bit(c)
     rng = make_rng(rng)
     zeta = math.sqrt(math.log(2.0 / eps_target) / (2.0 * n))
 

@@ -12,19 +12,19 @@ from noisystorage.bounds import (
     QidParams,
     RobustParams,
     StorageModel,
+    _impersonation,
+    _qid,
     binary_entropy,
     depolarizing_capacity,
     dishonest_alice_error,
     feasible_region,
     format_value,
     impersonation_error,
-    impersonation_exponents,
     inv_binary_entropy,
     log2_inv_ot_epsilon,
     ot_epsilon,
     ot_length,
     qid_error,
-    qid_error_exponents,
     rate_curve,
     robust_ot_length,
     rows_to_csv,
@@ -242,6 +242,16 @@ def test_gamma_rejects_negative_rate():
         strong_converse_exponent(-0.1, QUBIT(0.5))
 
 
+def test_gamma_that_overflows_is_a_precondition():
+    # the scan's s * (R - log2 d) overflows from R of about 1.8e302 on
+    assert strong_converse_exponent(1.7e302, QUBIT(0.1)) == 1.7e302
+    for R, st in ((1.9e302, QUBIT(0.1)), (math.inf, QUBIT(0.1)),
+                  (math.inf, QUBIT(1.0))):
+        with pytest.raises(PreconditionError,
+                           match=r"rate R = .* at rate nu = 1 is not a finite"):
+            strong_converse_exponent(R, st)
+
+
 # --- parameter records ---------------------------------------------------------
 
 
@@ -282,6 +292,33 @@ def test_qid_params_validation():
     assert 0.0 < p.mu <= 0.5
     assert binary_entropy(p.mu) == pytest.approx(1.0 - math.log2(16) / 1e6,
                                                  abs=1e-9)
+
+
+def test_params_reject_values_without_a_finite_float():
+    with pytest.raises(PreconditionError, match="dim has no finite float"):
+        StorageModel(r=0.5, dim=10 ** 400)
+    assert StorageModel(r=0.5, dim=10 ** 300).dim == 10 ** 300
+    # 4/delta overflows to inf, which has no integer ceiling
+    with pytest.raises(PreconditionError, match="n >= 4/delta"):
+        OtParams(n=1e300, delta=1e-320, storage=QUBIT(0.1))
+    with pytest.raises(PreconditionError, match="n >= 4/delta"):
+        rate_curve(1e300, 1e-320, 1.0, [0.1])
+
+
+def test_qid_params_reject_distance_above_code_length():
+    kwargs = dict(n=1e4, m=16, delta=0.05, storage=QUBIT(0.1), ell=8)
+    assert QidParams(**kwargs, d_code=10_000).d_code == 10_000
+    with pytest.raises(PreconditionError,
+                       match="d_code = 10001 exceeds the code length"):
+        QidParams(**kwargs, d_code=10_001)
+
+
+def test_qid_record_matches_its_error_and_capacity():
+    p = QidParams(n=1e9, m=16, delta=0.2, storage=QUBIT(0.1), ell=1000,
+                  d_code=int(3e8))
+    t = _qid(p)
+    assert t.capacity == depolarizing_capacity(p.storage)
+    assert t.error == qid_error(p) == min(1.0, 2.0 ** -t.e1 + 2.0 ** -t.e2)
 
 
 # --- OT lengths -----------------------------------------------------------------
@@ -385,6 +422,15 @@ def test_robust_ec_variants_differ():
     assert ell_rounds > 0
 
 
+def test_robust_checks_ec_variant_before_feasibility():
+    p = RobustParams(n=1e10, delta=0.01, storage=QUBIT(0.9), p1_sent=0.9,
+                     ph_noclick=0.5, pd_noclick=0.05, ph_err=0.01)
+    with pytest.raises(InfeasibleStorageError):
+        robust_ot_length(p)
+    with pytest.raises(ValueError, match="unknown ec_variant 'bogus'"):
+        robust_ot_length(p, ec_variant="bogus")
+
+
 def test_robust_infeasible():
     p = RobustParams(n=1e10, delta=0.01, storage=QUBIT(0.9), p1_sent=0.9,
                      ph_noclick=0.5, pd_noclick=0.05, ph_err=0.01)
@@ -461,11 +507,11 @@ def test_impersonation_cross_check():
 def test_qid_error_decreasing_in_distance():
     st = QUBIT(0.1)
     distances = (int(2e8), int(3e8), int(5e8), int(8e8))
-    exps = [qid_error_exponents(
+    records = [_qid(
         QidParams(n=1e9, m=16, delta=0.2, storage=st, ell=1000, d_code=d))
         for d in distances]
-    assert all(e2 > e1 for (e1, _), (e2, __) in zip(exps, exps[1:]))
-    assert all(b2 > b1 for (_, b1), (__, b2) in zip(exps, exps[1:]))
+    assert all(b.e1 > a.e1 for a, b in zip(records, records[1:]))
+    assert all(b.e2 > a.e2 for a, b in zip(records, records[1:]))
     errs = [qid_error(
         QidParams(n=1e9, m=16, delta=0.2, storage=st, ell=1000, d_code=d))
         for d in distances]
@@ -481,10 +527,10 @@ def test_qid_error_saturates_at_one():
 
 def test_qid_error_m_doubling_shifts_second_exponent():
     st = QUBIT(0.1)
-    _, e2_m8 = qid_error_exponents(
-        QidParams(n=1e9, m=8, delta=0.2, storage=st, ell=1000, d_code=int(1e8)))
-    _, e2_m16 = qid_error_exponents(
-        QidParams(n=1e9, m=16, delta=0.2, storage=st, ell=1000, d_code=int(1e8)))
+    e2_m8, e2_m16 = (
+        _qid(QidParams(n=1e9, m=m, delta=0.2, storage=st, ell=1000,
+                       d_code=int(1e8))).e2
+        for m in (8, 16))
     assert e2_m8 - e2_m16 == pytest.approx(1.0, abs=1e-9)
 
 
@@ -504,9 +550,9 @@ def test_qid_error_gv_fallback_checks_distance():
 
 def test_impersonation_positive_exponents_at_scale():
     p = QidParams(n=1e8, m=2, delta=0.2, storage=QUBIT(0.1))
-    ell_choice, (e1, e2) = impersonation_exponents(p)
-    assert ell_choice > 0
-    assert e1 > 0 and e2 > 0
+    t = _impersonation(p)
+    assert t.ell > 0
+    assert t.e1 > 0 and t.e2 > 0
     _, eps = impersonation_error(p)
     assert 0.0 < eps < 1.0
 
@@ -542,8 +588,7 @@ def test_impersonation_dishonest_alice_dominated():
         d = p.mu * n - 1.0
         ell_exact = gamma * st.nu * d / 3.0
         alice = 2.0 * math.log2(m) - ell_exact          # log2 of m^2/2^ell
-        _, (e1, _) = impersonation_exponents(p)
-        assert alice <= -e1 + 1e-9
+        assert alice <= -_impersonation(p).e1 + 1e-9
 
 
 # --- tables ----------------------------------------------------------------------

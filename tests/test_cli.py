@@ -23,6 +23,9 @@ QID_ARGS = ("bounds", "qid", "--n", "1e9", "--m", "16", "--delta", "0.2",
             "--ell", "1000", "--r", "0.1")
 IMPERSONATION_ARGS = ("bounds", "impersonation", "--n", "1e8", "--m", "2",
                       "--delta", "0.2", "--r", "0.1")
+CURVE_ARGS = ("curve", "--n", "1e10", "--delta", "0.0106")
+# an integer of 401 digits, which has no float value
+HUGE_INT = "1" + "0" * 400
 
 
 def run_cli(capsys, *argv):
@@ -339,6 +342,34 @@ def test_non_finite_and_negative_inputs_exit_1(capsys, argv, diagnostic):
     assert out == ""
 
 
+NU_OVERFLOW = "rate R = inf per use of storage at rate nu = 9.99989e-321"
+NO_FLOAT_DIM = "channel dimension dim has no finite float value"
+# bound inputs whose float overflowed before they were rejected, and a code
+# distance above the code length
+OUT_OF_RANGE_BOUNDS = [
+    (OT_ARGS[:4] + ("--delta", "1e-320", "--r", "0.1"), "n >= 4/delta"),
+    (CURVE_ARGS[:3] + ("--delta", "1e-320"), "n >= 4/delta"),
+    *((argv + ("--nu", "1e-320"), NU_OVERFLOW) for argv in (
+        OT_ARGS, ROBUST_ARGS, QID_ARGS, IMPERSONATION_ARGS, CURVE_ARGS)),
+    (OT_ARGS + ("--nu", "1e-303"), "rate R = 2.394e+302 per use"),
+    (OT_ARGS + ("--dim", HUGE_INT), NO_FLOAT_DIM),
+    (CURVE_ARGS + ("--dim", HUGE_INT), NO_FLOAT_DIM),
+    (("region", "--steps", "10", "--dim", HUGE_INT), NO_FLOAT_DIM),
+    (QID_ARGS + ("--d-code", "3e9"),
+     "d_code = 3000000000 exceeds the code length n = 1e+09"),
+    (QID_ARGS + ("--d-code", HUGE_INT), "exceeds the code length"),
+]
+
+
+@pytest.mark.parametrize("argv, diagnostic", OUT_OF_RANGE_BOUNDS,
+                         ids=range(len(OUT_OF_RANGE_BOUNDS)))
+def test_out_of_range_bound_inputs_exit_1(capsys, argv, diagnostic):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert diagnostic in err
+
+
 @pytest.mark.parametrize("argv", [OT_ARGS, ROBUST_ARGS, IMPERSONATION_ARGS])
 def test_bounds_transfer_evaluates_gamma_and_capacity_once(capsys,
                                                            monkeypatch, argv):
@@ -639,14 +670,19 @@ FUZZ_OPTIONS = {path: _options(cli.build_parser(), path)
                 for path in FUZZ_BASES}
 FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "0", "1", "2", "1e400", "-0.0",
                "0.1", "0.2", "0.25", "0.9", "1.5", "16", "1000", "1e10",
-               "3e8", "1e-300", "garbage", "", "json", "text", "csv",
-               "rounds", "error-complement"]
+               "3e8", "3e9", "1e-300", "1e-320", "5e-324", HUGE_INT,
+               "garbage", "", "json", "text", "csv", "rounds",
+               "error-complement"]
 # the values of the valid base argvs, drawn so that fuzzed runs go past parsing
 BASE_VALUES = sorted({v for base in FUZZ_BASES.values()
                       for v in base if not v.startswith("--")})
 FUZZ_STEPS = ["nan", "-1", "0", "1", "2", "3", "300", "1e400", "garbage"]
 FUZZ_TRIALS = ["nan", "-1", "0", "1", "2", "3", "1e400", "garbage", ""]
 PREFIXES = {1: "error: ", 2: "infeasible: ", 3: "numeric failure: "}
+# the optimizers' own non-convergence is the only numeric failure left
+NUMERIC_FAILURES = {PREFIXES[3] + text + "\n" for text in (
+    "binary entropy inversion did not converge",
+    "exponent bracket did not reach tolerance")}
 
 # The work a fuzzed command really runs.  Above these sizes a stand-in
 # raises _Reached instead, which means the command admitted its input.
@@ -657,9 +693,11 @@ FUZZ_WORK = {
     "repetition_code": lambda n: n <= 12,
 }
 FUZZ_MAX_TRIALS = 8
-# the reproduced unbounded runs, both sides of every run-size cap, and the
-# out-of-range ell that an aborting robust run used to accept
+# the reproduced unbounded runs, both sides of every run-size cap, the
+# out-of-range ell that an aborting robust run used to accept, and the bound
+# inputs that overflowed a float or exceeded the code length
 FUZZ_EXAMPLES = [
+    *(list(argv) for argv, _ in OUT_OF_RANGE_BOUNDS),
     ["curve", "--n", "1e10", "--delta", "0.0106", "--r-min", "inf"],
     ["simulate", "rot", "--n", "1000000000000", "--trials", "1"],
     ["simulate", "robust", "--n", "1000000000000"],
@@ -753,3 +791,5 @@ def test_cli_fuzz_exits_with_documented_codes(argv):
     assert code in (0, 1, 2, 3)
     if code:
         assert err.getvalue().startswith(PREFIXES[code])
+    if code == 3:
+        assert err.getvalue() in NUMERIC_FAILURES

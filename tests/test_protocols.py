@@ -133,6 +133,22 @@ def test_rot_validates_lengths():
         run_rot(4, ell=5, c=0, rng=1)
 
 
+@pytest.mark.parametrize("c", [2, -1, 7, 0.0, 1.0, "1", None])
+def test_runners_reject_choice_outside_a_bit_before_drawing(c):
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="choice bit c"):
+        run_rot(16, 4, c, rng=rng)
+    with pytest.raises(ValueError, match="choice bit c"):
+        run_robust_rot(robust_params(), repetition_code(3), c, rng=rng)
+    assert rng.bit_generator.state == state
+
+
+def test_runners_take_numpy_choice_bits():
+    assert run_rot(16, 4, np.int64(1), rng=7).to_json() == run_rot(
+        16, 4, 1, rng=7).to_json()
+
+
 # The per-qubit loop the storing receiver used to run, kept as an oracle:
 # one prepared, depolarized and measured 2x2 matrix and one draw per qubit,
 # written without qsim so that a fault there cannot hide in both paths.
