@@ -27,7 +27,7 @@ from .bounds import (
     sigma,
     strong_converse_exponent,
 )
-from .codes import LinearCode, QidCode, gv_parameters, qid_code
+from .codes import LinearCode, QidCode, qid_code
 from .distributions import JointDistribution, SubDistribution
 from .entropy import (
     SplitResult,

@@ -8,6 +8,7 @@ base 2; lengths are reported as whole bits.
 """
 
 import math
+import numbers
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -61,6 +62,9 @@ class StorageModel:
         _require_finite("nu", self.nu)
         if self.nu <= 0.0:
             raise PreconditionError("storage rate nu must be positive")
+        if not isinstance(self.dim, numbers.Integral):
+            raise PreconditionError("channel dimension dim must be an "
+                                    "integer, got %r" % (self.dim,))
         if self.dim < 2:
             raise PreconditionError("channel dimension must be at least 2")
         if self.dim > sys.float_info.max:
@@ -162,6 +166,7 @@ class QidParams:
                 raise PreconditionError(
                     "code distance d_code = %d exceeds the code length "
                     "n = %.6g" % (self.d_code, self.n))
+            _require_finite("d_code", self.d_code)  # nan passes the above
             _check_code_distance(self.d_code, self.m, self.delta)
 
 
@@ -303,8 +308,8 @@ def strong_converse_exponent(R, storage):
     nu below about 1e-303 at the bound calculators' rates), and that
     raises :class:`PreconditionError` naming R and nu.
     """
-    if R < 0.0:
-        raise ValueError("rate R must be nonnegative")
+    if not R >= 0.0:  # nan too
+        raise PreconditionError("rate R must be nonnegative, got %r" % (R,))
     d = storage.dim
     lam_plus, lam_minus = _eigenvalues(storage)
     log_d = math.log2(d)
@@ -554,6 +559,8 @@ def _impersonation(params):
 
 def dishonest_alice_error(m, ell):
     """Impersonation error of an unbounded user: m^2 / 2^ell."""
+    if not m >= 1:  # nan too
+        raise PreconditionError("m must be at least 1, got %r" % (m,))
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     return _two_pow_capped(2.0 * math.log2(m) - ell)

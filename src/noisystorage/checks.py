@@ -189,7 +189,7 @@ def verify_codes(seed=7):
             yield np.array_equal(fixed, word)
     # distinct codewords for distinct passwords
     qc = qid_code(16, 8)
-    yield len({qc.basis_string(w) for w in range(1, 17)}) == 16
+    yield len({qc.password_bases(w).tobytes() for w in range(1, 17)}) == 16
 
 
 SUITES = {

@@ -70,6 +70,11 @@ class CliParameterError(ValueError):
 
 
 class Parser(argparse.ArgumentParser):
+    """Options must be spelled in full: no prefix abbreviations."""
+
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+
     def error(self, message):
         raise CliParameterError(message)
 

@@ -9,7 +9,6 @@ protocol machinery at test scale.
 """
 
 import itertools
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -17,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2
-from .bounds import _gv_relative_distance, binary_entropy
-from .hashing import bits_to_hex, hex_to_bits
+from .bounds import binary_entropy
 
 MIN_DISTANCE_MAX_K = 20
 COSET_TABLE_MAX_REDUNDANCY = 24
@@ -62,18 +60,6 @@ class LinearCode:
         if self._min_distance is None:
             self._min_distance = min_distance(self)
         return self._min_distance
-
-    def to_json(self):
-        return json.dumps({
-            "n": self.n, "k": self.k,
-            "generator": [bits_to_hex(row) for row in self.generator],
-        })
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        rows = [hex_to_bits(row, data["n"]) for row in data["generator"]]
-        return cls(generator=np.array(rows, dtype=np.uint8))
 
 
 def encode(code, message):
@@ -241,9 +227,6 @@ class QidCode:
         """Codeword of password w as a 0/1 basis mask (0 = +, 1 = x)."""
         return encode(self.code, self.password_bits(w))
 
-    def basis_string(self, w):
-        return "".join("+x"[b] for b in self.password_bases(w))
-
 
 def qid_code(m, n):
     """A deterministic [n, ceil(log2 m)] code for an m-password set.
@@ -268,16 +251,6 @@ def qid_code(m, n):
     else:
         code = random_code(n, k, seed=(m * 1009 + n))
     return QidCode(code=code, m=m)
-
-
-def gv_parameters(n, m):
-    """Achievable relative and absolute distance for m codewords at length n.
-
-    mu = h^-1(1 - log2(m)/n); asymptotically good codes reach distance
-    arbitrarily close to mu * n.
-    """
-    mu = _gv_relative_distance(n, m)
-    return mu, mu * n
 
 
 def syndrome_budget_ok(code, p_err):

@@ -5,7 +5,6 @@ alphabets.  All entropy, splitting and privacy-amplification computations
 operate on these tables.  Alphabets are index sets ``{0, ..., size-1}``.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,18 +133,6 @@ class JointDistribution:
                              self.probs[..., None], 0.0)
         return out
 
-    def to_json(self):
-        return json.dumps({
-            "registers": [{"name": n, "size": s} for n, s in self.registers],
-            "probs": self.probs.reshape(-1).tolist(),
-        })
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        regs = [(r["name"], r["size"]) for r in data["registers"]]
-        return cls(regs, data["probs"])
-
     def __repr__(self):
         regs = ", ".join("%s:%d" % (n, s) for n, s in self.registers)
         return "JointDistribution(%s)" % regs
@@ -162,11 +149,3 @@ class SubDistribution:
     registers: list
     probs: np.ndarray
     mass: float
-
-    def validate_against(self, parent, tol=1e-9):
-        if self.probs.shape != parent.probs.shape:
-            raise ValueError("shape mismatch with parent")
-        if np.any(self.probs < -tol) or np.any(self.probs > parent.probs + tol):
-            raise ValueError("sub-distribution not dominated by parent")
-        if abs(self.probs.sum() - self.mass) > tol:
-            raise ValueError("mass does not match table sum")

@@ -11,7 +11,6 @@ values of correlated inputs must look jointly fresh).
 uint8 array, a float64 copy of them and a read-only strided view of that
 copy (row ``i`` starts at ``seed[ell - 1 - i]`` and steps back one
 element per row), so a hash costs O(n) memory.
-``.matrix`` builds the uint8 matrix on demand.
 
 Two kernels compute the product.  Batches, and single inputs with fewer
 than ``FFT_MIN_CELLS`` products ``ell * k`` (``k`` the input length), run
@@ -96,23 +95,12 @@ class ToeplitzHash:
     def __hash__(self):
         return hash(self._key())
 
-    @property
-    def matrix(self):
-        """The ell x n uint8 matrix T, built on each access."""
-        return self._rows.astype(np.uint8)
-
     def seed_hex(self):
         """Seed as hex, most-significant bit = first diagonal element."""
         return bits_to_hex(self.seed)
 
     def offset_hex(self):
         return None if self.offset is None else bits_to_hex(self.offset)
-
-    @classmethod
-    def from_hex(cls, n, ell, seed_hex, offset_hex=None):
-        seed = hex_to_bits(seed_hex, n + ell - 1)
-        offset = None if offset_hex is None else hex_to_bits(offset_hex, ell)
-        return cls(n=n, ell=ell, seed=seed, offset=offset)
 
 
 def bits_to_hex(bits):
@@ -122,11 +110,6 @@ def bits_to_hex(bits):
     padded = np.concatenate([np.zeros(-len(bits) % 8, np.uint8), bits])
     digits = np.packbits(padded).tobytes().hex()
     return digits[len(digits) - width:] or "0"
-
-
-def hex_to_bits(text, length):
-    """The low ``length`` bits of a hex number, most significant first."""
-    return gf2.unpack(int(text, 16), length)
 
 
 def random_hash(n, ell, rng, affine=False):

@@ -3,13 +3,11 @@
 Covers exactly what the protocol simulations need: conjugate-basis state
 preparation, Born-rule measurement, depolarizing noise, and optimal
 two-state discrimination.  States are 2x2 complex numpy arrays, or
-(..., 2, 2) stacks with arrays of bases; basis values are 0
-(computational, "+") or 1 (Hadamard, "x").
+(..., 2, 2) stacks with arrays of bases; the bases are 0
+(computational) and 1 (Hadamard), and nothing else.
 """
 
 import numpy as np
-
-HERMITICITY_TOL = 1e-12
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _BASIS_VECTORS = np.array(  # indexed [basis, outcome]
@@ -24,11 +22,7 @@ def _basis_index(basis):
         return np.asarray(basis, dtype=np.intp)
     if basis in (0, 1):
         return int(basis)
-    if basis in ("+", 0.0):
-        return 0
-    if basis in ("x", "X", "×", 1.0):
-        return 1
-    raise ValueError("basis must be 0/'+' or 1/'x'")
+    raise ValueError("basis must be 0 or 1")
 
 
 def bb84_prepare(bit, basis):
@@ -37,20 +31,6 @@ def bb84_prepare(bit, basis):
         raise ValueError("bit must be 0 or 1")
     v = _BASIS_VECTORS[_basis_index(basis), bit]
     return np.outer(v, v.conj())
-
-
-def validate_state(rho, tol=HERMITICITY_TOL):
-    """Check Hermiticity, unit trace and positivity; returns the state."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    if np.abs(rho - rho.conj().T).max() > tol:
-        raise ValueError("state is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
-        raise ValueError("state trace must be 1")
-    if np.linalg.eigvalsh(rho).min() < -tol:
-        raise ValueError("state has a negative eigenvalue")
-    return rho
 
 
 def born_probability(state, basis, outcome):
@@ -96,15 +76,3 @@ def helstrom(rho0, rho1, p0=0.5):
         - (1.0 - p0) * np.asarray(rho1, dtype=complex)
     trace_norm = float(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).sum())
     return 0.5 * (1.0 + trace_norm)
-
-
-def stored_bit_guess_probability(r, basis=0):
-    """Success of the best measurement on a depolarized conjugate-coded bit.
-
-    The adversary stored the qubit (unknown bit, known-later basis); the
-    channel shrank it by r.  Equal priors give (1 + r)/2 via the optimal
-    discrimination of the two post-channel states.
-    """
-    rho0 = depolarize(bb84_prepare(0, basis), r)
-    rho1 = depolarize(bb84_prepare(1, basis), r)
-    return helstrom(rho0, rho1, 0.5)

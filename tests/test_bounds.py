@@ -242,6 +242,12 @@ def test_gamma_rejects_negative_rate():
         strong_converse_exponent(-0.1, QUBIT(0.5))
 
 
+def test_gamma_rejects_nan_rate():
+    # every comparison with nan is false, so no scan point would beat 0
+    with pytest.raises(PreconditionError, match="rate R must be nonnegative"):
+        strong_converse_exponent(math.nan, QUBIT(0.5))
+
+
 def test_gamma_that_overflows_is_a_precondition():
     # the scan's s * (R - log2 d) overflows from R of about 1.8e302 on
     assert strong_converse_exponent(1.7e302, QUBIT(0.1)) == 1.7e302
@@ -262,6 +268,18 @@ def test_storage_model_validation():
         StorageModel(r=0.5, nu=0.0)
     with pytest.raises(PreconditionError):
         StorageModel(r=0.5, dim=1)
+
+
+def test_storage_model_requires_an_integral_dimension():
+    for dim in (2.5, 2.0, math.nan):
+        with pytest.raises(PreconditionError, match="dim must be an integer"):
+            StorageModel(r=0.5, dim=dim)
+    # a bool is an integer, and fails the least dimension
+    with pytest.raises(PreconditionError, match="at least 2"):
+        StorageModel(r=0.5, dim=True)
+    assert StorageModel(r=0.5, dim=np.int64(3)).dim == 3
+    assert StorageModel(r=0.5, dim=np.uint8(2)).dim == 2
+    assert StorageModel(r=0.5, dim=10 ** 300).dim == 10 ** 300
 
 
 def test_ot_params_validation():
@@ -311,6 +329,13 @@ def test_qid_params_reject_distance_above_code_length():
     with pytest.raises(PreconditionError,
                        match="d_code = 10001 exceeds the code length"):
         QidParams(**kwargs, d_code=10_001)
+
+
+def test_qid_params_reject_nan_distance():
+    # nan passes both distance comparisons; qid_error would return 1.0
+    with pytest.raises(PreconditionError, match="d_code must be finite"):
+        QidParams(n=1e4, m=16, delta=0.05, storage=QUBIT(0.1), ell=8,
+                  d_code=math.nan)
 
 
 def test_qid_record_matches_its_error_and_capacity():
@@ -653,3 +678,8 @@ def test_csv_formatting():
 def test_dishonest_alice_error_formula():
     assert dishonest_alice_error(2, 40) == pytest.approx(2.0 ** -38)
     assert dishonest_alice_error(16, 4) == 1.0  # saturated
+
+
+def test_dishonest_alice_error_rejects_nan_password_count():
+    with pytest.raises(PreconditionError, match="m must be at least 1"):
+        dishonest_alice_error(math.nan, 5)

@@ -370,6 +370,20 @@ def test_out_of_range_bound_inputs_exit_1(capsys, argv, diagnostic):
     assert diagnostic in err
 
 
+@pytest.mark.parametrize("argv, diagnostic", [
+    (OT_ARGS + ("--thresh", "1e-8"), "unrecognized arguments: --thresh 1e-8"),
+    (OT_ARGS + ("--delt", "0.01"), "unrecognized arguments: --delt 0.01"),
+    (OT_ARGS[:4] + ("--delt", "0.01", "--r", "0.1"),
+     "the following arguments are required: --delta"),
+    (("simulate", "rot", "--see", "3"), "unrecognized arguments: --see 3"),
+], ids=["thresh", "delt-extra", "delt-alone", "simulate"])
+def test_abbreviated_options_exit_1(capsys, argv, diagnostic):
+    # a prefix of a documented option is not that option
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: %s\n" % diagnostic
+
+
 @pytest.mark.parametrize("argv", [OT_ARGS, ROBUST_ARGS, IMPERSONATION_ARGS])
 def test_bounds_transfer_evaluates_gamma_and_capacity_once(capsys,
                                                            monkeypatch, argv):

@@ -9,14 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from noisystorage import codes, gf2
-from noisystorage.bounds import inv_binary_entropy
+from noisystorage.bounds import _gv_relative_distance, inv_binary_entropy
 from noisystorage.codes import (
     RANDOM_CODE_TRIES,
     LinearCode,
     _min_weight,
     encode,
     extended_hamming_8_4,
-    gv_parameters,
     hamming_7_4,
     identity_code,
     min_distance,
@@ -27,7 +26,7 @@ from noisystorage.codes import (
     syndrome_budget_ok,
     syndrome_decode,
 )
-from noisystorage.protocols import run_qid
+from noisystorage.protocols import basis_string, run_qid
 
 
 def bits(s):
@@ -296,18 +295,11 @@ def test_mismatched_stack_shapes_name_the_bit_count(call, message):
         call(hamming_7_4())
 
 
-def test_json_roundtrip():
-    code = hamming_7_4()
-    again = LinearCode.from_json(code.to_json())
-    assert np.array_equal(again.generator, code.generator)
-    assert again.min_distance == 3
-
-
 def test_qid_code_two_passwords_repetition():
     qc = qid_code(2, 9)
     assert qc.code.min_distance == 9
-    assert qc.basis_string(1) == "+" * 9
-    assert qc.basis_string(2) == "x" * 9
+    assert basis_string(qc.password_bases(1)) == "+" * 9
+    assert basis_string(qc.password_bases(2)) == "x" * 9
 
 
 def test_qid_code_sixteen_passwords_hamming():
@@ -328,7 +320,7 @@ def test_qid_code_password_mapping():
     with pytest.raises(ValueError):
         qc.password_bits(17)
     # distinct passwords, distinct basis strings
-    strings = {qc.basis_string(w) for w in range(1, 17)}
+    strings = {qc.password_bases(w).tobytes() for w in range(1, 17)}
     assert len(strings) == 16
 
 
@@ -345,14 +337,14 @@ def test_qid_code_random_fallback_certified():
 
 
 def test_gv_parameters():
-    mu, d = gv_parameters(10 ** 6, 2)
+    mu = _gv_relative_distance(10 ** 6, 2)
     assert mu == pytest.approx(0.5, abs=1e-3)
-    mu_half, _ = gv_parameters(100, 2 ** 50)
+    mu_half = _gv_relative_distance(100, 2 ** 50)
     assert mu_half == pytest.approx(inv_binary_entropy(0.5), abs=1e-12)
-    mus = [gv_parameters(64, m)[0] for m in (2, 4, 16, 256)]
+    mus = [_gv_relative_distance(64, m) for m in (2, 4, 16, 256)]
     assert all(b < a for a, b in zip(mus, mus[1:]))
     with pytest.raises(ValueError):
-        gv_parameters(10, 2 ** 10)
+        _gv_relative_distance(10, 2 ** 10)
 
 
 def test_syndrome_budget():
@@ -456,7 +448,7 @@ SIZES, PASSWORD = "m and n must be integers", "password must be an integer"
     (lambda: qid_code(16.5, 12), SIZES),
     (lambda: qid_code(8.0, 12), SIZES),
     (lambda: qid_code(16, 8).password_bits(2.5), PASSWORD),
-    (lambda: qid_code(16, 8).basis_string(3.0), PASSWORD),
+    (lambda: qid_code(16, 8).password_bases(3.0), PASSWORD),
     (lambda: run_qid(2.5, 2, qid_code(16, 8), 8), PASSWORD),
     (lambda: run_qid(2, 2.5, qid_code(16, 8), 8), PASSWORD),
 ], ids=["n", "m", "m-random", "bits", "bases", "run-alice", "run-bob"])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
-from noisystorage.distributions import JointDistribution
+from noisystorage.distributions import JointDistribution, SubDistribution
 from noisystorage.entropy import (
     _uniform_distance,
     guessing_probability,
@@ -143,13 +143,36 @@ def test_waterfilling_equals_lp_small_batch():
         assert got == pytest.approx(want, abs=1e-9)
 
 
+def validate_against(q, parent, tol=1e-9):
+    """Raise unless sub-distribution q sits entrywise between 0 and parent
+    and its mass is its table's sum."""
+    if q.probs.shape != parent.probs.shape:
+        raise ValueError("shape mismatch with parent")
+    if np.any(q.probs < -tol) or np.any(q.probs > parent.probs + tol):
+        raise ValueError("sub-distribution not dominated by parent")
+    if abs(q.probs.sum() - q.mass) > tol:
+        raise ValueError("mass does not match table sum")
+
+
+def test_sub_distribution_checker_rejects_bad_tables():
+    d = JointDistribution([("X", 4)], np.full(4, 0.25))
+    validate_against(SubDistribution(list(d.registers), d.probs * 0.5, 0.5), d)
+    for probs, mass, message in ((d.probs * 2.0, 2.0, "not dominated"),
+                                 (-d.probs, -1.0, "not dominated"),
+                                 (d.probs * 0.5, 0.4, "mass"),
+                                 (np.full(2, 0.25), 0.5, "shape")):
+        bad = SubDistribution(list(d.registers), probs, mass)
+        with pytest.raises(ValueError, match=message):
+            validate_against(bad, d)
+
+
 def test_smooth_sub_distribution_invariants():
     rng = np.random.default_rng(17)
     for _ in range(30):
         d = random_table(rng, (4, 4))
         eps = 0.2
         q = smooth_sub_distribution(d, "R0", "R1", eps=eps)
-        q.validate_against(d)
+        validate_against(q, d)
         assert q.mass >= 1.0 - eps - 1e-12
         weight = q.probs.reshape(4, 4).max(axis=0).sum()
         assert -np.log2(weight) == pytest.approx(min_entropy(d, "R0", "R1", eps=eps))

@@ -15,7 +15,6 @@ from noisystorage.hashing import (
     collision_bound,
     hash_apply,
     hash_apply_many,
-    hex_to_bits,
     pa_distance,
     random_hash,
 )
@@ -48,6 +47,11 @@ def literal_hashes(seed, offset, n, ell, rows):
     return out.tolist()
 
 
+def kernel_matrix(h):
+    """T read off the kernel: column j is the hash of the j-th unit vector."""
+    return hash_apply_many(h, np.eye(h.n, dtype=np.uint8)).T
+
+
 def all_inputs(k):
     return np.array([int_bits(v, k) for v in range(2 ** k)],
                     dtype=np.uint8).reshape(2 ** k, k)
@@ -71,7 +75,7 @@ def test_pinned_two_by_one_example():
 def test_matrix_has_constant_diagonals():
     rng = np.random.default_rng(79)
     h = random_hash(6, 4, rng)
-    m = h.matrix
+    m = kernel_matrix(h)
     for i in range(1, 4):
         for j in range(1, 6):
             assert m[i, j] == m[i - 1, j - 1]
@@ -81,7 +85,7 @@ def test_matrix_equals_literal_matrix():
     for n in range(1, 6):
         for ell in range(1, n + 1):
             for h in all_hashes(n, ell):
-                m = h.matrix
+                m = kernel_matrix(h)
                 assert m.dtype == np.uint8
                 assert np.array_equal(m, literal_matrix(h.seed, n, ell))
 
@@ -254,9 +258,9 @@ def test_offset_makes_affine_family():
 def test_seed_hex_roundtrip():
     rng = np.random.default_rng(103)
     h = random_hash(9, 4, rng, affine=True)
-    again = ToeplitzHash.from_hex(9, 4, h.seed_hex(), h.offset_hex())
-    assert again == h
-    assert hex_to_bits("9", 4).tolist() == [1, 0, 0, 1]
+    assert np.array_equal(gf2.unpack(int(h.seed_hex(), 16), 9 + 4 - 1), h.seed)
+    assert np.array_equal(gf2.unpack(int(h.offset_hex(), 16), 4), h.offset)
+    assert hashing.bits_to_hex([1, 0, 0, 1]) == "9"
 
 
 def test_hash_keeps_read_only_bits_and_compares_by_value():

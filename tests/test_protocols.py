@@ -496,14 +496,20 @@ def test_leakage_size_cap():
         estimate_leakage(n=30, ell=2, r=0.5, trials=10, rng=1)
 
 
+def stored_bit_guess_probability(r):
+    """Best guess of a depolarized basis-0 bit: the Helstrom value."""
+    return qsim.helstrom(qsim.depolarize(qsim.bb84_prepare(0, 0), r),
+                         qsim.depolarize(qsim.bb84_prepare(1, 0), r))
+
+
 def test_leakage_helstrom_rate_is_read_off_the_stored_table():
     # the stored-state table gives the discrimination value bit for bit
     for r in np.linspace(0.0, 1.0, 2005).tolist():
         stored = protocols._stored_states(r)
         assert qsim.helstrom(stored[0, 0], stored[1, 0]) \
-            == qsim.stored_bit_guess_probability(r)
+            == stored_bit_guess_probability(r)
     report = estimate_leakage(n=8, ell=1, r=0.3, trials=1, rng=2)
-    assert report["helstrom_rate"] == qsim.stored_bit_guess_probability(0.3)
+    assert report["helstrom_rate"] == stored_bit_guess_probability(0.3)
     # delta is still checked before r
     with pytest.raises(ValueError, match="delta"):
         estimate_leakage(n=8, ell=1, r=1.5, trials=1, rng=2, delta=0.0)
@@ -549,7 +555,7 @@ def reference_hidden_nonuniformity(t, p_post, enum):
 
 def reference_estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
     rng = make_rng(rng)
-    helstrom_rate = qsim.stored_bit_guess_probability(r)
+    helstrom_rate = stored_bit_guess_probability(r)
     p_post = helstrom_rate
     alpha = -n * math.log2(p_post) if p_post < 1.0 else 0.0
     enum = {}

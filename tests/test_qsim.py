@@ -7,9 +7,27 @@ from noisystorage.qsim import (
     depolarize,
     helstrom,
     measure,
-    stored_bit_guess_probability,
-    validate_state,
 )
+
+
+def validate_state(rho, tol=1e-12):
+    """Check Hermiticity, unit trace and positivity; returns the state."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        raise ValueError("expected a 2x2 matrix")
+    if np.abs(rho - rho.conj().T).max() > tol:
+        raise ValueError("state is not Hermitian within tolerance")
+    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
+        raise ValueError("state trace must be 1")
+    if np.linalg.eigvalsh(rho).min() < -tol:
+        raise ValueError("state has a negative eigenvalue")
+    return rho
+
+
+def stored_bit_guess_probability(r, basis=0):
+    """Best guess of a depolarized conjugate-coded bit, basis known."""
+    return helstrom(depolarize(bb84_prepare(0, basis), r),
+                    depolarize(bb84_prepare(1, basis), r))
 
 
 def test_prepared_states_are_valid_projectors():
@@ -22,13 +40,14 @@ def test_prepared_states_are_valid_projectors():
 
 
 def test_prepare_examples():
-    assert np.allclose(bb84_prepare(0, "+"), np.diag([1.0, 0.0]))
-    assert np.allclose(bb84_prepare(0, "x"), np.full((2, 2), 0.5))
-    assert np.allclose(bb84_prepare(1, "x"), np.array([[0.5, -0.5], [-0.5, 0.5]]))
+    assert np.allclose(bb84_prepare(0, 0), np.diag([1.0, 0.0]))
+    assert np.allclose(bb84_prepare(0, 1), np.full((2, 2), 0.5))
+    assert np.allclose(bb84_prepare(1, 1), np.array([[0.5, -0.5], [-0.5, 0.5]]))
     with pytest.raises(ValueError):
-        bb84_prepare(2, "+")
-    with pytest.raises(ValueError):
-        bb84_prepare(0, "z")
+        bb84_prepare(2, 0)
+    for basis in (2, "+", "x", "z"):
+        with pytest.raises(ValueError, match="basis must be 0 or 1"):
+            bb84_prepare(0, basis)
 
 
 def test_matched_basis_measurement_deterministic():
