@@ -9,7 +9,6 @@ base 2; lengths are reported as whole bits.
 
 import math
 import numbers
-import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -62,14 +61,10 @@ class StorageModel:
         _require_finite("nu", self.nu)
         if self.nu <= 0.0:
             raise PreconditionError("storage rate nu must be positive")
-        if not isinstance(self.dim, numbers.Integral):
-            raise PreconditionError("channel dimension dim must be an "
-                                    "integer, got %r" % (self.dim,))
+        _require_integer("channel dimension dim", self.dim)
         if self.dim < 2:
             raise PreconditionError("channel dimension must be at least 2")
-        if self.dim > sys.float_info.max:
-            raise PreconditionError("channel dimension dim has no finite "
-                                    "float value")
+        _require_finite("channel dimension dim", self.dim)
 
 
 @dataclass(frozen=True)
@@ -118,12 +113,18 @@ class RobustParams:
         if self.ph_err >= 0.5:
             raise PreconditionError("honest error rate must be below 1/2")
         _require_finite("n", self.n)
+        if self.n <= 0.0:
+            raise PreconditionError("round count n must be positive, got %r"
+                                    % (self.n,))
         if self.m1 <= 0.0:
             raise PreconditionError("no single-photon rounds survive "
                                     "(p1_sent - ph_noclick + pd_noclick <= 0)")
         if self.m1 < 4.0 / self.delta:
-            raise PreconditionError("m1 >= 4/delta is required for the "
+            raise PreconditionError("m1 = (p1_sent - ph_noclick + pd_noclick)"
+                                    " * n >= 4/delta is required for the "
                                     "security statement")
+        if self.ell is not None:
+            _require_integer("ell", self.ell)
 
     @property
     def m_total(self):
@@ -153,27 +154,44 @@ class QidParams:
     mu: float = field(init=False)
 
     def __post_init__(self):
+        _require_integer("m", self.m)
         if self.m < 2:
             raise PreconditionError("need at least two passwords")
         if not 0.0 < self.delta < 0.25:
             raise PreconditionError("delta must lie in (0, 1/4)")
         _require_finite("n", self.n)
         object.__setattr__(self, "mu", _gv_relative_distance(self.n, self.m))
-        if self.ell is not None and self.ell < 1:
-            raise PreconditionError("ell must be a positive length")
+        if self.ell is not None:
+            _require_integer("ell", self.ell)
+            if self.ell < 1:
+                raise PreconditionError("ell must be a positive length")
+            _require_finite("ell", self.ell)
         if self.d_code is not None:
-            if self.d_code > self.n:
+            if self.d_code > self.n:  # inf and huge ints too
                 raise PreconditionError(
-                    "code distance d_code = %d exceeds the code length "
+                    "code distance d_code = %s exceeds the code length "
                     "n = %.6g" % (self.d_code, self.n))
             _require_finite("d_code", self.d_code)  # nan passes the above
+            _require_integer("d_code", self.d_code)
             _check_code_distance(self.d_code, self.m, self.delta)
 
 
 def _require_finite(name, value):
-    """Reject nan and +-inf with a diagnostic that names the field."""
-    if not math.isfinite(value):
+    """Reject nan, +-inf and integers past the float range, naming the
+    field."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise PreconditionError("%s has no finite float value" % name) from None
+    if not finite:
         raise PreconditionError("%s must be finite, got %r" % (name, value))
+
+
+def _require_integer(name, value):
+    """Reject a value that is not a ``numbers.Integral`` (a bool is one)."""
+    if not isinstance(value, numbers.Integral):
+        raise PreconditionError("%s must be an integer, got %r"
+                                % (name, value))
 
 
 def _gv_relative_distance(n, m):

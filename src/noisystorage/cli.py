@@ -229,7 +229,7 @@ def build_parser():
     s_rot.add_argument("--choice", type=int, choices=(0, 1), default=0)
     s_rot.add_argument("--trials", type=_trial_count, default=100)
     s_rot.add_argument("--seed", type=int, default=0)
-    _add_output_args(s_rot, default_fmt="json", choices=("json",))
+    s_rot.add_argument("--out", help="output file (default stdout)")
 
     s_rob = ssub.add_parser("robust", help="robust oblivious transfer")
     s_rob.add_argument("--n", type=int, default=512)
@@ -243,11 +243,9 @@ def build_parser():
     s_rob.add_argument("--eps-target", type=_finite, default=1e-3)
     s_rob.add_argument("--code-block", type=int, default=3,
                        help="repetition block length for error correction")
-    s_rob.add_argument("--r", type=float, default=0.2)
-    s_rob.add_argument("--nu", type=float, default=1.0)
     s_rob.add_argument("--trials", type=_trial_count, default=100)
     s_rob.add_argument("--seed", type=int, default=0)
-    _add_output_args(s_rob, default_fmt="json", choices=("json",))
+    s_rob.add_argument("--out", help="output file (default stdout)")
 
     s_qid = ssub.add_parser("qid", help="password identification")
     s_qid.add_argument("--m", type=int, default=16)
@@ -257,7 +255,7 @@ def build_parser():
     s_qid.add_argument("--w-bob", type=int, default=1)
     s_qid.add_argument("--trials", type=_trial_count, default=100)
     s_qid.add_argument("--seed", type=int, default=0)
-    _add_output_args(s_qid, default_fmt="json", choices=("json",))
+    s_qid.add_argument("--out", help="output file (default stdout)")
 
     verify = sub.add_parser("verify", help="randomized verification suites")
     verify.add_argument("suite", choices=sorted(SUITES))
@@ -321,8 +319,7 @@ def _cmd_bounds(args):
 
 def _rows_out(rows, header, args):
     if args.format == "json":
-        items = ["{\n    %s\n  }"
-                 % _ROW_ENCODER.encode({k: row[k] for k in header})[1:-1]
+        items = ["{\n    %s\n  }" % _ROW_ENCODER.encode(row)[1:-1]
                  for row in rows]
         text = "[\n  %s\n]" % ",\n  ".join(items) if items else "[]"
         _emit(text + "\n", args.out)
@@ -398,8 +395,7 @@ def _cmd_simulate(args):
         _run_trials(args, config, run, tallies)
     elif args.protocol == "robust":
         params = RobustParams(
-            n=args.n, delta=args.delta,
-            storage=StorageModel(r=args.r, nu=args.nu),
+            n=args.n, delta=args.delta, storage=None,
             p1_sent=args.p1_sent, ph_noclick=args.ph_noclick,
             pd_noclick=args.pd_noclick, ph_err=args.ph_err, ell=args.ell)
         if args.code_block > ROBUST_MAX_CODE_BLOCK:

@@ -141,7 +141,6 @@ class SplitResult:
     """
 
     augmented: JointDistribution
-    alpha: float
     achieved: float
 
 
@@ -198,7 +197,7 @@ def split_binary(dist, alpha, x0="X0", x1="X1", given=()):
     v_cells, achieved = _select_first_large(dist, alpha, [x0, x1],
                                             _names(given))
     augmented = dist.with_register("D", 2, 1 - v_cells)
-    return SplitResult(augmented=augmented, alpha=float(alpha), achieved=achieved)
+    return SplitResult(augmented=augmented, achieved=achieved)
 
 
 def split_multi(dist, alpha, parts, given=()):
@@ -216,7 +215,7 @@ def split_multi(dist, alpha, parts, given=()):
     parts = _names(parts)
     v_cells, achieved = _select_first_large(dist, alpha, parts, _names(given))
     augmented = dist.with_register("V", len(parts), v_cells)
-    return SplitResult(augmented=augmented, alpha=float(alpha), achieved=achieved)
+    return SplitResult(augmented=augmented, achieved=achieved)
 
 
 def psucc_classical(channel, k):

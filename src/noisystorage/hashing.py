@@ -46,11 +46,7 @@ def _frozen_bits(bits):
 
 @dataclass(frozen=True, eq=False)
 class ToeplitzHash:
-    """One member of the family; seed and offset are read-only uint8 arrays.
-
-    Two hashes are equal when n, ell, the seed bits and the offset bits
-    (or its absence) agree.
-    """
+    """One member of the family; seed and offset are read-only uint8 arrays."""
 
     n: int
     ell: int
@@ -82,18 +78,6 @@ class ToeplitzHash:
         object.__setattr__(self, "_diag", diag)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_shift", shift)
-
-    def _key(self):
-        offset = None if self.offset is None else self.offset.tobytes()
-        return self.n, self.ell, self.seed.tobytes(), offset
-
-    def __eq__(self, other):
-        if not isinstance(other, ToeplitzHash):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def seed_hex(self):
         """Seed as hex, most-significant bit = first diagonal element."""
@@ -180,13 +164,11 @@ def hash_apply_many(h, xs):
 
 
 def _difference_map(n, ell, diff):
-    """Matrix A with A @ seed = T_seed @ diff, over all seeds."""
-    length = n + ell - 1
-    a = np.zeros((ell, length), dtype=np.uint8)
+    """Matrix A with A @ seed = T_seed @ diff, over all seeds: row i is
+    diff from column ell - 1 - i on, as T[i, j] = seed[ell - 1 + j - i]."""
+    a = np.zeros((ell, n + ell - 1), dtype=np.uint8)
     for i in range(ell):
-        for j in range(n):
-            if diff[j]:
-                a[i, ell - 1 + j - i] ^= 1
+        a[i, ell - 1 - i:ell - 1 - i + n] = diff
     return a
 
 

@@ -27,6 +27,7 @@ from .entropy import _uniform_distance
 from .hashing import ToeplitzHash, hash_apply, random_hash
 
 LEAKAGE_MAX_N = 24
+_LEAKAGE_MAX_ELL = 12  # a stacked joint table holds at most 2^24 cells
 # estimate_leakage's chunks hold at most this many cells of their largest
 # stacked tables; a trial counts at least _TRIAL_CELLS, for the child
 # generator (about 1 kB) and the two hashes it keeps until its chunk is done
@@ -85,6 +86,16 @@ def _choice_bit(c):
         raise ValueError("choice bit c must be an integer 0 or 1, got %r"
                          % (c,))
     return int(c)
+
+
+def _length(ell, n):
+    """``ell`` as a Python int, or ValueError unless it is an integer in
+    [1, n]."""
+    if not isinstance(ell, numbers.Integral):
+        raise ValueError("ell must be an integer, got %r" % (ell,))
+    if not 1 <= ell <= n:
+        raise ValueError("need 1 <= ell <= n")
+    return int(ell)
 
 
 def honest_index_sets(theta, theta_hat, c):
@@ -178,8 +189,7 @@ def run_rot(n, ell, c, bob=None, rng=None):
     which gets only the noised (n, 2, 2) states and the revealed bases
     and returns the index-set message (set_0, set_1) and a record dict.
     """
-    if not 1 <= ell <= n:
-        raise ValueError("need 1 <= ell <= n")
+    ell = _length(ell, n)
     c = _choice_bit(c)
     rng = make_rng(rng)
     x = rng.integers(0, 2, n, dtype=np.uint8)
@@ -322,8 +332,7 @@ def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3):
         raise ValueError("simulation needs an integer round count")
     if params.ell is None:
         raise ValueError("simulation needs the string length ell set")
-    if not 1 <= params.ell <= n:
-        raise ValueError("need 1 <= ell <= n")
+    _length(params.ell, n)
     if not 0.0 < eps_target <= 1.0:
         raise ValueError("eps_target must lie in (0, 1]")
     c = _choice_bit(c)
@@ -441,8 +450,7 @@ def run_qid(w_alice, w_bob, qcode, ell, rng=None):
     """
     code = qcode.code
     n = code.n
-    if not 1 <= ell <= n:
-        raise ValueError("need 1 <= ell <= n")
+    ell = _length(ell, n)
     rng = make_rng(rng)
     x = rng.integers(0, 2, n, dtype=np.uint8)
     theta = rng.integers(0, 2, n, dtype=np.uint8)
@@ -579,7 +587,8 @@ def estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
     the hash-smoothing bound 2^(-((alpha/2 - 1 - ell) - ell)/2 - 1) at
     alpha = n log2(2/(1+r)).
 
-    Every input is checked before the first draw.  The draws run trial
+    Every input is checked before the first draw; ell may not exceed 12,
+    which caps each joint table at 2^24 cells.  The draws run trial
     by trial; the posterior sums run on stacked chunks of trials.  A
     chunk holds at most ``_LEAKAGE_CHUNK_CELLS`` cells of its largest
     tables, the (chunk, ell, 2^(n - n//2)) hash sums and the
@@ -595,6 +604,9 @@ def estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
                          % LEAKAGE_MAX_N)
     if not 1 <= ell <= n:
         raise ValueError("need 1 <= ell <= n")
+    if ell > _LEAKAGE_MAX_ELL:
+        raise ValueError("ell = %d exceeds the cap of %d: the joint tables "
+                         "hold 2^ell x 2^ell cells" % (ell, _LEAKAGE_MAX_ELL))
     if trials < 1:
         raise ValueError("need at least one trial")
     statement_bound = min(1.0, 2.0 * ot_epsilon(delta, n))

@@ -1,10 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from noisystorage.bounds import (
+    BoundsError,
     InfeasibleStorageError,
     NoPositiveLengthError,
     OtParams,
@@ -13,7 +17,9 @@ from noisystorage.bounds import (
     RobustParams,
     StorageModel,
     _impersonation,
+    _ot,
     _qid,
+    _robust,
     binary_entropy,
     depolarizing_capacity,
     dishonest_alice_error,
@@ -336,6 +342,148 @@ def test_qid_params_reject_nan_distance():
     with pytest.raises(PreconditionError, match="d_code must be finite"):
         QidParams(n=1e4, m=16, delta=0.05, storage=QUBIT(0.1), ell=8,
                   d_code=math.nan)
+
+
+HUGE = 10 ** 400  # 401 digits: no float value
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: OtParams(n=HUGE, delta=0.0106, storage=QUBIT(0.1)), "n"),
+    (lambda: OtParams(n=-HUGE, delta=0.0106, storage=QUBIT(0.1)), "n"),
+    (lambda: RobustParams(n=HUGE, delta=0.005, storage=QUBIT(0.1),
+                          p1_sent=1.0, ph_noclick=0.6, pd_noclick=0.05,
+                          ph_err=0.01), "n"),
+    (lambda: QidParams(n=HUGE, m=16, delta=0.2, storage=QUBIT(0.1)), "n"),
+    (lambda: StorageModel(r=0.1, nu=HUGE), "nu"),
+    (lambda: QidParams(n=1e9, m=16, delta=0.2, storage=QUBIT(0.1),
+                       ell=HUGE), "ell"),
+])
+def test_records_reject_integers_without_a_float_value(make, field):
+    with pytest.raises(PreconditionError,
+                       match="^%s has no finite float value$" % field):
+        make()
+
+
+QID_GOOD = dict(n=1e9, m=16, delta=0.2, storage=QUBIT(0.1), ell=1000,
+                d_code=int(3e8))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("m", 2.5, "m must be an integer, got 2.5"),
+    ("m", math.nan, "m must be an integer, got nan"),
+    ("ell", 2.5, "ell must be an integer, got 2.5"),
+    ("ell", math.nan, "ell must be an integer, got nan"),
+    ("d_code", 3e8 + 0.5, "d_code must be an integer, got 300000000.5"),
+    ("d_code", math.inf, "code distance d_code = inf exceeds the code "
+                         "length n = 1e+09"),
+])
+def test_qid_params_reject_non_integer_counts(field, value, message):
+    with pytest.raises(PreconditionError, match="^%s$" % re.escape(message)):
+        QidParams(**{**QID_GOOD, field: value})
+
+
+ROBUST_GOOD = dict(n=1e10, delta=0.005, storage=QUBIT(0.1), p1_sent=1.0,
+                   ph_noclick=0.6, pd_noclick=0.05, ph_err=0.01)
+
+
+@pytest.mark.parametrize("value", [2.5, math.nan, math.inf])
+def test_robust_params_reject_a_non_integer_length(value):
+    with pytest.raises(PreconditionError,
+                       match="^ell must be an integer, got "):
+        RobustParams(**ROBUST_GOOD, ell=value)
+
+
+@pytest.mark.parametrize("n", [0, -1, -1e10])
+def test_robust_params_name_a_nonpositive_round_count(n):
+    # m1 = (...) n <= 0 used to blame the three probabilities
+    with pytest.raises(PreconditionError,
+                       match="^round count n must be positive"):
+        RobustParams(**{**ROBUST_GOOD, "n": n})
+
+
+def test_bool_counts_and_lengths_are_integers():
+    # a bool is a numbers.Integral, as for dim and qid_code
+    assert (qid_error(QidParams(**{**QID_GOOD, "ell": True}))
+            == qid_error(QidParams(**{**QID_GOOD, "ell": 1})))
+    assert RobustParams(**ROBUST_GOOD, ell=True).ell is True
+    with pytest.raises(PreconditionError, match="two passwords"):
+        QidParams(**{**QID_GOOD, "m": True})
+
+
+# Item 12's hostile pool: every record field draws from it.
+HOSTILE = [math.nan, math.inf, -math.inf, 2.5, -1, 0, True, False,
+           np.int64(1), np.int64(1000), np.uint8(2), HUGE, -HUGE]
+# A diagnostic names a field by its symbol, or by the English name that
+# the pinned messages use ("need at least two passwords").
+FIELD_NAMES = {"r": ("r",), "nu": ("nu",),
+               "dim": ("dim", "channel dimension"), "n": ("n",),
+               "delta": ("delta",), "p1_sent": ("p1_sent",),
+               "ph_noclick": ("ph_noclick",), "pd_noclick": ("pd_noclick",),
+               "ph_err": ("ph_err", "honest error rate"), "ell": ("ell",),
+               "m": ("m", "passwords"), "d_code": ("d_code", "code distance")}
+
+
+def assert_checked_or_finite(make, evaluate, field):
+    """``make()`` raises PreconditionError naming ``field``, or every number
+    ``evaluate`` returns for the record is finite, or it raises BoundsError."""
+    try:
+        record = make()
+    except PreconditionError as exc:
+        assert any(re.search(r"(?<!\w)%s(?!\w)" % re.escape(name), str(exc))
+                   for name in FIELD_NAMES[field]), (field, str(exc))
+        return
+    try:
+        values = evaluate(record)
+    except BoundsError:
+        return
+    for value in values:
+        assert math.isfinite(value), (field, values)
+
+
+def _transfer_numbers(t):
+    return t.capacity, t.gamma, t.value, t.ell, t.eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(["r", "nu", "dim"]),
+       value=st.sampled_from(HOSTILE))
+def test_storage_model_fields_are_checked(field, value):
+    base = dict(r=0.1, nu=1.0, dim=2)
+    assert_checked_or_finite(
+        lambda: StorageModel(**{**base, field: value}),
+        lambda s: _transfer_numbers(_ot(OtParams(n=1e10, delta=0.0106,
+                                                 storage=s))),
+        field)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(["n", "delta"]), value=st.sampled_from(HOSTILE))
+def test_ot_params_fields_are_checked(field, value):
+    base = dict(n=1e10, delta=0.0106, storage=QUBIT(0.1))
+    assert_checked_or_finite(lambda: OtParams(**{**base, field: value}),
+                             lambda p: _transfer_numbers(_ot(p)), field)
+
+
+@settings(max_examples=250, deadline=None)
+@given(field=st.sampled_from(["n", "delta", "p1_sent", "ph_noclick",
+                              "pd_noclick", "ph_err", "ell"]),
+       value=st.sampled_from(HOSTILE),
+       ec_variant=st.sampled_from(["rounds", "error-complement"]))
+def test_robust_params_fields_are_checked(field, value, ec_variant):
+    assert_checked_or_finite(
+        lambda: RobustParams(**{**ROBUST_GOOD, field: value}),
+        lambda p: (p.m1, p.m_total) + _transfer_numbers(_robust(p,
+                                                                ec_variant)),
+        field)
+
+
+@settings(max_examples=250, deadline=None)
+@given(field=st.sampled_from(["n", "m", "delta", "ell", "d_code"]),
+       value=st.sampled_from(HOSTILE))
+def test_qid_params_fields_are_checked(field, value):
+    assert_checked_or_finite(
+        lambda: QidParams(**{**QID_GOOD, field: value}),
+        lambda p: (p.mu, *_qid(p), *_impersonation(p)), field)
 
 
 def test_qid_record_matches_its_error_and_capacity():

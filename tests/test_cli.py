@@ -384,6 +384,25 @@ def test_abbreviated_options_exit_1(capsys, argv, diagnostic):
     assert err == "error: %s\n" % diagnostic
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("simulate", "rot", "--format", "json"), "--format json"),
+    (("simulate", "robust", "--r", "0.2"), "--r 0.2"),
+    (("simulate", "robust", "--nu", "1"), "--nu 1"),
+])
+def test_simulate_takes_no_format_or_storage_options(capsys, argv, option):
+    # simulate writes JSON only, and an honest robust run stores nothing
+    code, out, err = run_cli(capsys, *argv, "--trials", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: unrecognized arguments: %s\n" % option
+
+
+def test_simulate_parsers_count_their_options():
+    counts = {protocol: len(_options(cli.build_parser(),
+                                     ("simulate", protocol))) + 1
+              for protocol in ("rot", "robust", "qid")}  # + 1: --out
+    assert counts == {"rot": 6, "robust": 13, "qid": 8}
+
+
 @pytest.mark.parametrize("argv", [OT_ARGS, ROBUST_ARGS, IMPERSONATION_ARGS])
 def test_bounds_transfer_evaluates_gamma_and_capacity_once(capsys,
                                                            monkeypatch, argv):
@@ -468,6 +487,16 @@ def test_json_tables_equal_indented_json_dumps(capsys, rows):
     header = bounds.FEASIBLE_REGION_HEADER
     assert cli._rows_out(rows, header, args) == 0
     assert capsys.readouterr().out == json.dumps(rows, indent=2) + "\n"
+
+
+def test_table_rows_follow_their_header():
+    # _rows_out encodes each row as it is, so key order is the header's
+    rows = bounds.rate_curve(1e10, 0.0106, 1.0, [0.1, 0.9])
+    rows += bounds.rate_curve(1e10, 0.0106, 1.0, [0.1], dim=3)
+    assert all(list(row) == list(bounds.RATE_CURVE_HEADER) for row in rows)
+    rows = bounds.feasible_region(3, 2, dim=3)
+    assert all(list(row) == list(bounds.FEASIBLE_REGION_HEADER)
+               for row in rows)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

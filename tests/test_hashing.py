@@ -18,6 +18,7 @@ from noisystorage.hashing import (
     pa_distance,
     random_hash,
 )
+from noisystorage.protocols import _json_value
 
 
 def all_hashes(n, ell):
@@ -263,7 +264,7 @@ def test_seed_hex_roundtrip():
     assert hashing.bits_to_hex([1, 0, 0, 1]) == "9"
 
 
-def test_hash_keeps_read_only_bits_and_compares_by_value():
+def test_hash_keeps_read_only_bits():
     seed = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
     h = ToeplitzHash(n=3, ell=3, seed=seed, offset=(0, 1, 1))
     seed[0] = 0  # the hash keeps its own copy
@@ -272,16 +273,22 @@ def test_hash_keeps_read_only_bits_and_compares_by_value():
     for bits in (h.seed, h.offset):
         with pytest.raises(ValueError):
             bits[0] = 0
+
+
+def test_hashes_compare_by_identity_and_serialize_by_seed():
+    h = ToeplitzHash(n=3, ell=3, seed=(1, 0, 1, 1, 0), offset=(0, 1, 1))
     same = ToeplitzHash(n=3, ell=3, seed=(1, 0, 1, 1, 0),
                         offset=np.array([0, 1, 1]))
-    assert same == h and hash(same) == hash(h)
-    assert len({h, same}) == 1
+    # no value equality: transcripts compare a hash by its JSON form
+    assert h == h and same != h
+    assert len({h, same}) == 2
+    assert _json_value("f", same) == _json_value("f", h)
     others = [ToeplitzHash(n=3, ell=3, seed=(1, 0, 1, 1, 0)),
               ToeplitzHash(n=3, ell=3, seed=(1, 0, 1, 1, 0), offset=(1, 1, 1)),
               ToeplitzHash(n=3, ell=3, seed=(1, 0, 1, 1, 1), offset=(0, 1, 1)),
               ToeplitzHash(n=4, ell=2, seed=(1, 0, 1, 1, 0))]
-    assert all(other != h for other in others)
-    assert h != h.seed.tobytes()
+    assert all(_json_value("f", other) != _json_value("f", h)
+               for other in others)
 
 
 @pytest.mark.parametrize("n,ell", [(1, 1), (9, 4), (4096, 1024)])

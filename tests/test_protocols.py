@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import types
 from collections import Counter
 from unittest import mock
 
@@ -640,6 +641,11 @@ def test_leakage_reference_property(n, data, r, trials, chunk, seed):
     (dict(ell=1.0), "ell must be an integer"),
     (dict(ell=17), "ell <= n"),
     (dict(r=1.5), "retention r"),
+    # each joint table holds 2^ell x 2^ell cells: about 0.5 GiB a trial at
+    # ell = 12 and 128 GiB at ell = 16
+    (dict(n=13, ell=13), "^ell = 13 exceeds the cap of 12: "),
+    (dict(n=24, ell=16), "^ell = 16 exceeds the cap of 12: "),
+    (dict(n=24, ell=24), "^ell = 24 exceeds the cap of 12: "),
 ])
 def test_leakage_checks_inputs_before_drawing(kwargs, message):
     rng = make_rng(5)
@@ -647,6 +653,35 @@ def test_leakage_checks_inputs_before_drawing(kwargs, message):
     args = {"n": 16, "ell": 1, "r": 0.3, "trials": 4, **kwargs}
     with pytest.raises(ValueError, match=message):
         estimate_leakage(rng=rng, **args)
+    assert generator_state(rng) == before
+
+
+def test_leakage_admits_ell_at_its_cap():
+    # ell = 12 passes every check and reaches the first draw
+    with mock.patch.object(protocols, "_storing_trial",
+                           side_effect=RuntimeError("drawn")):
+        with pytest.raises(RuntimeError, match="drawn"):
+            estimate_leakage(24, 12, 0.3, 1, rng=5)
+
+
+ROBUST_DUCK = dict(n=64, p1_sent=1.0, ph_noclick=0.1, pd_noclick=0.0,
+                   ph_err=0.01)
+
+
+@pytest.mark.parametrize("ell", [2.5, 2.0, np.float64(3.0)])
+@pytest.mark.parametrize("run", [
+    lambda ell, rng: run_rot(16, ell, 0, rng=rng),
+    lambda ell, rng: run_qid(3, 3, qid_code(16, 8), ell, rng=rng),
+    # a duck-typed record: RobustParams itself rejects a non-integer ell
+    lambda ell, rng: run_robust_rot(types.SimpleNamespace(**ROBUST_DUCK,
+                                                          ell=ell),
+                                    repetition_code(3), 0, rng=rng),
+], ids=["rot", "qid", "robust"])
+def test_runners_reject_a_non_integer_ell_before_drawing(run, ell):
+    rng = make_rng(5)
+    before = generator_state(rng)
+    with pytest.raises(ValueError, match="^ell must be an integer, got "):
+        run(ell, rng)
     assert generator_state(rng) == before
 
 

@@ -1,4 +1,4 @@
-"""The README's library sketch runs as written, and its commands parse."""
+"""The README's library sketch and every command it lists run as written."""
 
 import pathlib
 import re
@@ -26,14 +26,37 @@ def _command_lines():
             if line.startswith("noisystorage ")]
 
 
-def test_readme_commands_parse_and_bounds_run(capsys):
+# what "simulate robust" prints when its code spends more syndrome bits
+# than the length bound budgets
+BUDGET_WARNING = ("warning: the correction code spends more syndrome bits "
+                  "than the 1.2 h(ph_err) n budget assumed by the length "
+                  "bound\n")
+
+
+def _runnable(argv, tmp_path):
+    """The argv with --out under tmp_path, and two trials where a trial
+    count applies."""
+    argv = list(argv)
+    if "--out" in argv:
+        i = argv.index("--out") + 1
+        argv[i] = str(tmp_path / argv[i])
+    if argv[0] in ("simulate", "verify") and argv[:2] != ["verify", "codes"]:
+        argv += ["--trials", "2"]
+    return argv
+
+
+def test_readme_commands_run(capsys, tmp_path):
     argvs = _command_lines()
     assert len(argvs) == 14
-    for argv in argvs:
-        cli._parser().parse_args(argv)
     bounds = [argv for argv in argvs if argv[0] == "bounds"]
     assert [argv[1] for argv in bounds] == ["ot", "robust", "qid",
                                             "impersonation"]
-    for argv in bounds:
-        assert cli.dispatch(argv) == 0
-        assert capsys.readouterr().err == ""
+    for argv in argvs:
+        assert cli.dispatch(_runnable(argv, tmp_path)) == 0, argv
+        err = capsys.readouterr().err
+        if argv[:2] == ["simulate", "robust"]:
+            assert err in ("", BUDGET_WARNING)
+        else:
+            assert err == "", argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv",
+                                                          "region.csv"]
