@@ -281,11 +281,6 @@ def ot_epsilon(delta, n):
     return 2.0 * math.exp(-_ot_eps_exponent(delta, n))
 
 
-def log2_inv_ot_epsilon(delta, n):
-    """log2(1/epsilon), evaluated in log space so huge n cannot underflow."""
-    return _ot_eps_exponent(delta, n) / LN2 - 1.0
-
-
 def _eigenvalues(storage):
     lam_plus = storage.r + (1.0 - storage.r) / storage.dim
     lam_minus = (1.0 - storage.r) / storage.dim
@@ -331,7 +326,8 @@ def strong_converse_exponent(R, storage):
     d = storage.dim
     lam_plus, lam_minus = _eigenvalues(storage)
     log_d = math.log2(d)
-    f_inf = R - log_d - math.log2(lam_plus)  # alpha -> infinity limit
+    lam_plus_log2 = math.log2(lam_plus)
+    f_inf = R - log_d - lam_plus_log2  # alpha -> infinity limit
 
     if lam_minus == 0.0:
         # noiseless channel: objective is (1 - 1/alpha)(R - log2 d)
@@ -340,7 +336,6 @@ def strong_converse_exponent(R, storage):
     ln_p = math.log(lam_plus)
     ln_m = math.log(lam_minus)
     ln_ratio = ln_m - ln_p
-    lam_plus_log2 = math.log2(lam_plus)
     # float residue of lam_plus + (d-1) lam_minus - 1, kept so the
     # objective vanishes exactly in the alpha -> 1 limit
     residue = lam_plus + (d - 1.0) * lam_minus - 1.0
@@ -437,9 +432,11 @@ def _transfer_bound(storage, delta, n, rate, rounds, ec_bits=0.0, nu_n=None):
     cap = depolarizing_capacity(storage)
     gamma = strong_converse_exponent(rate / storage.nu, storage)
     gain = gamma * storage.nu * n if nu_n is None else gamma * nu_n
-    value = gain / 2.0 - ec_bits - log2_inv_ot_epsilon(delta, rounds)
+    # log2(1/eps) in log space, so that huge n cannot underflow it
+    exponent = _ot_eps_exponent(delta, rounds)
+    value = gain / 2.0 - ec_bits - (exponent / LN2 - 1.0)
     ell = max(0, math.floor(value)) if cap * storage.nu < rate else 0
-    return _Transfer(cap, gamma, value, ell, ot_epsilon(delta, rounds))
+    return _Transfer(cap, gamma, value, ell, 2.0 * math.exp(-exponent))
 
 
 def _positive(t, storage, rate, text):
@@ -579,6 +576,7 @@ def dishonest_alice_error(m, ell):
     """Impersonation error of an unbounded user: m^2 / 2^ell."""
     if not m >= 1:  # nan too
         raise PreconditionError("m must be at least 1, got %r" % (m,))
+    _require_finite("ell", ell)
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     return _two_pow_capped(2.0 * math.log2(m) - ell)

@@ -19,8 +19,7 @@ import numpy as np
 from .bounds import (
     FEASIBLE_REGION_HEADER,
     RATE_CURVE_HEADER,
-    InfeasibleStorageError,
-    NoPositiveLengthError,
+    BoundsError,
     OptimizationError,
     OtParams,
     PreconditionError,
@@ -65,10 +64,6 @@ VERIFY_MAX_TRIALS = 100_000
 _ROW_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "), allow_nan=False)
 
 
-class CliParameterError(ValueError):
-    pass
-
-
 class Parser(argparse.ArgumentParser):
     """Options must be spelled in full: no prefix abbreviations."""
 
@@ -76,7 +71,7 @@ class Parser(argparse.ArgumentParser):
         super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def error(self, message):
-        raise CliParameterError(message)
+        raise PreconditionError(message)
 
 
 def _integer(text):
@@ -138,10 +133,6 @@ def _report(pairs, fmt, out_path):
         _emit(_kv_text(pairs), out_path)
 
 
-def _storage(args):
-    return StorageModel(r=args.r, nu=args.nu, dim=args.dim)
-
-
 def _add_storage_args(p):
     p.add_argument("--r", type=float, required=True,
                    help="storage retention in [0, 1]")
@@ -159,6 +150,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     bounds = sub.add_parser("bounds", help="security-bound calculators")
+    bounds.set_defaults(handler=_cmd_bounds)
     bsub = bounds.add_subparsers(dest="bound", required=True)
 
     b_ot = bsub.add_parser("ot", help="plain oblivious-transfer length")
@@ -202,6 +194,7 @@ def build_parser():
     _add_output_args(b_imp)
 
     curve = sub.add_parser("curve", help="transfer rate over a retention grid")
+    curve.set_defaults(handler=_cmd_curve)
     curve.add_argument("--n", type=float, required=True)
     curve.add_argument("--delta", type=float, required=True)
     curve.add_argument("--nu", type=float, default=1.0)
@@ -212,6 +205,7 @@ def build_parser():
     _add_output_args(curve, default_fmt="csv", choices=("csv", "json"))
 
     region = sub.add_parser("region", help="feasible (r, nu) region table")
+    region.set_defaults(handler=_cmd_region)
     region.add_argument("--steps", type=int, default=100)
     region.add_argument("--r-steps", type=int, default=None)
     region.add_argument("--nu-steps", type=int, default=None)
@@ -221,6 +215,7 @@ def build_parser():
     _add_output_args(region, default_fmt="csv", choices=("csv", "json"))
 
     sim = sub.add_parser("simulate", help="desk-scale protocol runs")
+    sim.set_defaults(handler=_cmd_simulate)
     ssub = sim.add_subparsers(dest="protocol", required=True)
 
     s_rot = ssub.add_parser("rot", help="randomized oblivious transfer")
@@ -258,6 +253,7 @@ def build_parser():
     s_qid.add_argument("--out", help="output file (default stdout)")
 
     verify = sub.add_parser("verify", help="randomized verification suites")
+    verify.set_defaults(handler=_cmd_verify)
     verify.add_argument("suite", choices=sorted(SUITES))
     verify.add_argument("--trials", type=_trial_count, default=None)
     verify.add_argument("--seed", type=int, default=7)
@@ -287,7 +283,7 @@ def _transfer_pairs(args, t):
 
 
 def _cmd_bounds(args):
-    storage = _storage(args)
+    storage = StorageModel(r=args.r, nu=args.nu, dim=args.dim)
     if args.bound == "ot":
         t = _ot(OtParams(n=args.n, delta=args.delta, storage=storage))
         pairs = [("gamma", t.gamma),
@@ -330,9 +326,9 @@ def _rows_out(rows, header, args):
 
 def _cmd_curve(args):
     if args.steps < 2:
-        raise CliParameterError("need at least 2 grid steps")
+        raise PreconditionError("need at least 2 grid steps")
     if args.steps > CURVE_MAX_STEPS:
-        raise CliParameterError("at most %d grid steps, got %d"
+        raise PreconditionError("at most %d grid steps, got %d"
                                 % (CURVE_MAX_STEPS, args.steps))
     grid = np.linspace(args.r_min, args.r_max, args.steps)
     rows = rate_curve(args.n, args.delta, args.nu, grid, dim=args.dim)
@@ -343,7 +339,7 @@ def _cmd_region(args):
     r_steps = args.steps if args.r_steps is None else args.r_steps
     nu_steps = args.steps if args.nu_steps is None else args.nu_steps
     if r_steps > 0 and nu_steps > 0 and r_steps * nu_steps > REGION_MAX_ROWS:
-        raise CliParameterError(
+        raise PreconditionError(
             "at most %d region rows (r steps x nu steps), got %d x %d"
             % (REGION_MAX_ROWS, r_steps, nu_steps))
     rows = feasible_region(r_steps, nu_steps, r_max=args.r_max,
@@ -374,10 +370,10 @@ def _cmd_simulate(args):
     else:
         rounds, cap, option = args.n, SIMULATE_MAX_N, "--n"
     if rounds > cap:
-        raise CliParameterError("at most %d rounds per run (%s), got %d"
+        raise PreconditionError("at most %d rounds per run (%s), got %d"
                                 % (cap, option, rounds))
     if args.trials * rounds > SIMULATE_MAX_ROUNDS:
-        raise CliParameterError(
+        raise PreconditionError(
             "at most %d simulated rounds (--trials x %s), got %d x %d"
             % (SIMULATE_MAX_ROUNDS, option, args.trials, rounds))
     if args.protocol == "rot":
@@ -399,7 +395,7 @@ def _cmd_simulate(args):
             p1_sent=args.p1_sent, ph_noclick=args.ph_noclick,
             pd_noclick=args.pd_noclick, ph_err=args.ph_err, ell=args.ell)
         if args.code_block > ROBUST_MAX_CODE_BLOCK:
-            raise CliParameterError(
+            raise PreconditionError(
                 "at most %d positions per code block (--code-block), got %d"
                 % (ROBUST_MAX_CODE_BLOCK, args.code_block))
         code = repetition_code(args.code_block)
@@ -424,7 +420,7 @@ def _cmd_simulate(args):
                 "the 1.2 h(ph_err) n budget assumed by the length bound\n")
     else:
         if args.m > QID_MAX_PASSWORDS:
-            raise CliParameterError("at most %d passwords (--m), got %d"
+            raise PreconditionError("at most %d passwords (--m), got %d"
                                     % (QID_MAX_PASSWORDS, args.m))
         qc = qid_code(args.m, args.code_n)
         tallies = {"accepts": 0}
@@ -446,10 +442,10 @@ def _cmd_verify(args):
     kwargs = {"seed": args.seed}
     if args.trials is not None:
         if args.suite == "codes":
-            raise CliParameterError("the codes suite takes no trial count "
+            raise PreconditionError("the codes suite takes no trial count "
                                     "(--trials)")
         if args.trials > VERIFY_MAX_TRIALS:
-            raise CliParameterError("at most %d verification trials, got %d"
+            raise PreconditionError("at most %d verification trials, got %d"
                                     % (VERIFY_MAX_TRIALS, args.trials))
         kwargs["trials"] = args.trials
     report = suite(**kwargs)
@@ -462,19 +458,11 @@ def _cmd_verify(args):
 def dispatch(argv):
     try:
         args = _parser().parse_args(argv)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "curve":
-            return _cmd_curve(args)
-        if args.command == "region":
-            return _cmd_region(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        return _cmd_verify(args)
-    except (CliParameterError, PreconditionError, ValueError) as exc:
+        return args.handler(args)
+    except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
-    except (InfeasibleStorageError, NoPositiveLengthError) as exc:
+    except BoundsError as exc:
         sys.stderr.write("infeasible: %s\n" % exc)
         return 2
     except (OptimizationError, ArithmeticError) as exc:

@@ -7,10 +7,11 @@ zero-padded on the right.  An optional ``ell``-bit offset turns the family
 into an affine one, which is strongly two-universal (needed where hash
 values of correlated inputs must look jointly fresh).
 
-``T`` is never materialised: each hash keeps its seed bits as a read-only
-uint8 array, a float64 copy of them and a read-only strided view of that
-copy (row ``i`` starts at ``seed[ell - 1 - i]`` and steps back one
-element per row), so a hash costs O(n) memory.
+``T`` is never materialised: a hash keeps only its seed and offset, each
+a read-only uint8 array, so it costs O(n) memory.  On each call the
+product kernel views a float64 copy of the seed through strides (row
+``i`` starts at ``seed[ell - 1 - i]`` and steps back one element per
+row).
 
 Two kernels compute the product.  Batches, and single inputs with fewer
 than ``FFT_MIN_CELLS`` products ``ell * k`` (``k`` the input length), run
@@ -21,7 +22,7 @@ when any of them lands 0.25 or more from an integer, the call falls back
 to the matrix product, so both kernels give the same bits.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -52,9 +53,6 @@ class ToeplitzHash:
     ell: int
     seed: np.ndarray
     offset: np.ndarray | None = None
-    _diag: np.ndarray = field(init=False, repr=False)
-    _rows: np.ndarray = field(init=False, repr=False)
-    _shift: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.ell <= self.n:
@@ -63,21 +61,11 @@ class ToeplitzHash:
         if seed.shape != (self.n + self.ell - 1,):
             raise ValueError("seed must have exactly n + ell - 1 bits")
         object.__setattr__(self, "seed", seed)
-        shift = None
         if self.offset is not None:
             off = _frozen_bits(self.offset)
             if off.shape != (self.ell,):
                 raise ValueError("offset must have exactly ell bits")
             object.__setattr__(self, "offset", off)
-            shift = off.astype(np.float64)
-        diag = seed.astype(np.float64)
-        diag.flags.writeable = False
-        step = diag.itemsize
-        rows = np.ndarray((self.ell, self.n), dtype=np.float64, buffer=diag,
-                          offset=(self.ell - 1) * step, strides=(-step, step))
-        object.__setattr__(self, "_diag", diag)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_shift", shift)
 
     def seed_hex(self):
         """Seed as hex, most-significant bit = first diagonal element."""
@@ -103,6 +91,15 @@ def random_hash(n, ell, rng, affine=False):
     return ToeplitzHash(n=n, ell=ell, seed=seed, offset=offset)
 
 
+def _columns(h, k):
+    """T's first k columns as float64 rows: a strided view over a float
+    copy of the seed, row i starting at seed[ell - 1 - i]."""
+    diag = h.seed[:h.ell + k - 1].astype(np.float64)
+    step = diag.itemsize
+    return np.ndarray((h.ell, k), dtype=np.float64, buffer=diag,
+                      offset=(h.ell - 1) * step, strides=(-step, step))
+
+
 def _convolve(h, x):
     """T @ x over the integers for one input x of k bits, by one real FFT.
 
@@ -114,7 +111,7 @@ def _convolve(h, x):
     """
     k = x.size
     size = 1 << (h.ell + k - 2).bit_length()
-    spec = rfft(h._diag[:h.ell + k - 1], size) * rfft(x[::-1], size)
+    spec = rfft(h.seed[:h.ell + k - 1], size) * rfft(x[::-1], size)
     sums = irfft(spec, size)[k - 1:h.ell + k - 1][::-1]
     out = np.rint(sums)
     if np.abs(sums - out).max() >= 0.25:
@@ -129,7 +126,7 @@ def _apply(h, xs):
     meets only the first k = xs.shape[-1] columns of T, so the padding is
     never built.  A 1-D input with ell * k >= FFT_MIN_CELLS is convolved
     with the seed by FFT; everything else, and an FFT result that fails its
-    rounding check, is one float64 product with the strided view.  The
+    rounding check, is one float64 product with :func:`_columns`.  The
     product's sums count at most n ones and are exact.
     """
     k = xs.shape[-1]
@@ -137,9 +134,9 @@ def _apply(h, xs):
     if xs.ndim == 1 and h.ell * k >= FFT_MIN_CELLS:
         out = _convolve(h, xs)
     if out is None:
-        out = xs @ h._rows[:, :k].T
-    if h._shift is not None:
-        out += h._shift
+        out = xs @ _columns(h, k).T
+    if h.offset is not None:
+        out += h.offset
     return (out % 2).astype(np.uint8)
 
 

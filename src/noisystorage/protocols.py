@@ -24,7 +24,7 @@ from . import gf2, qsim
 from .bounds import ot_epsilon
 from .codes import syndrome, syndrome_budget_ok, syndrome_decode
 from .entropy import _uniform_distance
-from .hashing import ToeplitzHash, hash_apply, random_hash
+from .hashing import ToeplitzHash, _columns, hash_apply, random_hash
 
 LEAKAGE_MAX_N = 24
 _LEAKAGE_MAX_ELL = 12  # a stacked joint table holds at most 2^24 cells
@@ -332,7 +332,7 @@ def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3):
         raise ValueError("simulation needs an integer round count")
     if params.ell is None:
         raise ValueError("simulation needs the string length ell set")
-    _length(params.ell, n)
+    ell = _length(params.ell, n)
     if not 0.0 < eps_target <= 1.0:
         raise ValueError("eps_target must lie in (0, 1]")
     c = _choice_bit(c)
@@ -361,7 +361,7 @@ def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3):
     base = dict(p1_sent=params.p1_sent, ph_noclick=params.ph_noclick,
                 pd_noclick=params.pd_noclick, ph_err=params.ph_err)
     transcript = RobustTranscript(
-        n=n, ell=int(params.ell), c=c, params=base, zeta=zeta, x=x,
+        n=n, ell=ell, c=c, params=base, zeta=zeta, x=x,
         theta=theta, theta_hat=theta_hat, click_mask=reported.astype(np.uint8),
         s_remain=s_remain, abort=abort)
     if abort:
@@ -370,7 +370,6 @@ def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3):
     # -- waiting time --
     theta_rem = theta[s_remain]
     x_rem = x[s_remain]
-    ell = transcript.ell
     f0 = random_hash(n, ell, rng)
     f1 = random_hash(n, ell, rng)
 
@@ -513,7 +512,7 @@ def _hidden_nonuniformity(n, ell, p_post, runs):
             weight = (counts == width).astype(float)
         # every value under every run's hash, by one product with the
         # stacked Toeplitz rows
-        rows = np.array([f._rows[:, :width] for f in hashes])
+        rows = np.array([_columns(f, width) for f in hashes])
         sums = rows.reshape(trials * ell, width) @ bits.T
         parity = sums.astype(np.int64).reshape(trials, ell, -1) & 1
         parts.append((agree, weight[agree],
@@ -596,14 +595,13 @@ def estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
     ``trials``.  The per-run non-uniformities are added to the average
     in trial order, so the report does not depend on the chunking.
     """
-    for name, value in (("n", n), ("ell", ell), ("trials", trials)):
+    for name, value in (("n", n), ("trials", trials)):
         if not isinstance(value, numbers.Integral):
             raise ValueError("%s must be an integer" % name)
     if not 1 <= n <= LEAKAGE_MAX_N:
         raise ValueError("exact post-processing needs 1 <= n <= %d"
                          % LEAKAGE_MAX_N)
-    if not 1 <= ell <= n:
-        raise ValueError("need 1 <= ell <= n")
+    ell = _length(ell, n)
     if ell > _LEAKAGE_MAX_ELL:
         raise ValueError("ell = %d exceeds the cap of %d: the joint tables "
                          "hold 2^ell x 2^ell cells" % (ell, _LEAKAGE_MAX_ELL))

@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from noisystorage import bounds
 from noisystorage.bounds import (
     BoundsError,
     InfeasibleStorageError,
@@ -27,7 +29,6 @@ from noisystorage.bounds import (
     format_value,
     impersonation_error,
     inv_binary_entropy,
-    log2_inv_ot_epsilon,
     ot_epsilon,
     ot_length,
     qid_error,
@@ -153,12 +154,29 @@ def test_ot_epsilon_sigma_identity():
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
-def test_log2_inv_epsilon_matches_and_survives_underflow():
-    assert log2_inv_ot_epsilon(0.0106, 1e10) == pytest.approx(
-        math.log2(1.0 / ot_epsilon(0.0106, 1e10)), rel=1e-12)
-    big = log2_inv_ot_epsilon(0.0106, 1e15)
-    assert math.isfinite(big) and big > 1e5
-    assert ot_epsilon(0.0106, 1e15) == 0.0  # underflows as a float
+def test_transfer_value_matches_and_survives_underflow():
+    t = _ot(OtParams(n=1e10, delta=0.0106, storage=QUBIT(0.1)))
+    assert t.eps == ot_epsilon(0.0106, 1e10)
+    assert t.value == pytest.approx(
+        t.gamma * 1e10 / 2.0 - math.log2(1.0 / ot_epsilon(0.0106, 1e10)),
+        rel=1e-12)
+    # log2(1/eps) is taken in log space, so the bound outlives eps itself
+    big = _ot(OtParams(n=1e15, delta=0.0106, storage=QUBIT(0.1)))
+    assert math.isfinite(big.value) and big.ell > 0
+    assert big.eps == 0.0  # underflows as a float
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: _ot(OtParams(n=1e10, delta=0.0106, storage=QUBIT(0.1))),
+    lambda: _robust(RobustParams(n=1e10, delta=0.005, storage=QUBIT(0.1),
+                                 p1_sent=1.0, ph_noclick=0.6,
+                                 pd_noclick=0.05, ph_err=0.01)),
+], ids=["ot", "robust"])
+def test_transfer_bound_evaluates_the_eps_exponent_once(evaluate):
+    with mock.patch.object(bounds, "_ot_eps_exponent",
+                           wraps=bounds._ot_eps_exponent) as exponent:
+        evaluate()
+    assert exponent.call_count == 1
 
 
 # --- capacity and exponent ----------------------------------------------------
@@ -831,3 +849,15 @@ def test_dishonest_alice_error_formula():
 def test_dishonest_alice_error_rejects_nan_password_count():
     with pytest.raises(PreconditionError, match="m must be at least 1"):
         dishonest_alice_error(math.nan, 5)
+
+
+@pytest.mark.parametrize("ell", [math.nan, math.inf, -math.inf, 10 ** 400],
+                         ids=["nan", "inf", "-inf", "huge"])
+def test_dishonest_alice_error_rejects_a_non_finite_length(ell):
+    with pytest.raises(PreconditionError, match="^ell "):
+        dishonest_alice_error(16, ell)
+
+
+def test_dishonest_alice_error_rejects_a_negative_length():
+    with pytest.raises(ValueError, match="^ell must be nonnegative$"):
+        dishonest_alice_error(16, -1)

@@ -766,6 +766,10 @@ FUZZ_EXAMPLES = [
     ["verify", "split", "--trials", "100001"],
     [*ROBUST_ABORTING, "--ell", "0", "--seed", "0"],
     [*ROBUST_ABORTING, "--ell", "41", "--seed", "0"],
+    # abbreviated options, which are not those options
+    [*OT_ARGS, "--thr", "1e-8"],
+    ["simulate", "rot", "--tri", "2"],
+    [*CURVE_ARGS, "--r", "0.1"],
 ]
 
 
@@ -785,6 +789,8 @@ def fuzz_argvs(draw):
         argv += FUZZ_BASES[path]
     for _ in range(draw(st.integers(0, 4))):
         option = draw(st.sampled_from(FUZZ_OPTIONS[path]))
+        if len(option) > 3 and draw(st.integers(0, 9)) == 0:
+            option = option[:draw(st.integers(3, len(option) - 1))]
         argv.append(option)
         if draw(st.integers(0, 9)) == 0:
             continue  # the value is missing
@@ -799,6 +805,17 @@ def fuzz_argvs(draw):
                                        st.floats(0.0, 1.0).map(repr),
                                        st.floats().map(repr))))
     return argv
+
+
+def _abbreviates(argv):
+    """Whether a token of ``argv`` is a strict prefix of one of its
+    command's options without being one itself (``--n`` is one beside
+    ``--nu``)."""
+    path = next(p for p in FUZZ_BASES if tuple(argv[:len(p)]) == p)
+    options = FUZZ_OPTIONS[path]
+    return any(token.startswith("--") and token not in options
+               and any(option.startswith(token) for option in options)
+               for token in argv)
 
 
 def _with_examples(test):
@@ -828,6 +845,8 @@ def test_cli_fuzz_exits_with_documented_codes(argv):
             code = None  # admitted into work too large to run here
     assert not caught  # a warning would reach stderr ahead of the diagnostic
     assert "Traceback" not in err.getvalue()
+    if _abbreviates(argv):
+        assert code == 1
     if code is None:
         assert out.getvalue() == ""
         return

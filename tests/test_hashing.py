@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -273,6 +274,12 @@ def test_hash_keeps_read_only_bits():
     for bits in (h.seed, h.offset):
         with pytest.raises(ValueError):
             bits[0] = 0
+
+
+def test_hash_stores_only_its_seed_and_offset():
+    # the product kernel builds its float view of the seed on each call
+    assert [f.name for f in dataclasses.fields(ToeplitzHash)] == [
+        "n", "ell", "seed", "offset"]
 
 
 def test_hashes_compare_by_identity_and_serialize_by_seed():

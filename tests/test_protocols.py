@@ -639,6 +639,7 @@ def test_leakage_reference_property(n, data, r, trials, chunk, seed):
     (dict(n=16.0), "n must be an integer"),
     (dict(n=0), "1 <= n"),
     (dict(ell=1.0), "ell must be an integer"),
+    (dict(ell=2.5), "^ell must be an integer, got 2.5"),
     (dict(ell=17), "ell <= n"),
     (dict(r=1.5), "retention r"),
     # each joint table holds 2^ell x 2^ell cells: about 0.5 GiB a trial at

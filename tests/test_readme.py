@@ -1,12 +1,18 @@
 """The README's library sketch and every command it lists run as written."""
 
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
+
+import pytest
 
 from noisystorage import cli
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_library_sketch_runs():
@@ -60,3 +66,26 @@ def test_readme_commands_run(capsys, tmp_path):
             assert err == "", argv
     assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv",
                                                           "region.csv"]
+
+
+@pytest.mark.parametrize("edit, code, prefix", [
+    ((), 0, ""),
+    (("--delta", "0.3"), 1, "error: "),
+    (("--r", "1.0"), 2, "infeasible: "),
+], ids=["ok", "invalid", "infeasible"])
+def test_console_entry_point(capsys, edit, code, prefix):
+    # main() is what the installed noisystorage script runs
+    argv = _command_lines()[0]
+    assert argv[:2] == ["bounds", "ot"]
+    if edit:
+        option, value = edit
+        argv[argv.index(option) + 1] = value
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-m", "noisystorage.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == code
+    assert proc.stderr.startswith(prefix)
+    # the same bytes as an in-process dispatch
+    assert cli.dispatch(argv) == code
+    assert (proc.stdout, proc.stderr) == capsys.readouterr()
