@@ -639,7 +639,6 @@ def test_leakage_reference_property(n, data, r, trials, chunk, seed):
     (dict(n=16.0), "n must be an integer"),
     (dict(n=0), "1 <= n"),
     (dict(ell=1.0), "ell must be an integer"),
-    (dict(ell=2.5), "^ell must be an integer, got 2.5"),
     (dict(ell=17), "ell <= n"),
     (dict(r=1.5), "retention r"),
     # each joint table holds 2^ell x 2^ell cells: about 0.5 GiB a trial at
@@ -647,6 +646,7 @@ def test_leakage_reference_property(n, data, r, trials, chunk, seed):
     (dict(n=13, ell=13), "^ell = 13 exceeds the cap of 12: "),
     (dict(n=24, ell=16), "^ell = 16 exceeds the cap of 12: "),
     (dict(n=24, ell=24), "^ell = 24 exceeds the cap of 12: "),
+    (dict(ell=2.5), "^ell must be an integer, got 2.5"),
 ])
 def test_leakage_checks_inputs_before_drawing(kwargs, message):
     rng = make_rng(5)
