@@ -12,11 +12,20 @@ import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 
+import numpy as np
+
 LN2 = math.log(2.0)
 ALPHA_MAX = 1e6          # cap for the exponent optimizer
 ALPHA_BRACKET_TOL = 1e-10
 GAMMA_NOISE_FLOOR = 1e-13  # optimizer results below this are numerically 0
 ALPHA_SCAN = tuple(10.0 ** (e / 10.0) for e in range(-120, 61))  # 1e-12 .. 1e6
+_ALPHA = 1.0 + np.array(ALPHA_SCAN)
+# numpy scores the scan of this many storages at once, so that each
+# (storages x scan points) temporary holds at most 2^13 cells (64 KiB);
+# with 2^15-cell blocks, resident memory crept up over long table runs
+_SCAN_ROWS = 2 ** 13 // len(ALPHA_SCAN)
+# scan points scored within this of the best or of 0 are scored again
+_RESCORE_MARGIN = 1e-12
 
 
 class BoundsError(Exception):
@@ -266,6 +275,7 @@ def _ot_eps_exponent(delta, n):
     """Natural-log decay rate: epsilon = 2 exp(-rate * n)."""
     if not 0.0 < delta < 0.25:
         raise ValueError("delta must lie in (0, 1/4)")
+    _require_finite("n", n)
     if n < 1:
         raise ValueError("n must be at least 1")
     return (delta / 4.0) ** 2 / (32.0 * (2.0 + math.log2(4.0 / delta)) ** 2) * n
@@ -316,13 +326,74 @@ def strong_converse_exponent(R, storage):
     limits are evaluated analytically.  gamma(R) > 0 exactly when R
     exceeds the capacity.
 
+    numpy scores the scan, and only proposes: every scan point whose
+    numpy score lies within 1e-12 of its best (relative, for scores above
+    1 in magnitude) or within 1e-12 of 0 is scored again by the scalar
+    objective, and the scalar scores alone pick the bracket.  Near the
+    best, numpy's scores differ from the scalar objective's by a few ulp
+    of the scores and of log2 d, far inside that margin, so the result is
+    the same float a scalar scan gives.
+
     Precondition: the optimum is a finite float.  The scan's
     s * (R - log2 d) overflows for R above about 1.8e302 (a storage rate
     nu below about 1e-303 at the bound calculators' rates), and that
     raises :class:`PreconditionError` naming R and nu.
     """
+    return _gamma_grid(R, (storage,))[0]
+
+
+def _gamma_grid(R, storages):
+    """:func:`strong_converse_exponent` at rate R for each of ``storages``
+    (a sequence), scanning up to ``_SCAN_ROWS`` of them in one numpy
+    evaluation."""
     if not R >= 0.0:  # nan too
         raise PreconditionError("rate R must be nonnegative, got %r" % (R,))
+    gammas = []
+    for start in range(0, len(storages), _SCAN_ROWS):
+        block = storages[start:start + _SCAN_ROWS]
+        for storage, candidates in zip(block, _scan_candidates(R, block)):
+            gammas.append(_gamma_refine(R, storage, candidates))
+    return gammas
+
+
+def _scan_candidates(R, storages):
+    """Per storage, the ``ALPHA_SCAN`` indices, ascending, whose numpy score
+    lies within ``_RESCORE_MARGIN`` of the storage's best score or of 0.
+
+    numpy scores the objective in log space alone, as
+    f_inf - (R - log2 d + log2(1 + (d-1) (l-/l+)^alpha)) / alpha, which is
+    the scalar objective's algebra without its expm1 branch near alpha = 1.
+    A row whose best score is not finite proposes every index; rows of a
+    noiseless storage get scores too, which :func:`_gamma_refine` ignores.
+    """
+    rd = np.array([(storage.r, storage.dim) for storage in storages],
+                  dtype=float)
+    r, d = rd[:, :1], rd[:, 1:]
+    lam_minus = (1.0 - r) / d
+    lam_plus = r + lam_minus
+    with np.errstate(all="ignore"):  # log(0) on noiseless rows
+        ln_p = np.log(lam_plus)
+        k = R - np.log2(d)
+        score = _ALPHA * (np.log(lam_minus) - ln_p)
+        np.exp(score, out=score)
+        score *= d - 1.0
+        np.log1p(score, out=score)
+        score /= LN2
+        score += k
+        score /= _ALPHA
+        np.subtract(k - ln_p / LN2, score, out=score)
+        top = score.max(axis=1, keepdims=True)
+        # nan where the best is not finite, and no score is below nan
+        low = top - _RESCORE_MARGIN * np.maximum(1.0, np.abs(top))
+        near = ~(score < low) | (np.abs(score) <= _RESCORE_MARGIN)
+    rows, cols = np.nonzero(near)
+    cuts = np.searchsorted(rows, np.arange(len(storages) + 1)).tolist()
+    cols = cols.tolist()
+    return [cols[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _gamma_refine(R, storage, candidates):
+    """gamma(R) from the scalar objective at the proposed scan indices."""
     d = storage.dim
     lam_plus, lam_minus = _eigenvalues(storage)
     log_d = math.log2(d)
@@ -354,11 +425,11 @@ def strong_converse_exponent(R, storage):
                 1.0 + (d - 1.0) * math.exp(alpha * ln_ratio))
         return (s * (R - log_d) - g) / alpha
 
-    # bracket the maximizer: log-spaced scan in s = alpha - 1
+    # bracket the maximizer: the best scan point in s = alpha - 1
     best_val = 0.0  # alpha -> 1 limit of the objective
     best_i = -1
-    for i, s in enumerate(ALPHA_SCAN):
-        v = objective(s)
+    for i in candidates:
+        v = objective(ALPHA_SCAN[i])
         if v > best_val:
             best_val, best_i = v, i
 
@@ -423,14 +494,17 @@ def _require_capacity_below(product, limit, text):
 _Transfer = namedtuple("_Transfer", "capacity gamma value ell eps")
 
 
-def _transfer_bound(storage, delta, n, rate, rounds, ec_bits=0.0, nu_n=None):
+def _transfer_bound(storage, delta, n, rate, rounds, ec_bits=0.0, nu_n=None,
+                    gamma=None):
     """The transfer bound at rate R, epsilon decaying in ``rounds``.
 
     ``nu_n`` = nu*n keeps robust OT's float order gamma*(nu*n); plain OT's
-    (gamma*nu)*n can differ from it in ell.
+    (gamma*nu)*n can differ from it in ell.  ``gamma`` is gamma(R/nu) where
+    the caller has it already.
     """
     cap = depolarizing_capacity(storage)
-    gamma = strong_converse_exponent(rate / storage.nu, storage)
+    if gamma is None:
+        gamma = strong_converse_exponent(rate / storage.nu, storage)
     gain = gamma * storage.nu * n if nu_n is None else gamma * nu_n
     # log2(1/eps) in log space, so that huge n cannot underflow it
     exponent = _ot_eps_exponent(delta, rounds)
@@ -598,12 +672,12 @@ def feasible_region(r_steps, nu_steps, r_max=1.0, nu_max=1.0, dim=2):
     if r_steps < 2 or nu_steps < 2:
         raise ValueError("grids need at least 2 steps per axis")
     StorageModel(r=r_max, nu=nu_max, dim=dim)  # bounds every cell's r, nu
+    nus = [nu_max * (j + 1) / nu_steps for j in range(nu_steps)]
     rows = []
     for i in range(r_steps):
         r = r_max * i / (r_steps - 1)
         cap = depolarizing_capacity(StorageModel(r=r, nu=1.0, dim=dim))
-        for j in range(nu_steps):
-            nu = nu_max * (j + 1) / nu_steps
+        for nu in nus:
             product = cap * nu
             rows.append({
                 "r": r, "nu": nu, "capacity": cap, "product": product,
@@ -620,12 +694,13 @@ def rate_curve(n, delta, nu, r_grid, dim=2):
     raises :class:`PreconditionError`.
     """
     OtParams(n=n, delta=delta, storage=None)  # checks delta and n
+    rate = 0.25 - delta
+    storages = [StorageModel(r=float(r), nu=nu, dim=dim) for r in r_grid]
     rows = []
-    for r in r_grid:
-        t = _transfer_bound(StorageModel(r=float(r), nu=nu, dim=dim), delta,
-                            n, 0.25 - delta, n)
+    for storage, gamma in zip(storages, _gamma_grid(rate / nu, storages)):
+        t = _transfer_bound(storage, delta, n, rate, n, gamma=gamma)
         rows.append({
-            "r": float(r), "nu": nu, "n": n, "delta": delta,
+            "r": storage.r, "nu": nu, "n": n, "delta": delta,
             "gamma": t.gamma, "capacity": t.capacity, "ell": t.ell,
             "ot_rate": t.ell / n, "eps": t.eps, "two_eps": 2.0 * t.eps,
             "feasible": t.ell > 0,
@@ -642,8 +717,24 @@ def format_value(v):
     return str(v)
 
 
+def _row_texts(rows, header, text):
+    """Each row's values in ``header`` order, as ``text`` writes them.
+
+    A value that is the same object as its column's value in the row
+    before reuses that text, so a repeated object is written once.
+    """
+    last = [object()] * len(header)
+    texts = [None] * len(header)
+    columns = tuple(enumerate(header))
+    for row in rows:
+        for k, h in columns:
+            v = row[h]
+            if v is not last[k]:
+                last[k], texts[k] = v, text(v)
+        yield tuple(texts)
+
+
 def rows_to_csv(rows, header):
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(row[h]) for h in header))
+    lines.extend(map(",".join, _row_texts(rows, header, format_value)))
     return "\n".join(lines) + "\n"

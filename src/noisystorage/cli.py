@@ -30,6 +30,7 @@ from .bounds import (
     _ot,
     _qid,
     _robust,
+    _row_texts,
     dishonest_alice_error,
     feasible_region,
     format_value,
@@ -42,7 +43,8 @@ from .protocols import run_qid, run_robust_rot, run_rot
 
 
 # Table sizes the CLI accepts: each curve step runs one gamma optimization
-# (about 0.2 ms), and each region row is one in-memory dict before output.
+# (about 0.06 ms, most of it the scalar golden section), and each region row
+# is one in-memory dict before output.
 CURVE_MAX_STEPS = 10_000
 REGION_MAX_ROWS = 250_000
 
@@ -57,12 +59,6 @@ ROBUST_MAX_CODE_BLOCK = 17
 QID_MAX_PASSWORDS = 256
 SIMULATE_MAX_ROUNDS = 10_000_000
 VERIFY_MAX_TRIALS = 100_000
-
-# JSON table rows go through the C encoder one at a time, because json.dumps
-# with an indent falls back to the pure-Python encoder.  _rows_out adds the
-# framing, so the bytes equal json.dumps(table, indent=2, allow_nan=False).
-_ROW_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "), allow_nan=False)
-
 
 class Parser(argparse.ArgumentParser):
     """Options must be spelled in full: no prefix abbreviations."""
@@ -101,16 +97,23 @@ def _finite(text):
     return value
 
 
-def _trial_count(text):
-    """Parse ``--trials``: an integer of at least 1."""
-    try:
-        trials = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
-    if trials < 1:
-        raise argparse.ArgumentTypeError(
-            "trial count must be at least 1, got %d" % trials)
-    return trials
+def _integer_at_least(minimum, what):
+    """A parser type for an integer option of at least ``minimum``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "invalid int value: %r" % text) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                "%s must be at least %d, got %d" % (what, minimum, value))
+        return value
+    return parse
+
+
+_trial_count = _integer_at_least(1, "trial count")
+_seed = _integer_at_least(0, "seed")
 
 
 def _emit(text, out_path):
@@ -223,7 +226,7 @@ def build_parser():
     s_rot.add_argument("--ell", type=int, default=4)
     s_rot.add_argument("--choice", type=int, choices=(0, 1), default=0)
     s_rot.add_argument("--trials", type=_trial_count, default=100)
-    s_rot.add_argument("--seed", type=int, default=0)
+    s_rot.add_argument("--seed", type=_seed, default=0)
     s_rot.add_argument("--out", help="output file (default stdout)")
 
     s_rob = ssub.add_parser("robust", help="robust oblivious transfer")
@@ -239,7 +242,7 @@ def build_parser():
     s_rob.add_argument("--code-block", type=int, default=3,
                        help="repetition block length for error correction")
     s_rob.add_argument("--trials", type=_trial_count, default=100)
-    s_rob.add_argument("--seed", type=int, default=0)
+    s_rob.add_argument("--seed", type=_seed, default=0)
     s_rob.add_argument("--out", help="output file (default stdout)")
 
     s_qid = ssub.add_parser("qid", help="password identification")
@@ -249,14 +252,14 @@ def build_parser():
     s_qid.add_argument("--w-alice", type=int, default=1)
     s_qid.add_argument("--w-bob", type=int, default=1)
     s_qid.add_argument("--trials", type=_trial_count, default=100)
-    s_qid.add_argument("--seed", type=int, default=0)
+    s_qid.add_argument("--seed", type=_seed, default=0)
     s_qid.add_argument("--out", help="output file (default stdout)")
 
     verify = sub.add_parser("verify", help="randomized verification suites")
     verify.set_defaults(handler=_cmd_verify)
     verify.add_argument("suite", choices=sorted(SUITES))
     verify.add_argument("--trials", type=_trial_count, default=None)
-    verify.add_argument("--seed", type=int, default=7)
+    verify.add_argument("--seed", type=_seed, default=7)
 
     return parser
 
@@ -313,10 +316,24 @@ def _cmd_bounds(args):
     return 0
 
 
+def _json_value(v):
+    """``v`` as json.dumps writes it, with allow_nan=False."""
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError("Out of range float values are not JSON "
+                             "compliant: %r" % v)
+        return float.__repr__(v)
+    return json.dumps(v)
+
+
 def _rows_out(rows, header, args):
     if args.format == "json":
-        items = ["{\n    %s\n  }" % _ROW_ENCODER.encode(row)[1:-1]
-                 for row in rows]
+        # the bytes of json.dumps(rows, indent=2, allow_nan=False), whose
+        # rows hold the header's keys in order
+        template = "{\n    %s\n  }" % ",\n    ".join(
+            "%s: %%s" % json.dumps(h).replace("%", "%%") for h in header)
+        items = [template % texts
+                 for texts in _row_texts(rows, header, _json_value)]
         text = "[\n  %s\n]" % ",\n  ".join(items) if items else "[]"
         _emit(text + "\n", args.out)
     else:

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -74,6 +74,94 @@ def gamma_reference(R, r, dim=2):
     # alpha -> infinity limit
     best = max(best, R - math.log2(dim) - math.log2(lam_p))
     return max(0.0, best)
+
+
+def gamma_scalar_reference(R, storage):
+    """The scalar optimizer that scanned all of ALPHA_SCAN itself, kept as
+    the ``==`` reference for the grid solver."""
+    if not R >= 0.0:  # nan too
+        raise PreconditionError("rate R must be nonnegative, got %r" % (R,))
+    d = storage.dim
+    lam_plus, lam_minus = bounds._eigenvalues(storage)
+    log_d = math.log2(d)
+    lam_plus_log2 = math.log2(lam_plus)
+    f_inf = R - log_d - lam_plus_log2  # alpha -> infinity limit
+
+    if lam_minus == 0.0:
+        # noiseless channel: objective is (1 - 1/alpha)(R - log2 d)
+        return bounds._finite_exponent(max(0.0, f_inf), R, storage)
+
+    ln_p = math.log(lam_plus)
+    ln_m = math.log(lam_minus)
+    ln_ratio = ln_m - ln_p
+    residue = lam_plus + (d - 1.0) * lam_minus - 1.0
+
+    def objective(s):
+        alpha = 1.0 + s
+        arg = (lam_plus * math.expm1(s * ln_p)
+               + (d - 1.0) * lam_minus * math.expm1(s * ln_m) + residue)
+        if arg > -0.5:
+            g = math.log1p(arg) / bounds.LN2
+        else:
+            g = alpha * lam_plus_log2 + math.log2(
+                1.0 + (d - 1.0) * math.exp(alpha * ln_ratio))
+        return (s * (R - log_d) - g) / alpha
+
+    scan = bounds.ALPHA_SCAN
+    best_val = 0.0  # alpha -> 1 limit of the objective
+    best_i = -1
+    for i, s in enumerate(scan):
+        v = objective(s)
+        if v > best_val:
+            best_val, best_i = v, i
+
+    if best_i < 0:
+        return max(0.0, f_inf)
+
+    lo = scan[best_i - 1] if best_i > 0 else 0.0
+    hi = scan[best_i + 1] if best_i + 1 < len(scan) else bounds.ALPHA_MAX
+    hi = min(hi, bounds.ALPHA_MAX)
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c1 = b - inv_phi * (b - a)
+    c2 = a + inv_phi * (b - a)
+    f1, f2 = objective(c1), objective(c2)
+    for _ in range(400):
+        if b - a <= bounds.ALPHA_BRACKET_TOL * max(1.0, 1.0 + a):
+            break
+        if f1 >= f2:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - inv_phi * (b - a)
+            f1 = objective(c1)
+        else:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + inv_phi * (b - a)
+            f2 = objective(c2)
+    else:
+        raise bounds.OptimizationError("exponent bracket did not reach "
+                                       "tolerance")
+
+    value = max(best_val, f1, f2, f_inf)
+    if value < bounds.GAMMA_NOISE_FLOOR:
+        return 0.0
+    return bounds._finite_exponent(value, R, storage)
+
+
+def rate_curve_reference(n, delta, nu, r_grid, dim=2):
+    """rate_curve as one transfer bound, and one gamma call, per point."""
+    OtParams(n=n, delta=delta, storage=None)  # checks delta and n
+    rows = []
+    for r in r_grid:
+        t = bounds._transfer_bound(StorageModel(r=float(r), nu=nu, dim=dim),
+                                   delta, n, 0.25 - delta, n)
+        rows.append({
+            "r": float(r), "nu": nu, "n": n, "delta": delta,
+            "gamma": t.gamma, "capacity": t.capacity, "ell": t.ell,
+            "ot_rate": t.ell / n, "eps": t.eps, "two_eps": 2.0 * t.eps,
+            "feasible": t.ell > 0,
+        })
+    return rows
 
 
 def ot_length_reference(n, delta, r, nu):
@@ -152,6 +240,13 @@ def test_ot_epsilon_sigma_identity():
         lhs = ot_epsilon(delta, n)
         rhs = 2.0 * 2.0 ** (-sigma(delta / 4.0) * n)
         assert lhs == pytest.approx(rhs, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, 10 ** 400],
+                         ids=["nan", "inf", "-inf", "huge"])
+def test_ot_epsilon_rejects_a_non_finite_round_count(n):
+    with pytest.raises(PreconditionError, match="^n "):
+        ot_epsilon(0.01, n)
 
 
 def test_transfer_value_matches_and_survives_underflow():
@@ -259,6 +354,48 @@ def test_gamma_matches_reference_optimizer():
         got = strong_converse_exponent(R, QUBIT(r))
         want = gamma_reference(R, r)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except PreconditionError as exc:
+        return "PreconditionError: %s" % exc
+
+
+@st.composite
+def gamma_grids(draw):
+    """A rate R and a grid of storages, with R drawn near the capacity of
+    one of them as often as not."""
+    storages = draw(st.lists(st.builds(
+        StorageModel,
+        r=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        nu=st.just(1.0), dim=st.sampled_from([2, 3, 4, 8])), max_size=8))
+    if storages and draw(st.booleans()):
+        cap = depolarizing_capacity(draw(st.sampled_from(storages)))
+        R = max(0.0, cap + draw(st.floats(-1e-3, 1e-3)))
+    else:
+        R = draw(st.one_of(st.floats(0.0, 3.5), st.sampled_from(
+            [0.0, 1e-12, 1.7e302, 1.9e302, math.inf])))
+    return R, storages
+
+
+@settings(max_examples=300, deadline=None)
+@given(gamma_grids())
+@example((0.3, []))  # an empty grid
+@example((0.9, [StorageModel(r=0.4, dim=3), StorageModel(r=0.95, dim=3)]))
+@example((0.2394, [QUBIT(1.0), QUBIT(0.0)]))  # lambda- = 0, and r = 0
+@example((0.1, [QUBIT(0.5)]))  # below capacity: gamma = 0
+@example((0.7, [QUBIT(0.0)]))  # the alpha -> infinity limit f_inf wins
+@example((1.9e302, [QUBIT(0.3), QUBIT(0.1)]))  # overflow
+@example((0.2394, [QUBIT(r) for r in np.linspace(0.0, 0.9, 200)]))  # 2 blocks
+def test_gamma_grid_equals_the_scalar_scan(grid):
+    R, storages = grid
+    assert _outcome(lambda: bounds._gamma_grid(R, storages)) == _outcome(
+        lambda: [gamma_scalar_reference(R, s) for s in storages])
+    if len(storages) == 1:
+        assert _outcome(lambda: [strong_converse_exponent(R, storages[0])]) \
+            == _outcome(lambda: bounds._gamma_grid(R, storages))
 
 
 def test_gamma_rejects_negative_rate():
@@ -813,6 +950,24 @@ def test_rate_curve_shape_and_limits():
             assert row["ell"] == 0
     with pytest.raises(PreconditionError, match="delta must lie in"):
         rate_curve(1e10, 0.26, 1.0, grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([100.0, 1e6, 1e10, 1e15]),
+       delta=st.floats(0.001, 0.24), nu=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+       r_grid=st.lists(st.floats(0.0, 1.0), max_size=12),
+       dim=st.sampled_from([2, 3]))
+@example(n=1e10, delta=0.0106, nu=1.0, r_grid=list(np.linspace(0, 0.9, 200)),
+         dim=2)
+def test_rate_curve_rows_equal_per_point_transfer_bounds(n, delta, nu, r_grid,
+                                                         dim):
+    try:
+        want = rate_curve_reference(n, delta, nu, r_grid, dim)
+    except PreconditionError as exc:  # n below 4/delta
+        with pytest.raises(PreconditionError, match=re.escape(str(exc))):
+            rate_curve(n, delta, nu, r_grid, dim)
+        return
+    assert rate_curve(n, delta, nu, r_grid, dim) == want
 
 
 def test_capacity_guard_binds_where_gamma_is_positive():

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 import types
 import warnings
 from unittest import mock
@@ -332,6 +333,10 @@ def test_verify_pa_computes_each_guarantee_once_per_instance(trials):
      "--eps-target: must be finite"),
     (("region", "--nu-max", "-1"), "nu must be positive"),
     (("region", "--nu-max", "nan", "--format", "json"), "nu must be finite"),
+    *(((*command, "--seed", "-1"),
+       "argument --seed: seed must be at least 0, got -1")
+      for command in (("simulate", "rot"), ("simulate", "robust"),
+                      ("simulate", "qid"), ("verify", "split"))),
 ])
 def test_non_finite_and_negative_inputs_exit_1(capsys, argv, diagnostic):
     code, out, err = run_cli(capsys, *argv)
@@ -497,6 +502,83 @@ def test_table_rows_follow_their_header():
     rows = bounds.feasible_region(3, 2, dim=3)
     assert all(list(row) == list(bounds.FEASIBLE_REGION_HEADER)
                for row in rows)
+
+
+def rows_to_csv_reference(rows, header):
+    """The CSV writer that formatted every cell, kept as the reference."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(bounds.format_value(row[h]) for h in header))
+    return "\n".join(lines) + "\n"
+
+
+TABLE_HEADER = ("zero", "flag", "count", "real", "shared")
+# each column's pool: shared objects, so that rows repeat them, and fresh
+# ones; "zero" holds both signs of zero, and True, 1 and 1.0 sit in
+# different columns
+TABLE_POOLS = {
+    "zero": st.sampled_from([0.0, -0.0, 1e-300, -2.5]),
+    "flag": st.one_of(st.booleans(), st.just(True)),
+    "count": st.one_of(st.just(1), st.integers(-10 ** 20, 10 ** 20)),
+    "real": st.one_of(st.just(1.0), st.floats(allow_nan=False,
+                                               allow_infinity=False)),
+    "shared": st.sampled_from([0.1, 1 / 3, 2.0 ** -1074, 1e22]),
+}
+
+
+@st.composite
+def table_rows(draw):
+    # fresh float objects for 0.0 and -0.0 too: a copy is a new object
+    fresh = lambda v: float(repr(v)) if isinstance(v, float) else v
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        row = {h: draw(TABLE_POOLS[h]) for h in TABLE_HEADER}
+        if rows and draw(st.booleans()):  # repeat the row before's objects
+            row = {h: draw(st.sampled_from([row[h], rows[-1][h]]))
+                   for h in TABLE_HEADER}
+        if draw(st.booleans()):
+            row = {h: fresh(v) for h, v in row.items()}
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_rows())
+@example([{"zero": 0.0, "flag": True, "count": 1, "real": 1.0,
+           "shared": 0.1},
+          {"zero": -0.0, "flag": True, "count": 1, "real": 1.0,
+           "shared": 0.1},
+          {"zero": float("0.0"), "flag": False, "count": 10 ** 20,
+           "real": float("-0.0"), "shared": 1e22}])
+def test_table_writers_equal_their_references(rows):
+    assert bounds.rows_to_csv(rows, TABLE_HEADER) == rows_to_csv_reference(
+        rows, TABLE_HEADER)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli._rows_out(rows, TABLE_HEADER,
+                             argparse.Namespace(format="json", out=None))
+    assert code == 0
+    assert out.getvalue() == json.dumps(rows, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv, cap_mib", [
+    (("curve", "--n", "1e10", "--delta", "0.0106", "--steps",
+      str(cli.CURVE_MAX_STEPS)), 12),
+    (("region", "--steps", "100", "--format", "json"), 12),
+], ids=["curve", "region"])
+def test_table_memory_stays_capped(capsys, argv, cap_mib):
+    # with a per-point gamma scan and per-cell formatting, these peaked at
+    # 10.1 MiB (curve) and 9.8 MiB (region, its output captured); one
+    # unchunked (steps x scan points) float array is 13.8 MiB
+    tracemalloc.start()
+    try:
+        code = dispatch(list(argv))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert peak < cap_mib * 2 ** 20
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
