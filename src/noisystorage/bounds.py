@@ -24,7 +24,7 @@ _ALPHA = 1.0 + np.array(ALPHA_SCAN)
 # (storages x scan points) temporary holds at most 2^13 cells (64 KiB);
 # with 2^15-cell blocks, resident memory crept up over long table runs
 _SCAN_ROWS = 2 ** 13 // len(ALPHA_SCAN)
-# scan points scored within this of the best or of 0 are scored again
+# scan points scored within this of the best are scored again
 _RESCORE_MARGIN = 1e-12
 
 
@@ -85,9 +85,9 @@ class OtParams:
     storage: StorageModel
 
     def __post_init__(self):
+        _require_finite("n", self.n)
         if not 0.0 < self.delta < 0.25:
             raise PreconditionError("delta must lie in (0, 1/4)")
-        _require_finite("n", self.n)
         need = 4.0 / self.delta
         if not math.isfinite(need) or self.n < math.ceil(need):
             raise PreconditionError("n >= 4/delta is required for the "
@@ -113,18 +113,20 @@ class RobustParams:
     ell: int | None = None
 
     def __post_init__(self):
-        for name in ("p1_sent", "ph_noclick", "pd_noclick", "ph_err"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise PreconditionError("%s must lie in [0, 1]" % name)
-        if not 0.0 < self.delta < 0.25:
-            raise PreconditionError("delta must lie in (0, 1/4)")
-        if self.ph_err >= 0.5:
-            raise PreconditionError("honest error rate must be below 1/2")
         _require_finite("n", self.n)
         if self.n <= 0.0:
             raise PreconditionError("round count n must be positive, got %r"
                                     % (self.n,))
+        if not 0.0 < self.delta < 0.25:
+            raise PreconditionError("delta must lie in (0, 1/4)")
+        for name in ("p1_sent", "ph_noclick", "pd_noclick", "ph_err"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise PreconditionError("%s must lie in [0, 1]" % name)
+        if self.ph_err >= 0.5:
+            raise PreconditionError("honest error rate must be below 1/2")
+        if self.ell is not None:
+            _require_integer("ell", self.ell)
         if self.m1 <= 0.0:
             raise PreconditionError("no single-photon rounds survive "
                                     "(p1_sent - ph_noclick + pd_noclick <= 0)")
@@ -132,8 +134,6 @@ class RobustParams:
             raise PreconditionError("m1 = (p1_sent - ph_noclick + pd_noclick)"
                                     " * n >= 4/delta is required for the "
                                     "security statement")
-        if self.ell is not None:
-            _require_integer("ell", self.ell)
 
     @property
     def m_total(self):
@@ -312,7 +312,7 @@ def depolarizing_capacity(storage):
         c += lam_plus * math.log2(lam_plus)
     if lam_minus > 0.0:
         c += (d - 1) * lam_minus * math.log2(lam_minus)
-    return c
+    return max(0.0, c)  # the float sum is -2.2e-16 at r = 0 for some d
 
 
 def strong_converse_exponent(R, storage):
@@ -328,11 +328,12 @@ def strong_converse_exponent(R, storage):
 
     numpy scores the scan, and only proposes: every scan point whose
     numpy score lies within 1e-12 of its best (relative, for scores above
-    1 in magnitude) or within 1e-12 of 0 is scored again by the scalar
-    objective, and the scalar scores alone pick the bracket.  Near the
-    best, numpy's scores differ from the scalar objective's by a few ulp
-    of the scores and of log2 d, far inside that margin, so the result is
-    the same float a scalar scan gives.
+    1 in magnitude) is scored again by the scalar objective, and the
+    scalar scores alone pick the bracket.  numpy's scores differ from the
+    scalar objective's by a few ulp of the scores and of log2 d, far
+    inside that margin, so the scalar maximizer is always proposed and
+    the result is the same float a scalar scan gives; when no proposed
+    point scores above 0, no scan point does.
 
     Precondition: the optimum is a finite float.  The scan's
     s * (R - log2 d) overflows for R above about 1.8e302 (a storage rate
@@ -358,7 +359,7 @@ def _gamma_grid(R, storages):
 
 def _scan_candidates(R, storages):
     """Per storage, the ``ALPHA_SCAN`` indices, ascending, whose numpy score
-    lies within ``_RESCORE_MARGIN`` of the storage's best score or of 0.
+    lies within ``_RESCORE_MARGIN`` of the storage's best score.
 
     numpy scores the objective in log space alone, as
     f_inf - (R - log2 d + log2(1 + (d-1) (l-/l+)^alpha)) / alpha, which is
@@ -385,7 +386,7 @@ def _scan_candidates(R, storages):
         top = score.max(axis=1, keepdims=True)
         # nan where the best is not finite, and no score is below nan
         low = top - _RESCORE_MARGIN * np.maximum(1.0, np.abs(top))
-        near = ~(score < low) | (np.abs(score) <= _RESCORE_MARGIN)
+        near = ~(score < low)
     rows, cols = np.nonzero(near)
     cuts = np.searchsorted(rows, np.arange(len(storages) + 1)).tolist()
     cols = cols.tolist()
@@ -693,7 +694,7 @@ def rate_curve(n, delta, nu, r_grid, dim=2):
     remains, carry ell = 0 and feasible = False.  A delta outside (0, 1/4)
     raises :class:`PreconditionError`.
     """
-    OtParams(n=n, delta=delta, storage=None)  # checks delta and n
+    OtParams(n=n, delta=delta, storage=None)  # checks n and delta
     rate = 0.25 - delta
     storages = [StorageModel(r=float(r), nu=nu, dim=dim) for r in r_grid]
     rows = []

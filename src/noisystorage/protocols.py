@@ -188,49 +188,39 @@ def run_rot(n, ell, c, bob=None, rng=None):
     qubit passes through, and ``after_reveal(noisy_states, theta, rng)``,
     which gets only the noised (n, 2, 2) states and the revealed bases
     and returns the index-set message (set_0, set_1) and a record dict.
+    Its transfer is drawn by :func:`_storing_trial`, the one function
+    that draws a storing transfer, and its index sets are checked after.
     """
     ell = _length(ell, n)
     c = _choice_bit(c)
     rng = make_rng(rng)
+    if bob is not None:
+        # -- waiting time: every qubit goes through storage --
+        x, theta, i0, i1, record, f0, f1 = _storing_trial(
+            n, ell, bob, _stored_states(bob.storage_r), rng)
+        i0 = np.asarray(i0, dtype=np.int64)
+        i1 = np.asarray(i1, dtype=np.int64)
+        if not np.array_equal(np.sort(np.concatenate([i0, i1])), np.arange(n)):
+            raise ValueError("index sets must partition the rounds")
+        return RotTranscript(n=n, ell=ell, c=c, x=x, theta=theta,
+                             theta_hat=None, x_hat=None, i0=i0, i1=i1, f0=f0,
+                             f1=f1, s0=hash_apply(f0, x[i0]),
+                             s1=hash_apply(f1, x[i1]), y=None, adversary=record)
+
     x = rng.integers(0, 2, n, dtype=np.uint8)
     theta = rng.integers(0, 2, n, dtype=np.uint8)
-
-    adversary_record = None
-    theta_hat = None
-    x_hat = None
-    if bob is None:
-        theta_hat = rng.integers(0, 2, n, dtype=np.uint8)
-        x_hat = _honest_measurement(x, theta, theta_hat, rng)
-        # -- waiting time --
-        i0, i1 = honest_index_sets(theta, theta_hat, c)
-    else:
-        # -- waiting time: every qubit goes through storage --
-        noisy = _stored_states(bob.storage_r)[x, theta]
-        i0, i1, adversary_record = bob.after_reveal(noisy, theta, rng)
-
-    i0 = np.asarray(i0, dtype=np.int64)
-    i1 = np.asarray(i1, dtype=np.int64)
-    combined = np.sort(np.concatenate([i0, i1]))
-    if not np.array_equal(combined, np.arange(n)):
-        raise ValueError("index sets must partition the rounds")
-
+    theta_hat = rng.integers(0, 2, n, dtype=np.uint8)
+    x_hat = _honest_measurement(x, theta, theta_hat, rng)
+    # -- waiting time --
+    i0, i1 = honest_index_sets(theta, theta_hat, c)
     f0 = random_hash(n, ell, rng)
     f1 = random_hash(n, ell, rng)
-    s0 = hash_apply(f0, x[i0])
-    s1 = hash_apply(f1, x[i1])
-
-    y = None
-    i_c_empty = False
-    if bob is None:
-        i_c = i0 if c == 0 else i1
-        f_c = f0 if c == 0 else f1
-        y = hash_apply(f_c, x_hat[i_c])
-        i_c_empty = i_c.size == 0
-
+    i_c, f_c = (i0, f0) if c == 0 else (i1, f1)
     return RotTranscript(n=n, ell=ell, c=c, x=x, theta=theta,
                          theta_hat=theta_hat, x_hat=x_hat, i0=i0, i1=i1,
-                         f0=f0, f1=f1, s0=s0, s1=s1, y=y,
-                         i_c_empty=i_c_empty, adversary=adversary_record)
+                         f0=f0, f1=f1, s0=hash_apply(f0, x[i0]),
+                         s1=hash_apply(f1, x[i1]), y=hash_apply(f_c, x_hat[i_c]),
+                         i_c_empty=i_c.size == 0)
 
 
 # --- robust oblivious transfer ---------------------------------------------------
@@ -330,8 +320,6 @@ def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3):
     n = int(params.n)
     if n != params.n:
         raise ValueError("simulation needs an integer round count")
-    if params.ell is None:
-        raise ValueError("simulation needs the string length ell set")
     ell = _length(params.ell, n)
     if not 0.0 < eps_target <= 1.0:
         raise ValueError("eps_target must lie in (0, 1]")
@@ -549,20 +537,20 @@ def _hidden_nonuniformity(n, ell, p_post, runs):
 
 
 def _storing_trial(n, ell, bob, stored, rng):
-    """One transfer against ``bob``, drawn in :func:`run_rot`'s order.
+    """One transfer against ``bob``: the one function that draws a storing
+    transfer, for :func:`run_rot` and :func:`estimate_leakage` alike.
 
-    ``stored`` is the table of :func:`_stored_states`.  Returns how many
-    bits of x the receiver guessed, and the run (guesses, i0, i1, f0, f1)
-    that :func:`_hidden_nonuniformity` reads; the sender's strings are
-    never computed.
+    ``stored`` is the table of :func:`_stored_states`.  Returns
+    (x, theta, i0, i1, record, f0, f1) in the order they are drawn;
+    ``i0`` and ``i1`` are the receiver's index sets as it returned them,
+    unchecked.
     """
     x = rng.integers(0, 2, n, dtype=np.uint8)
     theta = rng.integers(0, 2, n, dtype=np.uint8)
     i0, i1, record = bob.after_reveal(stored[x, theta], theta, rng)
     f0 = random_hash(n, ell, rng)
     f1 = random_hash(n, ell, rng)
-    guesses = record["guesses"]
-    return int((guesses == x).sum()), (guesses, i0, i1, f0, f1)
+    return x, theta, i0, i1, record, f0, f1
 
 
 def _leakage_chunk(n, ell):
@@ -576,7 +564,8 @@ def estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
 
     Runs ``trials`` transfers against :class:`StoreAllBob` with per-qubit
     depolarizing retention ``r``; trial t draws from the t-th child of
-    ``rng.spawn``, exactly as a :func:`run_rot` call with that child would.
+    ``rng.spawn`` through :func:`_storing_trial`, the function a
+    :func:`run_rot` call with that child draws through.
     Reports the empirical per-bit guess rate (oracle: the
     optimal-discrimination value (1+r)/2) and the empirical
     non-uniformity of the provably hidden string given the other string
@@ -619,9 +608,12 @@ def estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
     bit_hits = 0
     nonuni_sum = 0.0
     for start in range(0, trials, chunk):
-        hits, runs = zip(*(_storing_trial(n, ell, bob, stored, child) for child
-                           in rng.spawn(min(chunk, trials - start))))
-        bit_hits += sum(hits)
+        runs = []
+        for child in rng.spawn(min(chunk, trials - start)):
+            x, _, i0, i1, record, f0, f1 = _storing_trial(n, ell, bob, stored,
+                                                          child)
+            bit_hits += int((record["guesses"] == x).sum())
+            runs.append((record["guesses"], i0, i1, f0, f1))
         for value in _hidden_nonuniformity(n, ell, p_post, runs).tolist():
             nonuni_sum += value
 

@@ -150,7 +150,7 @@ def gamma_scalar_reference(R, storage):
 
 def rate_curve_reference(n, delta, nu, r_grid, dim=2):
     """rate_curve as one transfer bound, and one gamma call, per point."""
-    OtParams(n=n, delta=delta, storage=None)  # checks delta and n
+    OtParams(n=n, delta=delta, storage=None)  # checks n and delta
     rows = []
     for r in r_grid:
         t = bounds._transfer_bound(StorageModel(r=float(r), nu=nu, dim=dim),
@@ -308,6 +308,13 @@ def test_capacity_higher_dimensions():
             0.0, abs=1e-12)
 
 
+def test_capacity_is_nonnegative_for_useless_storage():
+    # the eigenvalue sum rounds to -2.2e-16 at r = 0 for 11 of these dims
+    # (3, 11, 13, 28, ...), and to a few ulp above 0 for others
+    for d in range(2, 65):
+        assert 0.0 <= depolarizing_capacity(StorageModel(r=0.0, dim=d)) < 1e-15
+
+
 def test_gamma_zero_below_capacity_positive_above():
     for r in np.arange(0.0, 0.95, 0.1):
         st = QUBIT(float(r))
@@ -386,6 +393,14 @@ def gamma_grids(draw):
 @example((0.9, [StorageModel(r=0.4, dim=3), StorageModel(r=0.95, dim=3)]))
 @example((0.2394, [QUBIT(1.0), QUBIT(0.0)]))  # lambda- = 0, and r = 0
 @example((0.1, [QUBIT(0.5)]))  # below capacity: gamma = 0
+# R <= capacity, where every score sits at or just below 0
+@example((0.0, [QUBIT(0.5), StorageModel(r=0.0, dim=3),
+                StorageModel(r=0.3, dim=8)]))
+@example((1e-12, [QUBIT(0.0), StorageModel(r=0.0, dim=13),
+                  StorageModel(r=0.0, dim=1000)]))
+@example((depolarizing_capacity(QUBIT(0.5)), [QUBIT(0.5)]))
+@example((depolarizing_capacity(StorageModel(r=1e-8, dim=3)),
+          [StorageModel(r=1e-8, dim=3), StorageModel(r=0.0, dim=3)]))
 @example((0.7, [QUBIT(0.0)]))  # the alpha -> infinity limit f_inf wins
 @example((1.9e302, [QUBIT(0.3), QUBIT(0.1)]))  # overflow
 @example((0.2394, [QUBIT(r) for r in np.linspace(0.0, 0.9, 200)]))  # 2 blocks
@@ -546,6 +561,28 @@ def test_robust_params_reject_a_non_integer_length(value):
     with pytest.raises(PreconditionError,
                        match="^ell must be an integer, got "):
         RobustParams(**ROBUST_GOOD, ell=value)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: OtParams(n=math.nan, delta=0.3, storage=QUBIT(0.1)),
+     "n must be finite, got nan"),
+    (lambda: RobustParams(**{**ROBUST_GOOD, "n": math.nan, "ph_err": 0.7}),
+     "n must be finite, got nan"),
+    (lambda: RobustParams(**{**ROBUST_GOOD, "n": 0, "delta": 0.3}),
+     "round count n must be positive, got 0"),
+    (lambda: RobustParams(**{**ROBUST_GOOD, "delta": 0.3, "p1_sent": 1.5}),
+     "delta must lie in (0, 1/4)"),
+    (lambda: RobustParams(**{**ROBUST_GOOD, "ph_err": 0.7, "ell": 2.5}),
+     "honest error rate must be below 1/2"),
+    # m1 = 45 < 4/delta = 800
+    (lambda: RobustParams(**{**ROBUST_GOOD, "n": 100, "ell": 2.5}),
+     "ell must be an integer, got 2.5"),
+], ids=["ot-n-delta", "robust-n-ph_err", "robust-n-delta",
+        "robust-delta-p1_sent", "robust-ph_err-ell", "robust-ell-m1"])
+def test_records_name_their_first_faulty_field(make, message):
+    # n, then delta, then the probabilities and ell, then m1
+    with pytest.raises(PreconditionError, match="^%s$" % re.escape(message)):
+        make()
 
 
 @pytest.mark.parametrize("n", [0, -1, -1e10])

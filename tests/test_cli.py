@@ -589,6 +589,16 @@ def test_json_tables_reject_non_finite_values(capsys, value):
     assert capsys.readouterr().out == ""
 
 
+def test_region_prints_a_zero_capacity_for_useless_storage(capsys):
+    # at r = 0 the dim-3 capacity's float sum is -2.2e-16
+    code, out, _ = run_cli(capsys, "region", "--steps", "2", "--dim", "3")
+    assert code == 0
+    assert out.splitlines() == ["r,nu,capacity,product,feasible",
+                                "0,0.5,0,0,true", "0,1,0,0,true",
+                                "1,0.5,1.58496250072,0.792481250361,false",
+                                "1,1,1.58496250072,1.58496250072,false"]
+
+
 @pytest.mark.parametrize("zero, other", [("--r-steps", "--nu-steps"),
                                          ("--nu-steps", "--r-steps")])
 def test_region_zero_axis_steps_exit_1(capsys, tmp_path, zero, other):

@@ -129,6 +129,31 @@ def test_rot_adversary_runs_and_partitions():
     assert t.adversary["guesses"].shape == (12,)
 
 
+class OverlappingBob(StoreAllBob):
+    """Sends the first round in both index sets."""
+
+    def after_reveal(self, noisy_states, theta, rng):
+        set_0, set_1, record = super().after_reveal(noisy_states, theta, rng)
+        return set_0, np.concatenate([set_0[:1], set_1]), record
+
+
+def test_rot_rejects_index_sets_that_overlap():
+    with pytest.raises(ValueError,
+                       match="^index sets must partition the rounds$"):
+        run_rot(12, ell=3, c=0, bob=OverlappingBob(0.5), rng=13)
+
+
+def test_storing_transfers_are_drawn_by_one_function():
+    with mock.patch.object(protocols, "_storing_trial",
+                           wraps=protocols._storing_trial) as trial:
+        run_rot(16, 4, 0, rng=3)
+        assert trial.call_count == 0
+        run_rot(16, 4, 0, bob=StoreAllBob(0.3), rng=3)
+        assert trial.call_count == 1
+        estimate_leakage(16, 4, 0.3, 3, rng=3)
+        assert trial.call_count == 1 + 3
+
+
 def test_rot_validates_lengths():
     with pytest.raises(ValueError):
         run_rot(4, ell=5, c=0, rng=1)
@@ -218,6 +243,18 @@ def test_store_all_run_makes_six_qsim_calls(monkeypatch):
 
 
 # --- robust oblivious transfer ----------------------------------------------
+
+
+@pytest.mark.parametrize("params, message", [
+    (robust_params(ell=None), "^ell must be an integer, got None$"),
+    (robust_params(n=512.5), "^simulation needs an integer round count$"),
+], ids=["ell-none", "n-not-integer"])
+def test_robust_rejects_unsimulable_params_before_drawing(params, message):
+    rng = make_rng(5)
+    before = generator_state(rng)
+    with pytest.raises(ValueError, match=message):
+        run_robust_rot(params, repetition_code(3), 0, rng=rng)
+    assert generator_state(rng) == before
 
 
 def test_robust_noiseless_reduces_to_plain_behavior():
