@@ -12,19 +12,14 @@ import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-import numpy as np
-
 LN2 = math.log(2.0)
 ALPHA_MAX = 1e6          # cap for the exponent optimizer
 ALPHA_BRACKET_TOL = 1e-10
 GAMMA_NOISE_FLOOR = 1e-13  # optimizer results below this are numerically 0
 ALPHA_SCAN = tuple(10.0 ** (e / 10.0) for e in range(-120, 61))  # 1e-12 .. 1e6
-_ALPHA = 1.0 + np.array(ALPHA_SCAN)
-# numpy scores the scan of this many storages at once, so that each
-# (storages x scan points) temporary holds at most 2^13 cells (64 KiB);
-# with 2^15-cell blocks, resident memory crept up over long table runs
-_SCAN_ROWS = 2 ** 13 // len(ALPHA_SCAN)
-# scan points scored within this of the best are scored again
+# scan points within this of the bisected peak (relative, for values above
+# 1 in magnitude) may hold the scan's maximum: float noise flattens the
+# peak into a plateau of values a few ulp apart
 _RESCORE_MARGIN = 1e-12
 
 
@@ -163,12 +158,12 @@ class QidParams:
     mu: float = field(init=False)
 
     def __post_init__(self):
+        _require_finite("n", self.n)
         _require_integer("m", self.m)
         if self.m < 2:
             raise PreconditionError("need at least two passwords")
         if not 0.0 < self.delta < 0.25:
             raise PreconditionError("delta must lie in (0, 1/4)")
-        _require_finite("n", self.n)
         object.__setattr__(self, "mu", _gv_relative_distance(self.n, self.m))
         if self.ell is not None:
             _require_integer("ell", self.ell)
@@ -305,6 +300,8 @@ def depolarizing_capacity(storage):
     log2(d) + l+ log2(l+) + (d-1) l- log2(l-); treat those values as a
     derived extrapolation rather than a quoted result.
     """
+    if storage.r == 0.0:
+        return 0.0  # the fully depolarizing channel carries nothing
     lam_plus, lam_minus = _eigenvalues(storage)
     d = storage.dim
     c = math.log2(d)
@@ -312,7 +309,7 @@ def depolarizing_capacity(storage):
         c += lam_plus * math.log2(lam_plus)
     if lam_minus > 0.0:
         c += (d - 1) * lam_minus * math.log2(lam_minus)
-    return max(0.0, c)  # the float sum is -2.2e-16 at r = 0 for some d
+    return max(0.0, c)  # the float sum rounds below 0 for r near 0
 
 
 def strong_converse_exponent(R, storage):
@@ -326,75 +323,23 @@ def strong_converse_exponent(R, storage):
     limits are evaluated analytically.  gamma(R) > 0 exactly when R
     exceeds the capacity.
 
-    numpy scores the scan, and only proposes: every scan point whose
-    numpy score lies within 1e-12 of its best (relative, for scores above
-    1 in magnitude) is scored again by the scalar objective, and the
-    scalar scores alone pick the bracket.  numpy's scores differ from the
-    scalar objective's by a few ulp of the scores and of log2 d, far
-    inside that margin, so the scalar maximizer is always proposed and
-    the result is the same float a scalar scan gives; when no proposed
-    point scores above 0, no scan point does.
+    The objective is concave in t = 1 - 1/alpha (the log of an alpha-norm
+    is convex in 1/alpha), so the scan's values rise to one peak and then
+    fall, and bisection on the sign of their forward difference finds it;
+    a rate at or below capacity peaks at the first scan point.  Float
+    noise flattens the peak into a plateau a few ulp deep, so the scan
+    points whose values lie within 1e-12 of the bisected peak's (relative,
+    for values above 1 in magnitude) are all candidates, and the first
+    strict maximum among them above 0 brackets the maximizer, as a full
+    scan would.  The result is the same float a full scan gives.
 
     Precondition: the optimum is a finite float.  The scan's
     s * (R - log2 d) overflows for R above about 1.8e302 (a storage rate
     nu below about 1e-303 at the bound calculators' rates), and that
     raises :class:`PreconditionError` naming R and nu.
     """
-    return _gamma_grid(R, (storage,))[0]
-
-
-def _gamma_grid(R, storages):
-    """:func:`strong_converse_exponent` at rate R for each of ``storages``
-    (a sequence), scanning up to ``_SCAN_ROWS`` of them in one numpy
-    evaluation."""
     if not R >= 0.0:  # nan too
         raise PreconditionError("rate R must be nonnegative, got %r" % (R,))
-    gammas = []
-    for start in range(0, len(storages), _SCAN_ROWS):
-        block = storages[start:start + _SCAN_ROWS]
-        for storage, candidates in zip(block, _scan_candidates(R, block)):
-            gammas.append(_gamma_refine(R, storage, candidates))
-    return gammas
-
-
-def _scan_candidates(R, storages):
-    """Per storage, the ``ALPHA_SCAN`` indices, ascending, whose numpy score
-    lies within ``_RESCORE_MARGIN`` of the storage's best score.
-
-    numpy scores the objective in log space alone, as
-    f_inf - (R - log2 d + log2(1 + (d-1) (l-/l+)^alpha)) / alpha, which is
-    the scalar objective's algebra without its expm1 branch near alpha = 1.
-    A row whose best score is not finite proposes every index; rows of a
-    noiseless storage get scores too, which :func:`_gamma_refine` ignores.
-    """
-    rd = np.array([(storage.r, storage.dim) for storage in storages],
-                  dtype=float)
-    r, d = rd[:, :1], rd[:, 1:]
-    lam_minus = (1.0 - r) / d
-    lam_plus = r + lam_minus
-    with np.errstate(all="ignore"):  # log(0) on noiseless rows
-        ln_p = np.log(lam_plus)
-        k = R - np.log2(d)
-        score = _ALPHA * (np.log(lam_minus) - ln_p)
-        np.exp(score, out=score)
-        score *= d - 1.0
-        np.log1p(score, out=score)
-        score /= LN2
-        score += k
-        score /= _ALPHA
-        np.subtract(k - ln_p / LN2, score, out=score)
-        top = score.max(axis=1, keepdims=True)
-        # nan where the best is not finite, and no score is below nan
-        low = top - _RESCORE_MARGIN * np.maximum(1.0, np.abs(top))
-        near = ~(score < low)
-    rows, cols = np.nonzero(near)
-    cuts = np.searchsorted(rows, np.arange(len(storages) + 1)).tolist()
-    cols = cols.tolist()
-    return [cols[a:b] for a, b in zip(cuts, cuts[1:])]
-
-
-def _gamma_refine(R, storage, candidates):
-    """gamma(R) from the scalar objective at the proposed scan indices."""
     d = storage.dim
     lam_plus, lam_minus = _eigenvalues(storage)
     log_d = math.log2(d)
@@ -426,11 +371,38 @@ def _gamma_refine(R, storage, candidates):
                 1.0 + (d - 1.0) * math.exp(alpha * ln_ratio))
         return (s * (R - log_d) - g) / alpha
 
+    scores = {}  # scan index -> objective value, each scored once
+
+    def score(i):
+        if i not in scores:
+            scores[i] = objective(ALPHA_SCAN[i])
+        return scores[i]
+
+    # the first scan index whose value is not below its successor's
+    last = len(ALPHA_SCAN) - 1
+    peak = 0
+    if score(0) < score(1):
+        lo, hi = 1, last
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if score(mid) >= score(mid + 1):
+                hi = mid
+            else:
+                lo = mid + 1
+        peak = lo
+    # float noise may put the scan's maximum anywhere on the peak's plateau
+    low = score(peak) - _RESCORE_MARGIN * max(1.0, abs(score(peak)))
+    first = final = peak
+    while first > 0 and score(first - 1) >= low:
+        first -= 1
+    while final < last and score(final + 1) >= low:
+        final += 1
+
     # bracket the maximizer: the best scan point in s = alpha - 1
     best_val = 0.0  # alpha -> 1 limit of the objective
     best_i = -1
-    for i in candidates:
-        v = objective(ALPHA_SCAN[i])
+    for i in range(first, final + 1):
+        v = scores[i]
         if v > best_val:
             best_val, best_i = v, i
 
@@ -495,17 +467,14 @@ def _require_capacity_below(product, limit, text):
 _Transfer = namedtuple("_Transfer", "capacity gamma value ell eps")
 
 
-def _transfer_bound(storage, delta, n, rate, rounds, ec_bits=0.0, nu_n=None,
-                    gamma=None):
+def _transfer_bound(storage, delta, n, rate, rounds, ec_bits=0.0, nu_n=None):
     """The transfer bound at rate R, epsilon decaying in ``rounds``.
 
     ``nu_n`` = nu*n keeps robust OT's float order gamma*(nu*n); plain OT's
-    (gamma*nu)*n can differ from it in ell.  ``gamma`` is gamma(R/nu) where
-    the caller has it already.
+    (gamma*nu)*n can differ from it in ell.
     """
     cap = depolarizing_capacity(storage)
-    if gamma is None:
-        gamma = strong_converse_exponent(rate / storage.nu, storage)
+    gamma = strong_converse_exponent(rate / storage.nu, storage)
     gain = gamma * storage.nu * n if nu_n is None else gamma * nu_n
     # log2(1/eps) in log space, so that huge n cannot underflow it
     exponent = _ot_eps_exponent(delta, rounds)
@@ -696,10 +665,10 @@ def rate_curve(n, delta, nu, r_grid, dim=2):
     """
     OtParams(n=n, delta=delta, storage=None)  # checks n and delta
     rate = 0.25 - delta
-    storages = [StorageModel(r=float(r), nu=nu, dim=dim) for r in r_grid]
     rows = []
-    for storage, gamma in zip(storages, _gamma_grid(rate / nu, storages)):
-        t = _transfer_bound(storage, delta, n, rate, n, gamma=gamma)
+    for r in r_grid:
+        storage = StorageModel(r=float(r), nu=nu, dim=dim)
+        t = _transfer_bound(storage, delta, n, rate, n)
         rows.append({
             "r": storage.r, "nu": nu, "n": n, "delta": delta,
             "gamma": t.gamma, "capacity": t.capacity, "ell": t.ell,
