@@ -321,7 +321,8 @@ def strong_converse_exponent(R, storage):
     alpha - 1 followed by golden-section refinement (bracket tolerance
     1e-10, alpha capped at 1e6); the alpha -> 1 and alpha -> infinity
     limits are evaluated analytically.  gamma(R) > 0 exactly when R
-    exceeds the capacity.
+    exceeds the capacity, except just above it: results below
+    GAMMA_NOISE_FLOOR (1e-13) read 0, up to R - C = 3e-7 at r = 0.8.
 
     The objective is concave in t = 1 - 1/alpha (the log of an alpha-norm
     is convex in 1/alpha), so the scan's values rise to one peak and then
