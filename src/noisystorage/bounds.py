@@ -635,19 +635,39 @@ RATE_CURVE_HEADER = ("r", "nu", "n", "delta", "gamma", "capacity", "ell",
                      "ot_rate", "eps", "two_eps", "feasible")
 
 
-def feasible_region(r_steps, nu_steps, r_max=1.0, nu_max=1.0, dim=2):
-    """Grid of (r, nu) cells with capacity, product and the product < 1/4 flag.
+def _region_axes(r_steps, nu_steps, r_max, nu_max, dim):
+    """The region grid's nu steps, and each r step's ``(r, capacity)``.
 
-    The region boundary is the curve capacity(r) * nu = 1/4.
+    Raises :class:`PreconditionError` unless every cell's nu and product
+    capacity * nu is a finite float.  Rounded products never decrease in
+    either factor, so the top nu step times the largest capacity bounds
+    every cell.
     """
     if r_steps < 2 or nu_steps < 2:
         raise ValueError("grids need at least 2 steps per axis")
     StorageModel(r=r_max, nu=nu_max, dim=dim)  # bounds every cell's r, nu
     nus = [nu_max * (j + 1) / nu_steps for j in range(nu_steps)]
-    rows = []
+    r_caps = []
     for i in range(r_steps):
         r = r_max * i / (r_steps - 1)
-        cap = depolarizing_capacity(StorageModel(r=r, nu=1.0, dim=dim))
+        r_caps.append(
+            (r, depolarizing_capacity(StorageModel(r=r, nu=1.0, dim=dim))))
+    top = max(cap for _, cap in r_caps) * nus[-1]
+    if not math.isfinite(top):
+        raise PreconditionError(
+            "region cells need finite floats, but the top nu step is %r and "
+            "its product capacity * nu is %r" % (nus[-1], top))
+    return nus, r_caps
+
+
+def feasible_region(r_steps, nu_steps, r_max=1.0, nu_max=1.0, dim=2):
+    """Grid of (r, nu) cells with capacity, product and the product < 1/4 flag.
+
+    The region boundary is the curve capacity(r) * nu = 1/4.
+    """
+    nus, r_caps = _region_axes(r_steps, nu_steps, r_max, nu_max, dim)
+    rows = []
+    for r, cap in r_caps:
         for nu in nus:
             product = cap * nu
             rows.append({

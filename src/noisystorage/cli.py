@@ -30,9 +30,9 @@ from .bounds import (
     _ot,
     _qid,
     _robust,
+    _region_axes,
     _row_texts,
     dishonest_alice_error,
-    feasible_region,
     format_value,
     rate_curve,
     rows_to_csv,
@@ -43,8 +43,9 @@ from .protocols import run_qid, run_robust_rot, run_rot
 
 
 # Table sizes the CLI accepts: each curve step runs one gamma optimization
-# (about 0.06 ms, most of it the scalar golden section), and each region row
-# is one in-memory dict before output.
+# (about 0.06 ms, most of it the scalar golden section) and is one in-memory
+# dict before output; each region row is one formatted line (about 55 bytes
+# of CSV or 150 of JSON), held until the output text is joined.
 CURVE_MAX_STEPS = 10_000
 REGION_MAX_ROWS = 250_000
 
@@ -326,12 +327,19 @@ def _json_value(v):
     return json.dumps(v)
 
 
+def _json_row_template(header, specs):
+    """A line template for one row of json.dumps(rows, indent=2): each of
+    ``header``'s keys in order, its value written by its ``%`` spec."""
+    return "{\n    %s\n  }" % ",\n    ".join(
+        "%s: %s" % (json.dumps(h).replace("%", "%%"), spec)
+        for h, spec in zip(header, specs))
+
+
 def _rows_out(rows, header, args):
     if args.format == "json":
         # the bytes of json.dumps(rows, indent=2, allow_nan=False), whose
         # rows hold the header's keys in order
-        template = "{\n    %s\n  }" % ",\n    ".join(
-            "%s: %%s" % json.dumps(h).replace("%", "%%") for h in header)
+        template = _json_row_template(header, ["%s"] * len(header))
         items = [template % texts
                  for texts in _row_texts(rows, header, _json_value)]
         text = "[\n  %s\n]" % ",\n  ".join(items) if items else "[]"
@@ -352,6 +360,23 @@ def _cmd_curve(args):
     return _rows_out(rows, RATE_CURVE_HEADER, args)
 
 
+def _region_lines(nus, r_caps, text, template):
+    """Each region cell's line: ``template`` % (r, nu, capacity, product,
+    feasible), with every value but the product written by ``text``.
+
+    Each nu is written once per table, and each r and capacity once per r
+    step.
+    """
+    nu_texts = [(nu, text(nu)) for nu in nus]
+    flags = text(False), text(True)
+    for r, cap in r_caps:
+        r_text, cap_text = text(r), text(cap)
+        for nu, nu_text in nu_texts:
+            product = cap * nu
+            yield template % (r_text, nu_text, cap_text, product,
+                              flags[product < 0.25])
+
+
 def _cmd_region(args):
     r_steps = args.steps if args.r_steps is None else args.r_steps
     nu_steps = args.steps if args.nu_steps is None else args.nu_steps
@@ -359,9 +384,25 @@ def _cmd_region(args):
         raise PreconditionError(
             "at most %d region rows (r steps x nu steps), got %d x %d"
             % (REGION_MAX_ROWS, r_steps, nu_steps))
-    rows = feasible_region(r_steps, nu_steps, r_max=args.r_max,
-                           nu_max=args.nu_max, dim=args.dim)
-    return _rows_out(rows, FEASIBLE_REGION_HEADER, args)
+    nus, r_caps = _region_axes(r_steps, nu_steps, args.r_max, args.nu_max,
+                               args.dim)
+    # the bytes of _rows_out(feasible_region(...)): "%.12g" and "%r" write
+    # the products, which _region_axes keeps finite, as format_value and
+    # _json_value do
+    if args.format == "json":
+        text, head, sep, tail = _json_value, "[\n  ", ",\n  ", "\n]\n"
+        template = _json_row_template(FEASIBLE_REGION_HEADER,
+                                      ("%s", "%s", "%s", "%r", "%s"))
+    else:
+        text, sep, tail = format_value, "\n", "\n"
+        head = ",".join(FEASIBLE_REGION_HEADER) + "\n"
+        template = "%s,%s,%s,%.12g,%s"
+    lines = _region_lines(nus, r_caps, text, template)
+    # "".join copies the joined lines once, where head + lines + tail copies
+    # them twice; in a long-lived process the extra copy fragments the heap
+    # and leaves about 1 MB more resident
+    _emit("".join((head, sep.join(lines), tail)), args.out)
+    return 0
 
 
 def _run_trials(args, config, run, tallies):

@@ -994,6 +994,17 @@ def test_feasible_region_flags():
         feasible_region(1, 5)
 
 
+@pytest.mark.parametrize("r_max, nu_max, dim, product", [
+    (1.0, 1e308, 2, "inf"), (0.0, 1e308, 2, "nan"),
+    (1.0, 1e307, 10 ** 21, "inf")])
+def test_feasible_region_rejects_cells_that_overflow(r_max, nu_max, dim,
+                                                     product):
+    # nu_max * steps, or the top product capacity * nu, has no float value
+    with pytest.raises(PreconditionError,
+                       match=r"top nu step .* capacity \* nu is %s" % product):
+        feasible_region(2, 2, r_max=r_max, nu_max=nu_max, dim=dim)
+
+
 def test_rate_curve_shape_and_limits():
     grid = np.linspace(0.0, 0.9, 200)
     rows = rate_curve(1e10, 0.0106, 1.0, grid)

@@ -363,16 +363,27 @@ OUT_OF_RANGE_BOUNDS = [
     (QID_ARGS + ("--d-code", "3e9"),
      "d_code = 3000000000 exceeds the code length n = 1e+09"),
     (QID_ARGS + ("--d-code", HUGE_INT), "exceeds the code length"),
+    # region grids whose top nu step, or its product, overflows a float
+    *((("region", "--steps", "2", *grid, "--format", fmt), diagnostic)
+      for grid, diagnostic in [
+          (("--nu-max", "1e308"), "the top nu step is inf"),
+          (("--nu-max", "1e307", "--dim", "1" + "0" * 21),
+           "the top nu step is 1e+307 and its product capacity * nu is inf")]
+      for fmt in ("csv", "json")),
 ]
 
 
 @pytest.mark.parametrize("argv, diagnostic", OUT_OF_RANGE_BOUNDS,
                          ids=range(len(OUT_OF_RANGE_BOUNDS)))
-def test_out_of_range_bound_inputs_exit_1(capsys, argv, diagnostic):
+def test_out_of_range_bound_inputs_exit_1(capsys, tmp_path, argv,
+                                          diagnostic):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
     assert diagnostic in err
+    out_file = tmp_path / "bound.out"
+    assert run_cli(capsys, *argv, "--out", str(out_file)) == (1, "", err)
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("argv, diagnostic", [
@@ -564,12 +575,14 @@ def test_table_writers_equal_their_references(rows):
 @pytest.mark.parametrize("argv, cap_mib", [
     (("curve", "--n", "1e10", "--delta", "0.0106", "--steps",
       str(cli.CURVE_MAX_STEPS)), 12),
-    (("region", "--steps", "100", "--format", "json"), 12),
-], ids=["curve", "region"])
+    (("region", "--steps", "100", "--format", "json"), 7),
+    (("region", "--steps", "100"), 3),
+], ids=["curve", "region", "region-csv"])
 def test_table_memory_stays_capped(capsys, argv, cap_mib):
-    # with a per-point gamma scan and per-cell formatting, these peaked at
-    # 10.1 MiB (curve) and 9.8 MiB (region, its output captured); one
-    # unchunked (steps x scan points) float array is 13.8 MiB
+    # with their output captured, these peak at 10.0 MiB (curve), where one
+    # unchunked (steps x scan points) float array is 13.8 MiB, and at
+    # 4.3 MiB (region JSON) and 1.6 MiB (region CSV), written from the grid's
+    # axes; through one dict per region row they peaked at 9.7 and 4.2 MiB
     tracemalloc.start()
     try:
         code = dispatch(list(argv))
@@ -597,6 +610,39 @@ def test_region_prints_a_zero_capacity_for_useless_storage(capsys):
                                 "0,0.5,0,0,true", "0,1,0,0,true",
                                 "1,0.5,1.58496250072,0.792481250361,false",
                                 "1,1,1.58496250072,1.58496250072,false"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(r_steps=st.integers(2, 40), nu_steps=st.integers(2, 40),
+       r_max=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       nu_max=st.floats(5e-324, 1e300),
+       dim=st.sampled_from([2, 3, 13, 1000, 10 ** 18]),
+       fmt=st.sampled_from(["csv", "json"]))
+# the dim-3 rows with a zero capacity at r = 0, an unequal grid each way, a
+# product of exactly 1/4 (r = 1, nu = 1/4), and --r-max 0
+@example(r_steps=2, nu_steps=2, r_max=1.0, nu_max=1.0, dim=3, fmt="csv")
+@example(r_steps=2, nu_steps=2, r_max=1.0, nu_max=1.0, dim=3, fmt="json")
+@example(r_steps=2, nu_steps=7, r_max=0.9, nu_max=2.5, dim=2, fmt="json")
+@example(r_steps=7, nu_steps=2, r_max=0.9, nu_max=2.5, dim=13, fmt="csv")
+@example(r_steps=2, nu_steps=4, r_max=1.0, nu_max=1.0, dim=2, fmt="csv")
+@example(r_steps=3, nu_steps=4, r_max=0.0, nu_max=1.0, dim=2, fmt="csv")
+@example(r_steps=3, nu_steps=4, r_max=0.0, nu_max=1.0, dim=2, fmt="json")
+def test_region_writer_equals_the_row_writers(r_steps, nu_steps, r_max,
+                                              nu_max, dim, fmt):
+    # the region table is written from its axes; the row writers over
+    # feasible_region's dicts are the reference
+    argv = ["region", "--r-steps", str(r_steps), "--nu-steps", str(nu_steps),
+            "--r-max", repr(r_max), "--nu-max", repr(nu_max),
+            "--dim", str(dim), "--format", fmt]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert dispatch(argv) == 0
+    rows = bounds.feasible_region(r_steps, nu_steps, r_max, nu_max, dim)
+    if fmt == "csv":
+        expected = bounds.rows_to_csv(rows, bounds.FEASIBLE_REGION_HEADER)
+    else:
+        expected = json.dumps(rows, indent=2) + "\n"
+    assert out.getvalue() == expected
 
 
 @pytest.mark.parametrize("zero, other", [("--r-steps", "--nu-steps"),
