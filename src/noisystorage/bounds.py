@@ -638,10 +638,10 @@ RATE_CURVE_HEADER = ("r", "nu", "n", "delta", "gamma", "capacity", "ell",
 def _region_axes(r_steps, nu_steps, r_max, nu_max, dim):
     """The region grid's nu steps, and each r step's ``(r, capacity)``.
 
-    Raises :class:`PreconditionError` unless every cell's nu and product
-    capacity * nu is a finite float.  Rounded products never decrease in
-    either factor, so the top nu step times the largest capacity bounds
-    every cell.
+    Raises :class:`PreconditionError` unless every cell's nu is a positive
+    finite float and its product capacity * nu a finite one.  Rounded steps
+    and products never decrease in their factors, so the smallest nu step
+    and the top nu step times the largest capacity bound every cell.
     """
     if r_steps < 2 or nu_steps < 2:
         raise ValueError("grids need at least 2 steps per axis")
@@ -653,10 +653,11 @@ def _region_axes(r_steps, nu_steps, r_max, nu_max, dim):
         r_caps.append(
             (r, depolarizing_capacity(StorageModel(r=r, nu=1.0, dim=dim))))
     top = max(cap for _, cap in r_caps) * nus[-1]
-    if not math.isfinite(top):
+    if not (nus[0] > 0.0 and math.isfinite(top)):
         raise PreconditionError(
-            "region cells need finite floats, but the top nu step is %r and "
-            "its product capacity * nu is %r" % (nus[-1], top))
+            "region cells need a positive nu and finite floats, but the "
+            "smallest nu step is %r, the top nu step is %r and its product "
+            "capacity * nu is %r" % (nus[0], nus[-1], top))
     return nus, r_caps
 
 
@@ -708,24 +709,8 @@ def format_value(v):
     return str(v)
 
 
-def _row_texts(rows, header, text):
-    """Each row's values in ``header`` order, as ``text`` writes them.
-
-    A value that is the same object as its column's value in the row
-    before reuses that text, so a repeated object is written once.
-    """
-    last = [object()] * len(header)
-    texts = [None] * len(header)
-    columns = tuple(enumerate(header))
-    for row in rows:
-        for k, h in columns:
-            v = row[h]
-            if v is not last[k]:
-                last[k], texts[k] = v, text(v)
-        yield tuple(texts)
-
-
 def rows_to_csv(rows, header):
     lines = [",".join(header)]
-    lines.extend(map(",".join, _row_texts(rows, header, format_value)))
+    lines.extend(",".join(format_value(row[h]) for h in header)
+                 for row in rows)
     return "\n".join(lines) + "\n"

@@ -31,11 +31,9 @@ from .bounds import (
     _qid,
     _robust,
     _region_axes,
-    _row_texts,
     dishonest_alice_error,
     format_value,
     rate_curve,
-    rows_to_csv,
 )
 from .checks import SUITES
 from .codes import qid_code, repetition_code
@@ -43,9 +41,10 @@ from .protocols import run_qid, run_robust_rot, run_rot
 
 
 # Table sizes the CLI accepts: each curve step runs one gamma optimization
-# (about 0.06 ms, most of it the scalar golden section) and is one in-memory
-# dict before output; each region row is one formatted line (about 55 bytes
-# of CSV or 150 of JSON), held until the output text is joined.
+# (about 0.06 ms, most of it the scalar golden section) and is one dict from
+# rate_curve; each curve row and each region row is one formatted line
+# (about 120 and 55 bytes of CSV, or 300 and 150 of JSON), held until the
+# output text is joined.
 CURVE_MAX_STEPS = 10_000
 REGION_MAX_ROWS = 250_000
 
@@ -317,35 +316,32 @@ def _cmd_bounds(args):
     return 0
 
 
-def _json_value(v):
-    """``v`` as json.dumps writes it, with allow_nan=False."""
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise ValueError("Out of range float values are not JSON "
-                             "compliant: %r" % v)
-        return float.__repr__(v)
-    return json.dumps(v)
+def _write_table(header, specs, lines, args):
+    """Write a table as CSV, or as the bytes of json.dumps(rows, indent=2)
+    for rows that hold ``header``'s keys in order.
 
+    ``specs`` gives each column's ``%`` spec, None for a float, which CSV
+    writes as "%.12g" (format_value's text) and JSON as "%r".
+    ``lines(template, real)`` yields each row's ``template % values``, with
+    ``real`` the float spec for values written ahead as ``%s`` text.
 
-def _json_row_template(header, specs):
-    """A line template for one row of json.dumps(rows, indent=2): each of
-    ``header``'s keys in order, its value written by its ``%`` spec."""
-    return "{\n    %s\n  }" % ",\n    ".join(
-        "%s: %s" % (json.dumps(h).replace("%", "%%"), spec)
-        for h, spec in zip(header, specs))
-
-
-def _rows_out(rows, header, args):
+    No value is checked for being finite: _region_axes rejects grids with a
+    non-finite cell, and every rate_curve value is finite once OtParams,
+    StorageModel and _finite_exponent accept its inputs.
+    """
     if args.format == "json":
-        # the bytes of json.dumps(rows, indent=2, allow_nan=False), whose
-        # rows hold the header's keys in order
-        template = _json_row_template(header, ["%s"] * len(header))
-        items = [template % texts
-                 for texts in _row_texts(rows, header, _json_value)]
-        text = "[\n  %s\n]" % ",\n  ".join(items) if items else "[]"
-        _emit(text + "\n", args.out)
+        real, head, sep, tail = "%r", "[\n  ", ",\n  ", "\n]\n"
+        template = "{\n    %s\n  }" % ",\n    ".join(
+            "%s: %s" % (json.dumps(h), spec or real)
+            for h, spec in zip(header, specs))
     else:
-        _emit(rows_to_csv(rows, header), args.out)
+        real, sep, tail = "%.12g", "\n", "\n"
+        head = ",".join(header) + "\n"
+        template = ",".join(spec or real for spec in specs)
+    # "".join copies the joined lines once, where head + lines + tail copies
+    # them twice; in a long-lived process the extra copy fragments the heap
+    # and leaves about 1 MB more resident
+    _emit("".join((head, sep.join(lines(template, real)), tail)), args.out)
     return 0
 
 
@@ -357,24 +353,17 @@ def _cmd_curve(args):
                                 % (CURVE_MAX_STEPS, args.steps))
     grid = np.linspace(args.r_min, args.r_max, args.steps)
     rows = rate_curve(args.n, args.delta, args.nu, grid, dim=args.dim)
-    return _rows_out(rows, RATE_CURVE_HEADER, args)
 
+    def lines(template, real):
+        # every value but ell (an int) and feasible is a float, since
+        # argparse makes --n and --nu floats and rate_curve writes float(r)
+        for row in rows:
+            *values, feasible = row.values()
+            yield template % (*values, ("false", "true")[feasible])
 
-def _region_lines(nus, r_caps, text, template):
-    """Each region cell's line: ``template`` % (r, nu, capacity, product,
-    feasible), with every value but the product written by ``text``.
-
-    Each nu is written once per table, and each r and capacity once per r
-    step.
-    """
-    nu_texts = [(nu, text(nu)) for nu in nus]
-    flags = text(False), text(True)
-    for r, cap in r_caps:
-        r_text, cap_text = text(r), text(cap)
-        for nu, nu_text in nu_texts:
-            product = cap * nu
-            yield template % (r_text, nu_text, cap_text, product,
-                              flags[product < 0.25])
+    specs = [{"ell": "%d", "feasible": "%s"}.get(h)
+             for h in RATE_CURVE_HEADER]
+    return _write_table(RATE_CURVE_HEADER, specs, lines, args)
 
 
 def _cmd_region(args):
@@ -386,23 +375,20 @@ def _cmd_region(args):
             % (REGION_MAX_ROWS, r_steps, nu_steps))
     nus, r_caps = _region_axes(r_steps, nu_steps, args.r_max, args.nu_max,
                                args.dim)
-    # the bytes of _rows_out(feasible_region(...)): "%.12g" and "%r" write
-    # the products, which _region_axes keeps finite, as format_value and
-    # _json_value do
-    if args.format == "json":
-        text, head, sep, tail = _json_value, "[\n  ", ",\n  ", "\n]\n"
-        template = _json_row_template(FEASIBLE_REGION_HEADER,
-                                      ("%s", "%s", "%s", "%r", "%s"))
-    else:
-        text, sep, tail = format_value, "\n", "\n"
-        head = ",".join(FEASIBLE_REGION_HEADER) + "\n"
-        template = "%s,%s,%s,%.12g,%s"
-    lines = _region_lines(nus, r_caps, text, template)
-    # "".join copies the joined lines once, where head + lines + tail copies
-    # them twice; in a long-lived process the extra copy fragments the heap
-    # and leaves about 1 MB more resident
-    _emit("".join((head, sep.join(lines), tail)), args.out)
-    return 0
+
+    def lines(template, real):
+        # each nu is written once per table, each r and capacity once per
+        # r step; per cell only the product and its flag
+        nu_texts = [(nu, real % nu) for nu in nus]
+        for r, cap in r_caps:
+            r_text, cap_text = real % r, real % cap
+            for nu, nu_text in nu_texts:
+                product = cap * nu
+                yield template % (r_text, nu_text, cap_text, product,
+                                  ("false", "true")[product < 0.25])
+
+    return _write_table(FEASIBLE_REGION_HEADER,
+                        ("%s", "%s", "%s", None, "%s"), lines, args)
 
 
 def _run_trials(args, config, run, tallies):

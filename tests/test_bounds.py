@@ -996,10 +996,11 @@ def test_feasible_region_flags():
 
 @pytest.mark.parametrize("r_max, nu_max, dim, product", [
     (1.0, 1e308, 2, "inf"), (0.0, 1e308, 2, "nan"),
-    (1.0, 1e307, 10 ** 21, "inf")])
+    (1.0, 1e307, 10 ** 21, "inf"), (1.0, 5e-324, 2, "5e-324")])
 def test_feasible_region_rejects_cells_that_overflow(r_max, nu_max, dim,
                                                      product):
-    # nu_max * steps, or the top product capacity * nu, has no float value
+    # nu_max * steps, or the top product capacity * nu, has no float value;
+    # or the smallest nu step, nu_max / steps, rounds to 0
     with pytest.raises(PreconditionError,
                        match=r"top nu step .* capacity \* nu is %s" % product):
         feasible_region(2, 2, r_max=r_max, nu_max=nu_max, dim=dim)

@@ -9,6 +9,7 @@ import types
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -363,12 +364,14 @@ OUT_OF_RANGE_BOUNDS = [
     (QID_ARGS + ("--d-code", "3e9"),
      "d_code = 3000000000 exceeds the code length n = 1e+09"),
     (QID_ARGS + ("--d-code", HUGE_INT), "exceeds the code length"),
-    # region grids whose top nu step, or its product, overflows a float
+    # region grids whose top nu step, or its product, overflows a float,
+    # or whose smallest nu step rounds to 0
     *((("region", "--steps", "2", *grid, "--format", fmt), diagnostic)
       for grid, diagnostic in [
           (("--nu-max", "1e308"), "the top nu step is inf"),
           (("--nu-max", "1e307", "--dim", "1" + "0" * 21),
-           "the top nu step is 1e+307 and its product capacity * nu is inf")]
+           "the top nu step is 1e+307 and its product capacity * nu is inf"),
+          (("--nu-max", "5e-324"), "the smallest nu step is 0.0")]
       for fmt in ("csv", "json")),
 ]
 
@@ -492,21 +495,9 @@ def test_table_grids_above_cap_exit_1(capsys, tmp_path, argv, diagnostic):
     assert not out_file.exists()
 
 
-@pytest.mark.parametrize("rows", [
-    [],
-    [{"r": 0, "nu": 0.5, "capacity": 1e-300, "product": -0.0,
-      "feasible": True}],
-    bounds.feasible_region(3, 2),
-])
-def test_json_tables_equal_indented_json_dumps(capsys, rows):
-    args = argparse.Namespace(format="json", out=None)
-    header = bounds.FEASIBLE_REGION_HEADER
-    assert cli._rows_out(rows, header, args) == 0
-    assert capsys.readouterr().out == json.dumps(rows, indent=2) + "\n"
-
-
 def test_table_rows_follow_their_header():
-    # _rows_out encodes each row as it is, so key order is the header's
+    # the curve writer takes each row's values in order, and the reference
+    # writers encode each row as it is, so key order is the header's
     rows = bounds.rate_curve(1e10, 0.0106, 1.0, [0.1, 0.9])
     rows += bounds.rate_curve(1e10, 0.0106, 1.0, [0.1], dim=3)
     assert all(list(row) == list(bounds.RATE_CURVE_HEADER) for row in rows)
@@ -564,12 +555,6 @@ def table_rows(draw):
 def test_table_writers_equal_their_references(rows):
     assert bounds.rows_to_csv(rows, TABLE_HEADER) == rows_to_csv_reference(
         rows, TABLE_HEADER)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli._rows_out(rows, TABLE_HEADER,
-                             argparse.Namespace(format="json", out=None))
-    assert code == 0
-    assert out.getvalue() == json.dumps(rows, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("argv, cap_mib", [
@@ -592,14 +577,6 @@ def test_table_memory_stays_capped(capsys, argv, cap_mib):
     assert code == 0
     assert capsys.readouterr().err == ""
     assert peak < cap_mib * 2 ** 20
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_json_tables_reject_non_finite_values(capsys, value):
-    args = argparse.Namespace(format="json", out=None)
-    with pytest.raises(ValueError):
-        cli._rows_out([{"r": 0.5}, {"r": value}], ("r",), args)
-    assert capsys.readouterr().out == ""
 
 
 def test_region_prints_a_zero_capacity_for_useless_storage(capsys):
@@ -627,6 +604,9 @@ def test_region_prints_a_zero_capacity_for_useless_storage(capsys):
 @example(r_steps=2, nu_steps=4, r_max=1.0, nu_max=1.0, dim=2, fmt="csv")
 @example(r_steps=3, nu_steps=4, r_max=0.0, nu_max=1.0, dim=2, fmt="csv")
 @example(r_steps=3, nu_steps=4, r_max=0.0, nu_max=1.0, dim=2, fmt="json")
+# a smallest nu step that rounds to 0, and a subnormal one that does not
+@example(r_steps=2, nu_steps=2, r_max=1.0, nu_max=5e-324, dim=2, fmt="csv")
+@example(r_steps=2, nu_steps=40, r_max=1.0, nu_max=4e-322, dim=2, fmt="json")
 def test_region_writer_equals_the_row_writers(r_steps, nu_steps, r_max,
                                               nu_max, dim, fmt):
     # the region table is written from its axes; the row writers over
@@ -634,14 +614,69 @@ def test_region_writer_equals_the_row_writers(r_steps, nu_steps, r_max,
     argv = ["region", "--r-steps", str(r_steps), "--nu-steps", str(nu_steps),
             "--r-max", repr(r_max), "--nu-max", repr(nu_max),
             "--dim", str(dim), "--format", fmt]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert dispatch(argv) == 0
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    if nu_max / nu_steps == 0.0:  # a nu step that StorageModel rejects
+        assert (code, out.getvalue()) == (1, "")
+        assert "the smallest nu step is 0.0" in err.getvalue()
+        with pytest.raises(bounds.PreconditionError,
+                           match="smallest nu step is 0.0"):
+            bounds.feasible_region(r_steps, nu_steps, r_max, nu_max, dim)
+        return
+    assert (code, err.getvalue()) == (0, "")
     rows = bounds.feasible_region(r_steps, nu_steps, r_max, nu_max, dim)
     if fmt == "csv":
         expected = bounds.rows_to_csv(rows, bounds.FEASIBLE_REGION_HEADER)
     else:
         expected = json.dumps(rows, indent=2) + "\n"
+    assert out.getvalue() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.integers(2, 40), delta=st.floats(1e-6, 0.249),
+       log_n=st.floats(1.0, 30.0),
+       nu=st.one_of(st.sampled_from([1e-300, 1.0]), st.floats(1e-300, 1e3)),
+       r_min=st.one_of(st.sampled_from([-0.0, 0.0, 1.0]),
+                       st.floats(0.0, 1.0)),
+       r_max=st.one_of(st.sampled_from([-0.0, 0.0, 1.0]),
+                       st.floats(0.0, 1.0)),
+       dim=st.sampled_from([2, 3, 13, 1000, 10 ** 18]),
+       fmt=st.sampled_from(["csv", "json"]))
+# infeasible rows (ell 0, false) from r = 2/3 on, gamma = 2.394e+299 at
+# nu = 1e-300, and --r-min -0
+@example(steps=7, delta=0.0106, log_n=10.0, nu=1.0, r_min=0.0, r_max=1.0,
+         dim=2, fmt="csv")
+@example(steps=7, delta=0.0106, log_n=10.0, nu=1.0, r_min=0.0, r_max=1.0,
+         dim=2, fmt="json")
+@example(steps=3, delta=0.0106, log_n=10.0, nu=1e-300, r_min=0.0,
+         r_max=0.9, dim=2, fmt="json")
+@example(steps=3, delta=0.0106, log_n=10.0, nu=1.0, r_min=-0.0, r_max=0.9,
+         dim=3, fmt="csv")
+def test_curve_writer_equals_the_row_writers(steps, delta, log_n, nu, r_min,
+                                             r_max, dim, fmt):
+    # the curve table is written by one line template per row; the row
+    # writers over rate_curve's dicts are the reference
+    n = float(max(math.ceil(4.0 / delta), 10.0 ** log_n))
+    argv = ["curve", "--steps", str(steps), "--n", repr(n),
+            "--delta", repr(delta), "--nu", repr(nu), "--r-min", repr(r_min),
+            "--r-max", repr(r_max), "--dim", str(dim), "--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    assert (code, err.getvalue()) == (0, "")
+    rows = bounds.rate_curve(n, delta, nu, np.linspace(r_min, r_max, steps),
+                             dim=dim)
+    # "%.12g" is format_value's text for a float only, and "%d" for an int
+    for row in rows:
+        kinds = {type(v) for h, v in row.items()
+                 if h not in ("ell", "feasible")}
+        assert kinds == {float}
+        assert (type(row["ell"]), type(row["feasible"])) == (int, bool)
+    if fmt == "csv":
+        expected = rows_to_csv_reference(rows, bounds.RATE_CURVE_HEADER)
+    else:
+        expected = json.dumps(rows, indent=2, allow_nan=False) + "\n"
     assert out.getvalue() == expected
 
 

@@ -150,6 +150,48 @@ def test_gamma_vanishes_exactly_up_to_capacity(share, r, dim):
     assert strong_converse_exponent(cap + CLIP_GAP, storage) > 0.0
 
 
+# gamma is convex in R up to float noise and the floor.  Three values enter
+# the chord test, so the midpoint's error and the mean of the ends' errors
+# add: twice GAMMA_EXCESS_ULPS.  Over 60,000 draws at dims 2 to 1000 the
+# excess peaked at 6.5 ulp of max(1, R3) where gamma(R1) > 0, and at 9.1 ulp
+# for rates near 1e-12 at r = 0, d = 1000.  GAMMA_NOISE_FLOOR can zero a
+# true gamma(R1) below 1e-13, which lowers the chord's midpoint by up to
+# half the floor; with one GAMMA_EXCESS_ULPS on top of that, 2 of 60,000
+# draws at r = 0 (dims 13 to 10^18) with R1 just under 1e-13 failed, by up
+# to 3e-17 (d = 1000).
+CONVEX_TOL_ULPS = 2 * GAMMA_EXCESS_ULPS
+
+
+@st.composite
+def convex_cases(draw):
+    """A storage and two rates, each near its capacity or anywhere in
+    [0, 2 log2 d + 1]."""
+    storage = StorageModel(r=draw(retentions),
+                           dim=draw(st.sampled_from([2, 3, 4, 13, 1000])))
+    cap = depolarizing_capacity(storage)
+    rate = st.one_of(
+        st.floats(-1e-3, 1e-3).map(lambda x: max(0.0, cap + x)),
+        st.floats(0.0, 2.0 * math.log2(storage.dim) + 1.0))
+    R1, R3 = sorted((draw(rate), draw(rate)))
+    return storage, R1, R3
+
+
+@PROPERTY
+@given(convex_cases())
+# gamma(R) = R at r = 0; near R = 0 the chord's excess is 11 ulp of 1
+@example((StorageModel(r=0.0, dim=1000), 0.0, 5.952134881720553e-10))
+# R1 just under the floor, whose gamma the floor zeroes
+@example((StorageModel(r=0.0, dim=1000), 9.817621751568068e-14,
+          7.890920675255701e-13))
+def test_gamma_is_convex_in_rate(case):
+    storage, R1, R3 = case
+    tol = (CONVEX_TOL_ULPS * 2.0 ** -52 * max(1.0, R3)
+           + GAMMA_NOISE_FLOOR / 2.0)
+    assert (strong_converse_exponent((R1 + R3) / 2.0, storage)
+            <= (strong_converse_exponent(R1, storage)
+                + strong_converse_exponent(R3, storage)) / 2.0 + tol)
+
+
 @PROPERTY
 @given(rates, retentions, gaps, dims)
 def test_gamma_nonincreasing_in_retention(R, r, gap, dim):
