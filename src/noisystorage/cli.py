@@ -338,10 +338,14 @@ def _write_table(header, specs, lines, args):
         real, sep, tail = "%.12g", "\n", "\n"
         head = ",".join(header) + "\n"
         template = ",".join(spec or real for spec in specs)
-    # "".join copies the joined lines once, where head + lines + tail copies
+    body = sep.join(lines(template, real))
+    if not body:
+        # no rows: json.dumps writes "[]", and CSV only the header
+        head, tail = ("[]\n", "") if args.format == "json" else (head, "")
+    # "".join copies the joined lines once, where head + body + tail copies
     # them twice; in a long-lived process the extra copy fragments the heap
     # and leaves about 1 MB more resident
-    _emit("".join((head, sep.join(lines(template, real)), tail)), args.out)
+    _emit("".join((head, body, tail)), args.out)
     return 0
 
 

@@ -495,6 +495,29 @@ def test_table_grids_above_cap_exit_1(capsys, tmp_path, argv, diagnostic):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("rows", [
+    [],
+    [{"r": 0, "nu": 0.5, "capacity": 1e-300, "product": -0.0,
+      "feasible": True}],
+    bounds.feasible_region(3, 2),
+])
+def test_json_tables_equal_indented_json_dumps(capsys, rows):
+    def lines(template, real):
+        for row in rows:
+            *values, feasible = row.values()
+            yield template % (*values, ("false", "true")[feasible])
+
+    args = argparse.Namespace(format="json", out=None)
+    header = bounds.FEASIBLE_REGION_HEADER
+    specs = (None, None, None, None, "%s")
+    assert cli._write_table(header, specs, lines, args) == 0
+    assert capsys.readouterr().out == json.dumps(rows, indent=2) + "\n"
+    # CSV is rows_to_csv's text, which for no rows is the header line alone
+    args.format = "csv"
+    assert cli._write_table(header, specs, lines, args) == 0
+    assert capsys.readouterr().out == bounds.rows_to_csv(rows, header)
+
+
 def test_table_rows_follow_their_header():
     # the curve writer takes each row's values in order, and the reference
     # writers encode each row as it is, so key order is the header's
