@@ -44,29 +44,28 @@ def _smoothed_columns(table, eps):
 
     Returns (per-column ceilings, objective value).  Lowering a column's
     maximum by dt costs k*dt where k entries currently sit at the maximum,
-    so the cheapest moves are taken first: all segments where a single
-    entry is cut, then two-way ties, and so on.  The result equals the
-    linear-program optimum over all dominated tables with deficit <= eps.
+    so the cheapest moves are taken first.  Tier t of a column, from its
+    (t+1)-th largest entry down to the next (or to 0), costs t + 1 per
+    unit, so reading the descending-sorted table tier by tier, columns left
+    to right, takes the segments in order of cost, ties by column.  The
+    result equals the linear-program optimum over all dominated tables
+    with deficit <= eps.
     """
     n_rows, n_cols = table.shape
     sorted_cols = np.sort(table, axis=0)[::-1, :]  # descending per column
     ceilings = sorted_cols[0, :].copy()
-    segments = []  # (unit cost, column, gain capacity)
-    for j in range(n_cols):
-        col = sorted_cols[:, j]
-        for tier in range(n_rows):
-            nxt = col[tier + 1] if tier + 1 < n_rows else 0.0
-            width = float(col[tier] - nxt)
-            if width > 0.0:
-                segments.append((tier + 1, j, width))
-    segments.sort(key=lambda s: (s[0], s[1]))
+    levels = sorted_cols.tolist() + [[0.0] * n_cols]
     budget = float(eps)
-    for cost, j, width in segments:
-        if budget <= 0.0:
-            break
-        gain = min(width, budget / cost)
-        ceilings[j] -= gain
-        budget -= gain * cost
+    for tier in range(n_rows):
+        cost = tier + 1
+        for j, (top, nxt) in enumerate(zip(levels[tier], levels[cost])):
+            width = top - nxt
+            if width > 0.0:
+                if budget <= 0.0:
+                    return ceilings, float(ceilings.sum())
+                gain = min(width, budget / cost)
+                ceilings[j] -= gain
+                budget -= gain * cost
     return ceilings, float(ceilings.sum())
 
 

@@ -8,11 +8,20 @@ import numpy as np
 
 
 def as_bits(a):
-    """Coerce to a uint8 array of 0/1 entries."""
-    arr = np.asarray(a, dtype=np.uint8)
-    if arr.size and arr.max() > 1:
+    """Coerce to a uint8 array of 0/1 entries.
+
+    Any entry that is not exactly 0 or 1 raises ValueError, before the
+    cast that would truncate 0.5 to 0 or wrap -1.  A uint8 array takes one
+    ``max`` check.
+    """
+    arr = np.asarray(a)
+    if arr.dtype == np.uint8:
+        bits = not arr.size or arr.max() <= 1
+    else:
+        bits = ((arr == 0) | (arr == 1)).all()
+    if not bits:
         raise ValueError("entries must be bits (0 or 1)")
-    return arr
+    return arr.astype(np.uint8, copy=False)
 
 
 def matmul(a, b):
@@ -55,11 +64,10 @@ def rref(mat):
         p = r + pivot_rows[0]
         if p != r:
             m[[r, p]] = m[[p, r]]
-        # clear every other 1 in this column
-        hits = np.nonzero(m[:, c])[0]
-        for h in hits:
-            if h != r:
-                m[h] ^= m[r]
+        # clear every other 1 in this column, XOR-ing row r into those rows
+        col = m[:, c].copy()
+        col[r] = 0
+        m ^= col[:, None] & m[r]
         pivots.append(c)
         r += 1
     return m, pivots

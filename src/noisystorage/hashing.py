@@ -40,7 +40,7 @@ FFT_MIN_CELLS = 2 ** 16
 
 def _frozen_bits(bits):
     """A read-only uint8 copy of a 0/1 sequence."""
-    arr = gf2.as_bits(np.array(bits, dtype=np.uint8))
+    arr = gf2.as_bits(np.array(bits))
     arr.flags.writeable = False
     return arr
 

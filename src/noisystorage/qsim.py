@@ -9,6 +9,8 @@ two-state discrimination.  States are 2x2 complex numpy arrays, or
 
 import numpy as np
 
+from . import gf2
+
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _BASIS_VECTORS = np.array(  # indexed [basis, outcome]
     [np.eye(2), _SQRT_HALF * np.array([[1.0, 1.0], [1.0, -1.0]])],
@@ -17,26 +19,30 @@ _BASIS_VECTORS = np.array(  # indexed [basis, outcome]
 IDENTITY = np.eye(2, dtype=complex)
 
 
-def _basis_index(basis):
-    if np.ndim(basis):
-        return np.asarray(basis, dtype=np.intp)
-    if basis in (0, 1):
-        return int(basis)
-    raise ValueError("basis must be 0 or 1")
+def _bit_index(value, name):
+    """A 0/1 scalar or array as an index into _BASIS_VECTORS; anything
+    else raises ValueError naming ``name``.  An array takes gf2.as_bits'
+    one check."""
+    if not np.ndim(value) and value in (0, 1):
+        return int(value)
+    try:
+        return gf2.as_bits(value).astype(np.intp)
+    except ValueError:
+        raise ValueError("%s must be 0 or 1" % name) from None
 
 
 def bb84_prepare(bit, basis):
-    """Projector of the conjugate-coding state |bit> in the given basis."""
-    if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
-    v = _BASIS_VECTORS[_basis_index(basis), bit]
-    return np.outer(v, v.conj())
+    """Projector of the conjugate-coding state |bit> in the given basis
+    (a stack of projectors for arrays of bits or bases)."""
+    v = _BASIS_VECTORS[_bit_index(basis, "basis"), _bit_index(bit, "bit")]
+    return v[..., :, None] * v.conj()[..., None, :]
 
 
 def born_probability(state, basis, outcome):
     """Probability of the given measurement outcome in the given basis
     (one per state for a stack of states and an array of bases)."""
-    v = _BASIS_VECTORS[_basis_index(basis), outcome]
+    v = _BASIS_VECTORS[_bit_index(basis, "basis"),
+                       _bit_index(outcome, "outcome")]
     p = (v.conj()[..., None, :] @ state @ v[..., :, None])[..., 0, 0].real
     p = np.clip(p, 0.0, 1.0)
     return p if p.ndim else float(p)

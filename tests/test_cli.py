@@ -529,55 +529,50 @@ def test_table_rows_follow_their_header():
                for row in rows)
 
 
-def rows_to_csv_reference(rows, header):
-    """The CSV writer that formatted every cell, kept as the reference."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(bounds.format_value(row[h]) for h in header))
-    return "\n".join(lines) + "\n"
-
-
-TABLE_HEADER = ("zero", "flag", "count", "real", "shared")
-# each column's pool: shared objects, so that rows repeat them, and fresh
-# ones; "zero" holds both signs of zero, and True, 1 and 1.0 sit in
-# different columns
-TABLE_POOLS = {
-    "zero": st.sampled_from([0.0, -0.0, 1e-300, -2.5]),
-    "flag": st.one_of(st.booleans(), st.just(True)),
-    "count": st.one_of(st.just(1), st.integers(-10 ** 20, 10 ** 20)),
-    "real": st.one_of(st.just(1.0), st.floats(allow_nan=False,
-                                               allow_infinity=False)),
-    "shared": st.sampled_from([0.1, 1 / 3, 2.0 ** -1074, 1e22]),
+# each column's type and values; True, 1 and 1.0 sit in different columns,
+# "zero" holds both signs of zero, and "edge" a few floats whose shortest
+# text is long or far from 1
+TABLE_COLUMNS = {
+    "zero": (float, st.sampled_from([0.0, -0.0, 1e-300, -2.5])),
+    "flag": (bool, st.booleans()),
+    "count": (int, st.integers(-10 ** 20, 10 ** 20)),
+    "real": (float, st.floats(allow_nan=False, allow_infinity=False)),
+    "edge": (float, st.sampled_from([0.1, 1 / 3, 2.0 ** -1074, 1e22])),
 }
+TABLE_HEADER = tuple(TABLE_COLUMNS)
 
 
 @st.composite
 def table_rows(draw):
-    # fresh float objects for 0.0 and -0.0 too: a copy is a new object
-    fresh = lambda v: float(repr(v)) if isinstance(v, float) else v
-    rows = []
-    for _ in range(draw(st.integers(0, 12))):
-        row = {h: draw(TABLE_POOLS[h]) for h in TABLE_HEADER}
-        if rows and draw(st.booleans()):  # repeat the row before's objects
-            row = {h: draw(st.sampled_from([row[h], rows[-1][h]]))
-                   for h in TABLE_HEADER}
-        if draw(st.booleans()):
-            row = {h: fresh(v) for h, v in row.items()}
-        rows.append(row)
-    return rows
+    return [{h: draw(values) for h, (_, values) in TABLE_COLUMNS.items()}
+            for _ in range(draw(st.integers(0, 12)))]
 
 
 @settings(max_examples=300, deadline=None)
-@given(table_rows())
-@example([{"zero": 0.0, "flag": True, "count": 1, "real": 1.0,
-           "shared": 0.1},
-          {"zero": -0.0, "flag": True, "count": 1, "real": 1.0,
-           "shared": 0.1},
-          {"zero": float("0.0"), "flag": False, "count": 10 ** 20,
-           "real": float("-0.0"), "shared": 1e22}])
-def test_table_writers_equal_their_references(rows):
-    assert bounds.rows_to_csv(rows, TABLE_HEADER) == rows_to_csv_reference(
-        rows, TABLE_HEADER)
+@given(table_rows(), st.sampled_from(["csv", "json"]))
+@example([{"zero": 0.0, "flag": True, "count": 1, "real": 1.0, "edge": 0.1},
+          {"zero": -0.0, "flag": False, "count": 10 ** 20, "real": -0.0,
+           "edge": 1e22}], "csv")
+def test_table_writers_equal_their_references(rows, fmt):
+    # each column's spec comes from its type, as _cmd_curve's does: a float
+    # takes the writer's own float spec, an int "%d" and a flag its text
+    specs = [{float: None, int: "%d", bool: "%s"}[kind]
+             for kind, _ in TABLE_COLUMNS.values()]
+
+    def lines(template, real):
+        for row in rows:
+            yield template % tuple(("false", "true")[v] if type(v) is bool
+                                   else v for v in row.values())
+
+    args = argparse.Namespace(format=fmt, out=None)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli._write_table(TABLE_HEADER, specs, lines, args) == 0
+    if fmt == "csv":
+        expected = bounds.rows_to_csv(rows, TABLE_HEADER)
+    else:
+        expected = json.dumps(rows, indent=2) + "\n"
+    assert out.getvalue() == expected
 
 
 @pytest.mark.parametrize("argv, cap_mib", [
@@ -697,7 +692,7 @@ def test_curve_writer_equals_the_row_writers(steps, delta, log_n, nu, r_min,
         assert kinds == {float}
         assert (type(row["ell"]), type(row["feasible"])) == (int, bool)
     if fmt == "csv":
-        expected = rows_to_csv_reference(rows, bounds.RATE_CURVE_HEADER)
+        expected = bounds.rows_to_csv(rows, bounds.RATE_CURVE_HEADER)
     else:
         expected = json.dumps(rows, indent=2, allow_nan=False) + "\n"
     assert out.getvalue() == expected

@@ -64,6 +64,15 @@ def test_encode_examples():
         encode(ham, [1, 0])
 
 
+def test_encode_and_syndrome_take_bits_only():
+    # the uint8 cast used to encode [0.5, 1, 1.5, 0] as 0110
+    ham = hamming_7_4()
+    with pytest.raises(ValueError, match="entries must be bits"):
+        encode(ham, [0.5, 1, 1.5, 0])
+    with pytest.raises(ValueError, match="entries must be bits"):
+        syndrome(ham, [1, 0, 0, 0, 1, 1, 2.0])
+
+
 def test_syndrome_zero_iff_codeword():
     ham = hamming_7_4()
     for msg in itertools.product((0, 1), repeat=4):

@@ -1,14 +1,16 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
 from noisystorage.distributions import JointDistribution, SubDistribution
 from noisystorage.entropy import (
+    _smoothed_columns,
     _uniform_distance,
     guessing_probability,
     min_entropy,
@@ -141,6 +143,67 @@ def test_waterfilling_equals_lp_small_batch():
         got = 2.0 ** (-min_entropy(d, "R0", "R1", eps=eps))
         want = lp_smooth_guessing_weight(table, eps)
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def segment_smoothed_columns(table, eps):
+    """The smoothing that listed every (cost, column, width) segment and
+    sorted the list by (cost, column), kept as the == reference."""
+    n_rows, n_cols = table.shape
+    sorted_cols = np.sort(table, axis=0)[::-1, :]  # descending per column
+    ceilings = sorted_cols[0, :].copy()
+    segments = []  # (unit cost, column, gain capacity)
+    for j in range(n_cols):
+        col = sorted_cols[:, j]
+        for tier in range(n_rows):
+            nxt = col[tier + 1] if tier + 1 < n_rows else 0.0
+            width = float(col[tier] - nxt)
+            if width > 0.0:
+                segments.append((tier + 1, j, width))
+    segments.sort(key=lambda s: (s[0], s[1]))
+    budget = float(eps)
+    for cost, j, width in segments:
+        if budget <= 0.0:
+            break
+        gain = min(width, budget / cost)
+        ceilings[j] -= gain
+        budget -= gain * cost
+    return ceilings, float(ceilings.sum())
+
+
+# a few repeated values, so that tables hold ties and zeros
+TIED_ENTRIES = st.sampled_from([0.0, 0.0, 0.1, 0.2, 0.25, 0.5])
+
+
+@st.composite
+def smoothing_cases(draw):
+    entries = st.one_of(TIED_ENTRIES, st.floats(0.0, 1.0))
+    table = draw(hnp.arrays(np.float64, hnp.array_shapes(
+        min_dims=2, max_dims=2, min_side=1, max_side=8), elements=entries))
+    if draw(st.booleans()):  # an all-zero column
+        table[:, draw(st.integers(0, table.shape[1] - 1))] = 0.0
+    mass = float(table.sum())
+    eps = draw(st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 1.0).map(lambda f: f * mass),
+        st.just(math.nextafter(mass, 0.0)),  # just below the table's mass
+        st.sampled_from([1e-9, 0.01, 0.05, 0.1, 0.3, 0.6, 0.99])))
+    return table, eps
+
+
+@settings(max_examples=500, deadline=None)
+@given(smoothing_cases())
+@example((np.array([[0.3, 0.1, 0.0, 0.2]]), 0.25))  # a single row
+@example((np.array([[0.3], [0.3], [0.1], [0.0]]), 0.5))  # a single column
+@example((np.zeros((3, 2)), 0.0))
+@example((np.array([[0.25, 0.25], [0.25, 0.25]]), 0.3))  # exact ties
+@example((np.array([[0.5, 0.2], [0.2, 0.1]]), math.nextafter(1.0, 0.0)))
+def test_tier_walk_equals_the_sorted_segment_list(case):
+    table, eps = case
+    ceilings, value = _smoothed_columns(table, eps)
+    want_ceilings, want_value = segment_smoothed_columns(table, eps)
+    assert value == want_value
+    assert ceilings.dtype == want_ceilings.dtype
+    assert ceilings.tobytes() == want_ceilings.tobytes()
 
 
 def validate_against(q, parent, tol=1e-9):

@@ -1,9 +1,13 @@
-"""The big-endian bit-string <-> integer codec: gf2.pack and gf2.unpack."""
+"""GF(2) helpers: the big-endian bit-string <-> integer codec (gf2.pack
+and gf2.unpack), the bit check gf2.as_bits and row reduction gf2.rref."""
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from noisystorage import gf2
 from noisystorage.codes import QidCode, identity_code
@@ -101,3 +105,67 @@ def test_password_bits_are_exact_beyond_int64():
         assert bits.dtype == np.uint8
         assert bits.tolist() == loop_unpack(w - 1, k)
     assert loop_pack(qc.password_bits((1 << 63) + 12345)) == (1 << 63) + 12344
+
+
+@pytest.mark.parametrize("entries", [[-1, 0], [np.nan, 1], [0.5, 1, 0, 1],
+                                     [1.5], [2], [0, 1, 1e-300],
+                                     np.array([0, 2], dtype=np.uint8)])
+def test_as_bits_rejects_entries_that_are_not_bits(entries):
+    # the cast used to truncate 0.5 to 0, raise OverflowError for -1 and
+    # warn about NaN; every non-bit is now the bit ValueError, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"entries must be bits \(0 or 1\)"):
+            gf2.as_bits(entries)
+
+
+def test_as_bits_keeps_exact_bits_of_any_type():
+    bits = np.array([1, 0, 1], dtype=np.uint8)
+    assert gf2.as_bits(bits) is bits  # uint8 input is checked, not copied
+    for entries in ([1, 0, 1], [1.0, -0.0, 1.0], [True, False, True],
+                    np.array([1, 0, 1], dtype=np.int64)):
+        got = gf2.as_bits(entries)
+        assert got.dtype == np.uint8
+        assert got.tolist() == [1, 0, 1]
+    assert gf2.as_bits([]).dtype == np.uint8
+
+
+def loop_rref(mat):
+    """Row reduction that cleared each pivot column one row at a time,
+    kept as the == reference."""
+    m = gf2.as_bits(mat).copy()
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        pivot_rows = np.nonzero(m[r:, c])[0]
+        if pivot_rows.size == 0:
+            continue
+        p = r + pivot_rows[0]
+        if p != r:
+            m[[r, p]] = m[[p, r]]
+        hits = np.nonzero(m[:, c])[0]
+        for h in hits:
+            if h != r:
+                m[h] ^= m[r]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+@settings(max_examples=500, deadline=None)
+@given(hnp.arrays(np.uint8, st.tuples(st.integers(0, 11), st.integers(1, 15)),
+                  elements=st.integers(0, 1)))
+@example(np.array([[1, 0, 1, 1]], dtype=np.uint8))  # a single row
+@example(np.array([[0], [1], [1]], dtype=np.uint8))  # a single column
+@example(np.zeros((4, 4), dtype=np.uint8))
+@example(np.ones((5, 3), dtype=np.uint8))
+def test_rref_equals_the_per_row_loop(mat):
+    red, pivots = gf2.rref(mat)
+    want, want_pivots = loop_rref(mat)
+    assert pivots == want_pivots
+    assert red.dtype == want.dtype and red.shape == want.shape
+    assert red.tobytes() == want.tobytes()
+    assert gf2.rank(mat) == len(want_pivots)

@@ -238,6 +238,23 @@ def test_short_inputs_zero_padded_right():
         hash_apply(h, np.ones(7, dtype=np.uint8))
 
 
+def test_hash_inputs_must_be_bits():
+    # the uint8 cast used to hash [0.5, 1, 0, 1] as 0101
+    h = random_hash(4, 2, np.random.default_rng(89))
+    with pytest.raises(ValueError, match="entries must be bits"):
+        hash_apply(h, [0.5, 1, 0, 1])
+    with pytest.raises(ValueError, match="entries must be bits"):
+        hash_apply_many(h, [[0, 1, 1, 0], [1, 1, 0, -1]])
+
+
+def test_hash_seed_and_offset_must_be_bits():
+    # _frozen_bits cast to uint8 before the check, storing seed 0101
+    with pytest.raises(ValueError, match="entries must be bits"):
+        ToeplitzHash(n=3, ell=2, seed=[0.5, 1, 0.9, 1])
+    with pytest.raises(ValueError, match="entries must be bits"):
+        ToeplitzHash(n=3, ell=2, seed=[0, 1, 1, 1], offset=[1, 1.5])
+
+
 def test_hash_apply_many_matches_single():
     rng = np.random.default_rng(97)
     h = random_hash(7, 3, rng)

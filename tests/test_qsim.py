@@ -150,6 +150,24 @@ def four_states():
     return np.array([[bb84_prepare(b, t) for t in (0, 1)] for b in (0, 1)])
 
 
+def test_stacked_prepare_equals_per_state_outer_products():
+    # arrays of bits or bases gave one (4, 4) outer product of the
+    # flattened vectors; each state is np.outer(v, v*) to the bit
+    s = 1.0 / np.sqrt(2.0)
+    vectors = {(0, 0): [1.0, 0.0], (1, 0): [0.0, 1.0], (0, 1): [s, s],
+               (1, 1): [s, -s]}
+    for (b, t), v in vectors.items():
+        v = np.array(v, dtype=complex)
+        assert bb84_prepare(b, t).tobytes() == np.outer(v, v.conj()).tobytes()
+    bits, bases = np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1], np.uint8)
+    stack = bb84_prepare(bits, bases)
+    assert stack.shape == (4, 2, 2)
+    for k in range(4):
+        assert np.array_equal(stack[k], bb84_prepare(bits[k], bases[k]))
+    assert np.array_equal(bb84_prepare(1, bases),
+                          [bb84_prepare(1, t) for t in bases])
+
+
 def test_stacked_depolarize_equals_per_matrix_calls():
     states = four_states()
     for r in STACK_RS:
@@ -174,6 +192,34 @@ def test_stacked_born_probabilities_equal_one_state_rule():
                     assert isinstance(one, float)
                     assert stacked[k] == one == loop_born_probability(
                         noisy[k], basis, outcome)
+
+
+@pytest.mark.parametrize("bases", [
+    np.array([-1, 0, 1]),  # -1 was read as the Hadamard basis
+    np.array([0.7, 0.0, 1.0]),  # 0.7 was read as the computational one
+    np.array([2, 0, 1]),  # IndexError
+    np.array([0, 2, 1], dtype=np.uint8),
+    [0, 1, np.nan],
+])
+def test_stacked_bases_must_be_bits(bases):
+    states = depolarize(four_states(), 0.5).reshape(4, 2, 2)[:3]
+    rng = np.random.default_rng(5)
+    with pytest.raises(ValueError, match="basis must be 0 or 1"):
+        born_probability(states, bases, 1)
+    with pytest.raises(ValueError, match="basis must be 0 or 1"):
+        measure(states, bases, rng)
+    # nothing was drawn
+    assert rng.random() == np.random.default_rng(5).random()
+
+
+@pytest.mark.parametrize("outcome", [2, -1, 0.5, np.array([0, 2, 1])])
+def test_outcome_must_be_a_bit(outcome):
+    # 2 raised IndexError and -1 was read as outcome 1
+    states = depolarize(four_states(), 0.5).reshape(4, 2, 2)[:3]
+    with pytest.raises(ValueError, match="outcome must be 0 or 1"):
+        born_probability(states, np.array([0, 1, 1]), outcome)
+    with pytest.raises(ValueError, match="outcome must be 0 or 1"):
+        born_probability(states[0], 0, outcome)
 
 
 def test_stacked_measure_draws_like_single_measurements():
