@@ -412,7 +412,6 @@ def strong_converse_exponent(R, storage):
 
     lo = ALPHA_SCAN[best_i - 1] if best_i > 0 else 0.0
     hi = ALPHA_SCAN[best_i + 1] if best_i + 1 < len(ALPHA_SCAN) else ALPHA_MAX
-    hi = min(hi, ALPHA_MAX)
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi

@@ -192,10 +192,6 @@ def verify_codes(seed=7):
     yield len({qc.password_bases(w).tobytes() for w in range(1, 17)}) == 16
 
 
-SUITES = {
-    "split": verify_split,
-    "hashing": verify_hashing,
-    "pa": verify_pa,
-    "lemma4": verify_lemma4,
-    "codes": verify_codes,
-}
+SUITES = {suite.__name__.removeprefix("verify_"): suite
+          for suite in (verify_split, verify_hashing, verify_pa,
+                        verify_lemma4, verify_codes)}

@@ -124,16 +124,20 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _kv_text(pairs):
-    return "".join("%s = %s\n" % (k, format_value(v)) for k, v in pairs)
-
-
 def _report(pairs, fmt, out_path):
     if fmt == "json":
-        _emit(json.dumps(dict(pairs), indent=2, allow_nan=False) + "\n",
-              out_path)
+        text = json.dumps(dict(pairs), indent=2, allow_nan=False) + "\n"
     else:
-        _emit(_kv_text(pairs), out_path)
+        text = "".join("%s = %s\n" % (k, format_value(v))
+                       for k, v in pairs)
+    _emit(text, out_path)
+
+
+def _at_most(cap, what, value, shown=None):
+    """Reject a size ``value`` above ``cap``; ``shown`` is its text if set."""
+    if value > cap:
+        raise PreconditionError("at most %d %s, got %s" % (
+            cap, what, value if shown is None else shown))
 
 
 def _add_storage_args(p):
@@ -146,6 +150,12 @@ def _add_storage_args(p):
 def _add_output_args(p, default_fmt="text", choices=("text", "json")):
     p.add_argument("--format", choices=choices, default=default_fmt)
     p.add_argument("--out", default=None, help="output file (default stdout)")
+
+
+def _add_run_args(p):
+    p.add_argument("--trials", type=_trial_count, default=100)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--out", help="output file (default stdout)")
 
 
 def build_parser():
@@ -225,9 +235,7 @@ def build_parser():
     s_rot.add_argument("--n", type=int, default=16)
     s_rot.add_argument("--ell", type=int, default=4)
     s_rot.add_argument("--choice", type=int, choices=(0, 1), default=0)
-    s_rot.add_argument("--trials", type=_trial_count, default=100)
-    s_rot.add_argument("--seed", type=_seed, default=0)
-    s_rot.add_argument("--out", help="output file (default stdout)")
+    _add_run_args(s_rot)
 
     s_rob = ssub.add_parser("robust", help="robust oblivious transfer")
     s_rob.add_argument("--n", type=int, default=512)
@@ -241,9 +249,7 @@ def build_parser():
     s_rob.add_argument("--eps-target", type=_finite, default=1e-3)
     s_rob.add_argument("--code-block", type=int, default=3,
                        help="repetition block length for error correction")
-    s_rob.add_argument("--trials", type=_trial_count, default=100)
-    s_rob.add_argument("--seed", type=_seed, default=0)
-    s_rob.add_argument("--out", help="output file (default stdout)")
+    _add_run_args(s_rob)
 
     s_qid = ssub.add_parser("qid", help="password identification")
     s_qid.add_argument("--m", type=int, default=16)
@@ -251,9 +257,7 @@ def build_parser():
     s_qid.add_argument("--ell", type=int, default=8)
     s_qid.add_argument("--w-alice", type=int, default=1)
     s_qid.add_argument("--w-bob", type=int, default=1)
-    s_qid.add_argument("--trials", type=_trial_count, default=100)
-    s_qid.add_argument("--seed", type=_seed, default=0)
-    s_qid.add_argument("--out", help="output file (default stdout)")
+    _add_run_args(s_qid)
 
     verify = sub.add_parser("verify", help="randomized verification suites")
     verify.set_defaults(handler=_cmd_verify)
@@ -352,9 +356,7 @@ def _write_table(header, specs, lines, args):
 def _cmd_curve(args):
     if args.steps < 2:
         raise PreconditionError("need at least 2 grid steps")
-    if args.steps > CURVE_MAX_STEPS:
-        raise PreconditionError("at most %d grid steps, got %d"
-                                % (CURVE_MAX_STEPS, args.steps))
+    _at_most(CURVE_MAX_STEPS, "grid steps", args.steps)
     grid = np.linspace(args.r_min, args.r_max, args.steps)
     rows = rate_curve(args.n, args.delta, args.nu, grid, dim=args.dim)
 
@@ -373,10 +375,10 @@ def _cmd_curve(args):
 def _cmd_region(args):
     r_steps = args.steps if args.r_steps is None else args.r_steps
     nu_steps = args.steps if args.nu_steps is None else args.nu_steps
-    if r_steps > 0 and nu_steps > 0 and r_steps * nu_steps > REGION_MAX_ROWS:
-        raise PreconditionError(
-            "at most %d region rows (r steps x nu steps), got %d x %d"
-            % (REGION_MAX_ROWS, r_steps, nu_steps))
+    # an axis of zero or fewer steps is left to _region_axes to reject
+    _at_most(REGION_MAX_ROWS, "region rows (r steps x nu steps)",
+             max(r_steps, 0) * max(nu_steps, 0),
+             "%d x %d" % (r_steps, nu_steps))
     nus, r_caps = _region_axes(r_steps, nu_steps, args.r_max, args.nu_max,
                                args.dim)
 
@@ -409,21 +411,22 @@ def _run_trials(args, config, run, tallies):
         first = first or t.to_json()
     report = {**config, "trials": args.trials, "seed": args.seed, **tallies,
               "first_transcript": json.loads(first)}
-    _emit(json.dumps(report, indent=2, allow_nan=False) + "\n", args.out)
+    _report(report.items(), "json", args.out)
 
 
 def _cmd_simulate(args):
     if args.protocol == "qid":
         rounds, cap, option = args.code_n, QID_MAX_CODE_N, "--code-n"
+        config = {"protocol": "qid", "m": args.m, "code_n": args.code_n,
+                  "ell": args.ell, "w_alice": args.w_alice,
+                  "w_bob": args.w_bob}
     else:
         rounds, cap, option = args.n, SIMULATE_MAX_N, "--n"
-    if rounds > cap:
-        raise PreconditionError("at most %d rounds per run (%s), got %d"
-                                % (cap, option, rounds))
-    if args.trials * rounds > SIMULATE_MAX_ROUNDS:
-        raise PreconditionError(
-            "at most %d simulated rounds (--trials x %s), got %d x %d"
-            % (SIMULATE_MAX_ROUNDS, option, args.trials, rounds))
+        config = {"protocol": args.protocol, "n": args.n, "ell": args.ell,
+                  "choice": args.choice}
+    _at_most(cap, "rounds per run (%s)" % option, rounds)
+    _at_most(SIMULATE_MAX_ROUNDS, "simulated rounds (--trials x %s)" % option,
+             args.trials * rounds, "%d x %d" % (args.trials, rounds))
     if args.protocol == "rot":
         tallies = {"failures": 0, "empty_choice_sets": 0}
 
@@ -433,19 +436,13 @@ def _cmd_simulate(args):
             tallies["failures"] += not np.array_equal(t.y, target)
             tallies["empty_choice_sets"] += t.i_c_empty
             return t
-
-        config = {"protocol": "rot", "n": args.n, "ell": args.ell,
-                  "choice": args.choice}
-        _run_trials(args, config, run, tallies)
     elif args.protocol == "robust":
         params = RobustParams(
             n=args.n, delta=args.delta, storage=None,
             p1_sent=args.p1_sent, ph_noclick=args.ph_noclick,
             pd_noclick=args.pd_noclick, ph_err=args.ph_err, ell=args.ell)
-        if args.code_block > ROBUST_MAX_CODE_BLOCK:
-            raise PreconditionError(
-                "at most %d positions per code block (--code-block), got %d"
-                % (ROBUST_MAX_CODE_BLOCK, args.code_block))
+        _at_most(ROBUST_MAX_CODE_BLOCK,
+                 "positions per code block (--code-block)", args.code_block)
         code = repetition_code(args.code_block)
         tallies = {"eps_target": args.eps_target, "aborts": 0,
                    "decode_failures": 0, "syndrome_budget_ok": None}
@@ -458,18 +455,8 @@ def _cmd_simulate(args):
                 tallies["decode_failures"] += not t.decode_ok
                 tallies["syndrome_budget_ok"] = t.budget_ok
             return t
-
-        config = {"protocol": "robust", "n": args.n, "ell": args.ell,
-                  "choice": args.choice}
-        _run_trials(args, config, run, tallies)
-        if tallies["syndrome_budget_ok"] is False:
-            sys.stderr.write(
-                "warning: the correction code spends more syndrome bits than "
-                "the 1.2 h(ph_err) n budget assumed by the length bound\n")
     else:
-        if args.m > QID_MAX_PASSWORDS:
-            raise PreconditionError("at most %d passwords (--m), got %d"
-                                    % (QID_MAX_PASSWORDS, args.m))
+        _at_most(QID_MAX_PASSWORDS, "passwords (--m)", args.m)
         qc = qid_code(args.m, args.code_n)
         tallies = {"accepts": 0}
 
@@ -477,11 +464,11 @@ def _cmd_simulate(args):
             t = run_qid(args.w_alice, args.w_bob, qc, args.ell, rng=rng)
             tallies["accepts"] += t.accept
             return t
-
-        config = {"protocol": "qid", "m": args.m, "code_n": args.code_n,
-                  "ell": args.ell, "w_alice": args.w_alice,
-                  "w_bob": args.w_bob}
-        _run_trials(args, config, run, tallies)
+    _run_trials(args, config, run, tallies)
+    if tallies.get("syndrome_budget_ok") is False:
+        sys.stderr.write(
+            "warning: the correction code spends more syndrome bits than "
+            "the 1.2 h(ph_err) n budget assumed by the length bound\n")
     return 0
 
 
@@ -492,9 +479,7 @@ def _cmd_verify(args):
         if args.suite == "codes":
             raise PreconditionError("the codes suite takes no trial count "
                                     "(--trials)")
-        if args.trials > VERIFY_MAX_TRIALS:
-            raise PreconditionError("at most %d verification trials, got %d"
-                                    % (VERIFY_MAX_TRIALS, args.trials))
+        _at_most(VERIFY_MAX_TRIALS, "verification trials", args.trials)
         kwargs["trials"] = args.trials
     report = suite(**kwargs)
     line = "%s: %d checks, %d violations\n" % (
