@@ -9,6 +9,7 @@ bits (log base 2).
 """
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,16 @@ def _smoothed_columns(table, eps):
     return ceilings, float(ceilings.sum())
 
 
+def _smoothing_table(dist, target, given, eps):
+    """The (target, given) table; eps must lie in [0, 1) and below its mass."""
+    if not 0.0 <= eps < 1.0:
+        raise ValueError("eps must satisfy 0 <= eps < 1")
+    table = dist.grouped(_names(target), _names(given))
+    if eps > 0.0 and eps >= table.sum():
+        raise ValueError("eps must be smaller than the total mass")
+    return table
+
+
 def min_entropy(dist, target, given=(), eps=0.0):
     """(Smooth) min-entropy of ``target`` given the ``given`` registers, in bits.
 
@@ -77,13 +88,9 @@ def min_entropy(dist, target, given=(), eps=0.0):
     mass is removed (entrywise, never below zero) so as to minimize the
     resulting guessing weight, and -log2 of that optimum is returned.
     """
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must satisfy 0 <= eps < 1")
-    table = dist.grouped(_names(target), _names(given))
+    table = _smoothing_table(dist, target, given, eps)
     if eps == 0.0:
         return -float(np.log2(table.max(axis=0).sum()))
-    if eps >= table.sum():
-        raise ValueError("eps must be smaller than the total mass")
     _, value = _smoothed_columns(table, eps)
     return -float(np.log2(value))
 
@@ -95,14 +102,11 @@ def smooth_sub_distribution(dist, target, given=(), eps=0.0):
     entries above the per-column ceiling are cut down to it, removing at
     most ``eps`` total mass.
     """
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must satisfy 0 <= eps < 1")
-    target = _names(target)
-    given = _names(given)
-    table = dist.grouped(target, given)
+    table = _smoothing_table(dist, target, given, eps)
     ceilings, _ = _smoothed_columns(table, eps)
     q = np.minimum(table, ceilings[np.newaxis, :])
-    registers = [dist.registers[a] for a in dist.axes(target + given)]
+    axes = dist.axes(_names(target) + _names(given))
+    registers = [dist.registers[a] for a in axes]
     return SubDistribution(
         registers=registers,
         probs=q.reshape([size for _, size in registers]),
@@ -230,6 +234,8 @@ def psucc_classical(channel, k):
     Only instances small enough for exhaustive search are accepted
     (inputs, outputs <= 8 and k <= 3).
     """
+    if not isinstance(k, numbers.Integral):
+        raise ValueError("k must be an integer, got %r" % (k,))
     channel = np.asarray(channel, dtype=float)
     if channel.ndim != 2:
         raise ValueError("channel must be a 2-D stochastic matrix")
@@ -239,7 +245,6 @@ def psucc_classical(channel, k):
     if n_in > PSUCC_MAX_SYMBOLS or n_out > PSUCC_MAX_SYMBOLS:
         raise ValueError("channel larger than the %d-symbol exhaustive cap"
                          % PSUCC_MAX_SYMBOLS)
-    k = int(k)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > PSUCC_MAX_BITS:

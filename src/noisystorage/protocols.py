@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import gf2, qsim
-from .bounds import ot_epsilon
+from .bounds import _require_integer, ot_epsilon
 from .codes import syndrome, syndrome_budget_ok, syndrome_decode
 from .entropy import _uniform_distance
 from .hashing import ToeplitzHash, _columns, hash_apply, random_hash
@@ -91,8 +91,7 @@ def _choice_bit(c):
 def _length(ell, n):
     """``ell`` as a Python int, or ValueError unless it is an integer in
     [1, n]."""
-    if not isinstance(ell, numbers.Integral):
-        raise ValueError("ell must be an integer, got %r" % (ell,))
+    _require_integer("ell", ell)
     if not 1 <= ell <= n:
         raise ValueError("need 1 <= ell <= n")
     return int(ell)
@@ -104,10 +103,9 @@ def honest_index_sets(theta, theta_hat, c):
     Matching positions go to the chosen set, the rest to the other; the
     pair (set_0, set_1) is what crosses the wire.
     """
-    theta = np.asarray(theta)
-    theta_hat = np.asarray(theta_hat)
-    match = np.nonzero(theta == theta_hat)[0]
-    differ = np.nonzero(theta != theta_hat)[0]
+    same = np.asarray(theta) == np.asarray(theta_hat)
+    match = np.nonzero(same)[0]
+    differ = np.nonzero(~same)[0]
     if c == 0:
         return match, differ
     return differ, match
@@ -117,6 +115,17 @@ def _honest_measurement(x, theta, theta_hat, rng):
     """Matched bases reproduce the bit, mismatched ones are uniform."""
     return np.where(theta == theta_hat, x,
                     rng.integers(0, 2, len(x), dtype=np.uint8)).astype(np.uint8)
+
+
+def _sender_draw(n, rng):
+    """The sender's n random bits x, then its n random bases theta."""
+    return (rng.integers(0, 2, n, dtype=np.uint8),
+            rng.integers(0, 2, n, dtype=np.uint8))
+
+
+def _hash_pair(n, ell, rng):
+    """The two hashes f0, then f1, that finish every transfer."""
+    return random_hash(n, ell, rng), random_hash(n, ell, rng)
 
 
 def _random_halves(m, rng):
@@ -202,25 +211,20 @@ def run_rot(n, ell, c, bob=None, rng=None):
         i1 = np.asarray(i1, dtype=np.int64)
         if not np.array_equal(np.sort(np.concatenate([i0, i1])), np.arange(n)):
             raise ValueError("index sets must partition the rounds")
-        return RotTranscript(n=n, ell=ell, c=c, x=x, theta=theta,
-                             theta_hat=None, x_hat=None, i0=i0, i1=i1, f0=f0,
-                             f1=f1, s0=hash_apply(f0, x[i0]),
-                             s1=hash_apply(f1, x[i1]), y=None, adversary=record)
-
-    x = rng.integers(0, 2, n, dtype=np.uint8)
-    theta = rng.integers(0, 2, n, dtype=np.uint8)
-    theta_hat = rng.integers(0, 2, n, dtype=np.uint8)
-    x_hat = _honest_measurement(x, theta, theta_hat, rng)
-    # -- waiting time --
-    i0, i1 = honest_index_sets(theta, theta_hat, c)
-    f0 = random_hash(n, ell, rng)
-    f1 = random_hash(n, ell, rng)
-    i_c, f_c = (i0, f0) if c == 0 else (i1, f1)
-    return RotTranscript(n=n, ell=ell, c=c, x=x, theta=theta,
-                         theta_hat=theta_hat, x_hat=x_hat, i0=i0, i1=i1,
+        receiver = dict(theta_hat=None, x_hat=None, y=None, adversary=record)
+    else:
+        x, theta = _sender_draw(n, rng)
+        theta_hat = rng.integers(0, 2, n, dtype=np.uint8)
+        x_hat = _honest_measurement(x, theta, theta_hat, rng)
+        # -- waiting time --
+        i0, i1 = honest_index_sets(theta, theta_hat, c)
+        f0, f1 = _hash_pair(n, ell, rng)
+        i_c, f_c = (i0, f0) if c == 0 else (i1, f1)
+        receiver = dict(theta_hat=theta_hat, x_hat=x_hat,
+                        y=hash_apply(f_c, x_hat[i_c]), i_c_empty=i_c.size == 0)
+    return RotTranscript(n=n, ell=ell, c=c, x=x, theta=theta, i0=i0, i1=i1,
                          f0=f0, f1=f1, s0=hash_apply(f0, x[i0]),
-                         s1=hash_apply(f1, x[i1]), y=hash_apply(f_c, x_hat[i_c]),
-                         i_c_empty=i_c.size == 0)
+                         s1=hash_apply(f1, x[i1]), **receiver)
 
 
 # --- robust oblivious transfer ---------------------------------------------------
@@ -275,11 +279,10 @@ def block_correct(code, bits, syndromes):
     each towards its own n - k target bits; the padding is trimmed off.
     Targets past the last block are ignored.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
     words = _blocks(code, bits)
     blocks, red = len(words), code.n - code.k
     targets = gf2.as_bits(syndromes)[:blocks * red].reshape(blocks, red)
-    return syndrome_decode(code, words, targets).reshape(-1)[:bits.size]
+    return syndrome_decode(code, words, targets).reshape(-1)[:np.size(bits)]
 
 
 class WorstCaseReportingBob:
@@ -327,14 +330,12 @@ def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3):
     rng = make_rng(rng)
     zeta = math.sqrt(math.log(2.0 / eps_target) / (2.0 * n))
 
-    x = rng.integers(0, 2, n, dtype=np.uint8)
-    theta = rng.integers(0, 2, n, dtype=np.uint8)
+    x, theta = _sender_draw(n, rng)
     theta_hat = rng.integers(0, 2, n, dtype=np.uint8)
     single_mask = rng.random(n) < params.p1_sent
 
     if bob is None:
-        click_mask = rng.random(n) >= params.ph_noclick
-        reported = click_mask
+        reported = rng.random(n) >= params.ph_noclick
     else:
         click_mask = rng.random(n) >= params.pd_noclick
         reported = bob.reported_clicks(single_mask, click_mask, params, rng)
@@ -348,57 +349,45 @@ def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3):
 
     base = dict(p1_sent=params.p1_sent, ph_noclick=params.ph_noclick,
                 pd_noclick=params.pd_noclick, ph_err=params.ph_err)
-    transcript = RobustTranscript(
-        n=n, ell=ell, c=c, params=base, zeta=zeta, x=x,
-        theta=theta, theta_hat=theta_hat, click_mask=reported.astype(np.uint8),
-        s_remain=s_remain, abort=abort)
+    header = dict(n=n, ell=ell, c=c, params=base, zeta=zeta, x=x, theta=theta,
+                  theta_hat=theta_hat, click_mask=reported.astype(np.uint8),
+                  s_remain=s_remain, abort=abort)
     if abort:
-        return transcript
+        return RobustTranscript(**header)
 
     # -- waiting time --
-    theta_rem = theta[s_remain]
     x_rem = x[s_remain]
-    f0 = random_hash(n, ell, rng)
-    f1 = random_hash(n, ell, rng)
+    f0, f1 = _hash_pair(n, ell, rng)
 
     if bob is not None:
         # sender messages only; a dishonest receiver's decoding is its own.
         # Non-single-photon rounds leak their bit outright (the receiver is
         # assumed able to split off a photon without touching the basis).
         multi = np.nonzero(~single_mask[s_remain])[0]
-        transcript.adversary = {
-            "multi_rounds": multi.tolist(),
-            "free_bits": bit_string(x_rem[multi]),
-        }
+        receiver = dict(adversary={"multi_rounds": multi.tolist(),
+                                   "free_bits": bit_string(x_rem[multi])})
         i0, i1 = _random_halves(m, rng)
     else:
+        theta_rem = theta[s_remain]
         hat_rem = theta_hat[s_remain]
         # the flips are drawn before the measurement's uniform bits
         flips = rng.random(m) < params.ph_err
-        transcript.x_hat = (_honest_measurement(x_rem, theta_rem, hat_rem, rng)
-                            ^ flips.astype(np.uint8))
+        x_hat = (_honest_measurement(x_rem, theta_rem, hat_rem, rng)
+                 ^ flips.astype(np.uint8))
         i0, i1 = honest_index_sets(theta_rem, hat_rem, c)
 
     syn0 = block_syndromes(code, x_rem[i0])
     syn1 = block_syndromes(code, x_rem[i1])
-    s0 = hash_apply(f0, x_rem[i0])
-    s1 = hash_apply(f1, x_rem[i1])
-
-    transcript.i0, transcript.i1 = i0, i1
-    transcript.f0, transcript.f1 = f0, f1
-    transcript.syn0, transcript.syn1 = syn0, syn1
-    transcript.s0, transcript.s1 = s0, s1
-    transcript.budget_ok = syndrome_budget_ok(code, params.ph_err)
-
     if bob is None:
-        i_c = i0 if c == 0 else i1
-        syn_c = syn0 if c == 0 else syn1
-        f_c = f0 if c == 0 else f1
-        corrected = block_correct(code, transcript.x_hat[i_c], syn_c)
-        transcript.corrected = corrected
-        transcript.y = hash_apply(f_c, corrected)
-        transcript.decode_ok = bool(np.array_equal(corrected, x_rem[i_c]))
-    return transcript
+        i_c, syn_c, f_c = (i0, syn0, f0) if c == 0 else (i1, syn1, f1)
+        corrected = block_correct(code, x_hat[i_c], syn_c)
+        receiver = dict(x_hat=x_hat, corrected=corrected,
+                        y=hash_apply(f_c, corrected),
+                        decode_ok=bool(np.array_equal(corrected, x_rem[i_c])))
+    return RobustTranscript(
+        **header, i0=i0, i1=i1, f0=f0, f1=f1, syn0=syn0, syn1=syn1,
+        s0=hash_apply(f0, x_rem[i0]), s1=hash_apply(f1, x_rem[i1]),
+        budget_ok=syndrome_budget_ok(code, params.ph_err), **receiver)
 
 
 # --- password identification -------------------------------------------------
@@ -433,14 +422,16 @@ def run_qid(w_alice, w_bob, qcode, ell, rng=None):
 
     Matching passwords always accept; differing passwords accept only on
     a hash collision.  Both hash families carry a fresh random offset so
-    that outputs of correlated inputs stay jointly uniform.
+    that outputs of correlated inputs stay jointly uniform.  A password
+    outside 1..m raises ValueError before anything is drawn.
     """
     code = qcode.code
     n = code.n
     ell = _length(ell, n)
+    bits_alice = qcode.password_bits(w_alice)
+    bits_bob = qcode.password_bits(w_bob)
     rng = make_rng(rng)
-    x = rng.integers(0, 2, n, dtype=np.uint8)
-    theta = rng.integers(0, 2, n, dtype=np.uint8)
+    x, theta = _sender_draw(n, rng)
     theta_hat = rng.integers(0, 2, n, dtype=np.uint8)
     x_hat = _honest_measurement(x, theta, theta_hat, rng)
 
@@ -455,9 +446,8 @@ def run_qid(w_alice, w_bob, qcode, ell, rng=None):
     g_inputs = max(code.k, ell)
     g = random_hash(g_inputs, ell, rng, affine=True)
 
-    z = hash_apply(f, x[i_w_alice]) ^ hash_apply(g, qcode.password_bits(w_alice))
-    check = hash_apply(f, x_hat[i_w_bob]) ^ hash_apply(
-        g, qcode.password_bits(w_bob))
+    z = hash_apply(f, x[i_w_alice]) ^ hash_apply(g, bits_alice)
+    check = hash_apply(f, x_hat[i_w_bob]) ^ hash_apply(g, bits_bob)
     accept = bool(np.array_equal(z, check))
     return QidTranscript(w_alice=w_alice, w_bob=w_bob, ell=ell, x=x,
                          theta=theta, theta_hat=theta_hat, x_hat=x_hat,
@@ -545,11 +535,9 @@ def _storing_trial(n, ell, bob, stored, rng):
     ``i0`` and ``i1`` are the receiver's index sets as it returned them,
     unchecked.
     """
-    x = rng.integers(0, 2, n, dtype=np.uint8)
-    theta = rng.integers(0, 2, n, dtype=np.uint8)
+    x, theta = _sender_draw(n, rng)
     i0, i1, record = bob.after_reveal(stored[x, theta], theta, rng)
-    f0 = random_hash(n, ell, rng)
-    f1 = random_hash(n, ell, rng)
+    f0, f1 = _hash_pair(n, ell, rng)
     return x, theta, i0, i1, record, f0, f1
 
 
@@ -571,9 +559,10 @@ def estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
     non-uniformity of the provably hidden string given the other string
     and the selector bit, computed exactly per run from the receiver's
     product posterior and averaged.  Two one-sided guarantees accompany
-    it: the protocol-level statement error min(1, 2 eps(delta, n)) and
-    the hash-smoothing bound 2^(-((alpha/2 - 1 - ell) - ell)/2 - 1) at
-    alpha = n log2(2/(1+r)).
+    it: the hash-smoothing bound 2^(-((alpha/2 - 1 - ell) - ell)/2 - 1)
+    at alpha = n log2(2/(1+r)), and the protocol-level statement error
+    min(1, 2 eps(delta, n)).  The latter is always 1.0 here: 2 eps < 1
+    needs n of about 4.1e5 rounds even as delta -> 1/4, and n <= 24.
 
     Every input is checked before the first draw; ell may not exceed 12,
     which caps each joint table at 2^24 cells.  The draws run trial
@@ -584,9 +573,8 @@ def estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
     ``trials``.  The per-run non-uniformities are added to the average
     in trial order, so the report does not depend on the chunking.
     """
-    for name, value in (("n", n), ("trials", trials)):
-        if not isinstance(value, numbers.Integral):
-            raise ValueError("%s must be an integer" % name)
+    _require_integer("n", n)
+    _require_integer("trials", trials)
     if not 1 <= n <= LEAKAGE_MAX_N:
         raise ValueError("exact post-processing needs 1 <= n <= %d"
                          % LEAKAGE_MAX_N)

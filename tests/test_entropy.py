@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,30 @@ def test_min_entropy_rejects_bad_eps():
         min_entropy(d, "X", eps=1.0)
     with pytest.raises(ValueError):
         min_entropy(d, "X", eps=-0.1)
+
+
+# 1 - 5e-13 is within the 1e-12 normalization tolerance, so an eps in
+# [0, 1) can reach the whole mass of this table
+SHORT_BIT = JointDistribution([("X", 2)], np.array([0.5, 0.5]) * (1 - 5e-13))
+SHORT_MASS = float(SHORT_BIT.probs.sum())
+
+
+@pytest.mark.parametrize("eps", [SHORT_MASS,
+                                 math.nextafter(0.9999999999995, 2.0)])
+@pytest.mark.parametrize("smooth", [min_entropy, smooth_sub_distribution],
+                         ids=["min_entropy", "smooth_sub_distribution"])
+def test_smoothing_rejects_an_eps_as_large_as_the_mass(smooth, eps):
+    assert SHORT_MASS <= eps < 1.0
+    with pytest.raises(ValueError,
+                       match="^eps must be smaller than the total mass$"):
+        smooth(SHORT_BIT, "X", eps=eps)
+
+
+def test_smoothing_admits_an_eps_just_below_the_mass():
+    eps = math.nextafter(SHORT_MASS, 0.0)
+    q = smooth_sub_distribution(SHORT_BIT, "X", eps=eps)
+    assert q.mass > 0.0
+    assert min_entropy(SHORT_BIT, "X", eps=eps) == -math.log2(q.probs.max())
 
 
 def test_min_entropy_nondecreasing_in_eps():
@@ -369,6 +394,23 @@ def test_psucc_size_caps():
         psucc_classical(np.eye(2), 4)
     with pytest.raises(ValueError):
         psucc_classical(np.array([[0.5, 0.2], [0.5, 0.2]]), 1)
+
+
+@pytest.mark.parametrize("k", [1.9, 1.0, math.nan, math.inf, "1", None,
+                               np.float64(2.0)])
+def test_psucc_rejects_a_non_integer_k(k):
+    # checked before the size caps: this channel is past the symbol cap
+    for channel in (np.eye(2), np.eye(9)):
+        with pytest.raises(ValueError,
+                           match="^k must be an integer, got %s$"
+                           % re.escape(repr(k))):
+            psucc_classical(channel, k)
+
+
+@pytest.mark.parametrize("k, expected", [(True, 1.0), (np.int64(1), 1.0),
+                                         (np.uint8(2), 0.5)])
+def test_psucc_takes_integral_k(k, expected):
+    assert psucc_classical(np.eye(2), k) == expected
 
 
 def test_entropy_drop_through_channel_bounded_by_psucc():

@@ -501,6 +501,17 @@ def test_qid_rejects_bad_passwords():
         run_qid(3, 17, qc, ell=4, rng=1)
 
 
+@pytest.mark.parametrize("w_alice, w_bob", [(0, 3), (3, 17), (2.0, 3),
+                                             (3, 0), (17, 17), (3, 2.5)])
+def test_qid_checks_both_passwords_before_drawing(w_alice, w_bob):
+    rng = make_rng(5)
+    before = generator_state(rng)
+    with pytest.raises(ValueError,
+                       match=r"^password must be an integer in 1\.\.16$"):
+        run_qid(w_alice, w_bob, qid_code(16, 8), ell=4, rng=rng)
+    assert generator_state(rng) == before
+
+
 # --- leakage estimation -----------------------------------------------------
 
 
@@ -527,6 +538,22 @@ def test_leakage_intermediate_rate_matches_discrimination_value():
     assert report["alpha"] == pytest.approx(16 * math.log2(2 / 1.3))
     assert report["empirical_nonuniformity"] <= report["pa_bound"]
     assert report["empirical_nonuniformity"] <= report["statement_bound"]
+
+
+@pytest.mark.parametrize("delta", [1e-6, 0.01, 0.1, 0.2, 0.249,
+                                   math.nextafter(0.25, 0.0)])
+def test_leakage_statement_bound_is_always_one(delta):
+    # 2 eps(delta, n) < 1 needs about 4.1e5 rounds even as delta -> 1/4,
+    # and estimate_leakage takes n <= 24
+    for n in range(1, protocols.LEAKAGE_MAX_N + 1):
+        assert 2.0 * ot_epsilon(delta, n) > 3.99
+        report = estimate_leakage(n, 1, 0.3, 1, rng=5, delta=delta)
+        assert report["statement_bound"] == 1.0
+
+
+def test_statement_bound_drops_below_one_only_past_4e5_rounds():
+    best = math.nextafter(0.25, 0.0)
+    assert 2.0 * ot_epsilon(best, 4.0e5) > 1.0 > 2.0 * ot_epsilon(best, 4.1e5)
 
 
 def test_leakage_size_cap():
