@@ -169,7 +169,13 @@ def _python_int_distance(generator):
 
 @_tally
 def verify_codes(seed=7):
-    """Catalog invariants: orthogonality, exact distances, decoding radius."""
+    """Catalog invariants: orthogonality, exact distances, decoding radius.
+
+    Each code's 40 words are drawn one at a time, message, then error
+    weight, then error positions, as they always were; then the stacks of
+    messages and errors run through one ``encode``, one ``syndrome`` and
+    one ``syndrome_decode``, and each word is one check.
+    """
     rng = np.random.default_rng(seed)
     catalog = [repetition_code(3), repetition_code(5), hamming_7_4(),
                extended_hamming_8_4(), qid_code(16, 7).code,
@@ -179,14 +185,15 @@ def verify_codes(seed=7):
         yield (code.min_distance == min_distance(code)
                == _python_int_distance(code.generator))
         t = (code.min_distance - 1) // 2
-        for _ in range(40):
-            msg = rng.integers(0, 2, code.k, dtype=np.uint8)
-            word = encode(code, msg)
+        msgs = np.empty((40, code.k), dtype=np.uint8)
+        errs = np.zeros((40, code.n), dtype=np.uint8)
+        for msg, err in zip(msgs, errs):
+            msg[:] = rng.integers(0, 2, code.k, dtype=np.uint8)
             weight = int(rng.integers(0, t + 1))
-            err = np.zeros(code.n, dtype=np.uint8)
             err[rng.choice(code.n, size=weight, replace=False)] = 1
-            fixed = syndrome_decode(code, word ^ err, syndrome(code, word))
-            yield np.array_equal(fixed, word)
+        words = encode(code, msgs)
+        fixed = syndrome_decode(code, words ^ errs, syndrome(code, words))
+        yield from (fixed == words).all(axis=1).tolist()
     # distinct codewords for distinct passwords
     qc = qid_code(16, 8)
     yield len({qc.password_bases(w).tobytes() for w in range(1, 17)}) == 16

@@ -21,6 +21,8 @@ from .bounds import binary_entropy
 MIN_DISTANCE_MAX_K = 20
 COSET_TABLE_MAX_REDUNDANCY = 24
 RANDOM_CODE_TRIES = 200
+# codewords one product of _min_weight holds, across its generators
+_WEIGHT_CHUNK_WORDS = 1 << 14
 
 
 @dataclass
@@ -63,11 +65,12 @@ class LinearCode:
 
 
 def encode(code, message):
-    """message (k bits) -> codeword (n bits), over GF(2)."""
+    """message (k bits) -> codeword (n bits) over GF(2), for one message
+    or a stack (last axis k bits) in one product."""
     message = gf2.as_bits(message)
-    if message.shape != (code.k,):
+    if message.shape[-1:] != (code.k,):
         raise ValueError("message must have exactly k = %d bits" % code.k)
-    return gf2.matmul(message[np.newaxis, :], code.generator)[0].astype(np.uint8)
+    return gf2.matmul(message, code.generator).astype(np.uint8)
 
 
 def syndrome(code, word):
@@ -81,22 +84,37 @@ def syndrome(code, word):
 
 def min_distance(code):
     """Exact minimum weight over nonzero codewords (k <= 20), by _min_weight."""
-    return _min_weight(code.generator)
+    return int(_min_weight(code.generator))
 
 
-def _min_weight(generator):
-    """Least weight of a nonzero row combination, 0 iff dependent (k <= 20)."""
-    k, n = generator.shape
+def _min_weight(generators):
+    """Least weight of a nonzero row combination, 0 iff the rows are
+    dependent (k <= 20): a scalar for one (k, n) generator, an array for
+    a (tries, k, n) stack.
+
+    Each product encodes a chunk of messages under every generator at
+    once, with the generators' rows laid side by side; its float32 sums
+    count at most k ones, so they are exact.  A chunk holds 2^14 // tries
+    messages, at least one, so a product holds at most 2^14 codewords
+    whenever tries <= 2^14, as one generator's chunk always did.
+    """
+    generators = gf2.as_bits(generators)
+    *lead, k, n = generators.shape
     if k > MIN_DISTANCE_MAX_K:
         raise ValueError("brute-force distance limited to k <= %d"
                          % MIN_DISTANCE_MAX_K)
-    best = n
-    chunk = 1 << 14
+    stack = generators.reshape(-1, k, n)
+    tries = len(stack)
+    rows = stack.transpose(1, 0, 2).reshape(k, tries * n).astype(np.float32)
+    ones = np.ones(n, dtype=np.float32)
+    best = np.full(tries, n, dtype=np.float32)
+    chunk = max(1, _WEIGHT_CHUNK_WORDS // tries)
     for start in range(1, 2 ** k, chunk):
-        msgs = np.arange(start, min(start + chunk, 2 ** k))
-        words = gf2.matmul(gf2.unpack(msgs, k), generator)
-        best = min(best, int(words.sum(axis=1).min()))
-    return best
+        msgs = gf2.unpack(np.arange(start, min(start + chunk, 2 ** k)), k)
+        words = (msgs.astype(np.float32) @ rows).astype(np.uint8) & 1
+        weights = words.reshape(-1, tries, n).astype(np.float32) @ ones
+        np.minimum(best, weights.min(axis=0), out=best)
+    return best.astype(np.int64).reshape(lead)[()]
 
 
 def coset_leaders(code):
@@ -186,21 +204,23 @@ def identity_code(n):
 def random_code(n, k, seed=0):
     """Best of ``RANDOM_CODE_TRIES`` random generators, distance exact.
 
-    A draw's minimum weight is 0 exactly when its rows are dependent, so
-    it is the rank check too.  Only the first best draw becomes a code.
+    The generators are drawn one try at a time, in the order the search
+    has always drawn them, then scored by one :func:`_min_weight` over
+    their (tries, k, n) stack.  A draw's minimum weight is 0 exactly when
+    its rows are dependent, so it is the rank check too.  Only the first
+    draw of the greatest weight becomes a code.
     """
     if k > n:
         raise ValueError("need k <= n")
     rng = np.random.default_rng(seed)
-    best, best_d = None, 0
-    for _ in range(RANDOM_CODE_TRIES):
-        g = rng.integers(0, 2, (k, n), dtype=np.uint8)
-        d = _min_weight(g)
-        if d > best_d:
-            best, best_d = g, d
-    if best is None:
+    tries = np.array([rng.integers(0, 2, (k, n), dtype=np.uint8)
+                      for _ in range(RANDOM_CODE_TRIES)])
+    weights = _min_weight(tries)
+    best = int(np.argmax(weights))  # argmax takes the first maximum
+    if weights[best] == 0:
         raise RuntimeError("no full-rank generator found")
-    return LinearCode(generator=best, _min_distance=best_d)
+    return LinearCode(generator=tries[best].copy(),
+                      _min_distance=int(weights[best]))
 
 
 # --- password encoding --------------------------------------------------------

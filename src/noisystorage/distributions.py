@@ -5,6 +5,7 @@ alphabets.  All entropy, splitting and privacy-amplification computations
 operate on these tables.  Alphabets are index sets ``{0, ..., size-1}``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ class JointDistribution:
         if any(size < 1 for _, size in regs):
             raise ValueError("register sizes must be >= 1")
         shape = tuple(size for _, size in regs)
-        _check_cells(int(np.prod(shape)) if shape else 1)
+        _check_cells(math.prod(shape))
         arr = np.asarray(probs, dtype=float).reshape(shape)
         if np.any(arr < -NORMALIZATION_TOL):
             raise ValueError("probabilities must be nonnegative")
@@ -48,6 +49,7 @@ class JointDistribution:
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError("probabilities sum to %r, expected 1 within 1e-12" % total)
         self.registers = regs
+        self._axes = {name: i for i, name in enumerate(names)}
         self.probs = arr
 
     @property
@@ -59,10 +61,10 @@ class JointDistribution:
         return tuple(size for _, size in self.registers)
 
     def axis(self, name):
-        for i, (reg, _) in enumerate(self.registers):
-            if reg == name:
-                return i
-        raise KeyError("unknown register %r" % name)
+        try:
+            return self._axes[name]
+        except (KeyError, TypeError):  # a TypeError for an unhashable name
+            raise KeyError("unknown register %r" % name) from None
 
     def axes(self, names):
         return [self.axis(n) for n in names]
@@ -86,7 +88,7 @@ class JointDistribution:
         # reorder surviving axes to the requested order
         rank = sorted(keep).index
         arr = np.transpose(arr, [*range(lead), *(lead + rank(a) for a in keep)])
-        t_size = int(np.prod(arr.shape[lead:lead + len(target)]))
+        t_size = math.prod(arr.shape[lead:lead + len(target)])
         return arr.reshape(*arr.shape[:lead], t_size, -1)
 
     def marginal(self, keep):
@@ -129,6 +131,7 @@ class JointDistribution:
         # a one-hot copy of a validated table needs no second validation
         out = JointDistribution.__new__(JointDistribution)
         out.registers = self.registers + [(name, size)]
+        out._axes = {**self._axes, name: len(self.registers)}
         out.probs = np.where(values[..., None] == np.arange(size),
                              self.probs[..., None], 0.0)
         return out

@@ -36,6 +36,8 @@ COLLISION_MAX_ELL = 4
 
 # single inputs with at least this many ell x k products take the FFT kernel
 FFT_MIN_CELLS = 2 ** 16
+# cells of pa_distance's largest stacked arrays per stack of samples
+_PA_CHUNK_CELLS = 2 ** 16
 
 
 def _frozen_bits(bits):
@@ -198,6 +200,16 @@ def pa_distance(dist, ell, sample_count, rng):
     the side information for each of ``sample_count`` uniformly drawn
     hashes, and the guarantee 2^(-(H_min(X | side) - ell)/2 - 1) on
     their average over the whole family, not on any one hash.
+
+    The hashes are drawn one at a time and in order, one stack of
+    samples after another.  Per stack, one product of the hashes' stacked
+    :func:`_columns` rows with every input gives every output value, one
+    ``np.bincount`` bins the table's rows by output value into a
+    (samples, 2^ell, |side|) stack, and one :func:`_uniform_distance`
+    scores it.  A stack holds as many samples as keep its (samples, ell,
+    2^n) sums and (samples, 2^n, |side|) bins within ``_PA_CHUNK_CELLS``
+    cells, and at least one, so memory does not grow with
+    ``sample_count``.  The ``verify pa`` suite's 16 samples make one stack.
     """
     if sample_count < 1:
         raise ValueError("need at least one sample")
@@ -211,13 +223,25 @@ def pa_distance(dist, ell, sample_count, rng):
         raise ValueError("need 1 <= ell <= input bits")
 
     table = dist.grouped([x_register], side)  # (2^n_bits, |side|)
-    xs = gf2.unpack(np.arange(size), n_bits)
+    n_side = table.shape[1]
+    xs = gf2.unpack(np.arange(size), n_bits).T  # every input, as columns
+    chunk = max(1, _PA_CHUNK_CELLS // (size * max(ell, n_side)))
     distances = np.empty(sample_count)
-    for i in range(sample_count):
-        codes = gf2.pack(hash_apply_many(random_hash(n_bits, ell, rng), xs))
-        grouped = np.zeros((2 ** ell, table.shape[1]))
-        np.add.at(grouped, codes, table)  # each output value's table rows
-        distances[i] = _uniform_distance(grouped)
+    for start in range(0, sample_count, chunk):
+        count = min(chunk, sample_count - start)
+        rows = np.array([_columns(random_hash(n_bits, ell, rng), n_bits)
+                         for _ in range(count)])
+        sums = rows.reshape(count * ell, n_bits) @ xs
+        parity = sums.astype(np.int64).reshape(count, ell, size) & 1
+        codes = gf2.pack(parity.transpose(0, 2, 1))  # (count, 2^n_bits)
+        # the flat (sample, output value, side value) bin of every cell
+        bins = (np.arange(count)[:, np.newaxis] << ell) + codes
+        bins = bins[..., np.newaxis] * n_side + np.arange(n_side)
+        grouped = np.bincount(
+            bins.ravel(), weights=np.broadcast_to(table, bins.shape).ravel(),
+            minlength=(count << ell) * n_side)
+        distances[start:start + count] = _uniform_distance(
+            grouped.reshape(count, 2 ** ell, n_side))
 
     h_min = min_entropy(dist, x_register, side)
     return distances, 2.0 ** (-0.5 * (h_min - ell) - 1.0)

@@ -101,8 +101,10 @@ def honest_index_sets(theta, theta_hat, c):
     """The two index sets an honest receiver reports, choice-side first.
 
     Matching positions go to the chosen set, the rest to the other; the
-    pair (set_0, set_1) is what crosses the wire.
+    pair (set_0, set_1) is what crosses the wire.  ``c`` must be an
+    integer 0 or 1, else ValueError.
     """
+    c = _choice_bit(c)
     same = np.asarray(theta) == np.asarray(theta_hat)
     match = np.nonzero(same)[0]
     differ = np.nonzero(~same)[0]
@@ -187,8 +189,11 @@ class RotTranscript(_Transcript):
 def run_rot(n, ell, c, bob=None, rng=None):
     """One run of randomized oblivious transfer over n rounds.
 
-    ``bob=None`` plays the honest receiver with choice bit ``c``, an
-    integer 0 or 1 (else ValueError before anything is drawn).  With
+    ``n`` must be an integer, ``ell`` one in [1, n] and ``c`` an integer
+    0 or 1, else ValueError before anything is drawn; a bool ``n`` runs as
+    the integer it is.
+
+    ``bob=None`` plays the honest receiver with choice bit ``c``.  With
     honest parties the receiver's output equals the chosen string; when
     its chosen index set comes out empty (probability 2^-n) both sides
     hash the zero-padded empty string, and the event is flagged.
@@ -200,6 +205,8 @@ def run_rot(n, ell, c, bob=None, rng=None):
     Its transfer is drawn by :func:`_storing_trial`, the one function
     that draws a storing transfer, and its index sets are checked after.
     """
+    _require_integer("n", n)
+    n = int(n)
     ell = _length(ell, n)
     c = _choice_bit(c)
     rng = make_rng(rng)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisystorage import bounds, checks, cli, codes, entropy, hashing
+from noisystorage import bounds, checks, cli, codes, entropy, gf2, hashing
 from noisystorage.cli import dispatch
 from test_readme import BUDGET_WARNING
 
@@ -245,6 +245,74 @@ def test_verify_codes_catches_a_wrong_distance(capsys):
     assert report["violations"] > 0
     assert code == 3
     assert "0 violations" not in out
+
+
+def reference_verify_codes(seed, decode=codes.syndrome_decode):
+    """The per-word loop verify_codes replaced: each word drawn, encoded,
+    noised and decoded on its own.  Returns the per-check outcomes."""
+    rng = np.random.default_rng(seed)
+    catalog = [codes.repetition_code(3), codes.repetition_code(5),
+               codes.hamming_7_4(), codes.extended_hamming_8_4(),
+               codes.qid_code(16, 7).code, codes.qid_code(8, 12).code]
+    outcomes = []
+    for code in catalog:
+        outcomes.append(not gf2.matmul(code.parity, code.generator.T).any())
+        outcomes.append(code.min_distance == codes.min_distance(code)
+                        == checks._python_int_distance(code.generator))
+        t = (code.min_distance - 1) // 2
+        for _ in range(40):
+            msg = rng.integers(0, 2, code.k, dtype=np.uint8)
+            word = codes.encode(code, msg)
+            weight = int(rng.integers(0, t + 1))
+            err = np.zeros(code.n, dtype=np.uint8)
+            err[rng.choice(code.n, size=weight, replace=False)] = 1
+            fixed = decode(code, word ^ err, codes.syndrome(code, word))
+            outcomes.append(np.array_equal(fixed, word))
+    qc = codes.qid_code(16, 8)
+    outcomes.append(
+        len({qc.password_bases(w).tobytes() for w in range(1, 17)}) == 16)
+    return outcomes
+
+
+def _no_correction(code, received, target):
+    """A decoder that corrects nothing: a word passes iff it had no error."""
+    return received
+
+
+def test_verify_codes_outcomes_equal_the_per_word_loop(monkeypatch):
+    # the correct decoder passes every word; one that corrects nothing
+    # fails exactly the words drawn with errors, so the lists also pin
+    # which word got which draw
+    for seed in range(50):
+        outcomes = list(checks.verify_codes.__wrapped__(seed))
+        assert outcomes == reference_verify_codes(seed)
+        assert len(outcomes) == 253 and all(outcomes)
+    monkeypatch.setattr(checks, "syndrome_decode", _no_correction)
+    for seed in range(50):
+        outcomes = list(checks.verify_codes.__wrapped__(seed))
+        assert outcomes == reference_verify_codes(seed, _no_correction)
+        assert 0 < outcomes.count(False) < 240
+
+
+def test_verify_codes_counts_one_miscorrected_word_once(monkeypatch):
+    # one wrong word in one stack is one violation, not one per stack
+    decode, stacks = codes.syndrome_decode, []
+
+    def one_wrong(code, received, target):
+        fixed = decode(code, received, target)
+        if not stacks:
+            fixed[17, 0] ^= 1
+        stacks.append(fixed.shape)
+        return fixed
+
+    monkeypatch.setattr(checks, "syndrome_decode", one_wrong)
+    with mock.patch.object(checks, "encode", wraps=codes.encode) as encode, \
+            mock.patch.object(checks, "syndrome",
+                              wraps=codes.syndrome) as syndrome:
+        report = checks.verify_codes()
+    assert report == {"suite": "codes", "checks": 253, "violations": 1}
+    assert [shape[0] for shape in stacks] == [40] * 6
+    assert encode.call_count == syndrome.call_count == 6
 
 
 def test_verify_unknown_suite_exit_1(capsys):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from noisystorage import codes, gf2
@@ -425,6 +425,87 @@ def test_min_weight_matches_python_int_oracle(data):
     g = gf2.unpack(np.array(rows), n)
     assert _min_weight(g) == want
     assert (want == 0) == (gf2.rank(g) < len(rows))
+
+
+def reference_min_weight(generator):
+    """The per-generator kernel the stacked _min_weight replaced: chunks
+    of 2^14 messages, each encoded by one int64 GF(2) product."""
+    k, n = generator.shape
+    best = n
+    chunk = 1 << 14
+    for start in range(1, 2 ** k, chunk):
+        msgs = np.arange(start, min(start + chunk, 2 ** k))
+        words = gf2.matmul(gf2.unpack(msgs, k), generator)
+        best = min(best, int(words.sum(axis=1).min()))
+    return best
+
+
+def _dependent_stack(rng, tries, k, n):
+    """Random (tries, k, n) generators, about a third with dependent rows:
+    the last row a zero row, a copy or the sum of a random subset."""
+    stack = rng.integers(0, 2, (tries, k, n), dtype=np.uint8)
+    for g in stack[rng.random(tries) < 0.35]:
+        subset = rng.random(k - 1) < 0.5
+        g[-1] = np.bitwise_xor.reduce(g[:-1][subset], axis=0) if k > 1 \
+            else 0
+    return stack
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 11), extra=st.integers(0, 5),
+       tries=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
+@example(k=7, extra=3, tries=200, seed=1)  # chunks of 81 and 46 messages
+@example(k=11, extra=2, tries=9, seed=2)  # chunks of 1820 and 227
+@example(k=5, extra=1, tries=2000, seed=3)  # chunks of 8, 8, 8 and 7
+@example(k=2, extra=0, tries=17000, seed=4)  # more generators than 2^14
+def test_stacked_min_weight_equals_per_generator_calls(k, extra, tries, seed):
+    stack = _dependent_stack(np.random.default_rng(seed), tries, k, k + extra)
+    weights = _min_weight(stack)
+    assert weights.shape == (tries,)
+    assert weights.tolist() == [int(_min_weight(g)) for g in stack]
+
+
+@pytest.mark.parametrize("k, n, tries", [(6, 9, 40), (9, 11, 3)])
+def test_stacked_min_weight_equals_the_old_kernel(k, n, tries):
+    stack = _dependent_stack(np.random.default_rng(k), tries, k, n)
+    assert _min_weight(stack).tolist() == [
+        reference_min_weight(g) for g in stack]
+
+
+def test_random_code_near_k16_matches_the_loop_within_the_old_memory():
+    # the whole 200-try search peaks below one try of the old kernel
+    n, k, seed = 18, 16, 5
+    g = np.random.default_rng(seed).integers(0, 2, (k, n), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        code = random_code(n, k, seed=seed)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        reference_min_weight(g)
+        _, old_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= old_peak
+    want = reference_random_code(n, k, seed)
+    assert np.array_equal(code.generator, want.generator)
+    assert np.array_equal(code.parity, want.parity)
+    assert code.min_distance == want.min_distance
+
+
+def test_encode_takes_a_stack_of_messages():
+    code = qid_code(8, 12).code
+    msgs = gf2.unpack(np.arange(8), 3)
+    words = encode(code, msgs)
+    assert words.dtype == np.uint8
+    assert words.shape == (8, 12)
+    for msg, word in zip(msgs, words):
+        assert np.array_equal(encode(code, msg), word)
+    stack = msgs.reshape(2, 4, 3)
+    assert np.array_equal(encode(code, stack), words.reshape(2, 4, 12))
+    assert encode(code, msgs[:0]).shape == (0, 12)
+    for bad in (1, msgs[:, :2], msgs.T):
+        with pytest.raises(ValueError, match="exactly k = 3 bits"):
+            encode(code, bad)
 
 
 def test_random_search_makes_no_rank_call_and_one_code(monkeypatch):

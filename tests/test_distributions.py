@@ -21,6 +21,16 @@ def test_valid_table_roundtrip():
     np.testing.assert_allclose(again.probs, d.probs)
 
 
+def test_axis_reads_every_register_and_an_appended_one():
+    d = uniform([("X", 2), ("Y", 3)])
+    e = d.with_register("V", 2, np.zeros((2, 3), dtype=int))
+    assert [d.axis(name) for name in ("X", "Y")] == [0, 1]
+    assert [e.axis(name) for name in ("X", "Y", "V")] == [0, 1, 2]
+    for table, name in ((d, "V"), (e, ["X"]), (e, 0)):
+        with pytest.raises(KeyError, match="unknown register"):
+            table.axis(name)
+
+
 def test_rejects_bad_tables():
     with pytest.raises(ValueError):
         JointDistribution([("X", 2)], [0.7, 0.2])  # sums to 0.9

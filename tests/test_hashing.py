@@ -451,6 +451,49 @@ def test_pa_distances_match_the_per_sample_loop(side_sizes):
                                 - 1.0)
 
 
+@pytest.mark.parametrize("chunk_cells", [1, 50, 300])
+def test_pa_distances_match_the_loop_in_any_stack(monkeypatch, chunk_cells):
+    # stacks of one sample, of a few, and of uneven sizes give the same
+    # bytes as one stack, and draw the same hashes as the per-sample loop
+    rng = np.random.default_rng(131)
+    for _ in range(25):
+        n_bits = int(rng.integers(1, 6))
+        ell = int(rng.integers(1, n_bits + 1))
+        samples = int(rng.choice([1, 5, 16, 17]))
+        sizes = (2 ** n_bits,) + tuple(
+            int(v) for v in rng.integers(1, 4, int(rng.integers(0, 3))))
+        probs = rng.random(sizes)
+        probs /= probs.sum()
+        names = ["X"] + ["E%d" % i for i in range(len(sizes) - 1)]
+        d = JointDistribution(list(zip(names, sizes)), probs)
+        seed = int(rng.integers(2 ** 32))
+        whole, _ = pa_distance(d, ell, samples, np.random.default_rng(seed))
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(hashing, "_PA_CHUNK_CELLS", chunk_cells)
+            stacked, _ = pa_distance(d, ell, samples, mine)
+        want = reference_pa_distances(d, ell, samples, theirs)
+        assert stacked.tobytes() == whole.tobytes()
+        assert np.abs(stacked - want).max() <= 1e-15
+        assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+def test_pa_distance_memory_does_not_grow_with_samples():
+    # a 2^16-cell table: each stack holds one sample, and from the
+    # second on a stack is made while the last one's arrays still exist
+    d = JointDistribution([("X", 2 ** 12), ("E", 16)],
+                          np.full(2 ** 16, 2.0 ** -16))
+    peaks = []
+    for samples in (2, 64):
+        tracemalloc.start()
+        try:
+            pa_distance(d, 4, samples, np.random.default_rng(0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2 ** 12
+
+
 def test_pa_distance_validation():
     d = JointDistribution([("X", 6)], np.full(6, 1 / 6))
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 import types
 from collections import Counter
@@ -173,6 +174,42 @@ def test_runners_reject_choice_outside_a_bit_before_drawing(c):
 def test_runners_take_numpy_choice_bits():
     assert run_rot(16, 4, np.int64(1), rng=7).to_json() == run_rot(
         16, 4, 1, rng=7).to_json()
+
+
+@pytest.mark.parametrize("n", [16.0, 16.5, np.float64(16), "16", None])
+def test_rot_checks_n_before_drawing(n):
+    for bob in (None, StoreAllBob(0.3)):
+        rng = make_rng(5)
+        before = generator_state(rng)
+        with pytest.raises(ValueError,
+                           match=r"^n must be an integer, got %s$"
+                           % re.escape(repr(n))):
+            run_rot(n, 1, 0, bob=bob, rng=rng)
+        assert generator_state(rng) == before
+
+
+def test_rot_runs_integral_n_as_its_integer():
+    assert run_rot(True, 1, 0, rng=7).to_json() == run_rot(
+        1, 1, 0, rng=7).to_json()
+    t = run_rot(np.int64(16), 4, 1, rng=7)
+    assert type(t.n) is int
+    assert t.to_json() == run_rot(16, 4, 1, rng=7).to_json()
+
+
+@pytest.mark.parametrize("c", [2, -1, 0.0, 1.0, "x", None])
+def test_honest_index_sets_reject_choice_outside_a_bit(c):
+    theta = np.array([0, 1, 1, 0], dtype=np.uint8)
+    with pytest.raises(ValueError, match=r"^choice bit c must be an integer "
+                       r"0 or 1, got %s$" % re.escape(repr(c))):
+        honest_index_sets(theta, np.zeros(4, dtype=np.uint8), c)
+
+
+def test_honest_index_sets_take_integral_choice_bits():
+    theta, hat = np.array([0, 1, 1, 0]), np.zeros(4, dtype=np.uint8)
+    for c, want in ((0, ([0, 3], [1, 2])), (np.int64(1), ([1, 2], [0, 3])),
+                    (True, ([1, 2], [0, 3]))):
+        assert [s.tolist() for s in honest_index_sets(theta, hat, c)] == \
+            list(want)
 
 
 # The per-qubit loop the storing receiver used to run, kept as an oracle:
