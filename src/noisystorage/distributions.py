@@ -42,11 +42,11 @@ class JointDistribution:
         shape = tuple(size for _, size in regs)
         _check_cells(math.prod(shape))
         arr = np.asarray(probs, dtype=float).reshape(shape)
-        if np.any(arr < -NORMALIZATION_TOL):
+        if not np.all(arr >= -NORMALIZATION_TOL):  # NaN fails too
             raise ValueError("probabilities must be nonnegative")
         arr = np.clip(arr, 0.0, None)
         total = float(arr.sum())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise ValueError("probabilities sum to %r, expected 1 within 1e-12" % total)
         self.registers = regs
         self._axes = {name: i for i, name in enumerate(names)}

@@ -240,7 +240,8 @@ def psucc_classical(channel, k):
     if channel.ndim != 2:
         raise ValueError("channel must be a 2-D stochastic matrix")
     n_out, n_in = channel.shape
-    if np.any(channel < 0) or np.any(np.abs(channel.sum(axis=0) - 1.0) > 1e-9):
+    if not (np.all(channel >= 0)  # NaN fails both checks
+            and np.all(np.abs(channel.sum(axis=0) - 1.0) <= 1e-9)):
         raise ValueError("channel columns must be probability vectors")
     if n_in > PSUCC_MAX_SYMBOLS or n_out > PSUCC_MAX_SYMBOLS:
         raise ValueError("channel larger than the %d-symbol exhaustive cap"

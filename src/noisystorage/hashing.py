@@ -28,6 +28,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from . import gf2
+from .bounds import _require_integer
 from .entropy import _uniform_distance, min_entropy
 
 # exhaustive-regime caps for collision_bound
@@ -191,6 +192,27 @@ def collision_bound(n, ell):
     return worst
 
 
+def _binned_outputs(hashes, inputs, weights, side, n_side):
+    """``weights`` summed by (hash, output value, side value) for a stack
+    of offset-free hashes of one ell, as a (hashes, 2^ell, n_side) stack.
+
+    ``inputs`` is a (k, N) bit matrix, one input per column.  ``side``
+    broadcasts against the (hash, input, 1) grid, and ``weights`` has the
+    shape of the result; one ``np.bincount`` adds its cells to their bins
+    in row-major order, so a bin sums its inputs in column order.
+    """
+    count, (k, size), ell = len(hashes), inputs.shape, hashes[0].ell
+    rows = np.array([_columns(h, k) for h in hashes])
+    sums = rows.reshape(count * ell, k) @ inputs
+    parity = sums.astype(np.int64).reshape(count, ell, size) & 1
+    codes = gf2.pack(parity.transpose(0, 2, 1))  # (count, N)
+    bins = ((np.arange(count)[:, np.newaxis] << ell) + codes) * n_side
+    bins = bins[..., np.newaxis] + side
+    return np.bincount(bins.ravel(), weights=weights.ravel(),
+                       minlength=(count << ell) * n_side
+                       ).reshape(count, 2 ** ell, n_side)
+
+
 def pa_distance(dist, ell, sample_count, rng):
     """Exact hash-output distances of sampled hashes, and their guarantee.
 
@@ -201,16 +223,16 @@ def pa_distance(dist, ell, sample_count, rng):
     hashes, and the guarantee 2^(-(H_min(X | side) - ell)/2 - 1) on
     their average over the whole family, not on any one hash.
 
-    The hashes are drawn one at a time and in order, one stack of
-    samples after another.  Per stack, one product of the hashes' stacked
-    :func:`_columns` rows with every input gives every output value, one
-    ``np.bincount`` bins the table's rows by output value into a
-    (samples, 2^ell, |side|) stack, and one :func:`_uniform_distance`
-    scores it.  A stack holds as many samples as keep its (samples, ell,
-    2^n) sums and (samples, 2^n, |side|) bins within ``_PA_CHUNK_CELLS``
-    cells, and at least one, so memory does not grow with
-    ``sample_count``.  The ``verify pa`` suite's 16 samples make one stack.
+    Each stack of hashes, drawn one at a time and in order, is binned by
+    one :func:`_binned_outputs` call and scored by one
+    :func:`_uniform_distance` call.  A stack holds as many samples as keep
+    its (samples, ell, 2^n) sums and (samples, 2^n, |side|) bins within
+    ``_PA_CHUNK_CELLS`` cells, and at least one, so memory does not grow
+    with ``sample_count``.  The ``verify pa`` suite's 16 samples make one
+    stack.
     """
+    _require_integer("sample_count", sample_count)
+    sample_count = int(sample_count)
     if sample_count < 1:
         raise ValueError("need at least one sample")
     x_register, *side = dist.names
@@ -229,19 +251,10 @@ def pa_distance(dist, ell, sample_count, rng):
     distances = np.empty(sample_count)
     for start in range(0, sample_count, chunk):
         count = min(chunk, sample_count - start)
-        rows = np.array([_columns(random_hash(n_bits, ell, rng), n_bits)
-                         for _ in range(count)])
-        sums = rows.reshape(count * ell, n_bits) @ xs
-        parity = sums.astype(np.int64).reshape(count, ell, size) & 1
-        codes = gf2.pack(parity.transpose(0, 2, 1))  # (count, 2^n_bits)
-        # the flat (sample, output value, side value) bin of every cell
-        bins = (np.arange(count)[:, np.newaxis] << ell) + codes
-        bins = bins[..., np.newaxis] * n_side + np.arange(n_side)
-        grouped = np.bincount(
-            bins.ravel(), weights=np.broadcast_to(table, bins.shape).ravel(),
-            minlength=(count << ell) * n_side)
-        distances[start:start + count] = _uniform_distance(
-            grouped.reshape(count, 2 ** ell, n_side))
+        hashes = [random_hash(n_bits, ell, rng) for _ in range(count)]
+        cells = np.broadcast_to(table, (count,) + table.shape)
+        distances[start:start + count] = _uniform_distance(_binned_outputs(
+            hashes, xs, cells, np.arange(n_side), n_side))
 
     h_min = min_entropy(dist, x_register, side)
     return distances, 2.0 ** (-0.5 * (h_min - ell) - 1.0)

@@ -24,7 +24,7 @@ from . import gf2, qsim
 from .bounds import _require_integer, ot_epsilon
 from .codes import syndrome, syndrome_budget_ok, syndrome_decode
 from .entropy import _uniform_distance
-from .hashing import ToeplitzHash, _columns, hash_apply, random_hash
+from .hashing import ToeplitzHash, _binned_outputs, hash_apply, random_hash
 
 LEAKAGE_MAX_N = 24
 _LEAKAGE_MAX_ELL = 12  # a stacked joint table holds at most 2^24 cells
@@ -477,11 +477,10 @@ def _hidden_nonuniformity(n, ell, p_post, runs):
     """
     guesses, i0, i1, f0, f1 = zip(*runs)
     guesses = np.array(guesses)
-    trials = len(runs)
-    log_p = math.log2(p_post) if p_post > 0.0 else -math.inf
+    log_p = math.log2(p_post)
     log_q = math.log2(1.0 - p_post) if p_post < 1.0 else -math.inf
     parts = []
-    for idx, hashes in ((i0, f0), (i1, f1)):
+    for idx in (i0, i1):
         width = len(idx[0])
         values = np.arange(2 ** width)
         bits = gf2.unpack(values, width)
@@ -491,39 +490,29 @@ def _hidden_nonuniformity(n, ell, p_post, runs):
             values ^ gf2.pack(sub_guesses)[:, np.newaxis]]
         # the posterior weight of each agreement count, looked up
         counts = np.arange(width + 1)
-        if 0.0 < p_post < 1.0:
+        if p_post < 1.0:
             weight = 2.0 ** (counts * log_p + (width - counts) * log_q)
         else:  # perfect storage: posterior concentrated on the guess
             weight = (counts == width).astype(float)
-        # every value under every run's hash, by one product with the
-        # stacked Toeplitz rows
-        rows = np.array([_columns(f, width) for f in hashes])
-        sums = rows.reshape(trials * ell, width) @ bits.T
-        parity = sums.astype(np.int64).reshape(trials, ell, -1) & 1
-        parts.append((agree, weight[agree],
-                      gf2.pack(parity.transpose(0, 2, 1))))
+        parts.append((bits.T, agree, weight[agree]))
 
-    (agree0, w0, codes0), (agree1, w1, codes1) = parts
+    (bits0, agree0, w0), (bits1, _, w1) = parts
     # selector: 0 when the first substring's posterior is strictly
     # below 2^(-alpha/2); that substring is then the provably hidden
     # one.  The comparison p^a (1-p)^(w-a) >= p^(n/2) is evaluated as
     # (2a - n) log p + 2(w - a) log(1-p) >= 0 so that a true tie
     # (a = w = n/2) is exactly zero in floating point.
     width0 = len(i0[0])
-    if 0.0 < p_post < 1.0:
+    if p_post < 1.0:
         counts = np.arange(width0 + 1)
         margin = (2 * counts - n) * log_p + 2 * (width0 - counts) * log_q
         selector = (margin >= 0.0).astype(np.int64)[agree0]
     else:
         selector = (agree0 == width0).astype(np.int64)
     # per-run tables by hash value, each bin summed in value order
-    run = np.arange(trials)[:, np.newaxis] * 2 ** ell
-    grouped0 = np.bincount(((run + codes0) * 2 + selector).ravel(),
-                           weights=w0.ravel(), minlength=trials * 2 ** ell * 2
-                           ).reshape(trials, 2 ** ell, 2)
-    grouped1 = np.bincount((run + codes1).ravel(), weights=w1.ravel(),
-                           minlength=trials * 2 ** ell
-                           ).reshape(trials, 2 ** ell)
+    grouped0 = _binned_outputs(f0, bits0, w0[..., np.newaxis],
+                               selector[..., np.newaxis], 2)
+    grouped1 = _binned_outputs(f1, bits1, w1[..., np.newaxis], 0, 1)[..., 0]
     # joint tables indexed (run, known string, hidden string) per selector
     joint0 = grouped1[:, :, np.newaxis] * grouped0[:, np.newaxis, :, 0]
     joint1 = grouped0[:, :, 1, np.newaxis] * grouped1[:, np.newaxis, :]

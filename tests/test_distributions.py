@@ -42,6 +42,14 @@ def test_rejects_bad_tables():
         JointDistribution([("X", 2 ** 9), ("Y", 2 ** 9)], np.zeros(2 ** 18))
 
 
+@pytest.mark.parametrize("probs", [[np.nan, 1.0], [1.0, np.nan],
+                                   [np.nan, np.nan]])
+def test_rejects_nan_probabilities(probs):
+    # a NaN compares False both ways, so each check must fail on it
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        JointDistribution([("X", 2)], probs)
+
+
 def test_unknown_register():
     d = uniform([("X", 2), ("Y", 2)])
     with pytest.raises(KeyError):

@@ -396,6 +396,13 @@ def test_psucc_size_caps():
         psucc_classical(np.array([[0.5, 0.2], [0.5, 0.2]]), 1)
 
 
+@pytest.mark.parametrize("channel", [[[math.nan, 0.5], [0.5, 0.5]],
+                                     [[math.nan, 0.5], [math.nan, 0.5]]])
+def test_psucc_rejects_a_nan_channel(channel):
+    with pytest.raises(ValueError, match="must be probability vectors"):
+        psucc_classical(channel, 1)
+
+
 @pytest.mark.parametrize("k", [1.9, 1.0, math.nan, math.inf, "1", None,
                                np.float64(2.0)])
 def test_psucc_rejects_a_non_integer_k(k):

@@ -1,10 +1,11 @@
 import dataclasses
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisystorage import gf2, hashing
@@ -498,3 +499,82 @@ def test_pa_distance_validation():
     d = JointDistribution([("X", 6)], np.full(6, 1 / 6))
     with pytest.raises(ValueError):
         pa_distance(d, ell=1, sample_count=5, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("sample_count", [2.0, 2.5, "2", None])
+def test_pa_distance_rejects_a_non_integer_sample_count(sample_count):
+    d = JointDistribution([("X", 4)], np.full(4, 0.25))
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^sample_count must be an integer"):
+        pa_distance(d, 1, sample_count, rng)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("sample_count", [True, np.int64(3), np.uint8(2)])
+def test_pa_distance_takes_an_integral_sample_count(sample_count):
+    d = JointDistribution([("X", 4)], np.full(4, 0.25))
+    distances, _ = pa_distance(d, 1, sample_count, np.random.default_rng(0))
+    assert distances.shape == (int(sample_count),)
+
+
+def reference_binned_outputs(hashes, inputs, weights, side, n_side):
+    """Hash by hash: hash_apply_many's outputs, and each (input, side)
+    cell's weight added to its bin by np.add.at in input order."""
+    side = np.broadcast_to(side, weights.shape)
+    out = np.zeros((len(hashes), 2 ** hashes[0].ell, n_side))
+    for i, h in enumerate(hashes):
+        codes = gf2.pack(hash_apply_many(h, inputs.T))
+        np.add.at(out[i], (codes[:, np.newaxis], side[i]), weights[i])
+    return out
+
+
+@st.composite
+def binning_cases(draw):
+    """Hashes of one ell over k-bit inputs, N input columns and weights
+    that are one table broadcast over the hashes with one cell per side
+    value (as in pa_distance), or per hash with a per-hash side array or
+    side 0 (as in the leakage estimator)."""
+    count = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 6))
+    n = k + draw(st.integers(0, 2))
+    ell = draw(st.integers(1, n))
+    seeds = draw(st.lists(st.lists(st.integers(0, 1), min_size=n + ell - 1,
+                                   max_size=n + ell - 1),
+                          min_size=count, max_size=count))
+    size = draw(st.integers(1, 9))
+    inputs = np.array(draw(st.lists(st.integers(0, 2 ** k - 1),
+                                    min_size=size, max_size=size)))
+    n_side = draw(st.integers(1, 3))
+    per_hash = draw(st.booleans())
+    shape = (count, size, 1) if per_hash else (size, n_side)
+    weights = np.array(draw(st.lists(
+        st.floats(-1e3, 1e3),
+        min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+    if not per_hash:
+        weights = np.broadcast_to(weights, (count,) + shape)
+        side = np.arange(n_side)
+    elif n_side == 1:
+        side = 0
+    else:
+        side = np.array(draw(st.lists(
+            st.integers(0, n_side - 1), min_size=count * size,
+            max_size=count * size))).reshape(count, size, 1)
+    hashes = [ToeplitzHash(n=n, ell=ell, seed=seed) for seed in seeds]
+    return hashes, gf2.unpack(inputs, k).T, weights, side, n_side
+
+
+SINGLE_HASH_FULL_LENGTH = (
+    [ToeplitzHash(n=3, ell=3, seed=[1, 0, 1, 1, 0])],
+    gf2.unpack(np.array([5]), 3).T, np.array([[[0.25]]]),
+    np.array([[[2]]]), 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(binning_cases())
+@example(SINGLE_HASH_FULL_LENGTH)
+def test_binned_outputs_match_the_per_hash_reference(case):
+    got = hashing._binned_outputs(*case)
+    want = reference_binned_outputs(*case)
+    assert got.shape == want.shape
+    assert (got == want).all()
