@@ -41,6 +41,14 @@ FFT_MIN_CELLS = 2 ** 16
 _PA_CHUNK_CELLS = 2 ** 16
 
 
+def _check_sizes(n, ell):
+    """Reject a non-integer size n or ell, or an ell outside [1, n]."""
+    _require_integer("n", n)
+    _require_integer("ell", ell)
+    if not 1 <= ell <= n:
+        raise ValueError("need 1 <= ell <= n")
+
+
 def _frozen_bits(bits):
     """A read-only uint8 copy of a 0/1 sequence."""
     arr = gf2.as_bits(np.array(bits))
@@ -58,8 +66,7 @@ class ToeplitzHash:
     offset: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 1 <= self.ell <= self.n:
-            raise ValueError("need 1 <= ell <= n")
+        _check_sizes(self.n, self.ell)
         seed = _frozen_bits(self.seed)
         if seed.shape != (self.n + self.ell - 1,):
             raise ValueError("seed must have exactly n + ell - 1 bits")
@@ -89,6 +96,7 @@ def bits_to_hex(bits):
 
 def random_hash(n, ell, rng, affine=False):
     """Draw a uniformly random hash from the family."""
+    _check_sizes(n, ell)
     seed = rng.integers(0, 2, size=n + ell - 1, dtype=np.uint8)
     offset = rng.integers(0, 2, size=ell, dtype=np.uint8) if affine else None
     return ToeplitzHash(n=n, ell=ell, seed=seed, offset=offset)
@@ -163,33 +171,34 @@ def hash_apply_many(h, xs):
     return _apply(h, xs)
 
 
-def _difference_map(n, ell, diff):
-    """Matrix A with A @ seed = T_seed @ diff, over all seeds: row i is
-    diff from column ell - 1 - i on, as T[i, j] = seed[ell - 1 + j - i]."""
-    a = np.zeros((ell, n + ell - 1), dtype=np.uint8)
-    for i in range(ell):
-        a[i, ell - 1 - i:ell - 1 - i + n] = diff
-    return a
+def _left_null_counts(maps):
+    """The number of c in {0,1}^ell with c @ A = 0 over GF(2), for each
+    matrix A of a (D, ell, m) stack: 2^(ell - rank A).  Every c meets every
+    A in one stacked product."""
+    ell = maps.shape[1]
+    coeffs = gf2.unpack(np.arange(2 ** ell), ell)
+    products = (coeffs @ maps) & 1  # (D, 2^ell, m); uint8 wraps keep parity
+    return (~products.any(axis=2)).sum(axis=1)
 
 
 def collision_bound(n, ell):
     """Exact worst-case pair collision probability over the seed space.
 
-    By linearity a pair (x, y) collides exactly when the matrix kills
-    x XOR y, so the worst pair is the nonzero difference whose seed-to-
-    output map has the lowest rank; the count of colliding seeds is read
-    off that rank.  The result never exceeds 2^-ell.
+    By linearity a pair (x, y) collides exactly when T kills d = x XOR y,
+    and T_seed @ d = A_d @ seed, where row i of A_d is d from column
+    ell - 1 - i on.  So the colliding seeds of the worst pair are a
+    fraction 2^-rank of all seeds, with the lowest rank over the stack of
+    every nonzero d's A_d.  The result never exceeds 2^-ell.
     """
+    _check_sizes(n, ell)
     if n > COLLISION_MAX_N or ell > COLLISION_MAX_ELL:
         raise ValueError("exhaustive regime is n <= %d, ell <= %d"
                          % (COLLISION_MAX_N, COLLISION_MAX_ELL))
-    if not 1 <= ell <= n:
-        raise ValueError("need 1 <= ell <= n")
-    worst = 0.0
-    for diff in gf2.unpack(np.arange(1, 2 ** n), n):
-        a = _difference_map(n, ell, diff)
-        worst = max(worst, 2.0 ** (-gf2.rank(a)))
-    return worst
+    diffs = gf2.unpack(np.arange(1, 2 ** n), n)
+    maps = np.zeros((len(diffs), ell, n + ell - 1), dtype=np.uint8)
+    for i in range(ell):
+        maps[:, i, ell - 1 - i:ell - 1 - i + n] = diffs
+    return float(_left_null_counts(maps).max()) / 2 ** ell
 
 
 def _binned_outputs(hashes, inputs, weights, side, n_side):
@@ -231,6 +240,7 @@ def pa_distance(dist, ell, sample_count, rng):
     with ``sample_count``.  The ``verify pa`` suite's 16 samples make one
     stack.
     """
+    _require_integer("ell", ell)
     _require_integer("sample_count", sample_count)
     sample_count = int(sample_count)
     if sample_count < 1:

@@ -465,7 +465,7 @@ def run_qid(w_alice, w_bob, qcode, ell, rng=None):
 # --- individual-attack leakage estimation ---------------------------------------
 
 
-def _hidden_nonuniformity(n, ell, p_post, runs):
+def _hidden_nonuniformity(n, p_post, runs):
     """Exact non-uniformity of the hidden string in each of T StoreAllBob runs.
 
     Each run is (guesses, i0, i1, f0, f1): the receiver's n guesses, the
@@ -598,7 +598,7 @@ def estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
                                                           child)
             bit_hits += int((record["guesses"] == x).sum())
             runs.append((record["guesses"], i0, i1, f0, f1))
-        for value in _hidden_nonuniformity(n, ell, p_post, runs).tolist():
+        for value in _hidden_nonuniformity(n, p_post, runs).tolist():
             nonuni_sum += value
 
     bit_total = trials * n

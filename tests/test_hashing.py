@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisystorage import gf2, hashing
+from noisystorage.bounds import PreconditionError
 from noisystorage.distributions import JointDistribution
 from noisystorage.entropy import min_entropy
 from noisystorage.hashing import (
@@ -363,6 +364,89 @@ def test_collision_bound_caps():
         collision_bound(8, 5)
 
 
+def reference_difference_map(n, ell, diff):
+    """Matrix A with A @ seed = T_seed @ diff, over all seeds: row i is
+    diff from column ell - 1 - i on, as T[i, j] = seed[ell - 1 + j - i]."""
+    a = np.zeros((ell, n + ell - 1), dtype=np.uint8)
+    for i in range(ell):
+        a[i, ell - 1 - i:ell - 1 - i + n] = diff
+    return a
+
+
+def reference_collision_bound(n, ell):
+    """The per-difference loop: one map and one gf2.rank per nonzero diff."""
+    worst = 0.0
+    for diff in gf2.unpack(np.arange(1, 2 ** n), n):
+        a = reference_difference_map(n, ell, diff)
+        worst = max(worst, 2.0 ** (-gf2.rank(a)))
+    return worst
+
+
+def test_collision_bound_equals_the_per_difference_loop():
+    pairs = [(n, ell) for n in range(1, hashing.COLLISION_MAX_N + 1)
+             for ell in range(1, min(n, hashing.COLLISION_MAX_ELL) + 1)]
+    assert len(pairs) == 26
+    for n, ell in pairs:
+        got = collision_bound(n, ell)
+        assert got == reference_collision_bound(n, ell)
+        assert type(got) is float
+
+
+@st.composite
+def low_rank_stacks(draw):
+    """A (D, ell, m) stack of products mix @ basis over GF(2), with a basis
+    of at most ell rows, so that rows are often dependent or zero."""
+    count, ell, m = (draw(st.integers(1, 5)), draw(st.integers(1, 5)),
+                     draw(st.integers(1, 8)))
+    r = draw(st.integers(0, ell))
+
+    def bits(*shape):
+        flat = draw(st.lists(st.integers(0, 1), min_size=math.prod(shape),
+                             max_size=math.prod(shape)))
+        return np.array(flat, dtype=np.int64).reshape(shape)
+
+    return (bits(count, ell, r) @ bits(count, r, m) % 2).astype(np.uint8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(low_rank_stacks())
+@example(np.zeros((1, 3, 2), dtype=np.uint8))
+@example(np.array([[[1, 1, 0], [0, 1, 1], [1, 0, 1]]], dtype=np.uint8))
+def test_left_null_counts_read_the_rank_of_every_map(maps):
+    ell = maps.shape[1]
+    want = [2 ** (ell - gf2.rank(a)) for a in maps]
+    assert hashing._left_null_counts(maps).tolist() == want
+
+
+@pytest.mark.parametrize("n,ell,name", [
+    (3.0, 2, "n"), (3, 2.0, "ell"), ("3", 2, "n"), (3, None, "ell")])
+def test_collision_bound_rejects_non_integer_sizes(n, ell, name):
+    with pytest.raises(PreconditionError, match="^%s must be an integer" % name):
+        collision_bound(n, ell)
+
+
+@pytest.mark.parametrize("n,ell,name", [
+    (4.0, 2, "n"), (4, 2.0, "ell"), (4.5, 2, "n"), ("4", 2, "n"),
+    (4, None, "ell")])
+def test_random_hash_rejects_non_integer_sizes(n, ell, name):
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with pytest.raises(PreconditionError, match="^%s must be an integer" % name):
+        random_hash(n, ell, rng, affine=True)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("n,ell,name", [(4.0, 2, "n"), (4, 2.0, "ell")])
+def test_toeplitz_hash_rejects_non_integer_sizes(n, ell, name):
+    with pytest.raises(PreconditionError, match="^%s must be an integer" % name):
+        ToeplitzHash(n=n, ell=ell, seed=[0, 1, 1, 0, 1])
+
+
+def test_hash_sizes_take_numpy_integers():
+    h = random_hash(np.int64(4), np.uint8(2), np.random.default_rng(5))
+    assert h.seed.shape == (5,)
+
+
 def test_uniform_output_for_fixed_nonzero_input():
     # over a uniform seed, the image of any fixed nonzero input is uniform
     for n, ell in ((3, 2), (4, 2)):
@@ -508,6 +592,16 @@ def test_pa_distance_rejects_a_non_integer_sample_count(sample_count):
     before = rng.bit_generator.state
     with pytest.raises(ValueError, match="^sample_count must be an integer"):
         pa_distance(d, 1, sample_count, rng)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("ell", [1.0, 1.5, "1", None])
+def test_pa_distance_rejects_a_non_integer_ell(ell):
+    d = JointDistribution([("X", 4)], np.full(4, 0.25))
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(PreconditionError, match="^ell must be an integer"):
+        pa_distance(d, ell, 2, rng)
     assert rng.bit_generator.state == before
 
 

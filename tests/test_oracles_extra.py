@@ -194,7 +194,7 @@ def test_leakage_nonuniformity_matches_literal_oracle():
         t = run_rot(n, ell, c=0, bob=StoreAllBob(r), rng=rng)
         runs.append((t.adversary["guesses"], t.i0, t.i1, t.f0, t.f1))
         want.append(leakage_nonuniformity_oracle(t, p_post, ell, n))
-    got = _hidden_nonuniformity(n, ell, p_post, runs)
+    got = _hidden_nonuniformity(n, p_post, runs)
     assert got == pytest.approx(want, abs=1e-12)
 
 
