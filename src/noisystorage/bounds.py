@@ -192,13 +192,16 @@ def _require_finite(name, value):
 
 
 def _require_integer(name, value):
-    """Reject a value that is not a ``numbers.Integral`` (a bool is one).
-
-    A plain int skips the abstract-class check, which costs about ten
-    times as much and runs on every hash drawn."""
-    if type(value) is not int and not isinstance(value, numbers.Integral):
+    """``value`` as a Python int; a value that is not a ``numbers.Integral``
+    (a bool is one) raises.  A plain int returns before the abstract-class
+    check, which costs about ten times as much and runs on every hash
+    drawn."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, numbers.Integral):
         raise PreconditionError("%s must be an integer, got %r"
                                 % (name, value))
+    return int(value)
 
 
 def _gv_relative_distance(n, m):

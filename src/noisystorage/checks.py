@@ -27,10 +27,13 @@ from .entropy import min_entropy, psucc_classical, split_binary, split_multi
 from .hashing import collision_bound, hash_apply, pa_distance, random_hash
 from . import gf2
 
+# the share of a random table's cells that _random_table zeroes
+_ZERO_FRACTION = 0.15
 
-def _random_table(rng, sizes, names, zero_fraction=0.15):
+
+def _random_table(rng, sizes, names):
     probs = rng.random(sizes)
-    probs[rng.random(sizes) < zero_fraction] = 0.0
+    probs[rng.random(sizes) < _ZERO_FRACTION] = 0.0
     if probs.sum() == 0.0:
         probs.flat[0] = 1.0
     probs /= probs.sum()

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2
-from .bounds import binary_entropy
+from .bounds import _require_integer, binary_entropy
 
 MIN_DISTANCE_MAX_K = 20
 COSET_TABLE_MAX_REDUNDANCY = 24
@@ -179,6 +179,7 @@ def syndrome_decode(code, received, syndrome_target):
 
 
 def repetition_code(n):
+    n = _require_integer("repetition length n", n)
     if n < 1:
         raise ValueError("repetition length must be >= 1")
     return LinearCode(generator=np.ones((1, n), dtype=np.uint8))
@@ -198,6 +199,9 @@ def extended_hamming_8_4():
 
 
 def identity_code(n):
+    n = _require_integer("n", n)
+    if n < 1:
+        raise ValueError("need k = n >= 1, got %d" % n)
     return LinearCode(generator=np.eye(n, dtype=np.uint8))
 
 
@@ -210,6 +214,9 @@ def random_code(n, k, seed=0):
     its rows are dependent, so it is the rank check too.  Only the first
     draw of the greatest weight becomes a code.
     """
+    n, k = _require_integer("n", n), _require_integer("k", k)
+    if k < 1:
+        raise ValueError("need k >= 1, got %d" % k)
     if k > n:
         raise ValueError("need k <= n")
     rng = np.random.default_rng(seed)

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _require_integer
+
 NORMALIZATION_TOL = 1e-12
 MAX_CELLS = 2 ** 16
 
@@ -26,14 +28,15 @@ class JointDistribution:
     Parameters
     ----------
     registers : sequence of (name, size) pairs
-        Register names must be unique, sizes >= 1.
+        Register names must be unique, sizes integers >= 1.
     probs : array-like
         Nonnegative table of shape ``tuple(sizes)`` (or flat row-major),
         summing to 1 within ``1e-12``.
     """
 
     def __init__(self, registers, probs):
-        regs = [(str(name), int(size)) for name, size in registers]
+        regs = [(str(name), _require_integer("register size", size))
+                for name, size in registers]
         names = [name for name, _ in regs]
         if len(set(names)) != len(names):
             raise ValueError("register names must be unique")
@@ -117,7 +120,7 @@ class JointDistribution:
         new register's value in each cell; the new axis holds the cell's mass
         one-hot at that value.
         """
-        name, size = str(name), int(size)
+        name, size = str(name), _require_integer("register size", size)
         if name in self.names:
             raise ValueError("register %r already present" % name)
         values = np.asarray(values)

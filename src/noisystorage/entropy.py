@@ -9,11 +9,11 @@ bits (log base 2).
 """
 
 import itertools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _require_integer
 from .distributions import JointDistribution, SubDistribution
 
 # exhaustive-search caps for the channel-decoding oracle
@@ -234,8 +234,7 @@ def psucc_classical(channel, k):
     Only instances small enough for exhaustive search are accepted
     (inputs, outputs <= 8 and k <= 3).
     """
-    if not isinstance(k, numbers.Integral):
-        raise ValueError("k must be an integer, got %r" % (k,))
+    k = _require_integer("k", k)
     channel = np.asarray(channel, dtype=float)
     if channel.ndim != 2:
         raise ValueError("channel must be a 2-D stochastic matrix")

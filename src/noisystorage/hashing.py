@@ -42,11 +42,12 @@ _PA_CHUNK_CELLS = 2 ** 16
 
 
 def _check_sizes(n, ell):
-    """Reject a non-integer size n or ell, or an ell outside [1, n]."""
-    _require_integer("n", n)
-    _require_integer("ell", ell)
+    """``(n, ell)`` as Python ints; rejects a non-integer n or ell, or an
+    ell outside [1, n]."""
+    n, ell = _require_integer("n", n), _require_integer("ell", ell)
     if not 1 <= ell <= n:
         raise ValueError("need 1 <= ell <= n")
+    return n, ell
 
 
 def _frozen_bits(bits):
@@ -58,7 +59,7 @@ def _frozen_bits(bits):
 
 @dataclass(frozen=True, eq=False)
 class ToeplitzHash:
-    """One member of the family; seed and offset are read-only uint8 arrays."""
+    """One member of the family: int sizes, read-only uint8 seed and offset."""
 
     n: int
     ell: int
@@ -66,7 +67,9 @@ class ToeplitzHash:
     offset: np.ndarray | None = None
 
     def __post_init__(self):
-        _check_sizes(self.n, self.ell)
+        n, ell = _check_sizes(self.n, self.ell)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ell", ell)
         seed = _frozen_bits(self.seed)
         if seed.shape != (self.n + self.ell - 1,):
             raise ValueError("seed must have exactly n + ell - 1 bits")
@@ -240,14 +243,13 @@ def pa_distance(dist, ell, sample_count, rng):
     with ``sample_count``.  The ``verify pa`` suite's 16 samples make one
     stack.
     """
-    _require_integer("ell", ell)
-    _require_integer("sample_count", sample_count)
-    sample_count = int(sample_count)
+    ell = _require_integer("ell", ell)
+    sample_count = _require_integer("sample_count", sample_count)
     if sample_count < 1:
         raise ValueError("need at least one sample")
     x_register, *side = dist.names
     size = dist.size_of(x_register)
-    n_bits = int(size).bit_length() - 1
+    n_bits = size.bit_length() - 1
     if 2 ** n_bits != size:
         raise ValueError("register %r needs a power-of-two alphabet"
                          % x_register)

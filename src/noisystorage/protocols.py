@@ -24,7 +24,8 @@ from . import gf2, qsim
 from .bounds import _require_integer, ot_epsilon
 from .codes import syndrome, syndrome_budget_ok, syndrome_decode
 from .entropy import _uniform_distance
-from .hashing import ToeplitzHash, _binned_outputs, hash_apply, random_hash
+from .hashing import (ToeplitzHash, _binned_outputs, _check_sizes, hash_apply,
+                      random_hash)
 
 LEAKAGE_MAX_N = 24
 _LEAKAGE_MAX_ELL = 12  # a stacked joint table holds at most 2^24 cells
@@ -86,15 +87,6 @@ def _choice_bit(c):
         raise ValueError("choice bit c must be an integer 0 or 1, got %r"
                          % (c,))
     return int(c)
-
-
-def _length(ell, n):
-    """``ell`` as a Python int, or ValueError unless it is an integer in
-    [1, n]."""
-    _require_integer("ell", ell)
-    if not 1 <= ell <= n:
-        raise ValueError("need 1 <= ell <= n")
-    return int(ell)
 
 
 def honest_index_sets(theta, theta_hat, c):
@@ -205,9 +197,7 @@ def run_rot(n, ell, c, bob=None, rng=None):
     Its transfer is drawn by :func:`_storing_trial`, the one function
     that draws a storing transfer, and its index sets are checked after.
     """
-    _require_integer("n", n)
-    n = int(n)
-    ell = _length(ell, n)
+    n, ell = _check_sizes(n, ell)
     c = _choice_bit(c)
     rng = make_rng(rng)
     if bob is not None:
@@ -330,7 +320,7 @@ def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3):
     n = int(params.n)
     if n != params.n:
         raise ValueError("simulation needs an integer round count")
-    ell = _length(params.ell, n)
+    _, ell = _check_sizes(n, params.ell)
     if not 0.0 < eps_target <= 1.0:
         raise ValueError("eps_target must lie in (0, 1]")
     c = _choice_bit(c)
@@ -433,10 +423,10 @@ def run_qid(w_alice, w_bob, qcode, ell, rng=None):
     outside 1..m raises ValueError before anything is drawn.
     """
     code = qcode.code
-    n = code.n
-    ell = _length(ell, n)
+    n, ell = _check_sizes(code.n, ell)
     bits_alice = qcode.password_bits(w_alice)
     bits_bob = qcode.password_bits(w_bob)
+    w_alice, w_bob = int(w_alice), int(w_bob)
     rng = make_rng(rng)
     x, theta = _sender_draw(n, rng)
     theta_hat = rng.integers(0, 2, n, dtype=np.uint8)
@@ -569,12 +559,12 @@ def estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
     ``trials``.  The per-run non-uniformities are added to the average
     in trial order, so the report does not depend on the chunking.
     """
-    _require_integer("n", n)
-    _require_integer("trials", trials)
+    n = _require_integer("n", n)
+    trials = _require_integer("trials", trials)
     if not 1 <= n <= LEAKAGE_MAX_N:
         raise ValueError("exact post-processing needs 1 <= n <= %d"
                          % LEAKAGE_MAX_N)
-    ell = _length(ell, n)
+    _, ell = _check_sizes(n, ell)
     if ell > _LEAKAGE_MAX_ELL:
         raise ValueError("ell = %d exceeds the cap of %d: the joint tables "
                          "hold 2^ell x 2^ell cells" % (ell, _LEAKAGE_MAX_ELL))

@@ -541,11 +541,40 @@ SIZES, PASSWORD = "m and n must be integers", "password must be an integer"
     (lambda: qid_code(16, 8).password_bases(3.0), PASSWORD),
     (lambda: run_qid(2.5, 2, qid_code(16, 8), 8), PASSWORD),
     (lambda: run_qid(2, 2.5, qid_code(16, 8), 8), PASSWORD),
-], ids=["n", "m", "m-random", "bits", "bases", "run-alice", "run-bob"])
+    (lambda: repetition_code(2.5),
+     "^repetition length n must be an integer, got 2.5$"),
+    (lambda: repetition_code("3"),
+     "^repetition length n must be an integer, got '3'$"),
+    (lambda: identity_code(2.5), "^n must be an integer, got 2.5$"),
+    (lambda: random_code(6.0, 3), "^n must be an integer, got 6.0$"),
+    (lambda: random_code(6, 3.0), "^k must be an integer, got 3.0$"),
+], ids=["n", "m", "m-random", "bits", "bases", "run-alice", "run-bob",
+        "repetition", "repetition-str", "identity", "random-n", "random-k"])
 def test_non_integer_sizes_and_passwords_rejected(monkeypatch, call, message):
     monkeypatch.setattr(codes, "random_code", _no_search)
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: identity_code(0), "^need k = n >= 1, got 0$"),
+    (lambda: random_code(6, 0), "^need k >= 1, got 0$"),
+    (lambda: random_code(6, -1), "^need k >= 1, got -1$"),
+], ids=["identity", "random", "random-negative"])
+def test_catalog_rejects_k_below_one_before_drawing(monkeypatch, call,
+                                                    message):
+    monkeypatch.setattr(codes.np.random, "default_rng", _no_search)
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_catalog_takes_integral_sizes_as_python_ints():
+    assert repetition_code(True).generator.tolist() == [[1]]
+    assert repetition_code(np.uint8(3)).generator.tolist() == [[1, 1, 1]]
+    assert np.array_equal(identity_code(np.int64(4)).generator,
+                          identity_code(4).generator)
+    assert np.array_equal(random_code(np.int64(10), np.uint8(4), 1).generator,
+                          random_code(10, 4, seed=1).generator)
 
 
 def test_numpy_integer_sizes_and_passwords_accepted():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,25 @@ def test_rejects_bad_tables():
         JointDistribution([("X", 2), ("X", 2)], [0.25] * 4)
     with pytest.raises(ValueError):
         JointDistribution([("X", 2 ** 9), ("Y", 2 ** 9)], np.zeros(2 ** 18))
+
+
+@pytest.mark.parametrize("size", [2.5, 2.9, 2.0, np.float64(2.0), "2", None])
+def test_register_sizes_must_be_integers(size):
+    message = "^register size must be an integer, got %s$" % re.escape(
+        repr(size))
+    with pytest.raises(ValueError, match=message):
+        JointDistribution([("X", size)], [0.5, 0.5])
+    with pytest.raises(ValueError, match=message):
+        uniform([("X", 2)]).with_register("V", size, np.zeros(2, dtype=int))
+
+
+def test_integral_register_sizes_are_kept_as_python_ints():
+    d = JointDistribution([("X", np.int64(2)), ("Y", np.uint8(3))],
+                          np.full(6, 1.0 / 6))
+    e = d.with_register("V", np.uint8(2), np.zeros((2, 3), dtype=int))
+    assert e.registers == [("X", 2), ("Y", 3), ("V", 2)]
+    assert all(type(size) is int for _, size in e.registers)
+    assert JointDistribution([("X", True)], [1.0]).sizes == (1,)
 
 
 @pytest.mark.parametrize("probs", [[np.nan, 1.0], [1.0, np.nan],

@@ -23,6 +23,7 @@ from noisystorage.codes import (
     syndrome_decode,
 )
 from noisystorage.hashing import (
+    ToeplitzHash,
     bits_to_hex,
     hash_apply,
     hash_apply_many,
@@ -785,6 +786,32 @@ def test_runners_reject_a_non_integer_ell_before_drawing(run, ell):
     with pytest.raises(ValueError, match="^ell must be an integer, got "):
         run(ell, rng)
     assert generator_state(rng) == before
+
+
+# each serializes one run or hash whose counts are built by ``i``; a numpy
+# integer must come out as the Python int it equals, in the same bytes
+SERIALIZED_COUNTS = {
+    "rot": lambda i: run_rot(i(16), i(4), i(1), rng=7).to_json(),
+    "rot-store-all": lambda i: run_rot(i(16), i(4), i(0), bob=StoreAllBob(0.3),
+                                       rng=7).to_json(),
+    "robust": lambda i: run_robust_rot(
+        robust_params(n=i(200), delta=0.05, ell=i(8)), repetition_code(i(3)),
+        i(1), rng=7).to_json(),
+    "qid": lambda i: run_qid(i(3), i(5), qid_code(i(16), i(8)), i(4),
+                             rng=7).to_json(),
+    "leakage": lambda i: json.dumps(estimate_leakage(i(8), i(2), 0.3, i(3),
+                                                     rng=7)),
+    "hash": lambda i: json.dumps(protocols._json_value("f", ToeplitzHash(
+        n=i(4), ell=i(2), seed=[1, 0, 1, 1, 0], offset=[0, 1]))),
+}
+
+
+@pytest.mark.parametrize("numpy_int", [np.int64, np.uint8],
+                         ids=["int64", "uint8"])
+@pytest.mark.parametrize("serialize", SERIALIZED_COUNTS.values(),
+                         ids=SERIALIZED_COUNTS.keys())
+def test_numpy_integer_counts_serialize_as_python_ints(serialize, numpy_int):
+    assert serialize(numpy_int) == serialize(int)
 
 
 # sixteen whole chunks and one more trial, written out so that a broken
