@@ -81,8 +81,7 @@ class OtParams:
 
     def __post_init__(self):
         _require_finite("n", self.n)
-        if not 0.0 < self.delta < 0.25:
-            raise PreconditionError("delta must lie in (0, 1/4)")
+        _require_margin(self.delta)
         need = 4.0 / self.delta
         if not math.isfinite(need) or self.n < math.ceil(need):
             raise PreconditionError("n >= 4/delta is required for the "
@@ -112,8 +111,7 @@ class RobustParams:
         if self.n <= 0.0:
             raise PreconditionError("round count n must be positive, got %r"
                                     % (self.n,))
-        if not 0.0 < self.delta < 0.25:
-            raise PreconditionError("delta must lie in (0, 1/4)")
+        _require_margin(self.delta)
         for name in ("p1_sent", "ph_noclick", "pd_noclick", "ph_err"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -162,8 +160,7 @@ class QidParams:
         _require_integer("m", self.m)
         if self.m < 2:
             raise PreconditionError("need at least two passwords")
-        if not 0.0 < self.delta < 0.25:
-            raise PreconditionError("delta must lie in (0, 1/4)")
+        _require_margin(self.delta)
         object.__setattr__(self, "mu", _gv_relative_distance(self.n, self.m))
         if self.ell is not None:
             _require_integer("ell", self.ell)
@@ -202,6 +199,12 @@ def _require_integer(name, value):
         raise PreconditionError("%s must be an integer, got %r"
                                 % (name, value))
     return int(value)
+
+
+def _require_margin(delta):
+    """Reject a margin delta outside (0, 1/4), nan included."""
+    if not 0.0 < delta < 0.25:
+        raise PreconditionError("delta must lie in (0, 1/4)")
 
 
 def _gv_relative_distance(n, m):
@@ -274,8 +277,7 @@ def sigma(delta):
 
 def _ot_eps_exponent(delta, n):
     """Natural-log decay rate: epsilon = 2 exp(-rate * n)."""
-    if not 0.0 < delta < 0.25:
-        raise ValueError("delta must lie in (0, 1/4)")
+    _require_margin(delta)
     _require_finite("n", n)
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -638,16 +640,28 @@ def dishonest_alice_error(m, ell):
 FEASIBLE_REGION_HEADER = ("r", "nu", "capacity", "product", "feasible")
 RATE_CURVE_HEADER = ("r", "nu", "n", "delta", "gamma", "capacity", "ell",
                      "ot_rate", "eps", "two_eps", "feasible")
+# region grids hold at most this many cells: each is one dict from
+# feasible_region, or one line of the CLI's table
+REGION_MAX_ROWS = 250_000
 
 
 def _region_axes(r_steps, nu_steps, r_max, nu_max, dim):
     """The region grid's nu steps, and each r step's ``(r, capacity)``.
 
-    Raises :class:`PreconditionError` unless every cell's nu is a positive
-    finite float and its product capacity * nu a finite one.  Rounded steps
-    and products never decrease in their factors, so the smallest nu step
-    and the top nu step times the largest capacity bound every cell.
+    Raises :class:`PreconditionError` unless both step counts are integers
+    whose grid holds at most ``REGION_MAX_ROWS`` rows, and every cell's nu
+    is a positive finite float and its product capacity * nu a finite one.
+    Rounded steps and products never decrease in their factors, so the
+    smallest nu step and the top nu step times the largest capacity bound
+    every cell.
     """
+    r_steps = _require_integer("r_steps", r_steps)
+    nu_steps = _require_integer("nu_steps", nu_steps)
+    # an axis of zero or fewer steps is left to the next check
+    if max(r_steps, 0) * max(nu_steps, 0) > REGION_MAX_ROWS:
+        raise PreconditionError(
+            "at most %d region rows (r steps x nu steps), got %d x %d"
+            % (REGION_MAX_ROWS, r_steps, nu_steps))
     if r_steps < 2 or nu_steps < 2:
         raise ValueError("grids need at least 2 steps per axis")
     StorageModel(r=r_max, nu=nu_max, dim=dim)  # bounds every cell's r, nu
@@ -678,7 +692,7 @@ def feasible_region(r_steps, nu_steps, r_max=1.0, nu_max=1.0, dim=2):
             product = cap * nu
             rows.append({
                 "r": r, "nu": nu, "capacity": cap, "product": product,
-                "feasible": product < 0.25,
+                "feasible": bool(product < 0.25),
             })
     return rows
 
@@ -697,7 +711,7 @@ def rate_curve(n, delta, nu, r_grid, dim=2):
         storage = StorageModel(r=float(r), nu=nu, dim=dim)
         t = _transfer_bound(storage, delta, n, rate, n)
         rows.append({
-            "r": storage.r, "nu": nu, "n": n, "delta": delta,
+            "r": storage.r, "nu": float(nu), "n": float(n), "delta": delta,
             "gamma": t.gamma, "capacity": t.capacity, "ell": t.ell,
             "ot_rate": t.ell / n, "eps": t.eps, "two_eps": 2.0 * t.eps,
             "feasible": t.ell > 0,

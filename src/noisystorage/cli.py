@@ -40,13 +40,12 @@ from .codes import qid_code, repetition_code
 from .protocols import run_qid, run_robust_rot, run_rot
 
 
-# Table sizes the CLI accepts: each curve step runs one gamma optimization
-# (about 0.06 ms, most of it the scalar golden section) and is one dict from
-# rate_curve; each curve row and each region row is one formatted line
-# (about 120 and 55 bytes of CSV, or 300 and 150 of JSON), held until the
-# output text is joined.
+# Curve steps the CLI accepts: each runs one gamma optimization (about
+# 0.06 ms, most of it the scalar golden section) and is one dict from
+# rate_curve; each curve row and each region row (at most
+# bounds.REGION_MAX_ROWS) is one formatted line (about 120 and 55 bytes of
+# CSV, or 300 and 150 of JSON), held until the output text is joined.
 CURVE_MAX_STEPS = 10_000
-REGION_MAX_ROWS = 250_000
 
 # Run sizes the simulate and verify commands accept.  A run's memory grows
 # with its rounds (--n, or --code-n for qid, whose code keeps a parity matrix
@@ -375,10 +374,6 @@ def _cmd_curve(args):
 def _cmd_region(args):
     r_steps = args.steps if args.r_steps is None else args.r_steps
     nu_steps = args.steps if args.nu_steps is None else args.nu_steps
-    # an axis of zero or fewer steps is left to _region_axes to reject
-    _at_most(REGION_MAX_ROWS, "region rows (r steps x nu steps)",
-             max(r_steps, 0) * max(nu_steps, 0),
-             "%d x %d" % (r_steps, nu_steps))
     nus, r_caps = _region_axes(r_steps, nu_steps, args.r_max, args.nu_max,
                                args.dim)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2
-from .bounds import _require_integer, binary_entropy
+from .bounds import PreconditionError, _require_integer, binary_entropy
 
 MIN_DISTANCE_MAX_K = 20
 COSET_TABLE_MAX_REDUNDANCY = 24
@@ -212,14 +212,20 @@ def random_code(n, k, seed=0):
     has always drawn them, then scored by one :func:`_min_weight` over
     their (tries, k, n) stack.  A draw's minimum weight is 0 exactly when
     its rows are dependent, so it is the rank check too.  Only the first
-    draw of the greatest weight becomes a code.
+    draw of the greatest weight becomes a code.  A ``seed`` that numpy's
+    ``default_rng`` refuses raises :class:`PreconditionError` naming it.
     """
     n, k = _require_integer("n", n), _require_integer("k", k)
     if k < 1:
         raise ValueError("need k >= 1, got %d" % k)
     if k > n:
         raise ValueError("need k <= n")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise PreconditionError(
+            "seed must be a SeedSequence, None or a nonnegative integer, "
+            "got %r" % (seed,)) from None
     tries = np.array([rng.integers(0, 2, (k, n), dtype=np.uint8)
                       for _ in range(RANDOM_CODE_TRIES)])
     weights = _min_weight(tries)

@@ -139,10 +139,6 @@ class JointDistribution:
                              self.probs[..., None], 0.0)
         return out
 
-    def __repr__(self):
-        regs = ", ".join("%s:%d" % (n, s) for n, s in self.registers)
-        return "JointDistribution(%s)" % regs
-
 
 @dataclass
 class SubDistribution:

@@ -99,7 +99,7 @@ def bits_to_hex(bits):
 
 def random_hash(n, ell, rng, affine=False):
     """Draw a uniformly random hash from the family."""
-    _check_sizes(n, ell)
+    n, ell = _check_sizes(n, ell)
     seed = rng.integers(0, 2, size=n + ell - 1, dtype=np.uint8)
     offset = rng.integers(0, 2, size=ell, dtype=np.uint8) if affine else None
     return ToeplitzHash(n=n, ell=ell, seed=seed, offset=offset)
@@ -193,7 +193,7 @@ def collision_bound(n, ell):
     fraction 2^-rank of all seeds, with the lowest rank over the stack of
     every nonzero d's A_d.  The result never exceeds 2^-ell.
     """
-    _check_sizes(n, ell)
+    n, ell = _check_sizes(n, ell)
     if n > COLLISION_MAX_N or ell > COLLISION_MAX_ELL:
         raise ValueError("exhaustive regime is n <= %d, ell <= %d"
                          % (COLLISION_MAX_N, COLLISION_MAX_ELL))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import gf2, qsim
-from .bounds import _require_integer, ot_epsilon
+from .bounds import PreconditionError, _require_integer, ot_epsilon
 from .codes import syndrome, syndrome_budget_ok, syndrome_decode
 from .entropy import _uniform_distance
 from .hashing import (ToeplitzHash, _binned_outputs, _check_sizes, hash_apply,
@@ -37,11 +37,18 @@ _TRIAL_CELLS = 2 ** 8
 
 
 def make_rng(rng):
-    """Counter-based generator; integers and ``SeedSequence``s are seeds,
-    generators pass through.  The one place a Philox generator is built."""
+    """Counter-based generator; nonnegative integers and ``SeedSequence``s
+    are seeds, ``None`` draws fresh entropy, generators pass through.  The
+    one place a Philox generator is built; a seed that Philox refuses
+    raises :class:`PreconditionError` naming ``rng``."""
     if isinstance(rng, np.random.Generator):
         return rng
-    return np.random.Generator(np.random.Philox(rng))
+    try:
+        return np.random.Generator(np.random.Philox(rng))
+    except (TypeError, ValueError):
+        raise PreconditionError(
+            "rng must be a generator, a SeedSequence, None or a nonnegative "
+            "integer seed, got %r" % (rng,)) from None
 
 
 def _spell(arr, alphabet):

@@ -554,7 +554,7 @@ def test_simulate_robust_rejects_eps_target_outside_unit_interval(
 
 def test_table_grid_caps_admit_documented_sizes():
     assert cli.CURVE_MAX_STEPS >= 200
-    assert cli.REGION_MAX_ROWS >= 100 * 100
+    assert bounds.REGION_MAX_ROWS >= 100 * 100
 
 
 @pytest.mark.parametrize("argv, diagnostic", [
@@ -803,7 +803,7 @@ def test_region_axes_without_steps_are_rejected_before_the_cap(
 
 def test_table_grid_caps_are_inclusive(capsys, monkeypatch):
     monkeypatch.setattr(cli, "CURVE_MAX_STEPS", 3)
-    monkeypatch.setattr(cli, "REGION_MAX_ROWS", 6)
+    monkeypatch.setattr(bounds, "REGION_MAX_ROWS", 6)
     curve = ("curve", "--n", "1e10", "--delta", "0.0106", "--steps")
     code, out, _ = run_cli(capsys, *curve, "3")
     assert code == 0

@@ -1,0 +1,493 @@
+"""The public library's input contract: one table, swept with bad values.
+
+Each row of ``ROWS`` names a public callable, one of its scalar
+parameters, the parameter's kind and a valid call.  The sweep puts each of
+``VALUES`` in that parameter's place, under a 2 s alarm, and the call must
+end in one of two ways:
+
+- a result, for a value that the kind and the row's range admit.  The
+  result goes through ``json.dumps`` (a transcript through ``to_json()``),
+  and for the integer kinds an integral value gives the same bytes as
+  ``int(v)``;
+- a ``ValueError`` (``PreconditionError`` is one) or ``BoundsError`` whose
+  message names the parameter, with any generator passed in left
+  untouched.  A ``TypeError`` is allowed for the non-numbers ``"3"`` and
+  ``None`` only.  Where a row gives the name its integer check reports
+  (``checked``), a value the kind refuses must end in "<checked> must be
+  an integer, got <value>", a ``TypeError`` included.
+
+A row lists the calls that end otherwise, each with its reason.
+"""
+
+import dataclasses
+import json
+import math
+import numbers
+import re
+import signal
+from typing import NamedTuple
+
+import numpy as np
+import pytest
+
+from noisystorage import (
+    JointDistribution,
+    OtParams,
+    QidParams,
+    RobustParams,
+    StorageModel,
+    StoreAllBob,
+    ToeplitzHash,
+    bb84_prepare,
+    binary_entropy,
+    collision_bound,
+    depolarize,
+    depolarizing_capacity,
+    estimate_leakage,
+    feasible_region,
+    helstrom,
+    impersonation_error,
+    inv_binary_entropy,
+    measure,
+    min_entropy,
+    ot_epsilon,
+    ot_length,
+    pa_distance,
+    psucc_classical,
+    qid_code,
+    qid_error,
+    rate_curve,
+    robust_ot_length,
+    run_qid,
+    run_robust_rot,
+    run_rot,
+    sigma,
+    smooth_sub_distribution,
+    split_binary,
+    split_multi,
+    strong_converse_exponent,
+)
+from noisystorage.bounds import BoundsError, dishonest_alice_error
+from noisystorage.codes import identity_code, random_code, repetition_code
+from noisystorage.hashing import random_hash
+from noisystorage.protocols import honest_index_sets, make_rng
+from noisystorage.qsim import born_probability
+
+# the adversarial values, by the id each sweep case prints
+VALUES = {
+    "2.5": 2.5, "2.0": 2.0, "-1": -1, "0": 0, "True": True,
+    "int64(3)": np.int64(3), "float64(2.0)": np.float64(2.0),
+    "nan": math.nan, "inf": math.inf, "'3'": "3", "None": None,
+    "10**30": 10 ** 30, "-0.0": -0.0, "1e300": 1e300,
+}
+NON_NUMBERS = ("'3'", "None")
+
+
+def _real(v):
+    return isinstance(v, numbers.Real) and not math.isnan(v)
+
+
+# The values of each kind that may end in a result; a row narrows them to
+# its range.  Every kind is swept over all of VALUES.
+KINDS = {
+    "count": lambda v: isinstance(v, numbers.Integral),
+    "optional count": lambda v: v is None or isinstance(v, numbers.Integral),
+    "real": _real,
+    "probability": lambda v: _real(v) and 0 <= v <= 1,
+    "bit": lambda v: _real(v) and v in (0, 1),
+    "seed": lambda v: v is None or (isinstance(v, numbers.Integral)
+                                     and v >= 0),
+}
+INTEGER_KINDS = ("count", "optional count", "bit", "seed")
+
+
+class Row(NamedTuple):
+    callable: str
+    param: str
+    kind: str
+    valid: object
+    call: object  # call(v, rng): the valid call with v as the parameter
+    within: object = None  # the row's range, for the values its kind admits
+    aliases: tuple = ()  # other words a diagnostic may name the parameter by
+    # a non-integer's diagnostic reads "<checked> must be an integer, got v"
+    checked: str = None
+    pinned: dict = {}  # value id -> the regexp its diagnostic matches
+    unnamed: dict = {}  # value id -> why its ValueError need not name it
+    skipped: dict = {}  # value id -> why the call is not made
+
+
+NUMPY_SIZE = ("sizes an array: numpy's own 'Maximum allowed dimension "
+              "exceeded' ValueError, raised before anything is drawn")
+
+QUBIT = StorageModel(r=0.1)
+OT = dict(n=1e10, delta=0.0106, storage=QUBIT)
+ROBUST = dict(n=1e10, delta=0.005, storage=QUBIT, p1_sent=1.0,
+              ph_noclick=0.6, pd_noclick=0.05, ph_err=0.01)
+QID = dict(n=1e9, m=16, delta=0.2, storage=QUBIT, ell=1000, d_code=int(3e8))
+SIMULATED = dict(n=512, delta=0.02, storage=StorageModel(r=0.2), p1_sent=1.0,
+                 ph_noclick=0.0, pd_noclick=0.0, ph_err=0.0, ell=8)
+UNIFORM4 = JointDistribution([("X", 4)], np.full(4, 0.25))
+PAIR = JointDistribution([("X0", 2), ("X1", 2)], np.full(4, 0.25))
+QCODE = qid_code(16, 8)
+STATE = bb84_prepare(0, 1)
+
+
+def _margin(v):
+    return 0 < v < 0.25
+
+
+def _positive(v):
+    return 0 < v < math.inf
+
+
+def _one_hot(size, extra=0):
+    """``size + extra`` entries, the first 1.0, where ``size`` is a small
+    count, else one: the call's own size check rejects the size first."""
+    small = isinstance(size, numbers.Integral) and 1 <= size <= 64
+    return np.eye(1, int(size) + extra if small else 1).ravel()
+
+
+def _record_rows(make, evaluate, base, kinds, **extra):
+    """One row per record field: ``evaluate`` of the record built from
+    ``base`` with the value in the field's place."""
+    return [Row(make.__name__, field, kind, base[field],
+                lambda v, rng, field=field: evaluate(make(**{**base,
+                                                             field: v})),
+                **extra.get(field, {}))
+            for field, kind in kinds]
+
+
+def _robust_run(rng, c=0, eps_target=1e-3, **fields):
+    return run_robust_rot(RobustParams(**{**SIMULATED, **fields}),
+                          repetition_code(3), c, rng=rng,
+                          eps_target=eps_target)
+
+
+ROWS = [
+    # --- bounds ---
+    *_record_rows(StorageModel, depolarizing_capacity,
+                  dict(r=0.1, nu=1.0, dim=2),
+                  [("r", "probability"), ("nu", "real"), ("dim", "count")],
+                  nu=dict(within=_positive),
+                  dim=dict(within=lambda v: v >= 2,
+                           aliases=("channel dimension",),
+                           checked="channel dimension dim")),
+    *_record_rows(OtParams, ot_length, OT,
+                  [("n", "real"), ("delta", "real")],
+                  n=dict(within=lambda v: 400 <= v < math.inf),
+                  delta=dict(within=_margin)),
+    *_record_rows(RobustParams, robust_ot_length,
+                  {**ROBUST, "ell": None},
+                  [("n", "real"), ("delta", "real"),
+                   ("p1_sent", "probability"), ("ph_noclick", "probability"),
+                   ("pd_noclick", "probability"), ("ph_err", "probability"),
+                   ("ell", "optional count")],
+                  n=dict(within=_positive),
+                  delta=dict(within=_margin),
+                  ph_err=dict(aliases=("honest error rate",)),
+                  ell=dict(checked="ell")),
+    *_record_rows(QidParams,
+                  lambda p: (qid_error(p), impersonation_error(p)), QID,
+                  [("n", "real"), ("m", "count"), ("delta", "real"),
+                   ("ell", "optional count"), ("d_code", "optional count")],
+                  n=dict(within=_positive),
+                  m=dict(within=lambda v: v >= 2, aliases=("passwords",),
+                         checked="m"),
+                  delta=dict(within=_margin),
+                  ell=dict(within=lambda v: v >= 1, checked="ell"),
+                  # nan passes both distance comparisons, and qid_error
+                  # would return 1.0
+                  d_code=dict(aliases=("code distance",),
+                              pinned={"nan": "^d_code must be finite"})),
+    Row("binary_entropy", "p", "probability", 0.3,
+        lambda v, rng: binary_entropy(v)),
+    Row("inv_binary_entropy", "y", "probability", 0.3,
+        lambda v, rng: inv_binary_entropy(v)),
+    Row("sigma", "delta", "real", 0.1, lambda v, rng: sigma(v),
+        within=lambda v: 0 < v < 1),
+    Row("ot_epsilon", "delta", "real", 0.0106,
+        lambda v, rng: ot_epsilon(v, 1e10), within=_margin),
+    Row("ot_epsilon", "n", "real", 1e10, lambda v, rng: ot_epsilon(0.0106, v),
+        within=lambda v: 1 <= v < math.inf),
+    Row("strong_converse_exponent", "R", "real", 0.3,
+        lambda v, rng: strong_converse_exponent(v, QUBIT),
+        within=lambda v: 0 <= v < math.inf,
+        # every comparison with nan is false, so no scan point beats 0
+        pinned={"nan": "^rate R must be nonnegative, got nan$"}),
+    Row("rate_curve", "n", "real", 1e10,
+        lambda v, rng: rate_curve(v, 0.0106, 1.0, [0.1]),
+        within=lambda v: 400 <= v < math.inf),
+    Row("rate_curve", "delta", "real", 0.0106,
+        lambda v, rng: rate_curve(1e10, v, 1.0, [0.1]),
+        within=_margin),
+    Row("rate_curve", "nu", "real", 1.0,
+        lambda v, rng: rate_curve(1e10, 0.0106, v, [0.1]),
+        within=_positive),
+    Row("rate_curve", "r_grid", "probability", 0.1,
+        lambda v, rng: rate_curve(1e10, 0.0106, 1.0, [v]), aliases=("r",)),
+    Row("rate_curve", "dim", "count", 2,
+        lambda v, rng: rate_curve(1e10, 0.0106, 1.0, [0.1], dim=v),
+        within=lambda v: v >= 2, aliases=("channel dimension",),
+        checked="channel dimension dim"),
+    Row("feasible_region", "r_steps", "count", 3,
+        lambda v, rng: feasible_region(v, 2), within=lambda v: v >= 2,
+        aliases=("steps",), checked="r_steps"),
+    Row("feasible_region", "nu_steps", "count", 2,
+        lambda v, rng: feasible_region(3, v), within=lambda v: v >= 2,
+        aliases=("steps",), checked="nu_steps"),
+    Row("feasible_region", "r_max", "probability", 1.0,
+        lambda v, rng: feasible_region(3, 2, r_max=v), aliases=("r",)),
+    Row("feasible_region", "nu_max", "real", 1.0,
+        lambda v, rng: feasible_region(3, 2, nu_max=v),
+        within=_positive, aliases=("nu",)),
+    Row("feasible_region", "dim", "count", 2,
+        lambda v, rng: feasible_region(3, 2, dim=v), within=lambda v: v >= 2,
+        aliases=("channel dimension",), checked="channel dimension dim"),
+    Row("dishonest_alice_error", "m", "real", 16,
+        lambda v, rng: dishonest_alice_error(v, 40), within=lambda v: v >= 1,
+        pinned={"nan": "^m must be at least 1, got nan$"}),
+    Row("dishonest_alice_error", "ell", "real", 40,
+        lambda v, rng: dishonest_alice_error(16, v),
+        within=lambda v: 0 <= v < math.inf,
+        pinned={"-1": "^ell must be nonnegative$"}),
+    # --- code catalog ---
+    Row("repetition_code", "n", "count", 3,
+        lambda v, rng: repetition_code(v), within=lambda v: v >= 1,
+        aliases=("repetition length",), checked="repetition length n",
+        unnamed={"10**30": NUMPY_SIZE}),
+    Row("identity_code", "n", "count", 3, lambda v, rng: identity_code(v),
+        within=lambda v: v >= 1, checked="n", unnamed={"10**30": NUMPY_SIZE}),
+    Row("random_code", "n", "count", 6, lambda v, rng: random_code(v, 3),
+        within=lambda v: v >= 3, checked="n", unnamed={"10**30": NUMPY_SIZE}),
+    Row("random_code", "k", "count", 3, lambda v, rng: random_code(6, v),
+        within=lambda v: 1 <= v <= 6, checked="k"),
+    Row("random_code", "seed", "seed", 0,
+        lambda v, rng: random_code(6, 3, seed=v)),
+    Row("qid_code", "m", "count", 16, lambda v, rng: qid_code(v, 8).code,
+        within=lambda v: v >= 2, aliases=("passwords",)),
+    Row("qid_code", "n", "count", 8, lambda v, rng: qid_code(16, v).code,
+        within=lambda v: v >= 4, unnamed={"10**30": NUMPY_SIZE}),
+    Row("QidCode.password_bits", "w", "count", 3,
+        lambda v, rng: QCODE.password_bits(v), within=lambda v: 1 <= v <= 16,
+        aliases=("password",)),
+    # --- tables and entropies ---
+    Row("JointDistribution", "registers", "count", 3,
+        lambda v, rng: JointDistribution([("X", v)], _one_hot(v)),
+        within=lambda v: v >= 1, aliases=("register sizes", "cells"),
+        checked="register size"),
+    Row("JointDistribution.with_register", "size", "count", 3,
+        lambda v, rng: UNIFORM4.with_register("V", v, np.zeros(4, int)),
+        within=lambda v: v >= 1, aliases=("cells",), checked="register size"),
+    Row("min_entropy", "eps", "probability", 0.1,
+        lambda v, rng: min_entropy(UNIFORM4, "X", eps=v),
+        within=lambda v: v < 1),
+    Row("smooth_sub_distribution", "eps", "probability", 0.1,
+        lambda v, rng: smooth_sub_distribution(UNIFORM4, "X", eps=v),
+        within=lambda v: v < 1),
+    Row("split_binary", "alpha", "real", 2.0,
+        lambda v, rng: split_binary(PAIR, v), within=lambda v: v >= 0,
+        pinned={"nan": "^alpha must be nonnegative$"}),
+    Row("split_multi", "alpha", "real", 2.0,
+        lambda v, rng: split_multi(PAIR, v, ["X0", "X1"]),
+        within=lambda v: v >= 0,
+        pinned={"nan": "^alpha must be nonnegative$"}),
+    Row("psucc_classical", "k", "count", 1,
+        lambda v, rng: psucc_classical(np.eye(2), v),
+        within=lambda v: 0 <= v <= 3, checked="k"),
+    # --- hashing ---
+    Row("ToeplitzHash", "n", "count", 4,
+        lambda v, rng: ToeplitzHash(n=v, ell=1, seed=_one_hot(v)),
+        within=lambda v: v >= 1, checked="n"),
+    Row("ToeplitzHash", "ell", "count", 2,
+        lambda v, rng: ToeplitzHash(n=4, ell=v, seed=_one_hot(v, 3)),
+        within=lambda v: 1 <= v <= 4, checked="ell"),
+    Row("random_hash", "n", "count", 4, lambda v, rng: random_hash(v, 1, rng),
+        within=lambda v: v >= 1, checked="n", unnamed={"10**30": NUMPY_SIZE}),
+    Row("random_hash", "ell", "count", 2,
+        lambda v, rng: random_hash(4, v, rng, affine=True),
+        within=lambda v: 1 <= v <= 4, checked="ell"),
+    Row("collision_bound", "n", "count", 4,
+        lambda v, rng: collision_bound(v, 1), within=lambda v: 1 <= v <= 8,
+        checked="n"),
+    Row("collision_bound", "ell", "count", 2,
+        lambda v, rng: collision_bound(4, v), within=lambda v: 1 <= v <= 4,
+        checked="ell"),
+    Row("pa_distance", "ell", "count", 1,
+        lambda v, rng: pa_distance(UNIFORM4, v, 2, rng),
+        within=lambda v: 1 <= v <= 2, checked="ell"),
+    Row("pa_distance", "sample_count", "count", 2,
+        lambda v, rng: pa_distance(UNIFORM4, 1, v, rng),
+        within=lambda v: v >= 1, aliases=("sample",),
+        checked="sample_count", unnamed={"10**30": NUMPY_SIZE}),
+    # --- protocols ---
+    Row("make_rng", "rng", "seed", 7,
+        lambda v, rng: make_rng(v).integers(0, 2 ** 32, 4)),
+    Row("run_rot", "n", "count", 16, lambda v, rng: run_rot(v, 1, 0, rng=rng),
+        within=lambda v: v >= 1, checked="n", unnamed={"10**30": NUMPY_SIZE}),
+    Row("run_rot", "ell", "count", 4,
+        lambda v, rng: run_rot(16, v, 0, rng=rng),
+        within=lambda v: 1 <= v <= 16, checked="ell"),
+    Row("run_rot", "c", "bit", 1, lambda v, rng: run_rot(16, 4, v, rng=rng)),
+    Row("run_rot", "rng", "seed", 7, lambda v, rng: run_rot(16, 4, 0, rng=v)),
+    Row("StoreAllBob", "storage_r", "probability", 0.3,
+        lambda v, rng: run_rot(16, 4, 0, bob=StoreAllBob(v), rng=rng),
+        aliases=("r",)),
+    Row("honest_index_sets", "c", "bit", 1,
+        lambda v, rng: honest_index_sets([0, 1, 1, 0], [0, 0, 0, 0], v)),
+    Row("run_robust_rot", "n", "real", 512,
+        lambda v, rng: _robust_run(rng, n=v),
+        within=lambda v: 200 <= v < math.inf and v == int(v),
+        unnamed={"10**30": NUMPY_SIZE, "1e300": NUMPY_SIZE}),
+    Row("run_robust_rot", "ell", "optional count", 8,
+        lambda v, rng: _robust_run(rng, ell=v),
+        within=lambda v: v is not None and 1 <= v <= 512, checked="ell"),
+    Row("run_robust_rot", "c", "bit", 1,
+        lambda v, rng: _robust_run(rng, c=v)),
+    Row("run_robust_rot", "rng", "seed", 7,
+        lambda v, rng: _robust_run(v)),
+    Row("run_robust_rot", "eps_target", "real", 1e-3,
+        lambda v, rng: _robust_run(rng, eps_target=v),
+        within=lambda v: 0 < v <= 1),
+    Row("run_qid", "w_alice", "count", 3,
+        lambda v, rng: run_qid(v, 3, QCODE, 4, rng=rng),
+        within=lambda v: 1 <= v <= 16, aliases=("password",)),
+    Row("run_qid", "w_bob", "count", 3,
+        lambda v, rng: run_qid(3, v, QCODE, 4, rng=rng),
+        within=lambda v: 1 <= v <= 16, aliases=("password",)),
+    Row("run_qid", "ell", "count", 4,
+        lambda v, rng: run_qid(3, 3, QCODE, v, rng=rng),
+        within=lambda v: 1 <= v <= 8, checked="ell"),
+    Row("run_qid", "rng", "seed", 7,
+        lambda v, rng: run_qid(3, 3, QCODE, 4, rng=v)),
+    Row("estimate_leakage", "n", "count", 4,
+        lambda v, rng: estimate_leakage(v, 1, 0.3, 2, rng=rng),
+        within=lambda v: 1 <= v <= 24, checked="n"),
+    Row("estimate_leakage", "ell", "count", 1,
+        lambda v, rng: estimate_leakage(4, v, 0.3, 2, rng=rng),
+        within=lambda v: 1 <= v <= 4, checked="ell"),
+    Row("estimate_leakage", "r", "probability", 0.3,
+        lambda v, rng: estimate_leakage(4, 1, v, 2, rng=rng)),
+    Row("estimate_leakage", "trials", "count", 2,
+        lambda v, rng: estimate_leakage(4, 1, 0.3, v, rng=rng),
+        within=lambda v: v >= 1, aliases=("trial",), checked="trials",
+        skipped={"10**30": "runs without end: its memory is chunked, its "
+                           "time grows with trials, and no CLI command "
+                           "reaches it"}),
+    Row("estimate_leakage", "rng", "seed", 7,
+        lambda v, rng: estimate_leakage(4, 1, 0.3, 2, rng=v)),
+    Row("estimate_leakage", "delta", "real", 0.01,
+        lambda v, rng: estimate_leakage(4, 1, 0.3, 2, rng=rng, delta=v),
+        within=_margin),
+    # --- qsim ---
+    Row("bb84_prepare", "bit", "bit", 1, lambda v, rng: bb84_prepare(v, 0)),
+    Row("bb84_prepare", "basis", "bit", 1, lambda v, rng: bb84_prepare(0, v)),
+    Row("born_probability", "basis", "bit", 1,
+        lambda v, rng: born_probability(STATE, v, 0)),
+    Row("born_probability", "outcome", "bit", 1,
+        lambda v, rng: born_probability(STATE, 0, v)),
+    Row("measure", "basis", "bit", 1, lambda v, rng: measure(STATE, v, rng)),
+    Row("depolarize", "r", "probability", 0.3,
+        lambda v, rng: depolarize(STATE, v)),
+    Row("helstrom", "p0", "probability", 0.3,
+        lambda v, rng: helstrom(STATE, bb84_prepare(1, 1), v),
+        aliases=("prior",)),
+]
+
+CASES = [(row, value_id) for row in ROWS
+         for value_id in ("valid", *VALUES) if value_id not in row.skipped]
+
+
+class _Alarm(Exception):
+    pass
+
+
+def _ring(signum, frame):
+    raise _Alarm
+
+
+def _plain(out):
+    """``out`` as data for ``json.dumps``: arrays as lists, complex numbers
+    as pairs, records by their fields and transcripts by ``to_json()``."""
+    if hasattr(out, "to_json"):
+        return json.loads(out.to_json())
+    if dataclasses.is_dataclass(out):
+        return {f.name: _plain(getattr(out, f.name))
+                for f in dataclasses.fields(out)}
+    if isinstance(out, JointDistribution):
+        return _plain((out.registers, out.probs))
+    if isinstance(out, np.ndarray):
+        return _plain(out.tolist())
+    if isinstance(out, dict):
+        return {key: _plain(value) for key, value in out.items()}
+    if isinstance(out, (list, tuple)):
+        return [_plain(value) for value in out]
+    if type(out) is complex:
+        return [out.real, out.imag]
+    return out
+
+
+def _state(rng):
+    """The generator's state and how many children it has spawned."""
+    return (json.dumps(rng.bit_generator.state, sort_keys=True,
+                       default=lambda a: a.tolist()),
+            rng.bit_generator.seed_seq.n_children_spawned)
+
+
+def _outcome(row, value):
+    """The call's result as JSON text, or the exception it raised and
+    whether the generator passed in moved."""
+    rng = np.random.Generator(np.random.Philox(7))
+    state = _state(rng)
+    previous = signal.signal(signal.SIGALRM, _ring)
+    signal.alarm(2)
+    try:
+        out = row.call(value, rng)
+    except _Alarm:
+        pytest.fail("%s(%s=%r) ran past the 2 s alarm"
+                    % (row.callable, row.param, value))
+    except Exception as exc:  # the contract sorts it below
+        return exc, _state(rng) != state
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return json.dumps(_plain(out), allow_nan=False), False
+
+
+def _admits(row, value):
+    return KINDS[row.kind](value) and (
+        row.within is None or value is None or row.within(value))
+
+
+@pytest.mark.parametrize(
+    "row, value_id", CASES,
+    ids=["%s-%s-%s" % (row.callable, row.param, value_id)
+         for row, value_id in CASES])
+def test_input_contract(row, value_id):
+    value = row.valid if value_id == "valid" else VALUES[value_id]
+    result, moved = _outcome(row, value)
+    if (row.kind in INTEGER_KINDS and isinstance(value, numbers.Integral)
+            and type(value) is not int):
+        # the same bytes as int(v), or a rejection of both
+        as_int, _ = _outcome(row, int(value))
+        assert (result == as_int if isinstance(result, str)
+                else not isinstance(as_int, str)), (result, as_int)
+    if isinstance(result, str):
+        assert _admits(row, value), "admitted %s=%r" % (row.param, value)
+        return
+    assert value_id != "valid", "the valid call raised %r" % (result,)
+    assert not moved, "the generator moved before %r" % (result,)
+    pins = [row.pinned[value_id]] if value_id in row.pinned else []
+    if row.checked and not KINDS[row.kind](value):
+        pins.append("^%s must be an integer, got %s$"
+                    % (re.escape(row.checked), re.escape(repr(value))))
+    if isinstance(result, TypeError) and value_id in NON_NUMBERS and not pins:
+        return
+    assert isinstance(result, (ValueError, BoundsError)), repr(result)
+    if value_id in row.unnamed:
+        return
+    message = str(result)
+    names = filter(None, (row.param, row.checked, *row.aliases))
+    assert any(re.search(r"(?<!\w)%s(?!\w)" % re.escape(name), message)
+               for name in names), message
+    for pin in pins:
+        assert re.search(pin, message), message

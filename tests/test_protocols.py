@@ -189,14 +189,6 @@ def test_rot_checks_n_before_drawing(n):
         assert generator_state(rng) == before
 
 
-def test_rot_runs_integral_n_as_its_integer():
-    assert run_rot(True, 1, 0, rng=7).to_json() == run_rot(
-        1, 1, 0, rng=7).to_json()
-    t = run_rot(np.int64(16), 4, 1, rng=7)
-    assert type(t.n) is int
-    assert t.to_json() == run_rot(16, 4, 1, rng=7).to_json()
-
-
 @pytest.mark.parametrize("c", [2, -1, 0.0, 1.0, "x", None])
 def test_honest_index_sets_reject_choice_outside_a_bit(c):
     theta = np.array([0, 1, 1, 0], dtype=np.uint8)
