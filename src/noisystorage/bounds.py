@@ -65,7 +65,9 @@ class StorageModel:
         _require_finite("nu", self.nu)
         if self.nu <= 0.0:
             raise PreconditionError("storage rate nu must be positive")
-        _require_integer("channel dimension dim", self.dim)
+        dim = _require_integer("channel dimension dim", self.dim)
+        if dim is not self.dim:  # _store_integer inline: one per curve row
+            object.__setattr__(self, "dim", dim)
         if self.dim < 2:
             raise PreconditionError("channel dimension must be at least 2")
         _require_finite("channel dimension dim", self.dim)
@@ -119,7 +121,7 @@ class RobustParams:
         if self.ph_err >= 0.5:
             raise PreconditionError("honest error rate must be below 1/2")
         if self.ell is not None:
-            _require_integer("ell", self.ell)
+            _store_integer(self, "ell", "ell")
         if self.m1 <= 0.0:
             raise PreconditionError("no single-photon rounds survive "
                                     "(p1_sent - ph_noclick + pd_noclick <= 0)")
@@ -157,13 +159,13 @@ class QidParams:
 
     def __post_init__(self):
         _require_finite("n", self.n)
-        _require_integer("m", self.m)
+        _store_integer(self, "m", "m")
         if self.m < 2:
             raise PreconditionError("need at least two passwords")
         _require_margin(self.delta)
         object.__setattr__(self, "mu", _gv_relative_distance(self.n, self.m))
         if self.ell is not None:
-            _require_integer("ell", self.ell)
+            _store_integer(self, "ell", "ell")
             if self.ell < 1:
                 raise PreconditionError("ell must be a positive length")
             _require_finite("ell", self.ell)
@@ -173,7 +175,7 @@ class QidParams:
                     "code distance d_code = %s exceeds the code length "
                     "n = %.6g" % (self.d_code, self.n))
             _require_finite("d_code", self.d_code)  # nan passes the above
-            _require_integer("d_code", self.d_code)
+            _store_integer(self, "d_code", "d_code")
             _check_code_distance(self.d_code, self.m, self.delta)
 
 
@@ -199,6 +201,15 @@ def _require_integer(name, value):
         raise PreconditionError("%s must be an integer, got %r"
                                 % (name, value))
     return int(value)
+
+
+def _store_integer(record, name, label):
+    """Check a frozen record's integer field and keep it as a Python int;
+    a plain int is left as it is."""
+    value = getattr(record, name)
+    checked = _require_integer(label, value)
+    if checked is not value:  # a numpy integer or a bool
+        object.__setattr__(record, name, checked)
 
 
 def _require_margin(delta):

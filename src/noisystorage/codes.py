@@ -2,7 +2,7 @@
 
 Desk-scale codes only: minimum distances are certified by brute force
 (dimension capped at 20) and syndrome decoding uses an exact coset-leader
-table (redundancy capped at 24 bits), over one word or a stack of them.
+table (redundancy capped at 20 bits), over one word or a stack of them.
 The catalog covers repetition, Hamming [7,4], its extended [8,4]
 variant, and deterministic random codes, which is enough to drive the
 protocol machinery at test scale.
@@ -19,7 +19,9 @@ from . import gf2
 from .bounds import PreconditionError, _require_integer, binary_entropy
 
 MIN_DISTANCE_MAX_K = 20
-COSET_TABLE_MAX_REDUNDANCY = 24
+# a coset table of 2^20 rows took 2.0 s and an 87 MB tracemalloc peak for
+# repetition_code(21) on a shared 2-CPU VM; at 24 it took 55 s and 1.5 GB
+COSET_TABLE_MAX_REDUNDANCY = 20
 RANDOM_CODE_TRIES = 200
 # codewords one product of _min_weight holds, across its generators
 _WEIGHT_CHUNK_WORDS = 1 << 14
@@ -268,6 +270,7 @@ def qid_code(m, n):
     """
     if not all(isinstance(v, numbers.Integral) for v in (m, n)):
         raise ValueError("m and n must be integers")
+    m, n = int(m), int(n)
     if m < 2:
         raise ValueError("need at least 2 passwords")
     k = math.ceil(math.log2(m))

@@ -37,22 +37,22 @@ class JointDistribution:
     def __init__(self, registers, probs):
         regs = [(str(name), _require_integer("register size", size))
                 for name, size in registers]
-        names = [name for name, _ in regs]
-        if len(set(names)) != len(names):
+        axes = {name: i for i, (name, _) in enumerate(regs)}
+        if len(axes) != len(regs):
             raise ValueError("register names must be unique")
         if any(size < 1 for _, size in regs):
             raise ValueError("register sizes must be >= 1")
         shape = tuple(size for _, size in regs)
         _check_cells(math.prod(shape))
         arr = np.asarray(probs, dtype=float).reshape(shape)
-        if not np.all(arr >= -NORMALIZATION_TOL):  # NaN fails too
+        if not arr.min() >= -NORMALIZATION_TOL:  # NaN fails too
             raise ValueError("probabilities must be nonnegative")
-        arr = np.clip(arr, 0.0, None)
-        total = float(arr.sum())
+        arr = np.maximum(arr, 0.0)  # the bytes of np.clip(arr, 0.0, None)
+        total = float(np.add.reduce(arr, axis=None))
         if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise ValueError("probabilities sum to %r, expected 1 within 1e-12" % total)
         self.registers = regs
-        self._axes = {name: i for i, name in enumerate(names)}
+        self._axes = axes
         self.probs = arr
 
     @property
@@ -86,11 +86,15 @@ class JointDistribution:
         """
         lead = probs.ndim - len(self.registers)  # 1 for a stack
         keep = self.axes(list(target) + list(given))
-        drop = [lead + i for i in range(len(self.registers)) if i not in keep]
-        arr = probs.sum(axis=tuple(drop)) if drop else probs
+        drop = tuple(lead + i for i in range(len(self.registers))
+                     if i not in keep)
+        arr = np.add.reduce(probs, axis=drop) if drop else probs
         # reorder surviving axes to the requested order
-        rank = sorted(keep).index
-        arr = np.transpose(arr, [*range(lead), *(lead + rank(a) for a in keep)])
+        order = sorted(keep)
+        if keep != order:
+            rank = order.index
+            arr = np.transpose(arr, [*range(lead),
+                                     *(lead + rank(a) for a in keep)])
         t_size = math.prod(arr.shape[lead:lead + len(target)])
         return arr.reshape(*arr.shape[:lead], t_size, -1)
 
@@ -121,7 +125,7 @@ class JointDistribution:
         one-hot at that value.
         """
         name, size = str(name), _require_integer("register size", size)
-        if name in self.names:
+        if name in self._axes:
             raise ValueError("register %r already present" % name)
         values = np.asarray(values)
         if values.shape != self.probs.shape:

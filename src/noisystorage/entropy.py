@@ -9,6 +9,7 @@ bits (log base 2).
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,30 +159,37 @@ def _select_first_large(dist, alpha, parts, given):
     if m < 2:
         raise ValueError("need at least two substrings to split")
     expected = {*parts, *given}
-    if set(dist.names) != expected or len(expected) != m + len(given):
+    if dist._axes.keys() != expected or len(expected) != m + len(given):
         raise ValueError("distribution must consist of exactly the substrings "
                          "and the side-information registers")
     if not alpha >= 0:  # also rejects NaN
         raise ValueError("alpha must be nonnegative")
 
     threshold = 2.0 ** (-alpha / 2.0)
+    probs = dist.probs
+    part_axes = dist.axes(parts)
     v_cells = np.full(dist.sizes, m - 1, dtype=np.int64)
-    # the last index is the fallback; walking down, the first large j wins
+    # the last index is the fallback; walking down, the first large j wins.
+    # The table holds only the parts and Z, so P(X_j, Z) sums out the
+    # other parts.
     for j in range(m - 2, -1, -1):
-        keep = dist.axes([parts[j], *given])
-        drop = tuple(a for a in range(dist.probs.ndim) if a not in keep)
-        joint = dist.probs.sum(axis=drop, keepdims=True)  # P(X_j, Z)
-        col = joint.sum(axis=keep[0], keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = np.where(col > 0.0, joint / col, 0.0)
-        v_cells[np.broadcast_to(cond >= threshold, v_cells.shape)] = j
+        others = tuple(a for a in part_axes if a != part_axes[j])
+        joint = np.add.reduce(probs, axis=others, keepdims=True)
+        col = np.add.reduce(joint, axis=part_axes[j], keepdims=True)
+        cond = np.divide(joint, col, out=np.zeros(joint.shape), where=col > 0.0)
+        v_cells = np.where(cond >= threshold, j, v_cells)
 
-    # stacked[j] keeps the cells where V = j
-    stacked = np.where(np.equal.outer(np.arange(m), v_cells), dist.probs, 0.0)
-    best = [dist._group(stacked, [part], given).max(axis=-2) for part in parts]
+    # stacked[j] keeps the cells where V = j; best[i, j, z] is
+    # max_xi P(Xi=xi, V=j, Z=z)
+    stacked = np.where(np.equal.outer(np.arange(m), v_cells), probs, 0.0)
+    best = np.empty((m, m, math.prod(dist.size_of(g) for g in given)))
+    for i, part in enumerate(parts):
+        np.maximum.reduce(dist._group(stacked, [part], given), axis=-2,
+                          out=best[i])
+    sums = best.sum(axis=-1).tolist()
     total = 0.0
     for j, i in itertools.permutations(range(m), 2):  # j-major; order sets bits
-        total += best[i][j].sum()
+        total += sums[i][j]
     p = total / (m - 1)
     achieved = -float(np.log2(p)) if p > 0 else float("inf")
     return v_cells, achieved
@@ -239,8 +247,10 @@ def psucc_classical(channel, k):
     if channel.ndim != 2:
         raise ValueError("channel must be a 2-D stochastic matrix")
     n_out, n_in = channel.shape
-    if not (np.all(channel >= 0)  # NaN fails both checks
-            and np.all(np.abs(channel.sum(axis=0) - 1.0) <= 1e-9)):
+    if n_in == 0:
+        raise ValueError("channel must have at least one input")
+    if not ((channel >= 0).all()  # NaN fails both checks
+            and (np.abs(channel.sum(axis=0) - 1.0) <= 1e-9).all()):
         raise ValueError("channel columns must be probability vectors")
     if n_in > PSUCC_MAX_SYMBOLS or n_out > PSUCC_MAX_SYMBOLS:
         raise ValueError("channel larger than the %d-symbol exhaustive cap"
@@ -252,9 +262,11 @@ def psucc_classical(channel, k):
 
     n_msgs = 2 ** k
     support = min(n_msgs, n_in)
-    best = 0.0
-    for subset in itertools.combinations(range(n_in), support):
-        score = channel[:, subset].max(axis=1).sum()
-        if score > best:
-            best = score
-    return float(best / n_msgs)
+    subsets = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations(range(n_in), support)),
+        dtype=np.intp).reshape(-1, support)
+    # with at most 8 outputs, the axis-0 sum adds each subset's row maxima
+    # in the order a 1-D sum would
+    scores = channel[:, subsets].max(axis=2).sum(axis=0)
+    return float(scores.max() / n_msgs)

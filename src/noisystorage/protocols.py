@@ -28,6 +28,10 @@ from .hashing import (ToeplitzHash, _binned_outputs, _check_sizes, hash_apply,
                       random_hash)
 
 LEAKAGE_MAX_N = 24
+# about a minute of estimate_leakage at n = 24 and ell = 1 (0.57 ms a trial
+# on a shared 2-CPU VM); a trial's joint tables grow as 4^ell, and one
+# trial at ell = 12 takes about 0.4 s
+LEAKAGE_MAX_TRIALS = 100_000
 _LEAKAGE_MAX_ELL = 12  # a stacked joint table holds at most 2^24 cells
 # estimate_leakage's chunks hold at most this many cells of their largest
 # stacked tables; a trial counts at least _TRIAL_CELLS, for the child
@@ -558,7 +562,8 @@ def estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
     needs n of about 4.1e5 rounds even as delta -> 1/4, and n <= 24.
 
     Every input is checked before the first draw; ell may not exceed 12,
-    which caps each joint table at 2^24 cells.  The draws run trial
+    which caps each joint table at 2^24 cells, and ``trials`` may not
+    exceed ``LEAKAGE_MAX_TRIALS``.  The draws run trial
     by trial; the posterior sums run on stacked chunks of trials.  A
     chunk holds at most ``_LEAKAGE_CHUNK_CELLS`` cells of its largest
     tables, the (chunk, ell, 2^(n - n//2)) hash sums and the
@@ -577,6 +582,9 @@ def estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
                          "hold 2^ell x 2^ell cells" % (ell, _LEAKAGE_MAX_ELL))
     if trials < 1:
         raise ValueError("need at least one trial")
+    if trials > LEAKAGE_MAX_TRIALS:
+        raise PreconditionError("trials = %d exceeds the cap of %d"
+                                % (trials, LEAKAGE_MAX_TRIALS))
     statement_bound = min(1.0, 2.0 * ot_epsilon(delta, n))
     stored = _stored_states(r)
     helstrom_rate = qsim.helstrom(stored[0, 0], stored[1, 0])

@@ -601,10 +601,12 @@ def test_robust_params_name_a_nonpositive_round_count(n):
 
 
 def test_bool_counts_and_lengths_are_integers():
-    # a bool is a numbers.Integral, as for dim and qid_code
+    # a bool is a numbers.Integral, as for dim and qid_code, and a record
+    # keeps it as its int
     assert (qid_error(QidParams(**{**QID_GOOD, "ell": True}))
             == qid_error(QidParams(**{**QID_GOOD, "ell": 1})))
-    assert RobustParams(**ROBUST_GOOD, ell=True).ell is True
+    ell = RobustParams(**ROBUST_GOOD, ell=True).ell
+    assert ell == 1 and type(ell) is int
     with pytest.raises(PreconditionError, match="two passwords"):
         QidParams(**{**QID_GOOD, "m": True})
 

@@ -222,6 +222,20 @@ def test_decode_size_cap():
         coset_leaders(big)
 
 
+def test_coset_table_past_its_cap_is_refused_before_allocating():
+    # one past the cap the table alone would be 2^21 rows of 22 bytes
+    code = repetition_code(codes.COSET_TABLE_MAX_REDUNDANCY + 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^coset table limited to "
+                           "n - k <= %d$" % codes.COSET_TABLE_MAX_REDUNDANCY):
+            codes.coset_leaders(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_coset_table_is_read_only_and_cached():
     code = hamming_7_4()
     table = codes.coset_leaders(code)

@@ -63,6 +63,15 @@ def test_integral_register_sizes_are_kept_as_python_ints():
     assert JointDistribution([("X", True)], [1.0]).sizes == (1,)
 
 
+def test_clamp_gives_the_bytes_of_clip():
+    # the tolerated negatives, -0.0 included, become +0.0 as np.clip
+    # makes them
+    probs = np.array([-0.0, -1e-13, -5e-324, 0.0, 5e-324, 0.5, 0.5])
+    d = JointDistribution([("X", 7)], probs)
+    assert d.probs.tobytes() == np.clip(probs, 0.0, None).tobytes()
+    assert not np.signbit(d.probs).any()
+
+
 @pytest.mark.parametrize("probs", [[np.nan, 1.0], [1.0, np.nan],
                                    [np.nan, np.nan]])
 def test_rejects_nan_probabilities(probs):

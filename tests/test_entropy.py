@@ -361,6 +361,37 @@ def brute_force_psucc(channel, k):
     return best
 
 
+def loop_psucc(channel, k):
+    """The subset loop that psucc_classical's one gather replaced: each
+    subset scored by its own 1-D sum, the first best kept."""
+    n_in = channel.shape[1]
+    n_msgs = 2 ** k
+    best = 0.0
+    for subset in itertools.combinations(range(n_in), min(n_msgs, n_in)):
+        score = channel[:, subset].max(axis=1).sum()
+        if score > best:
+            best = score
+    return float(best / n_msgs)
+
+
+def test_psucc_equals_the_subset_loop():
+    rng = np.random.default_rng(4100)
+    for trial in range(1500):
+        shape = tuple(int(v) for v in rng.integers(1, 9, 2))
+        channel = rng.random(shape)
+        if trial % 3 == 0:  # coarse values, so that subsets tie
+            channel = np.round(4.0 * channel)
+        channel += 1e-3
+        channel /= channel.sum(axis=0, keepdims=True)
+        for k in range(4):
+            assert psucc_classical(channel, k) == loop_psucc(channel, k)
+
+
+def test_psucc_rejects_a_channel_without_inputs():
+    with pytest.raises(ValueError, match="at least one input"):
+        psucc_classical(np.zeros((2, 0)), 1)
+
+
 def test_psucc_identity_channel():
     assert psucc_classical(np.eye(2), 1) == pytest.approx(1.0)
 

@@ -70,7 +70,11 @@ from noisystorage import (
 from noisystorage.bounds import BoundsError, dishonest_alice_error
 from noisystorage.codes import identity_code, random_code, repetition_code
 from noisystorage.hashing import random_hash
-from noisystorage.protocols import honest_index_sets, make_rng
+from noisystorage.protocols import (
+    LEAKAGE_MAX_TRIALS,
+    honest_index_sets,
+    make_rng,
+)
 from noisystorage.qsim import born_probability
 
 # the adversarial values, by the id each sweep case prints
@@ -113,7 +117,6 @@ class Row(NamedTuple):
     checked: str = None
     pinned: dict = {}  # value id -> the regexp its diagnostic matches
     unnamed: dict = {}  # value id -> why its ValueError need not name it
-    skipped: dict = {}  # value id -> why the call is not made
 
 
 NUMPY_SIZE = ("sizes an array: numpy's own 'Maximum allowed dimension "
@@ -149,10 +152,14 @@ def _one_hot(size, extra=0):
 
 def _record_rows(make, evaluate, base, kinds, **extra):
     """One row per record field: ``evaluate`` of the record built from
-    ``base`` with the value in the field's place."""
+    ``base`` with the value in the field's place, and an integer field as
+    the record keeps it."""
+    def call(field, kind, v):
+        record = make(**{**base, field: v})
+        kept = getattr(record, field) if kind in INTEGER_KINDS else None
+        return kept, evaluate(record)
     return [Row(make.__name__, field, kind, base[field],
-                lambda v, rng, field=field: evaluate(make(**{**base,
-                                                             field: v})),
+                lambda v, rng, field=field, kind=kind: call(field, kind, v),
                 **extra.get(field, {}))
             for field, kind in kinds]
 
@@ -263,7 +270,7 @@ ROWS = [
         within=lambda v: 1 <= v <= 6, checked="k"),
     Row("random_code", "seed", "seed", 0,
         lambda v, rng: random_code(6, 3, seed=v)),
-    Row("qid_code", "m", "count", 16, lambda v, rng: qid_code(v, 8).code,
+    Row("qid_code", "m", "count", 16, lambda v, rng: qid_code(v, 8),
         within=lambda v: v >= 2, aliases=("passwords",)),
     Row("qid_code", "n", "count", 8, lambda v, rng: qid_code(16, v).code,
         within=lambda v: v >= 4, unnamed={"10**30": NUMPY_SIZE}),
@@ -369,10 +376,10 @@ ROWS = [
         lambda v, rng: estimate_leakage(4, 1, v, 2, rng=rng)),
     Row("estimate_leakage", "trials", "count", 2,
         lambda v, rng: estimate_leakage(4, 1, 0.3, v, rng=rng),
-        within=lambda v: v >= 1, aliases=("trial",), checked="trials",
-        skipped={"10**30": "runs without end: its memory is chunked, its "
-                           "time grows with trials, and no CLI command "
-                           "reaches it"}),
+        within=lambda v: 1 <= v <= LEAKAGE_MAX_TRIALS, aliases=("trial",),
+        checked="trials",
+        pinned={"10**30": "^trials = 10{30} exceeds the cap of %d$"
+                          % LEAKAGE_MAX_TRIALS}),
     Row("estimate_leakage", "rng", "seed", 7,
         lambda v, rng: estimate_leakage(4, 1, 0.3, 2, rng=v)),
     Row("estimate_leakage", "delta", "real", 0.01,
@@ -394,7 +401,7 @@ ROWS = [
 ]
 
 CASES = [(row, value_id) for row in ROWS
-         for value_id in ("valid", *VALUES) if value_id not in row.skipped]
+         for value_id in ("valid", *VALUES)]
 
 
 class _Alarm(Exception):

@@ -591,6 +591,16 @@ def test_leakage_size_cap():
         estimate_leakage(n=30, ell=2, r=0.5, trials=10, rng=1)
 
 
+def test_leakage_trials_cap_is_checked_before_the_first_draw():
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^trials = %d exceeds the cap of "
+                       "%d$" % (protocols.LEAKAGE_MAX_TRIALS + 1,
+                               protocols.LEAKAGE_MAX_TRIALS)):
+        estimate_leakage(4, 1, 0.3, protocols.LEAKAGE_MAX_TRIALS + 1, rng=rng)
+    assert rng.bit_generator.state == state
+
+
 def stored_bit_guess_probability(r):
     """Best guess of a depolarized basis-0 bit: the Helstrom value."""
     return qsim.helstrom(qsim.depolarize(qsim.bb84_prepare(0, 0), r),
