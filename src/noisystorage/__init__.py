@@ -31,9 +31,7 @@ from .codes import LinearCode, QidCode, qid_code
 from .distributions import JointDistribution, SubDistribution
 from .entropy import (
     SplitResult,
-    guessing_probability,
     min_entropy,
-    nonuniformity,
     psucc_classical,
     smooth_sub_distribution,
     split_binary,

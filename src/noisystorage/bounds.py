@@ -203,6 +203,17 @@ def _require_integer(name, value):
     return int(value)
 
 
+def _require_bit(name, value):
+    """``value`` as a Python int 0 or 1; anything but a ``numbers.Integral``
+    equal to 0 or 1 raises, a float 0.0 or 1.0 included."""
+    if type(value) is int and (value == 0 or value == 1):
+        return value
+    if not (isinstance(value, numbers.Integral) and value in (0, 1)):
+        raise PreconditionError("%s must be an integer 0 or 1, got %r"
+                                % (name, value))
+    return int(value)
+
+
 def _store_integer(record, name, label):
     """Check a frozen record's integer field and keep it as a Python int;
     a plain int is left as it is."""

@@ -268,9 +268,7 @@ def qid_code(m, n):
 
     The code's ``min_distance`` is exact.
     """
-    if not all(isinstance(v, numbers.Integral) for v in (m, n)):
-        raise ValueError("m and n must be integers")
-    m, n = int(m), int(n)
+    m, n = _require_integer("m", m), _require_integer("n", n)
     if m < 2:
         raise ValueError("need at least 2 passwords")
     k = math.ceil(math.log2(m))

@@ -1,8 +1,8 @@
 """Exact classical min-entropy primitives.
 
 Everything here treats side information as classical registers of a
-:class:`~noisystorage.distributions.JointDistribution`.  Guessing
-probability, (smooth) min-entropy, non-uniformity, and the two randomized
+:class:`~noisystorage.distributions.JointDistribution`.  (Smooth)
+min-entropy, the distance from uniform, and the two randomized
 index-selection constructions that split joint min-entropy between
 substrings are all computed exactly in double precision; entropies are in
 bits (log base 2).
@@ -28,17 +28,6 @@ def _names(arg):
     if isinstance(arg, str):
         return [arg]
     return list(arg)
-
-
-def guessing_probability(dist, target, given=()):
-    """Best probability of guessing ``target`` from the ``given`` registers.
-
-    Classically this is sum_y max_x P(x, y): for every value y of the side
-    information the guesser names the most likely x.  Registers outside
-    ``target`` and ``given`` are marginalized out.
-    """
-    table = dist.grouped(_names(target), _names(given))
-    return float(table.max(axis=0).sum())
 
 
 def _smoothed_columns(table, eps):
@@ -121,18 +110,6 @@ def _uniform_distance(tables):
     n_x = tables.shape[-2]
     col_mass = tables.sum(axis=-2, keepdims=True)
     return 0.5 * np.abs(tables - col_mass / n_x).sum(axis=(-2, -1))
-
-
-def nonuniformity(dist, target, given=()):
-    """Statistical distance of ``target`` from uniform-and-independent.
-
-    d(X|Y) = 1/2 sum_y P(y) sum_x |P(x|y) - 1/|X||, which is
-    :func:`_uniform_distance` of the (target, given) table.  Zero exactly
-    when ``target`` is uniform and independent of the conditioning
-    registers.
-    """
-    return float(_uniform_distance(dist.grouped(_names(target),
-                                                _names(given))))
 
 
 @dataclass

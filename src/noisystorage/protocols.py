@@ -15,13 +15,13 @@ one yields a uniform bit, which is how the honest path is sampled.
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import gf2, qsim
-from .bounds import PreconditionError, _require_integer, ot_epsilon
+from .bounds import (PreconditionError, _require_bit, _require_integer,
+                     ot_epsilon)
 from .codes import syndrome, syndrome_budget_ok, syndrome_decode
 from .entropy import _uniform_distance
 from .hashing import (ToeplitzHash, _binned_outputs, _check_sizes, hash_apply,
@@ -29,8 +29,9 @@ from .hashing import (ToeplitzHash, _binned_outputs, _check_sizes, hash_apply,
 
 LEAKAGE_MAX_N = 24
 # about a minute of estimate_leakage at n = 24 and ell = 1 (0.57 ms a trial
-# on a shared 2-CPU VM); a trial's joint tables grow as 4^ell, and one
-# trial at ell = 12 takes about 0.4 s
+# on a shared 2-CPU VM).  A trial's joint tables grow as 4^ell (one trial at
+# ell = 12 takes about 0.4 s), so estimate_leakage also caps trials times
+# _trial_cells at this many trials of its n = 24, ell = 1 tables
 LEAKAGE_MAX_TRIALS = 100_000
 _LEAKAGE_MAX_ELL = 12  # a stacked joint table holds at most 2^24 cells
 # estimate_leakage's chunks hold at most this many cells of their largest
@@ -92,14 +93,6 @@ class _Transcript:
                            for f in fields(self) if f.name != "adversary"})
 
 
-def _choice_bit(c):
-    """``c`` as a Python int, or ValueError unless it is an integer 0 or 1."""
-    if not (isinstance(c, numbers.Integral) and c in (0, 1)):
-        raise ValueError("choice bit c must be an integer 0 or 1, got %r"
-                         % (c,))
-    return int(c)
-
-
 def honest_index_sets(theta, theta_hat, c):
     """The two index sets an honest receiver reports, choice-side first.
 
@@ -107,7 +100,7 @@ def honest_index_sets(theta, theta_hat, c):
     pair (set_0, set_1) is what crosses the wire.  ``c`` must be an
     integer 0 or 1, else ValueError.
     """
-    c = _choice_bit(c)
+    c = _require_bit("choice bit c", c)
     same = np.asarray(theta) == np.asarray(theta_hat)
     match = np.nonzero(same)[0]
     differ = np.nonzero(~same)[0]
@@ -209,7 +202,7 @@ def run_rot(n, ell, c, bob=None, rng=None):
     that draws a storing transfer, and its index sets are checked after.
     """
     n, ell = _check_sizes(n, ell)
-    c = _choice_bit(c)
+    c = _require_bit("choice bit c", c)
     rng = make_rng(rng)
     if bob is not None:
         # -- waiting time: every qubit goes through storage --
@@ -334,7 +327,7 @@ def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3):
     _, ell = _check_sizes(n, params.ell)
     if not 0.0 < eps_target <= 1.0:
         raise ValueError("eps_target must lie in (0, 1]")
-    c = _choice_bit(c)
+    c = _require_bit("choice bit c", c)
     rng = make_rng(rng)
     zeta = math.sqrt(math.log(2.0 / eps_target) / (2.0 * n))
 
@@ -538,10 +531,15 @@ def _storing_trial(n, ell, bob, stored, rng):
     return x, theta, i0, i1, record, f0, f1
 
 
+def _trial_cells(n, ell):
+    """Cells of one :func:`estimate_leakage` trial's largest stacked
+    tables: its hash sums, its joint tables, or _TRIAL_CELLS."""
+    return max(2 ** (n - n // 2) * ell, 4 ** ell, _TRIAL_CELLS)
+
+
 def _leakage_chunk(n, ell):
     """Trials per stacked chunk of :func:`estimate_leakage`."""
-    cells = max(2 ** (n - n // 2) * ell, 4 ** ell, _TRIAL_CELLS)
-    return max(1, _LEAKAGE_CHUNK_CELLS // cells)
+    return max(1, _LEAKAGE_CHUNK_CELLS // _trial_cells(n, ell))
 
 
 def estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
@@ -562,8 +560,10 @@ def estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
     needs n of about 4.1e5 rounds even as delta -> 1/4, and n <= 24.
 
     Every input is checked before the first draw; ell may not exceed 12,
-    which caps each joint table at 2^24 cells, and ``trials`` may not
-    exceed ``LEAKAGE_MAX_TRIALS``.  The draws run trial
+    which caps each joint table at 2^24 cells; ``trials`` may not exceed
+    ``LEAKAGE_MAX_TRIALS``, nor may ``trials`` times a trial's cells exceed
+    what that many trials hold at n = 24 and ell = 1: 24 trials at
+    ell = 12, 6,250 at ell = 8.  The draws run trial
     by trial; the posterior sums run on stacked chunks of trials.  A
     chunk holds at most ``_LEAKAGE_CHUNK_CELLS`` cells of its largest
     tables, the (chunk, ell, 2^(n - n//2)) hash sums and the
@@ -582,9 +582,12 @@ def estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
                          "hold 2^ell x 2^ell cells" % (ell, _LEAKAGE_MAX_ELL))
     if trials < 1:
         raise ValueError("need at least one trial")
-    if trials > LEAKAGE_MAX_TRIALS:
-        raise PreconditionError("trials = %d exceeds the cap of %d"
-                                % (trials, LEAKAGE_MAX_TRIALS))
+    cap = min(LEAKAGE_MAX_TRIALS,
+              LEAKAGE_MAX_TRIALS * _trial_cells(LEAKAGE_MAX_N, 1)
+              // _trial_cells(n, ell))
+    if trials > cap:
+        raise PreconditionError("trials = %d exceeds the cap of %d at n = %d "
+                                "and ell = %d" % (trials, cap, n, ell))
     statement_bound = min(1.0, 2.0 * ot_epsilon(delta, n))
     stored = _stored_states(r)
     helstrom_rate = qsim.helstrom(stored[0, 0], stored[1, 0])

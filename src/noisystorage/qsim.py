@@ -10,6 +10,7 @@ two-state discrimination.  States are 2x2 complex numpy arrays, or
 import numpy as np
 
 from . import gf2
+from .bounds import _require_bit
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _BASIS_VECTORS = np.array(  # indexed [basis, outcome]
@@ -21,10 +22,10 @@ IDENTITY = np.eye(2, dtype=complex)
 
 def _bit_index(value, name):
     """A 0/1 scalar or array as an index into _BASIS_VECTORS; anything
-    else raises ValueError naming ``name``.  An array takes gf2.as_bits'
-    one check."""
-    if not np.ndim(value) and value in (0, 1):
-        return int(value)
+    else raises ValueError naming ``name``.  A scalar takes the runners'
+    bit rule, an array (a 0-d one too) gf2.as_bits' one check."""
+    if not (np.ndim(value) or isinstance(value, np.ndarray)):
+        return _require_bit(name, value)
     try:
         return gf2.as_bits(value).astype(np.intp)
     except ValueError:

@@ -12,17 +12,15 @@ from collections import Counter
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from noisystorage.bounds import (
     depolarizing_capacity,
     ot_epsilon,
     rate_curve,
     strong_converse_exponent,
-    StorageModel,
-    OtParams,
     RobustParams,
 )
+from noisystorage.checks import _random_table
 from noisystorage.codes import qid_code, repetition_code
 from noisystorage.distributions import JointDistribution
 from noisystorage.entropy import min_entropy, split_binary, split_multi
@@ -36,7 +34,7 @@ from noisystorage.protocols import (
     run_rot,
 )
 
-QUBIT = lambda r, nu=1.0: StorageModel(r=r, nu=nu)
+from reference import oracle_smoothed_columns, qubit
 
 
 def _passed(num, name, started, budget):
@@ -44,15 +42,6 @@ def _passed(num, name, started, budget):
     assert elapsed < budget, "criterion %d exceeded %ds (%.1fs)" % (
         num, budget, elapsed)
     print("ACCEPTANCE %d (%s): PASS in %.1fs" % (num, name, elapsed))
-
-
-def _random_table(rng, sizes, names):
-    probs = rng.random(sizes)
-    probs[rng.random(sizes) < 0.15] = 0.0
-    if probs.sum() == 0.0:
-        probs.flat[0] = 1.0
-    probs /= probs.sum()
-    return JointDistribution(list(zip(names, sizes)), probs)
 
 
 def test_criterion_1_formula_fidelity():
@@ -81,23 +70,23 @@ def test_criterion_1_formula_fidelity():
 
 def test_criterion_2_capacity_and_exponent():
     started = time.time()
-    assert depolarizing_capacity(QUBIT(1.0)) == 1.0
-    assert depolarizing_capacity(QUBIT(0.0)) == 0.0
+    assert depolarizing_capacity(qubit(1.0)) == 1.0
+    assert depolarizing_capacity(qubit(0.0)) == 0.0
     lo, hi = 0.0, 1.0
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        if depolarizing_capacity(QUBIT(mid)) < 0.25:
+        if depolarizing_capacity(qubit(mid)) < 0.25:
             lo = mid
         else:
             hi = mid
     assert abs(lo - 0.571) <= 0.005
     for r in np.arange(0.0, 0.95, 0.1):
-        st = QUBIT(float(r))
+        st = qubit(float(r))
         cap = depolarizing_capacity(st)
         assert strong_converse_exponent(cap, st) == 0.0
         assert strong_converse_exponent(cap * 0.5, st) == 0.0
         assert strong_converse_exponent(cap + 1e-6, st) > 0.0
-    assert strong_converse_exponent(0.25, QUBIT(0.0)) == pytest.approx(
+    assert strong_converse_exponent(0.25, qubit(0.0)) == pytest.approx(
         0.25, abs=1e-6)
     _passed(2, "capacity and exponent", started, 10.0)
 
@@ -139,31 +128,6 @@ def test_criterion_4_min_entropy_splitting():
     _passed(4, "min-entropy splitting", started, 60.0)
 
 
-def lp_smooth_guessing_weight(table, eps):
-    n_x, n_y = table.shape
-    p = table.reshape(-1)
-    n_q = p.size
-    c = np.concatenate([np.zeros(n_q), np.ones(n_y)])
-    rows = []
-    rhs = []
-    for x in range(n_x):
-        for y in range(n_y):
-            row = np.zeros(n_q + n_y)
-            row[x * n_y + y] = 1.0
-            row[n_q + y] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-    keep = np.zeros(n_q + n_y)
-    keep[:n_q] = -1.0
-    rows.append(keep)
-    rhs.append(-(p.sum() - eps))
-    bounds = [(0.0, float(pi)) for pi in p] + [(0.0, None)] * n_y
-    res = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds,
-                  method="highs")
-    assert res.success
-    return res.fun
-
-
 def test_criterion_5_smoothing_equals_lp():
     started = time.time()
     rng = np.random.default_rng(2025)
@@ -173,7 +137,7 @@ def test_criterion_5_smoothing_equals_lp():
         d = _random_table(rng, (n_x, n_y), ["X", "Y"])
         eps = float(rng.choice([0.0, 0.01, 0.05, 0.1, 0.3, 0.6]))
         got = 2.0 ** (-min_entropy(d, "X", "Y", eps=eps))
-        want = lp_smooth_guessing_weight(d.grouped(["X"], ["Y"]), eps)
+        want = oracle_smoothed_columns(d.grouped(["X"], ["Y"]), eps)
         assert got == pytest.approx(want, abs=1e-9)
     _passed(5, "smoothing equals LP optimum", started, 60.0)
 
@@ -221,7 +185,7 @@ def test_criterion_7_protocol_correctness():
     # failures below the exact per-block binomial tail
     eps_target = 0.05
     p_err = 0.01
-    params = RobustParams(n=512, delta=0.02, storage=QUBIT(0.2), p1_sent=1.0,
+    params = RobustParams(n=512, delta=0.02, storage=qubit(0.2), p1_sent=1.0,
                           ph_noclick=0.3, pd_noclick=0.0, ph_err=p_err,
                           ell=8)
     code = repetition_code(3)

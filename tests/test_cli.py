@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisystorage import bounds, checks, cli, codes, entropy, gf2, hashing
+from noisystorage import bounds, checks, cli, codes, entropy, hashing
 from noisystorage.cli import dispatch
+from reference import reference_verify_codes
 from test_readme import BUDGET_WARNING
 
 OT_ARGS = ("bounds", "ot", "--n", "1e10", "--delta", "0.0106", "--r", "0.1")
@@ -245,33 +246,6 @@ def test_verify_codes_catches_a_wrong_distance(capsys):
     assert report["violations"] > 0
     assert code == 3
     assert "0 violations" not in out
-
-
-def reference_verify_codes(seed, decode=codes.syndrome_decode):
-    """The per-word loop verify_codes replaced: each word drawn, encoded,
-    noised and decoded on its own.  Returns the per-check outcomes."""
-    rng = np.random.default_rng(seed)
-    catalog = [codes.repetition_code(3), codes.repetition_code(5),
-               codes.hamming_7_4(), codes.extended_hamming_8_4(),
-               codes.qid_code(16, 7).code, codes.qid_code(8, 12).code]
-    outcomes = []
-    for code in catalog:
-        outcomes.append(not gf2.matmul(code.parity, code.generator.T).any())
-        outcomes.append(code.min_distance == codes.min_distance(code)
-                        == checks._python_int_distance(code.generator))
-        t = (code.min_distance - 1) // 2
-        for _ in range(40):
-            msg = rng.integers(0, 2, code.k, dtype=np.uint8)
-            word = codes.encode(code, msg)
-            weight = int(rng.integers(0, t + 1))
-            err = np.zeros(code.n, dtype=np.uint8)
-            err[rng.choice(code.n, size=weight, replace=False)] = 1
-            fixed = decode(code, word ^ err, codes.syndrome(code, word))
-            outcomes.append(np.array_equal(fixed, word))
-    qc = codes.qid_code(16, 8)
-    outcomes.append(
-        len({qc.password_bases(w).tobytes() for w in range(1, 17)}) == 16)
-    return outcomes
 
 
 def _no_correction(code, received, target):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from noisystorage import codes, gf2
 from noisystorage.bounds import _gv_relative_distance, inv_binary_entropy
 from noisystorage.codes import (
-    RANDOM_CODE_TRIES,
     LinearCode,
     _min_weight,
     encode,
@@ -27,6 +26,9 @@ from noisystorage.codes import (
     syndrome_decode,
 )
 from noisystorage.protocols import basis_string, run_qid
+
+from reference import (oracle_coset_leaders, reference_min_weight,
+                       reference_random_code)
 
 
 def bits(s):
@@ -161,31 +163,7 @@ def test_syndrome_decode_tie_break_lexicographic():
                     >= (key_weight, val)
 
 
-def python_int_leaders(parity):
-    """Syndrome -> leader value, by enumeration over Python ints.
-
-    Walks the patterns weight by weight and keeps, per syndrome, the
-    numerically smallest pattern of the lowest weight; the first bit is
-    the most significant, for patterns and syndromes alike.
-    """
-    red, n = parity.shape
-    columns = [sum(int(parity[r, p]) << (red - 1 - r) for r in range(red))
-               for p in range(n)]
-    best = {}
-    for weight in range(n + 1):
-        for pos in itertools.combinations(range(n), weight):
-            syn = 0
-            for p in pos:
-                syn ^= columns[p]
-            value = sum(1 << (n - 1 - p) for p in pos)
-            if syn not in best or best[syn] > (weight, value):
-                best[syn] = (weight, value)
-        if len(best) == 1 << red:
-            return {s: value for s, (_, value) in best.items()}
-    raise AssertionError("parity matrix does not reach every syndrome")
-
-
-def _codes_for_leader_oracle():
+def _leader_test_parities():
     for n in (60, 63, 64, 65, 66, 70):
         # row 0 all ones, row 1 only at position 0: syndrome (1, 0) has
         # n - 1 weight-1 patterns, and the last position is the smallest
@@ -203,11 +181,11 @@ def _codes_for_leader_oracle():
 
 
 @pytest.mark.parametrize("parity", list(itertools.islice(
-    _codes_for_leader_oracle(), 16)), ids=lambda p: "%dx%d" % p.shape)
+    _leader_test_parities(), 16)), ids=lambda p: "%dx%d" % p.shape)
 def test_coset_leaders_match_python_int_oracle(parity):
     from noisystorage.codes import coset_leaders
     code = LinearCode(generator=gf2.nullspace(parity), parity=parity)
-    want = python_int_leaders(parity)
+    want = oracle_coset_leaders(parity)
     leaders = coset_leaders(code)
     assert sorted(want) == list(range(len(leaders)))
     for syn, value in want.items():
@@ -396,20 +374,6 @@ def test_qid_code_grid_digest():
     assert digest.hexdigest() == QID_GRID_DIGEST
 
 
-def reference_random_code(n, k, seed=0):
-    """The search as a loop of full codes: rank, LinearCode, distance."""
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(RANDOM_CODE_TRIES):
-        g = rng.integers(0, 2, (k, n), dtype=np.uint8)
-        if gf2.rank(g) != k:
-            continue
-        cand = LinearCode(generator=g)
-        if best is None or min_distance(cand) > best.min_distance:
-            best = cand
-    return best
-
-
 @pytest.mark.parametrize("n, k, seed", [
     (1, 1, 0), (2, 2, 0), (3, 3, 2), (4, 4, 1), (5, 5, 0), (8, 8, 3),
     (3, 2, 0), (4, 3, 5), (6, 5, 7), (10, 4, 1), (12, 3, 8 * 1009 + 12),
@@ -439,19 +403,6 @@ def test_min_weight_matches_python_int_oracle(data):
     g = gf2.unpack(np.array(rows), n)
     assert _min_weight(g) == want
     assert (want == 0) == (gf2.rank(g) < len(rows))
-
-
-def reference_min_weight(generator):
-    """The per-generator kernel the stacked _min_weight replaced: chunks
-    of 2^14 messages, each encoded by one int64 GF(2) product."""
-    k, n = generator.shape
-    best = n
-    chunk = 1 << 14
-    for start in range(1, 2 ** k, chunk):
-        msgs = np.arange(start, min(start + chunk, 2 ** k))
-        words = gf2.matmul(gf2.unpack(msgs, k), generator)
-        best = min(best, int(words.sum(axis=1).min()))
-    return best
 
 
 def _dependent_stack(rng, tries, k, n):
@@ -544,13 +495,13 @@ def _no_search(*args, **kwargs):
     raise AssertionError("random_code drew before the inputs were checked")
 
 
-SIZES, PASSWORD = "m and n must be integers", "password must be an integer"
+PASSWORD = "password must be an integer"
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: qid_code(16, 12.0), SIZES),
-    (lambda: qid_code(16.5, 12), SIZES),
-    (lambda: qid_code(8.0, 12), SIZES),
+    (lambda: qid_code(16, 12.0), "^n must be an integer, got 12.0$"),
+    (lambda: qid_code(16.5, 12), "^m must be an integer, got 16.5$"),
+    (lambda: qid_code(8.0, 12), "^m must be an integer, got 8.0$"),
     (lambda: qid_code(16, 8).password_bits(2.5), PASSWORD),
     (lambda: qid_code(16, 8).password_bases(3.0), PASSWORD),
     (lambda: run_qid(2.5, 2, qid_code(16, 8), 8), PASSWORD),

@@ -1,4 +1,3 @@
-import re
 
 import numpy as np
 import pytest
@@ -42,16 +41,6 @@ def test_rejects_bad_tables():
         JointDistribution([("X", 2), ("X", 2)], [0.25] * 4)
     with pytest.raises(ValueError):
         JointDistribution([("X", 2 ** 9), ("Y", 2 ** 9)], np.zeros(2 ** 18))
-
-
-@pytest.mark.parametrize("size", [2.5, 2.9, 2.0, np.float64(2.0), "2", None])
-def test_register_sizes_must_be_integers(size):
-    message = "^register size must be an integer, got %s$" % re.escape(
-        repr(size))
-    with pytest.raises(ValueError, match=message):
-        JointDistribution([("X", size)], [0.5, 0.5])
-    with pytest.raises(ValueError, match=message):
-        uniform([("X", 2)]).with_register("V", size, np.zeros(2, dtype=int))
 
 
 def test_integral_register_sizes_are_kept_as_python_ints():

@@ -1,4 +1,3 @@
-import itertools
 import math
 import re
 
@@ -7,18 +6,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.optimize import linprog
 
 from noisystorage.distributions import JointDistribution, SubDistribution
 from noisystorage.entropy import (
     _smoothed_columns,
     _uniform_distance,
-    guessing_probability,
     min_entropy,
-    nonuniformity,
     psucc_classical,
     smooth_sub_distribution,
 )
+
+from reference import (mixture_k4, oracle_psucc_classical,
+                       oracle_smoothed_columns, reference_psucc_classical,
+                       reference_smoothed_columns, reference_uniform_distance)
 
 
 def random_table(rng, sizes, names=None):
@@ -28,75 +28,39 @@ def random_table(rng, sizes, names=None):
     return JointDistribution(list(zip(names, sizes)), probs)
 
 
-def lp_smooth_guessing_weight(table, eps):
-    """Independent LP oracle: min sum_y max_x q(x,y) over q <= p, deficit <= eps."""
-    n_x, n_y = table.shape
-    p = table.reshape(-1)
-    n_q = p.size
-    c = np.concatenate([np.zeros(n_q), np.ones(n_y)])
-    rows = []
-    rhs = []
-    for x in range(n_x):
-        for y in range(n_y):
-            row = np.zeros(n_q + n_y)
-            row[x * n_y + y] = 1.0
-            row[n_q + y] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-    keep = np.zeros(n_q + n_y)
-    keep[:n_q] = -1.0
-    rows.append(keep)
-    rhs.append(-(p.sum() - eps))
-    bounds = [(0.0, float(pi)) for pi in p] + [(0.0, None)] * n_y
-    res = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds,
-                  method="highs")
-    assert res.success
-    return res.fun
-
-
-def mixture_k4():
-    """Two 4-bit halves: either X0 is forced to zero or X1 is, each with odds 1/2."""
-    n = 16
-    probs = np.zeros((n, n))
-    probs[0, :] += 0.5 / n
-    probs[:, 0] += 0.5 / n
-    return JointDistribution([("X0", n), ("X1", n)], probs)
-
-
-# --- guessing probability -------------------------------------------------
+# --- guessing probability: 2^-min_entropy at eps = 0 ---------------------
 
 
 def test_guessing_uniform_pair():
     d = JointDistribution([("X", 4)], np.full(4, 0.25))
-    assert guessing_probability(d, "X") == pytest.approx(0.25)
+    assert min_entropy(d, "X") == pytest.approx(2.0)
 
 
 def test_guessing_perfect_copy():
     probs = np.eye(2) * 0.5
     d = JointDistribution([("X", 2), ("Y", 2)], probs)
-    assert guessing_probability(d, "X", "Y") == pytest.approx(1.0)
+    assert min_entropy(d, "X", "Y") == pytest.approx(0.0)
 
 
 def test_guessing_mixture_values():
     d = mixture_k4()
-    assert guessing_probability(d, ["X0", "X1"]) == pytest.approx(2.0 ** -4)
     assert min_entropy(d, ["X0", "X1"]) == pytest.approx(4.0)
-    assert guessing_probability(d, "X0") == pytest.approx(0.5 + 2.0 ** -5)
+    assert 2.0 ** -min_entropy(d, "X0") == pytest.approx(0.5 + 2.0 ** -5)
 
 
 def test_guessing_marginalizes_other_registers():
     rng = np.random.default_rng(3)
     d = random_table(rng, (3, 4, 2), names=["X", "Y", "W"])
-    expected = guessing_probability(d.marginal(["X", "Y"]), "X", "Y")
-    assert guessing_probability(d, "X", "Y") == pytest.approx(expected)
+    expected = min_entropy(d.marginal(["X", "Y"]), "X", "Y")
+    assert min_entropy(d, "X", "Y") == pytest.approx(expected)
 
 
 def test_guessing_errors():
     d = JointDistribution([("X", 2), ("Y", 2)], np.full((2, 2), 0.25))
     with pytest.raises(KeyError):
-        guessing_probability(d, "Q", "Y")
+        min_entropy(d, "Q", "Y")
     with pytest.raises(ValueError):
-        guessing_probability(d, "X", "X")
+        min_entropy(d, "X", "X")
 
 
 # --- smooth min-entropy ---------------------------------------------------
@@ -113,7 +77,7 @@ def test_min_entropy_eps_zero_matches_guessing():
     for _ in range(50):
         d = random_table(rng, (4, 3))
         h = min_entropy(d, "R0", "R1", eps=0.0)
-        assert h == pytest.approx(-np.log2(guessing_probability(d, "R0", "R1")))
+        assert h == pytest.approx(-np.log2(d.probs.max(axis=0).sum()))
 
 
 def test_min_entropy_rejects_bad_eps():
@@ -166,33 +130,8 @@ def test_waterfilling_equals_lp_small_batch():
         eps = float(rng.choice([0.0, 0.01, 0.1, 0.5]))
         table = d.grouped(["R0"], ["R1"])
         got = 2.0 ** (-min_entropy(d, "R0", "R1", eps=eps))
-        want = lp_smooth_guessing_weight(table, eps)
+        want = oracle_smoothed_columns(table, eps)
         assert got == pytest.approx(want, abs=1e-9)
-
-
-def segment_smoothed_columns(table, eps):
-    """The smoothing that listed every (cost, column, width) segment and
-    sorted the list by (cost, column), kept as the == reference."""
-    n_rows, n_cols = table.shape
-    sorted_cols = np.sort(table, axis=0)[::-1, :]  # descending per column
-    ceilings = sorted_cols[0, :].copy()
-    segments = []  # (unit cost, column, gain capacity)
-    for j in range(n_cols):
-        col = sorted_cols[:, j]
-        for tier in range(n_rows):
-            nxt = col[tier + 1] if tier + 1 < n_rows else 0.0
-            width = float(col[tier] - nxt)
-            if width > 0.0:
-                segments.append((tier + 1, j, width))
-    segments.sort(key=lambda s: (s[0], s[1]))
-    budget = float(eps)
-    for cost, j, width in segments:
-        if budget <= 0.0:
-            break
-        gain = min(width, budget / cost)
-        ceilings[j] -= gain
-        budget -= gain * cost
-    return ceilings, float(ceilings.sum())
 
 
 # a few repeated values, so that tables hold ties and zeros
@@ -225,7 +164,7 @@ def smoothing_cases(draw):
 def test_tier_walk_equals_the_sorted_segment_list(case):
     table, eps = case
     ceilings, value = _smoothed_columns(table, eps)
-    want_ceilings, want_value = segment_smoothed_columns(table, eps)
+    want_ceilings, want_value = reference_smoothed_columns(table, eps)
     assert value == want_value
     assert ceilings.dtype == want_ceilings.dtype
     assert ceilings.tobytes() == want_ceilings.tobytes()
@@ -279,17 +218,17 @@ def test_chain_rule_random_tables():
             assert lhs >= rhs - 1e-9
 
 
-# --- non-uniformity -------------------------------------------------------
+# --- non-uniformity: _uniform_distance of the (target, given) table ------
 
 
 def test_nonuniformity_uniform_independent_is_zero():
     d = JointDistribution([("X", 2), ("Y", 3)], np.full((2, 3), 1.0 / 6))
-    assert nonuniformity(d, "X", "Y") == pytest.approx(0.0)
+    assert _uniform_distance(d.grouped(["X"], ["Y"])) == pytest.approx(0.0)
 
 
 def test_nonuniformity_perfect_correlation():
     d = JointDistribution([("X", 2), ("Y", 2)], np.eye(2) * 0.5)
-    assert nonuniformity(d, "X", "Y") == pytest.approx(0.5)
+    assert _uniform_distance(d.grouped(["X"], ["Y"])) == pytest.approx(0.5)
 
 
 def test_nonuniformity_ignores_independent_register():
@@ -299,16 +238,9 @@ def test_nonuniformity_ignores_independent_register():
     extra /= extra.sum()
     probs = np.einsum("xe,d->xed", base.probs, extra)
     joint = JointDistribution([("X", 3), ("E", 4), ("D", 2)], probs)
-    with_d = nonuniformity(joint, "X", ["E", "D"])
-    without = nonuniformity(base, "X", "E")
+    with_d = _uniform_distance(joint.grouped(["X"], ["E", "D"]))
+    without = _uniform_distance(base.grouped(["X"], ["E"]))
     assert with_d == pytest.approx(without, abs=1e-12)
-
-
-def expanded_nonuniformity(table):
-    """The distance as nonuniformity wrote it out for one 2-D table."""
-    n_x = table.shape[0]
-    col_mass = table.sum(axis=0)
-    return float(0.5 * np.abs(table - col_mass[np.newaxis, :] / n_x).sum())
 
 
 @settings(max_examples=200, deadline=None)
@@ -317,16 +249,11 @@ def expanded_nonuniformity(table):
                   elements=st.floats(0.0, 1.0)))
 def test_uniform_distance_matches_the_expanded_formula(stack):
     # one table by ==, and every table of a stack (x on axis -2)
-    assert float(_uniform_distance(stack[0])) == expanded_nonuniformity(
+    assert float(_uniform_distance(stack[0])) == reference_uniform_distance(
         stack[0])
     got = _uniform_distance(stack)
     assert got.shape == stack.shape[:1]
-    assert got.tolist() == [expanded_nonuniformity(t) for t in stack]
-    if stack[0].sum() > 0.0:
-        table = stack[0] / stack[0].sum()
-        d = JointDistribution([("X", table.shape[0]), ("Y", table.shape[1])],
-                              table)
-        assert nonuniformity(d, "X", "Y") == expanded_nonuniformity(table)
+    assert got.tolist() == [reference_uniform_distance(t) for t in stack]
 
 
 def test_nonuniformity_triangle_inequality():
@@ -348,32 +275,6 @@ def test_nonuniformity_triangle_inequality():
 # --- exhaustive channel-decoding oracle ------------------------------------
 
 
-def brute_force_psucc(channel, k):
-    """Literal enumeration over every encoder assignment and ML decoding."""
-    channel = np.asarray(channel, dtype=float)
-    n_out, n_in = channel.shape
-    n_msgs = 2 ** k
-    best = 0.0
-    for assignment in itertools.product(range(n_in), repeat=n_msgs):
-        cols = channel[:, list(assignment)]
-        score = cols.max(axis=1).sum() / n_msgs
-        best = max(best, score)
-    return best
-
-
-def loop_psucc(channel, k):
-    """The subset loop that psucc_classical's one gather replaced: each
-    subset scored by its own 1-D sum, the first best kept."""
-    n_in = channel.shape[1]
-    n_msgs = 2 ** k
-    best = 0.0
-    for subset in itertools.combinations(range(n_in), min(n_msgs, n_in)):
-        score = channel[:, subset].max(axis=1).sum()
-        if score > best:
-            best = score
-    return float(best / n_msgs)
-
-
 def test_psucc_equals_the_subset_loop():
     rng = np.random.default_rng(4100)
     for trial in range(1500):
@@ -384,7 +285,8 @@ def test_psucc_equals_the_subset_loop():
         channel += 1e-3
         channel /= channel.sum(axis=0, keepdims=True)
         for k in range(4):
-            assert psucc_classical(channel, k) == loop_psucc(channel, k)
+            assert psucc_classical(channel, k) \
+                == reference_psucc_classical(channel, k)
 
 
 def test_psucc_rejects_a_channel_without_inputs():
@@ -415,7 +317,7 @@ def test_psucc_matches_literal_enumeration():
         channel /= channel.sum(axis=0, keepdims=True)
         for k in (0, 1, 2):
             assert psucc_classical(channel, k) == pytest.approx(
-                brute_force_psucc(channel, k))
+                oracle_psucc_classical(channel, k))
 
 
 def test_psucc_size_caps():

@@ -12,23 +12,7 @@ from hypothesis.extra import numpy as hnp
 from noisystorage import gf2
 from noisystorage.codes import QidCode, identity_code
 
-
-# The per-bit shift loops the codec replaced, kept as oracles.
-def loop_unpack(value, width):
-    return [(value >> (width - 1 - i)) & 1 for i in range(width)]
-
-
-def loop_pack(bits):
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
-
-
-def loop_hex_to_bits(text, length):
-    value = int(text, 16)
-    bits = [(value >> (length - 1 - i)) & 1 for i in range(length)]
-    return np.array(bits, dtype=np.uint8)
+from reference import reference_pack, reference_rref, reference_unpack
 
 
 @pytest.mark.parametrize("width", range(63))
@@ -58,8 +42,8 @@ def test_codec_matches_per_bit_loops(data, width):
     values = data.draw(st.lists(st.integers(0, (1 << width) - 1),
                                 min_size=1, max_size=8))
     bits = gf2.unpack(np.array(values, dtype=np.int64), width)
-    assert bits.tolist() == [loop_unpack(v, width) for v in values]
-    assert gf2.pack(bits).tolist() == [loop_pack(row) for row in bits]
+    assert bits.tolist() == [reference_unpack(v, width) for v in values]
+    assert gf2.pack(bits).tolist() == [reference_pack(row) for row in bits]
     assert gf2.pack(bits[:, np.newaxis, :]).tolist() == [[v] for v in values]
 
 
@@ -71,7 +55,7 @@ def test_codec_matches_per_bit_loops(data, width):
 def test_unpack_of_a_python_int_matches_per_bit_loop(value, width):
     bits = gf2.unpack(value, width)
     assert bits.dtype == np.uint8
-    assert bits.tolist() == loop_unpack(value, width)
+    assert bits.tolist() == reference_unpack(value, width)
     if -(1 << 63) <= value < 1 << 63 and width <= 64:
         # the int64 path agrees, negative values included
         assert gf2.unpack(np.int64(value), width).tolist() == bits.tolist()
@@ -91,7 +75,7 @@ HEX_DIGITS = "0123456789abcdefABCDEF"
 def test_hex_to_bits_matches_per_bit_loop(prefix, digits, length):
     text = prefix + digits
     got = gf2.unpack(int(text, 16), length)
-    want = loop_hex_to_bits(text, length)
+    want = np.array(reference_unpack(int(text, 16), length), dtype=np.uint8)
     assert got.dtype == want.dtype
     assert got.shape == want.shape == (length,)
     assert np.array_equal(got, want)
@@ -103,8 +87,9 @@ def test_password_bits_are_exact_beyond_int64():
     for w in (1, 2, (1 << 63) + 1, (1 << 63) + 12345, (1 << 64) + 7):
         bits = qc.password_bits(w)
         assert bits.dtype == np.uint8
-        assert bits.tolist() == loop_unpack(w - 1, k)
-    assert loop_pack(qc.password_bits((1 << 63) + 12345)) == (1 << 63) + 12344
+        assert bits.tolist() == reference_unpack(w - 1, k)
+    assert reference_pack(qc.password_bits((1 << 63) + 12345)) \
+        == (1 << 63) + 12344
 
 
 @pytest.mark.parametrize("entries", [[-1, 0], [np.nan, 1], [0.5, 1, 0, 1],
@@ -130,31 +115,6 @@ def test_as_bits_keeps_exact_bits_of_any_type():
     assert gf2.as_bits([]).dtype == np.uint8
 
 
-def loop_rref(mat):
-    """Row reduction that cleared each pivot column one row at a time,
-    kept as the == reference."""
-    m = gf2.as_bits(mat).copy()
-    rows, cols = m.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        pivot_rows = np.nonzero(m[r:, c])[0]
-        if pivot_rows.size == 0:
-            continue
-        p = r + pivot_rows[0]
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        hits = np.nonzero(m[:, c])[0]
-        for h in hits:
-            if h != r:
-                m[h] ^= m[r]
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
 @settings(max_examples=500, deadline=None)
 @given(hnp.arrays(np.uint8, st.tuples(st.integers(0, 11), st.integers(1, 15)),
                   elements=st.integers(0, 1)))
@@ -164,7 +124,7 @@ def loop_rref(mat):
 @example(np.ones((5, 3), dtype=np.uint8))
 def test_rref_equals_the_per_row_loop(mat):
     red, pivots = gf2.rref(mat)
-    want, want_pivots = loop_rref(mat)
+    want, want_pivots = reference_rref(mat)
     assert pivots == want_pivots
     assert red.dtype == want.dtype and red.shape == want.shape
     assert red.tobytes() == want.tobytes()

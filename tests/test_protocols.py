@@ -12,25 +12,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisystorage import gf2, protocols, qsim
+from noisystorage import protocols, qsim
 from noisystorage.bounds import RobustParams, StorageModel, ot_epsilon
 from noisystorage.codes import (
     extended_hamming_8_4,
     hamming_7_4,
     qid_code,
     repetition_code,
-    syndrome,
     syndrome_decode,
 )
-from noisystorage.hashing import (
-    ToeplitzHash,
-    bits_to_hex,
-    hash_apply,
-    hash_apply_many,
-    random_hash,
-)
+from noisystorage.hashing import ToeplitzHash, bits_to_hex, hash_apply
 from noisystorage.protocols import (
-    RotTranscript,
     StoreAllBob,
     WorstCaseReportingBob,
     basis_string,
@@ -45,6 +37,12 @@ from noisystorage.protocols import (
     run_robust_rot,
     run_rot,
 )
+
+from reference import (generator_state, reference_basis_string,
+                       reference_bit_string, reference_bits_to_hex,
+                       reference_block_correct, reference_block_syndromes,
+                       reference_estimate_leakage, reference_storing_trial,
+                       stored_bit_guess_probability)
 
 
 def robust_params(n=512, delta=0.02, ph_noclick=0.0, pd_noclick=0.0,
@@ -205,42 +203,6 @@ def test_honest_index_sets_take_integral_choice_bits():
             list(want)
 
 
-# The per-qubit loop the storing receiver used to run, kept as an oracle:
-# one prepared, depolarized and measured 2x2 matrix and one draw per qubit,
-# written without qsim so that a fault there cannot hide in both paths.
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
-_ORACLE_VECTORS = {
-    0: (np.array([1.0, 0.0], dtype=complex),
-        np.array([0.0, 1.0], dtype=complex)),
-    1: (np.array([_SQRT_HALF, _SQRT_HALF], dtype=complex),
-        np.array([_SQRT_HALF, -_SQRT_HALF], dtype=complex)),
-}
-
-
-def loop_store_all_rot(n, ell, c, r, rng):
-    x = rng.integers(0, 2, n, dtype=np.uint8)
-    theta = rng.integers(0, 2, n, dtype=np.uint8)
-    guesses = []
-    for b, t in zip(x, theta):
-        v = _ORACLE_VECTORS[int(t)][int(b)]
-        out = (r * np.outer(v, v.conj())
-               + (1.0 - r) * 0.5 * np.eye(2, dtype=complex))
-        rho = 0.5 * (out + out.conj().T)
-        w = _ORACLE_VECTORS[int(t)][1]
-        p1 = min(1.0, max(0.0, float((w.conj() @ rho @ w).real)))
-        guesses.append(int(rng.random() < p1))
-    perm = rng.permutation(n)
-    i0 = np.sort(perm[:n // 2]).astype(np.int64)
-    i1 = np.sort(perm[n // 2:]).astype(np.int64)
-    f0 = random_hash(n, ell, rng)
-    f1 = random_hash(n, ell, rng)
-    return RotTranscript(
-        n=n, ell=ell, c=c, x=x, theta=theta, theta_hat=None, x_hat=None,
-        i0=i0, i1=i1, f0=f0, f1=f1, s0=hash_apply(f0, x[i0]),
-        s1=hash_apply(f1, x[i1]), y=None,
-        adversary={"guesses": np.array(guesses, dtype=np.uint8)})
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 255, 1024, 4096])
 @pytest.mark.parametrize("r", [0.0, 0.3, 0.77, 1.0])
 def test_store_all_matches_per_qubit_loop(n, r):
@@ -248,7 +210,7 @@ def test_store_all_matches_per_qubit_loop(n, r):
     for seed in range(12):
         rng, oracle_rng = make_rng(seed), make_rng(seed)
         t = run_rot(n, ell, seed % 2, bob=StoreAllBob(r), rng=rng)
-        ref = loop_store_all_rot(n, ell, seed % 2, r, oracle_rng)
+        ref = reference_storing_trial(n, ell, seed % 2, r, oracle_rng)
         assert t.to_json() == ref.to_json()
         guesses, ref_guesses = t.adversary["guesses"], ref.adversary["guesses"]
         assert guesses.dtype == ref_guesses.dtype == np.uint8
@@ -405,28 +367,6 @@ def test_block_syndrome_roundtrip():
     assert np.array_equal(block_correct(code, noisy, syn), word)
 
 
-def _padded_blocks(code, bits):
-    blocks = math.ceil(len(bits) / code.n) if len(bits) else 0
-    padded = np.zeros(blocks * code.n, dtype=np.uint8)
-    padded[:len(bits)] = bits
-    return [padded[b * code.n:(b + 1) * code.n] for b in range(blocks)]
-
-
-def loop_syndromes(code, bits):
-    """One codes.syndrome call per zero-padded block."""
-    out = [syndrome(code, block) for block in _padded_blocks(code, bits)]
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.uint8)
-
-
-def loop_correct(code, bits, syndromes):
-    """One codes.syndrome_decode call per zero-padded block."""
-    red = code.n - code.k
-    out = [syndrome_decode(code, block, syndromes[b * red:(b + 1) * red])
-           for b, block in enumerate(_padded_blocks(code, bits))]
-    joined = np.concatenate(out) if out else np.zeros(0, dtype=np.uint8)
-    return joined[:len(bits)]
-
-
 @pytest.mark.parametrize("make_code", [
     lambda: repetition_code(3), hamming_7_4, extended_hamming_8_4])
 def test_block_kernels_match_per_block_loop(make_code):
@@ -438,7 +378,7 @@ def test_block_kernels_match_per_block_loop(make_code):
             bits = rng.integers(0, 2, size, dtype=np.uint8)
             syn = block_syndromes(code, bits)
             assert syn.dtype == np.uint8
-            assert np.array_equal(syn, loop_syndromes(code, bits))
+            assert np.array_equal(syn, reference_block_syndromes(code, bits))
             noisy = bits ^ (rng.random(size) < 0.25).astype(np.uint8)
             # honest targets, arbitrary ones (every coset is hit), and a
             # surplus block of targets that both ignore
@@ -448,7 +388,8 @@ def test_block_kernels_match_per_block_loop(make_code):
                 got = block_correct(code, noisy, target)
                 assert got.dtype == np.uint8
                 assert got.shape == (size,)
-                assert np.array_equal(got, loop_correct(code, noisy, target))
+                assert np.array_equal(
+                    got, reference_block_correct(code, noisy, target))
             assert syn.size == red * math.ceil(size / code.n)
 
 
@@ -462,7 +403,7 @@ def test_block_correct_decodes_all_blocks_in_one_call(size):
                            wraps=syndrome_decode) as spy:
         got = block_correct(code, bits, syn)
     assert spy.call_count == 1
-    assert np.array_equal(got, loop_correct(code, bits, syn))
+    assert np.array_equal(got, reference_block_correct(code, bits, syn))
 
 
 # --- password identification ---------------------------------------------------
@@ -592,19 +533,21 @@ def test_leakage_size_cap():
 
 
 def test_leakage_trials_cap_is_checked_before_the_first_draw():
-    rng = np.random.default_rng(5)
-    state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="^trials = %d exceeds the cap of "
-                       "%d$" % (protocols.LEAKAGE_MAX_TRIALS + 1,
-                               protocols.LEAKAGE_MAX_TRIALS)):
-        estimate_leakage(4, 1, 0.3, protocols.LEAKAGE_MAX_TRIALS + 1, rng=rng)
-    assert rng.bit_generator.state == state
-
-
-def stored_bit_guess_probability(r):
-    """Best guess of a depolarized basis-0 bit: the Helstrom value."""
-    return qsim.helstrom(qsim.depolarize(qsim.bb84_prepare(0, 0), r),
-                         qsim.depolarize(qsim.bb84_prepare(1, 0), r))
+    # trials times a trial's cells stays within LEAKAGE_MAX_TRIALS trials at
+    # n = 24 and ell = 1: about 10 s at ell = 12, where a trial takes 0.4 s
+    message = "^trials = %d exceeds the cap of %d at n = %d and ell = %d$"
+    for n, ell, cap in ((4, 1, protocols.LEAKAGE_MAX_TRIALS), (24, 8, 6250),
+                        (24, 12, 24)):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message % (cap + 1, cap, n, ell)):
+            estimate_leakage(n, ell, 0.3, cap + 1, rng=rng)
+        assert rng.bit_generator.state == state
+        # the cap itself passes every check and reaches the generator
+        with mock.patch.object(protocols, "make_rng",
+                               side_effect=StopIteration):
+            with pytest.raises(StopIteration):
+                estimate_leakage(n, ell, 0.3, cap, rng=rng)
 
 
 def test_leakage_helstrom_rate_is_read_off_the_stored_table():
@@ -620,81 +563,7 @@ def test_leakage_helstrom_rate_is_read_off_the_stored_table():
         estimate_leakage(n=8, ell=1, r=1.5, trials=1, rng=2, delta=0.0)
 
 
-# The per-trial estimator that estimate_leakage replaced: one run_rot and
-# one posterior sum per trial.  Kept as the reference for the stacked one.
-def reference_hidden_nonuniformity(t, p_post, enum):
-    n, ell = t.n, t.ell
-    guesses = t.adversary["guesses"]
-    log_p = math.log2(p_post) if p_post > 0.0 else -math.inf
-    log_q = math.log2(1.0 - p_post) if p_post < 1.0 else -math.inf
-    parts = []
-    for idx, f in ((t.i0, t.f0), (t.i1, t.f1)):
-        width = idx.size
-        if width not in enum:
-            enum[width] = gf2.unpack(np.arange(2 ** width), width)
-        bits = enum[width]
-        agree = (bits == guesses[idx][np.newaxis, :]).sum(axis=1)
-        if 0.0 < p_post < 1.0:
-            weights = 2.0 ** (agree * log_p + (width - agree) * log_q)
-        else:
-            weights = (agree == width).astype(float)
-        parts.append((agree, weights, gf2.pack(hash_apply_many(f, bits))))
-    (agree0, w0, codes0), (agree1, w1, codes1) = parts
-    width0 = t.i0.size
-    if 0.0 < p_post < 1.0:
-        margin = (2 * agree0 - n) * log_p + 2 * (width0 - agree0) * log_q
-        selector = (margin >= 0.0).astype(np.int64)
-    else:
-        selector = (agree0 == width0).astype(np.int64)
-    grouped0 = np.zeros((2 ** ell, 2))
-    np.add.at(grouped0, (codes0, selector), w0)
-    grouped1 = np.bincount(codes1, weights=w1, minlength=2 ** ell)
-    joint0 = grouped1[:, np.newaxis] * grouped0[:, 0][np.newaxis, :]
-    joint1 = grouped0[:, 1][:, np.newaxis] * grouped1[np.newaxis, :]
-    total = joint0.sum() + joint1.sum()
-    uniform0 = joint0.sum(axis=1, keepdims=True) / 2 ** ell
-    uniform1 = joint1.sum(axis=1, keepdims=True) / 2 ** ell
-    return 0.5 * (np.abs(joint0 - uniform0).sum()
-                  + np.abs(joint1 - uniform1).sum()) / total
-
-
-def reference_estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
-    rng = make_rng(rng)
-    helstrom_rate = stored_bit_guess_probability(r)
-    p_post = helstrom_rate
-    alpha = -n * math.log2(p_post) if p_post < 1.0 else 0.0
-    enum = {}
-    bit_hits = 0
-    bit_total = 0
-    nonuni_sum = 0.0
-    for _ in range(trials):
-        t = run_rot(n, ell, c=0, bob=StoreAllBob(r), rng=rng.spawn(1)[0])
-        bit_hits += int((t.adversary["guesses"] == t.x).sum())
-        bit_total += n
-        nonuni_sum += reference_hidden_nonuniformity(t, p_post, enum)
-    statement_bound = min(1.0, 2.0 * ot_epsilon(delta, n))
-    pa_exponent = -0.5 * ((alpha / 2.0 - 1.0 - ell) - ell) - 1.0
-    pa_bound = min(1.0, 2.0 ** pa_exponent)
-    return {
-        "n": n, "ell": ell, "r": r, "trials": trials, "delta": delta,
-        "bit_samples": bit_total,
-        "per_bit_guess_rate": bit_hits / bit_total,
-        "helstrom_rate": helstrom_rate,
-        "alpha": alpha,
-        "empirical_nonuniformity": nonuni_sum / trials,
-        "pa_bound": pa_bound,
-        "statement_bound": statement_bound,
-    }
-
-
-def generator_state(rng):
-    """The bit generator's state and how many children it has spawned."""
-    state = json.dumps(rng.bit_generator.state, sort_keys=True,
-                       default=lambda a: a.tolist())
-    return state, rng.bit_generator.seed_seq.n_children_spawned
-
-
-def assert_matches_reference(n, ell, r, trials, seed):
+def assert_equals_the_per_trial_loop(n, ell, r, trials, seed):
     """Equal reports, and the caller's generator left in the same state."""
     mine, theirs = make_rng(seed), make_rng(seed)
     assert (estimate_leakage(n, ell, r, trials, rng=mine)
@@ -714,7 +583,7 @@ def test_leakage_matches_per_trial_reference(n, ell, r):
     with mock.patch.object(protocols, "_leakage_chunk", return_value=2):
         for seed in (3, 4):
             for trials in (1, 5):
-                assert_matches_reference(n, ell, r, trials, seed)
+                assert_equals_the_per_trial_loop(n, ell, r, trials, seed)
 
 
 @pytest.mark.parametrize("n,ell,r", [(16, 1, 0.3), (24, 1, 0.77),
@@ -722,7 +591,7 @@ def test_leakage_matches_per_trial_reference(n, ell, r):
 def test_leakage_matches_reference_across_real_chunks(n, ell, r):
     chunk = protocols._leakage_chunk(n, ell)
     assert chunk > 1
-    assert_matches_reference(n, ell, r, 2 * chunk + 1, seed=11)
+    assert_equals_the_per_trial_loop(n, ell, r, 2 * chunk + 1, seed=11)
 
 
 @settings(max_examples=60, deadline=None)
@@ -732,7 +601,7 @@ def test_leakage_matches_reference_across_real_chunks(n, ell, r):
 def test_leakage_reference_property(n, data, r, trials, chunk, seed):
     ell = data.draw(st.integers(1, n), label="ell")
     with mock.patch.object(protocols, "_leakage_chunk", return_value=chunk):
-        assert_matches_reference(n, ell, r, trials, seed)
+        assert_equals_the_per_trial_loop(n, ell, r, trials, seed)
 
 
 @pytest.mark.parametrize("kwargs,message", [
@@ -831,23 +700,6 @@ def test_leakage_memory_does_not_grow_with_trials(n, trials):
     assert peak < 16 * 2 ** 20
 
 
-# The per-bit loops the transcript serializers used to run, kept as oracles.
-def loop_bit_string(arr):
-    return "".join("01"[int(b)] for b in arr)
-
-
-def loop_basis_string(arr):
-    return "".join("+x"[int(b)] for b in arr)
-
-
-def loop_bits_to_hex(bits):
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    width = (len(bits) + 3) // 4
-    return format(value, "0%dx" % width)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 1), max_size=300),
        st.sampled_from([list, bool, np.uint8, np.int64, np.float64]))
@@ -855,6 +707,6 @@ def loop_bits_to_hex(bits):
 @example([], np.uint8)
 def test_transcript_serializers_match_per_bit_loops(bits, dtype):
     arr = bits if dtype is list else np.array(bits, dtype=dtype)
-    assert bit_string(arr) == loop_bit_string(bits)
-    assert basis_string(arr) == loop_basis_string(bits)
-    assert bits_to_hex(arr) == loop_bits_to_hex(bits)
+    assert bit_string(arr) == reference_bit_string(bits)
+    assert basis_string(arr) == reference_basis_string(bits)
+    assert bits_to_hex(arr) == reference_bits_to_hex(bits)

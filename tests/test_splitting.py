@@ -3,23 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from noisystorage.checks import _random_table
 from noisystorage.distributions import JointDistribution
 from noisystorage.entropy import min_entropy, split_binary, split_multi
 
-from test_entropy import mixture_k4
-
-
-def random_split_table(rng, sizes, names):
-    probs = rng.random(sizes)
-    # sprinkle zeros so degenerate conditionals get exercised
-    mask = rng.random(sizes) < 0.15
-    probs[mask] = 0.0
-    total = probs.sum()
-    if total == 0.0:
-        probs.flat[0] = 1.0
-        total = 1.0
-    probs /= total
-    return JointDistribution(list(zip(names, sizes)), probs)
+from reference import (mixture_k4, reference_select_first_large,
+                       reference_with_register)
 
 
 def test_split_binary_uniform_two_bits():
@@ -41,7 +30,7 @@ def test_split_binary_mixture_guarantee():
 
 def test_split_binary_preserves_marginal():
     rng = np.random.default_rng(41)
-    d = random_split_table(rng, (4, 3, 2), ["X0", "X1", "Z"])
+    d = _random_table(rng, (4, 3, 2), ["X0", "X1", "Z"])
     alpha = min_entropy(d, ["X0", "X1"], "Z")
     res = split_binary(d, alpha, given="Z")
     np.testing.assert_allclose(
@@ -52,7 +41,7 @@ def test_split_binary_preserves_marginal():
 
 def test_split_binary_selector_depends_only_on_x0_and_z():
     rng = np.random.default_rng(43)
-    d = random_split_table(rng, (3, 4, 2), ["X0", "X1", "Z"])
+    d = _random_table(rng, (3, 4, 2), ["X0", "X1", "Z"])
     res = split_binary(d, alpha=1.5, given="Z")
     aug = res.augmented.probs  # (x0, x1, z, d)
     for x0 in range(3):
@@ -67,7 +56,7 @@ def test_split_binary_randomized_guarantee():
     for _ in range(400):
         sizes = (int(rng.integers(2, 9)), int(rng.integers(2, 9)),
                  int(rng.integers(1, 5)))
-        d = random_split_table(rng, sizes, ["X0", "X1", "Z"])
+        d = _random_table(rng, sizes, ["X0", "X1", "Z"])
         alpha = min_entropy(d, ["X0", "X1"], "Z")
         res = split_binary(d, alpha, given="Z")
         assert res.achieved >= alpha / 2.0 - 1.0 - 1e-9
@@ -106,7 +95,7 @@ def test_split_multi_m2_and_binary_both_meet_their_bounds():
     for _ in range(100):
         sizes = (int(rng.integers(2, 6)), int(rng.integers(2, 6)),
                  int(rng.integers(1, 4)))
-        d = random_split_table(rng, sizes, ["X0", "X1", "Z"])
+        d = _random_table(rng, sizes, ["X0", "X1", "Z"])
         alpha = min_entropy(d, ["X0", "X1"], "Z")
         res_b = split_binary(d, alpha, given="Z")
         res_m = split_multi(d, alpha, parts=["X0", "X1"], given="Z")
@@ -125,7 +114,7 @@ def test_split_multi_randomized_guarantee():
         for _ in range(150):
             sizes = tuple(int(rng.integers(2, 5)) for _ in range(m)) + (
                 int(rng.integers(1, 4)),)
-            d = random_split_table(rng, sizes, names)
+            d = _random_table(rng, sizes, names)
             alpha = min(
                 min_entropy(d, [names[i], names[j]], "Z")
                 for i in range(m) for j in range(i + 1, m))
@@ -139,65 +128,7 @@ def test_split_multi_needs_two_parts():
         split_multi(d, 1.0, parts=["X1"], given="Z")
 
 
-@pytest.mark.parametrize("split", ["binary", "multi"])
-def test_splits_reject_nan_alpha(split):
-    d = JointDistribution([("X0", 2), ("X1", 2), ("Z", 2)], np.full(8, 0.125))
-    with pytest.raises(ValueError, match="alpha must be nonnegative"):
-        if split == "binary":
-            split_binary(d, float("nan"), given="Z")
-        else:
-            split_multi(d, float("nan"), parts=["X0", "X1"], given="Z")
-
-
 # --- reference: selection through a flattened side-information index --------
-
-
-def loop_group(dist, probs, target, given):
-    """Group ``probs`` into (|target|, |given|), both in the listed order."""
-    keep_axes = dist.axes(list(target) + list(given))
-    drop = tuple(i for i in range(len(dist.sizes)) if i not in keep_axes)
-    arr = probs.sum(axis=drop) if drop else probs
-    surviving = [i for i in range(len(dist.sizes)) if i not in drop]
-    arr = np.transpose(arr, [surviving.index(a) for a in keep_axes])
-    t_size = int(np.prod(arr.shape[:len(target)]))
-    return arr.reshape(t_size, -1)
-
-
-def loop_select_first_large(dist, alpha, parts, given):
-    """V per cell and achieved, gathering one conditional per cell."""
-    m = len(parts)
-    threshold = 2.0 ** (-alpha / 2.0)
-    idx = np.indices(dist.sizes)
-    z_flat = np.zeros(dist.sizes, dtype=np.int64)
-    for a in dist.axes(given):
-        z_flat = z_flat * dist.sizes[a] + idx[a]
-    v_cells = np.full(dist.sizes, m - 1, dtype=np.int64)
-    taken = np.zeros(dist.sizes, dtype=bool)
-    for j, part in enumerate(parts[:-1]):
-        table = loop_group(dist, dist.probs, [part], given)
-        col = table.sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = np.where(col > 0.0, table / col[np.newaxis, :], 0.0)
-        hit = (cond[idx[dist.axis(part)], z_flat] >= threshold) & ~taken
-        v_cells[hit] = j
-        taken |= hit
-    total = 0.0
-    for j in range(m):
-        masked = np.where(v_cells == j, dist.probs, 0.0)
-        for i in range(m):
-            if i != j:
-                table = loop_group(dist, masked, [parts[i]], given)
-                total += table.max(axis=0).sum()
-    p = total / (m - 1)
-    return v_cells, (-float(np.log2(p)) if p > 0 else float("inf"))
-
-
-def loop_with_register(dist, name, size, values):
-    """Append a register by scattering each cell's mass to its value."""
-    arr = np.zeros(dist.probs.shape + (size,), dtype=float)
-    idx = np.indices(dist.probs.shape)
-    arr[tuple(idx) + (values,)] = dist.probs
-    return JointDistribution(dist.registers + [(name, size)], arr)
 
 
 def shuffled_split_table(rng, m, n_side, uniform, wide):
@@ -218,7 +149,7 @@ def shuffled_split_table(rng, m, n_side, uniform, wide):
         d = JointDistribution(list(zip(names, sizes)),
                               np.full(sizes, 1.0 / np.prod(sizes)))
     else:
-        d = random_split_table(rng, tuple(sizes), names)
+        d = _random_table(rng, tuple(sizes), names)
     return d, parts, [str(z) for z in rng.permutation(sides)]
 
 
@@ -235,15 +166,16 @@ def test_splits_match_index_scatter_reference(m, n_side):
         if uniform:  # P(X_j | Z) = 1/|X_j| sits on the threshold
             alphas += [2.0 * math.log2(d.size_of(p)) for p in parts[:-1]]
         for alpha in alphas:
-            v_cells, achieved = loop_select_first_large(d, alpha, parts, given)
+            v_cells, achieved = reference_select_first_large(d, alpha, parts,
+                                                             given)
             res = split_multi(d, alpha, parts=parts, given=given)
-            want = loop_with_register(d, "V", m, v_cells)
+            want = reference_with_register(d, "V", m, v_cells)
             assert res.achieved == achieved
             assert res.augmented.registers == want.registers
             assert res.augmented.probs.tobytes() == want.probs.tobytes()
             if m == 2:
                 res = split_binary(d, alpha, x0=parts[0], x1=parts[1],
                                    given=given)
-                want = loop_with_register(d, "D", 2, 1 - v_cells)
+                want = reference_with_register(d, "D", 2, 1 - v_cells)
                 assert res.achieved == achieved
                 assert res.augmented.probs.tobytes() == want.probs.tobytes()
