@@ -179,14 +179,20 @@ class QidParams:
             _check_code_distance(self.d_code, self.m, self.delta)
 
 
+def _require_float(name, value):
+    """``float(value)``; an integer past the float range, where ``float``
+    raises ``OverflowError``, raises PreconditionError naming the
+    parameter.  nan and +-inf pass."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise PreconditionError("%s has no finite float value" % name) from None
+
+
 def _require_finite(name, value):
     """Reject nan, +-inf and integers past the float range, naming the
     field."""
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:
-        raise PreconditionError("%s has no finite float value" % name) from None
-    if not finite:
+    if not math.isfinite(_require_float(name, value)):
         raise PreconditionError("%s must be finite, got %r" % (name, value))
 
 
@@ -371,6 +377,7 @@ def strong_converse_exponent(R, storage):
     """
     if not R >= 0.0:  # nan too
         raise PreconditionError("rate R must be nonnegative, got %r" % (R,))
+    R = _require_float("rate R", R)
     d = storage.dim
     lam_plus, lam_minus = _eigenvalues(storage)
     log_d = math.log2(d)
@@ -730,7 +737,7 @@ def rate_curve(n, delta, nu, r_grid, dim=2):
     rate = 0.25 - delta
     rows = []
     for r in r_grid:
-        storage = StorageModel(r=float(r), nu=nu, dim=dim)
+        storage = StorageModel(r=_require_float("r", r), nu=nu, dim=dim)
         t = _transfer_bound(storage, delta, n, rate, n)
         rows.append({
             "r": storage.r, "nu": float(nu), "n": float(n), "delta": delta,

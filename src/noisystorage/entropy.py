@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _require_integer
+from .bounds import _require_float, _require_integer
 from .distributions import JointDistribution, SubDistribution
 
 # exhaustive-search caps for the channel-decoding oracle
@@ -142,7 +142,8 @@ def _select_first_large(dist, alpha, parts, given):
     if not alpha >= 0:  # also rejects NaN
         raise ValueError("alpha must be nonnegative")
 
-    threshold = 2.0 ** (-alpha / 2.0)
+    # from the Python float: an unsigned numpy alpha would wrap on negation
+    threshold = 2.0 ** (-_require_float("alpha", alpha) / 2.0)
     probs = dist.probs
     part_axes = dist.axes(parts)
     v_cells = np.full(dist.sizes, m - 1, dtype=np.int64)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import gf2, qsim
-from .bounds import (PreconditionError, _require_bit, _require_integer,
-                     ot_epsilon)
+from .bounds import (PreconditionError, _require_bit, _require_float,
+                     _require_integer, ot_epsilon)
 from .codes import syndrome, syndrome_budget_ok, syndrome_decode
 from .entropy import _uniform_distance
 from .hashing import (ToeplitzHash, _binned_outputs, _check_sizes, hash_apply,
@@ -151,7 +151,7 @@ class StoreAllBob:
     """
 
     def __init__(self, storage_r):
-        self.storage_r = float(storage_r)
+        self.storage_r = _require_float("storage_r", storage_r)
 
     def after_reveal(self, noisy_states, theta, rng):
         guesses = qsim.measure(noisy_states, theta, rng)

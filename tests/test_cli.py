@@ -7,6 +7,7 @@ import math
 import tracemalloc
 import types
 import warnings
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -526,30 +527,6 @@ def test_simulate_robust_rejects_eps_target_outside_unit_interval(
     assert out == ""
 
 
-def test_table_grid_caps_admit_documented_sizes():
-    assert cli.CURVE_MAX_STEPS >= 200
-    assert bounds.REGION_MAX_ROWS >= 100 * 100
-
-
-@pytest.mark.parametrize("argv, diagnostic", [
-    (("curve", "--n", "1e10", "--delta", "0.0106", "--steps", "10001"),
-     "at most 10000 grid steps, got 10001"),
-    (("region", "--steps", "501"),
-     "at most 250000 region rows (r steps x nu steps), got 501 x 501"),
-    (("region", "--r-steps", "1000", "--nu-steps", "251"),
-     "at most 250000 region rows (r steps x nu steps), got 1000 x 251"),
-    (("region", "--steps", "2", "--nu-steps", "125001", "--format", "json"),
-     "at most 250000 region rows (r steps x nu steps), got 2 x 125001"),
-])
-def test_table_grids_above_cap_exit_1(capsys, tmp_path, argv, diagnostic):
-    out_file = tmp_path / "table.out"
-    code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
-    assert code == 1
-    assert err == "error: " + diagnostic + "\n"
-    assert out == ""
-    assert not out_file.exists()
-
-
 @pytest.mark.parametrize("rows", [
     [],
     [{"r": 0, "nu": 0.5, "capacity": 1e-300, "product": -0.0,
@@ -775,23 +752,6 @@ def test_region_axes_without_steps_are_rejected_before_the_cap(
         1, "", "error: grids need at least 2 steps per axis\n")
 
 
-def test_table_grid_caps_are_inclusive(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "CURVE_MAX_STEPS", 3)
-    monkeypatch.setattr(bounds, "REGION_MAX_ROWS", 6)
-    curve = ("curve", "--n", "1e10", "--delta", "0.0106", "--steps")
-    code, out, _ = run_cli(capsys, *curve, "3")
-    assert code == 0
-    assert len(out.splitlines()) == 1 + 3
-    assert run_cli(capsys, *curve, "4")[0] == 1
-    code, out, _ = run_cli(capsys, "region", "--r-steps", "2",
-                           "--nu-steps", "3")
-    assert code == 0
-    assert len(out.splitlines()) == 1 + 6
-    assert run_cli(capsys, "region", "--r-steps", "2",
-                   "--nu-steps", "4")[0] == 1
-    assert run_cli(capsys, "region", "--steps", "3")[0] == 1
-
-
 def test_run_size_caps_admit_documented_sizes():
     # README: rot n=16 x 10000 trials, robust n=512, qid code n=8, verify
     # split 10000 trials; the benchmark's largest runner is n=4096
@@ -811,125 +771,126 @@ def _unreached(*args, **kwargs):
     raise _Reached(args, kwargs)
 
 
+class Cap(NamedTuple):
+    """A CLI size cap, by the ``<module>.<NAME>`` of its constant."""
+
+    constant: str
+    # the largest size the README runs, or the benchmark where it runs
+    # larger: n = 4096, at the default 100 trials
+    documented: int
+    at: tuple  # argv at the cap: admitted, it reaches the stubbed work
+    message: str  # the diagnostic past the cap, with %s for the value got
+    # (argv, got) past the cap, each exiting 1 with the diagnostic and no
+    # output file: one past, then any reproduced size far past it
+    past: tuple
+
+
+ROT, ROBUST, QID = (("simulate", p) for p in ("rot", "robust", "qid"))
+CURVE_STEPS = CURVE_ARGS + ("--steps",)
+ROUNDS = "at most 100000 rounds per run (--n), got %s"
+SIMULATED_ROUNDS = "at most 10000000 simulated rounds (--trials x %s), got %s"
+# The sizes far past the run caps reproduce numpy's allocation error
+# (--n), gf2.nullspace's MemoryError (--code-n) and allocation error
+# (--code-block), and a code search that ran past 30 s (--m).
+CAPS = [
+    Cap("cli.CURVE_MAX_STEPS", 200, CURVE_STEPS + ("10000",),
+        "at most 10000 grid steps, got %s",
+        ((CURVE_STEPS + ("10001",), "10001"),)),
+    Cap("bounds.REGION_MAX_ROWS", 100 * 100, ("region", "--steps", "500"),
+        "at most 250000 region rows (r steps x nu steps), got %s",
+        ((("region", "--r-steps", "2", "--nu-steps", "125001", "--format",
+            "json"), "2 x 125001"),
+         (("region", "--steps", "501"), "501 x 501"),
+         (("region", "--r-steps", "1000", "--nu-steps", "251"),
+          "1000 x 251"))),
+    Cap("cli.SIMULATE_MAX_N", 4096, ROT + ("--n", "100000", "--trials", "1"),
+        ROUNDS, ((ROT + ("--n", "100001", "--trials", "1"), "100001"),
+                 (ROT + ("--n", "1000000000000", "--trials", "1"),
+                  "1000000000000"))),
+    Cap("cli.SIMULATE_MAX_N", 512, ROBUST + ("--n", "100000", "--trials", "1"),
+        ROUNDS, ((ROBUST + ("--n", "100001", "--trials", "1"), "100001"),
+                 (ROBUST + ("--n", "1000000000000"), "1000000000000"))),
+    Cap("cli.QID_MAX_CODE_N", 8, QID + ("--code-n", "1024", "--trials", "1"),
+        "at most 1024 rounds per run (--code-n), got %s",
+        ((QID + ("--code-n", "1025", "--trials", "1"), "1025"),
+         (QID + ("--code-n", "100000000"), "100000000"))),
+    Cap("cli.SIMULATE_MAX_ROUNDS", 16 * 10_000,
+        ROT + ("--n", "100000", "--trials", "100"),
+        SIMULATED_ROUNDS % ("--n", "%s"),
+        ((ROT + ("--n", "100000", "--trials", "101"), "101 x 100000"),
+         (ROT + ("--n", "1", "--ell", "1", "--trials", "10000001"),
+          "10000001 x 1"),
+         (ROT + ("--n", "100000", "--trials", "100000000"),
+          "100000000 x 100000"))),
+    Cap("cli.SIMULATE_MAX_ROUNDS", 100 * 4096,
+        ROBUST + ("--n", "100000", "--trials", "100"),
+        SIMULATED_ROUNDS % ("--n", "%s"),
+        ((ROBUST + ("--n", "100000", "--trials", "101"), "101 x 100000"),)),
+    Cap("cli.SIMULATE_MAX_ROUNDS", 8 * 100,
+        QID + ("--code-n", "1000", "--trials", "10000"),
+        SIMULATED_ROUNDS % ("--code-n", "%s"),
+        ((QID + ("--code-n", "1000", "--trials", "10001"), "10001 x 1000"),)),
+    Cap("cli.ROBUST_MAX_CODE_BLOCK", 3,
+        ROBUST + ("--code-block", "17", "--trials", "1"),
+        "at most 17 positions per code block (--code-block), got %s",
+        ((ROBUST + ("--code-block", "18", "--trials", "1"), "18"),
+         (ROBUST + ("--code-block", "100000", "--trials", "1"), "100000"))),
+    Cap("cli.QID_MAX_PASSWORDS", 16,
+        QID + ("--m", "256", "--code-n", "1024", "--trials", "1"),
+        "at most 256 passwords (--m), got %s",
+        ((QID + ("--m", "257", "--code-n", "1024", "--trials", "1"), "257"),
+         (QID + ("--m", "65536", "--code-n", "40", "--trials", "1"), "65536"),
+         (QID + ("--m", "1048576", "--code-n", "40", "--trials", "1"),
+          "1048576"))),
+    Cap("cli.VERIFY_MAX_TRIALS", 10_000,
+        ("verify", "split", "--trials", "100000"),
+        "at most 100000 verification trials, got %s",
+        ((("verify", "split", "--trials", "100001"), "100001"),
+         (("verify", "pa", "--trials", "100001"), "100001"),
+         (("verify", "split", "--trials", "1000000000000"),
+          "1000000000000"))),
+]
+
+
+def _cap_id(cap, argv):
+    command = argv[1] if argv[0] in ("simulate", "verify") else argv[0]
+    return "%s-%s" % (cap.constant.split(".")[1], command)
+
+
+PAST_CAPS = [pytest.param(argv, cap.message % got,
+                          id="%s-%s" % (_cap_id(cap, argv), got))
+             for cap in CAPS for argv, got in cap.past]
+
+
 @pytest.fixture
-def no_simulation_work(monkeypatch):
-    """Replace every runner, both code builders and the suites by stubs."""
+def no_capped_work(monkeypatch):
+    """Replace the work each cap guards by stubs that raise _Reached: the
+    runners, both code builders, the suites, rate_curve and the table
+    writer."""
     for name in ("run_rot", "run_robust_rot", "run_qid", "qid_code",
-                 "repetition_code"):
+                 "repetition_code", "rate_curve", "_write_table"):
         monkeypatch.setattr(cli, name, _unreached)
     for suite in cli.SUITES:
         monkeypatch.setitem(cli.SUITES, suite, _unreached)
 
 
-@pytest.mark.parametrize("argv, diagnostic", [
-    # reproduced: numpy's allocation error, and gf2.nullspace's MemoryError
-    (("simulate", "rot", "--n", "1000000000000", "--trials", "1"),
-     "at most 100000 rounds per run (--n), got 1000000000000"),
-    (("simulate", "robust", "--n", "1000000000000"),
-     "at most 100000 rounds per run (--n), got 1000000000000"),
-    (("simulate", "qid", "--code-n", "100000000"),
-     "at most 1024 rounds per run (--code-n), got 100000000"),
-    (("simulate", "rot", "--n", "100000", "--trials", "100000000"),
-     "at most 10000000 simulated rounds (--trials x --n), "
-     "got 100000000 x 100000"),
-    (("verify", "split", "--trials", "1000000000000"),
-     "at most 100000 verification trials, got 1000000000000"),
-    # one past each cap
-    (("simulate", "rot", "--n", "100001", "--trials", "1"),
-     "at most 100000 rounds per run (--n), got 100001"),
-    (("simulate", "robust", "--n", "100001", "--trials", "1"),
-     "at most 100000 rounds per run (--n), got 100001"),
-    (("simulate", "qid", "--code-n", "1025", "--trials", "1"),
-     "at most 1024 rounds per run (--code-n), got 1025"),
-    (("simulate", "robust", "--n", "100000", "--trials", "101"),
-     "at most 10000000 simulated rounds (--trials x --n), got 101 x 100000"),
-    (("simulate", "rot", "--n", "1", "--ell", "1", "--trials", "10000001"),
-     "at most 10000000 simulated rounds (--trials x --n), got 10000001 x 1"),
-    (("simulate", "qid", "--code-n", "1000", "--trials", "10001"),
-     "at most 10000000 simulated rounds (--trials x --code-n), "
-     "got 10001 x 1000"),
-    (("verify", "split", "--trials", "100001"),
-     "at most 100000 verification trials, got 100001"),
-    (("verify", "pa", "--trials", "100001"),
-     "at most 100000 verification trials, got 100001"),
-    # reproduced: gf2.nullspace's allocation error, and a code search that
-    # ran past 30 s
-    (("simulate", "robust", "--code-block", "100000", "--trials", "1"),
-     "at most 17 positions per code block (--code-block), got 100000"),
-    (("simulate", "qid", "--m", "1048576", "--code-n", "40", "--trials", "1"),
-     "at most 256 passwords (--m), got 1048576"),
-    (("simulate", "qid", "--m", "65536", "--code-n", "40", "--trials", "1"),
-     "at most 256 passwords (--m), got 65536"),
-    # one past each code cap
-    (("simulate", "robust", "--code-block", "18", "--trials", "1"),
-     "at most 17 positions per code block (--code-block), got 18"),
-    (("simulate", "qid", "--m", "257", "--code-n", "1024", "--trials", "1"),
-     "at most 256 passwords (--m), got 257"),
-])
-def test_run_sizes_above_cap_exit_1(capsys, tmp_path, no_simulation_work,
-                                    argv, diagnostic):
-    extra = ("--out", str(tmp_path / "report.json")) if argv[0] == "simulate" \
-        else ()
-    code, out, err = run_cli(capsys, *argv, *extra)
-    assert code == 1
-    assert err == "error: " + diagnostic + "\n"
-    assert out == ""
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("argv", [
-    ("simulate", "rot", "--n", "100000", "--trials", "1"),
-    ("simulate", "robust", "--n", "100000", "--trials", "100"),
-    ("simulate", "qid", "--code-n", "1024", "--trials", "1"),
-    ("simulate", "qid", "--code-n", "1000", "--trials", "10000"),
-    ("simulate", "robust", "--code-block", "17", "--trials", "1"),
-    ("simulate", "qid", "--m", "256", "--code-n", "1024", "--trials", "1"),
-])
-def test_run_size_caps_admit_their_boundary(capsys, no_simulation_work,
-                                            argv):
+@pytest.mark.parametrize("cap", CAPS, ids=[_cap_id(cap, cap.at)
+                                           for cap in CAPS])
+def test_caps_admit_their_boundary_and_documented_size(no_capped_work, cap):
+    module, name = cap.constant.split(".")
+    assert getattr({"cli": cli, "bounds": bounds}[module],
+                   name) >= cap.documented
     with pytest.raises(_Reached):
-        dispatch(list(argv))
+        dispatch(list(cap.at))
 
 
-def test_verify_trial_cap_admits_its_boundary(capsys, monkeypatch):
-    seen = []
-
-    def suite(**kwargs):
-        seen.append(kwargs)
-        return {"suite": "split", "checks": 0, "violations": 0}
-
-    monkeypatch.setitem(cli.SUITES, "split", suite)
-    assert run_cli(capsys, "verify", "split", "--trials", "100000")[0] == 0
-    assert seen == [{"seed": 7, "trials": 100_000}]
-
-
-def test_run_size_caps_are_inclusive(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "SIMULATE_MAX_N", 20)
-    monkeypatch.setattr(cli, "QID_MAX_CODE_N", 9)
-    monkeypatch.setattr(cli, "SIMULATE_MAX_ROUNDS", 40)
-    monkeypatch.setattr(cli, "VERIFY_MAX_TRIALS", 2)
-    rot = ("simulate", "rot", "--n")
-    assert run_cli(capsys, *rot, "20", "--trials", "2")[0] == 0
-    assert run_cli(capsys, *rot, "21", "--trials", "1")[0] == 1
-    assert run_cli(capsys, *rot, "20", "--trials", "3")[0] == 1
-    qid = ("simulate", "qid", "--code-n")
-    assert run_cli(capsys, *qid, "9", "--trials", "4")[0] == 0
-    assert run_cli(capsys, *qid, "10", "--trials", "1")[0] == 1
-    assert run_cli(capsys, *qid, "9", "--trials", "5")[0] == 1
-    monkeypatch.setattr(cli, "ROBUST_MAX_CODE_BLOCK", 5)
-    monkeypatch.setattr(cli, "QID_MAX_PASSWORDS", 4)
-    robust = ("simulate", "robust", "--n", "20", "--delta", "0.24", "--ell",
-              "1", "--trials", "1", "--code-block")
-    assert run_cli(capsys, *robust, "5")[0] == 0
-    assert run_cli(capsys, *robust, "6")[0] == 1
-    passwords = ("simulate", "qid", "--trials", "1", "--m")
-    assert run_cli(capsys, *passwords, "4")[0] == 0
-    assert run_cli(capsys, *passwords, "5")[0] == 1
-    verify = ("verify", "lemma4", "--trials")
-    code, out, _ = run_cli(capsys, *verify, "2")
-    assert code == 0
-    assert out.startswith("lemma4: ") and out.endswith(", 0 violations\n")
-    assert run_cli(capsys, *verify, "3")[0] == 1
+@pytest.mark.parametrize("argv, diagnostic", PAST_CAPS)
+def test_past_a_cap_exits_1_before_the_work(capsys, tmp_path, no_capped_work,
+                                            argv, diagnostic):
+    extra = () if argv[0] == "verify" else ("--out", str(tmp_path / "out"))
+    assert run_cli(capsys, *argv, *extra) == (1, "",
+                                               "error: %s\n" % diagnostic)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _options(parser, path):

@@ -533,15 +533,6 @@ def test_catalog_rejects_k_below_one_before_drawing(monkeypatch, call,
         call()
 
 
-def test_catalog_takes_integral_sizes_as_python_ints():
-    assert repetition_code(True).generator.tolist() == [[1]]
-    assert repetition_code(np.uint8(3)).generator.tolist() == [[1, 1, 1]]
-    assert np.array_equal(identity_code(np.int64(4)).generator,
-                          identity_code(4).generator)
-    assert np.array_equal(random_code(np.int64(10), np.uint8(4), 1).generator,
-                          random_code(10, 4, seed=1).generator)
-
-
 def test_numpy_integer_sizes_and_passwords_accepted():
     qc = qid_code(np.int64(16), np.uint16(8))
     assert qc.code.min_distance == 4

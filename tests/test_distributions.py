@@ -43,15 +43,6 @@ def test_rejects_bad_tables():
         JointDistribution([("X", 2 ** 9), ("Y", 2 ** 9)], np.zeros(2 ** 18))
 
 
-def test_integral_register_sizes_are_kept_as_python_ints():
-    d = JointDistribution([("X", np.int64(2)), ("Y", np.uint8(3))],
-                          np.full(6, 1.0 / 6))
-    e = d.with_register("V", np.uint8(2), np.zeros((2, 3), dtype=int))
-    assert e.registers == [("X", 2), ("Y", 3), ("V", 2)]
-    assert all(type(size) is int for _, size in e.registers)
-    assert JointDistribution([("X", True)], [1.0]).sizes == (1,)
-
-
 def test_clamp_gives_the_bytes_of_clip():
     # the tolerated negatives, -0.0 included, become +0.0 as np.clip
     # makes them

@@ -366,11 +366,6 @@ def test_left_null_counts_read_the_rank_of_every_map(maps):
     assert hashing._left_null_counts(maps).tolist() == want
 
 
-def test_hash_sizes_take_numpy_integers():
-    h = random_hash(np.int64(4), np.uint8(2), np.random.default_rng(5))
-    assert h.seed.shape == (5,)
-
-
 def test_uniform_output_for_fixed_nonzero_input():
     # over a uniform seed, the image of any fixed nonzero input is uniform
     for n, ell in ((3, 2), (4, 2)):

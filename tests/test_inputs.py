@@ -7,14 +7,18 @@ end in one of two ways:
 
 - a result, for a value that the kind and the row's range admit.  The
   result goes through ``json.dumps`` (a transcript through ``to_json()``),
-  and for the integer kinds an integral value gives the same bytes as
-  ``int(v)``;
+  a numpy scalar gives the same bytes as its Python value ``v.item()``,
+  and for the integer kinds a bool the same bytes as ``int(v)``;
 - a ``ValueError`` (``PreconditionError`` is one) or ``BoundsError`` whose
   message names the parameter, with any generator passed in left
   untouched.  A ``TypeError`` is allowed for the non-numbers ``"3"`` and
   ``None`` only.  Where a row gives the name its integer check reports
   (``checked``), a value the kind refuses must end in "<checked> must be
-  an integer, got <value>", a ``TypeError`` included.
+  an integer, got <value>" ("an integer 0 or 1" for a bit), a
+  ``TypeError`` included.  Where it gives the name its finiteness check
+  reports (``finite``), nan and +-inf must end in "<finite> must be
+  finite, got <value>" and +-10**400 in "<finite> has no finite float
+  value".
 
 A row lists the calls that end otherwise, each with its reason.
 """
@@ -43,22 +47,17 @@ from noisystorage import (
     binary_entropy,
     collision_bound,
     depolarize,
-    depolarizing_capacity,
     estimate_leakage,
     feasible_region,
     helstrom,
-    impersonation_error,
     inv_binary_entropy,
     measure,
     min_entropy,
     ot_epsilon,
-    ot_length,
     pa_distance,
     psucc_classical,
     qid_code,
-    qid_error,
     rate_curve,
-    robust_ot_length,
     run_qid,
     run_robust_rot,
     run_rot,
@@ -68,7 +67,8 @@ from noisystorage import (
     split_multi,
     strong_converse_exponent,
 )
-from noisystorage.bounds import BoundsError, dishonest_alice_error
+from noisystorage.bounds import (BoundsError, _impersonation, _ot, _qid,
+                                 _robust, dishonest_alice_error)
 from noisystorage.codes import identity_code, random_code, repetition_code
 from noisystorage.hashing import random_hash
 from noisystorage.protocols import (
@@ -85,13 +85,22 @@ VALUES = {
     "2.5": 2.5, "2.0": 2.0, "-1": -1, "0": 0, "True": True,
     "int64(3)": np.int64(3), "float64(2.0)": np.float64(2.0),
     "nan": math.nan, "inf": math.inf, "'3'": "3", "None": None,
-    "10**30": 10 ** 30, "-0.0": -0.0, "1e300": 1e300,
+    "10**30": 10 ** 30, "-0.0": -0.0, "1e300": 1e300, "-inf": -math.inf,
+    "10**400": 10 ** 400, "-10**400": -10 ** 400, "uint8(2)": np.uint8(2),
+    "False": False,
 }
 NON_NUMBERS = ("'3'", "None")
+# a finiteness check's diagnostic, by value id, with %s for the name
+NON_FINITE = {"nan": "^%s must be finite, got nan$",
+              "inf": "^%s must be finite, got inf$",
+              "-inf": "^%s must be finite, got -inf$",
+              "10**400": "^%s has no finite float value$",
+              "-10**400": "^%s has no finite float value$"}
 
 
 def _real(v):
-    return isinstance(v, numbers.Real) and not math.isnan(v)
+    # nan is the one real unequal to itself; math.isnan(10**400) overflows
+    return isinstance(v, numbers.Real) and v == v
 
 
 # The values of each kind that may end in a result; a row narrows them to
@@ -116,14 +125,18 @@ class Row(NamedTuple):
     call: object  # call(v, rng): the valid call with v as the parameter
     within: object = None  # the row's range, for the values its kind admits
     aliases: tuple = ()  # other words a diagnostic may name the parameter by
-    # a non-integer's diagnostic reads "<checked> must be an integer, got v"
+    # a value the kind refuses ends in "<checked> must be an integer, got
+    # v", or "... an integer 0 or 1, got v" for a bit
     checked: str = None
+    # nan, +-inf and +-10**400 end in its finiteness diagnostic
+    finite: str = None
     pinned: dict = {}  # value id -> the regexp its diagnostic matches
     unnamed: dict = {}  # value id -> why its ValueError need not name it
 
 
 NUMPY_SIZE = ("sizes an array: numpy's own 'Maximum allowed dimension "
               "exceeded' ValueError, raised before anything is drawn")
+HUGE_SIZES = dict.fromkeys(("10**30", "10**400"), NUMPY_SIZE)
 
 OT = dict(n=1e10, delta=0.0106, storage=qubit(0.1))
 SIMULATED = dict(n=512, delta=0.02, storage=StorageModel(r=0.2), p1_sent=1.0,
@@ -149,14 +162,23 @@ def _one_hot(size, extra=0):
     return np.eye(1, int(size) + extra if small else 1).ravel()
 
 
-def _record_rows(make, evaluate, base, kinds, **extra):
-    """One row per record field: ``evaluate`` of the record built from
-    ``base`` with the value in the field's place, and an integer field as
-    the record keeps it."""
+def _evaluated(evaluate, record):
+    """``evaluate(record)``, or the name of the ``BoundsError`` it raised:
+    a bound may admit no guarantee for a record that its checks admit."""
+    try:
+        return evaluate(record)
+    except BoundsError as exc:
+        return type(exc).__name__
+
+
+def _record_rows(make, evaluations, base, kinds, **extra):
+    """One row per record field: the record built from ``base`` with the
+    value in the field's place, an integer field as the record keeps it,
+    and each of ``evaluations`` of the record."""
     def call(field, kind, v):
         record = make(**{**base, field: v})
         kept = getattr(record, field) if kind in INTEGER_KINDS else None
-        return kept, evaluate(record)
+        return kept, [_evaluated(evaluate, record) for evaluate in evaluations]
     return [Row(make.__name__, field, kind, base[field],
                 lambda v, rng, field=field, kind=kind: call(field, kind, v),
                 **extra.get(field, {}))
@@ -171,36 +193,43 @@ def _robust_run(rng, c=0, eps_target=1e-3, **fields):
 
 ROWS = [
     # --- bounds ---
-    *_record_rows(StorageModel, depolarizing_capacity,
+    *_record_rows(StorageModel,
+                  [lambda s: _ot(OtParams(**{**OT, "storage": s}))],
                   dict(r=0.1, nu=1.0, dim=2),
                   [("r", "probability"), ("nu", "real"), ("dim", "count")],
-                  nu=dict(within=_positive),
+                  nu=dict(within=_positive, finite="nu"),
                   dim=dict(within=lambda v: v >= 2,
                            aliases=("channel dimension",),
-                           checked="channel dimension dim")),
-    *_record_rows(OtParams, ot_length, OT,
-                  [("n", "real"), ("delta", "real")],
-                  n=dict(within=lambda v: 400 <= v < math.inf),
+                           checked="channel dimension dim",
+                           pinned={"True": "^channel dimension must be at "
+                                           "least 2$"})),
+    *_record_rows(OtParams, [_ot], OT, [("n", "real"), ("delta", "real")],
+                  n=dict(within=lambda v: 400 <= v < math.inf, finite="n"),
                   delta=dict(within=_margin)),
-    *_record_rows(RobustParams, robust_ot_length,
+    *_record_rows(RobustParams,
+                  [lambda p: (p.m1, p.m_total),
+                   lambda p: _robust(p, "rounds"),
+                   lambda p: _robust(p, "error-complement")],
                   {**ROBUST_GOOD, "ell": None},
                   [("n", "real"), ("delta", "real"),
                    ("p1_sent", "probability"), ("ph_noclick", "probability"),
                    ("pd_noclick", "probability"), ("ph_err", "probability"),
                    ("ell", "optional count")],
-                  n=dict(within=_positive),
+                  n=dict(within=_positive, finite="n"),
                   delta=dict(within=_margin),
                   ph_err=dict(aliases=("honest error rate",)),
                   ell=dict(checked="ell")),
-    *_record_rows(QidParams,
-                  lambda p: (qid_error(p), impersonation_error(p)), QID_GOOD,
+    *_record_rows(QidParams, [lambda p: p.mu, _qid, _impersonation],
+                  QID_GOOD,
                   [("n", "real"), ("m", "count"), ("delta", "real"),
                    ("ell", "optional count"), ("d_code", "optional count")],
-                  n=dict(within=_positive),
+                  n=dict(within=_positive, finite="n"),
                   m=dict(within=lambda v: v >= 2, aliases=("passwords",),
                          checked="m"),
                   delta=dict(within=_margin),
-                  ell=dict(within=lambda v: v >= 1, checked="ell"),
+                  ell=dict(within=lambda v: v >= 1, checked="ell",
+                           pinned={"10**400": "^ell has no finite float "
+                                              "value$"}),
                   # nan passes both distance comparisons, and qid_error
                   # would return 1.0
                   d_code=dict(aliases=("code distance",),
@@ -214,7 +243,7 @@ ROWS = [
     Row("ot_epsilon", "delta", "real", 0.0106,
         lambda v, rng: ot_epsilon(v, 1e10), within=_margin),
     Row("ot_epsilon", "n", "real", 1e10, lambda v, rng: ot_epsilon(0.0106, v),
-        within=lambda v: 1 <= v < math.inf),
+        within=lambda v: 1 <= v < math.inf, finite="n"),
     Row("strong_converse_exponent", "R", "real", 0.3,
         lambda v, rng: strong_converse_exponent(v, qubit(0.1)),
         within=lambda v: 0 <= v < math.inf,
@@ -222,7 +251,7 @@ ROWS = [
         pinned={"nan": "^rate R must be nonnegative, got nan$"}),
     Row("rate_curve", "n", "real", 1e10,
         lambda v, rng: rate_curve(v, 0.0106, 1.0, [0.1]),
-        within=lambda v: 400 <= v < math.inf),
+        within=lambda v: 400 <= v < math.inf, finite="n"),
     Row("rate_curve", "delta", "real", 0.0106,
         lambda v, rng: rate_curve(1e10, v, 1.0, [0.1]),
         within=_margin),
@@ -254,17 +283,17 @@ ROWS = [
         pinned={"nan": "^m must be at least 1, got nan$"}),
     Row("dishonest_alice_error", "ell", "real", 40,
         lambda v, rng: dishonest_alice_error(16, v),
-        within=lambda v: 0 <= v < math.inf,
+        within=lambda v: 0 <= v < math.inf, finite="ell",
         pinned={"-1": "^ell must be nonnegative$"}),
     # --- code catalog ---
     Row("repetition_code", "n", "count", 3,
         lambda v, rng: repetition_code(v), within=lambda v: v >= 1,
         aliases=("repetition length",), checked="repetition length n",
-        unnamed={"10**30": NUMPY_SIZE}),
+        unnamed=HUGE_SIZES),
     Row("identity_code", "n", "count", 3, lambda v, rng: identity_code(v),
-        within=lambda v: v >= 1, checked="n", unnamed={"10**30": NUMPY_SIZE}),
+        within=lambda v: v >= 1, checked="n", unnamed=HUGE_SIZES),
     Row("random_code", "n", "count", 6, lambda v, rng: random_code(v, 3),
-        within=lambda v: v >= 3, checked="n", unnamed={"10**30": NUMPY_SIZE}),
+        within=lambda v: v >= 3, checked="n", unnamed=HUGE_SIZES),
     Row("random_code", "k", "count", 3, lambda v, rng: random_code(6, v),
         within=lambda v: 1 <= v <= 6, checked="k"),
     Row("random_code", "seed", "seed", 0,
@@ -273,7 +302,7 @@ ROWS = [
         within=lambda v: v >= 2, aliases=("passwords",), checked="m"),
     Row("qid_code", "n", "count", 8, lambda v, rng: qid_code(16, v).code,
         within=lambda v: v >= 4, checked="n",
-        unnamed={"10**30": NUMPY_SIZE}),
+        unnamed=HUGE_SIZES),
     Row("QidCode.password_bits", "w", "count", 3,
         lambda v, rng: QCODE.password_bits(v), within=lambda v: 1 <= v <= 16,
         aliases=("password",)),
@@ -309,7 +338,7 @@ ROWS = [
         lambda v, rng: ToeplitzHash(n=4, ell=v, seed=_one_hot(v, 3)),
         within=lambda v: 1 <= v <= 4, checked="ell"),
     Row("random_hash", "n", "count", 4, lambda v, rng: random_hash(v, 1, rng),
-        within=lambda v: v >= 1, checked="n", unnamed={"10**30": NUMPY_SIZE}),
+        within=lambda v: v >= 1, checked="n", unnamed=HUGE_SIZES),
     Row("random_hash", "ell", "count", 2,
         lambda v, rng: random_hash(4, v, rng, affine=True),
         within=lambda v: 1 <= v <= 4, checked="ell"),
@@ -325,22 +354,24 @@ ROWS = [
     Row("pa_distance", "sample_count", "count", 2,
         lambda v, rng: pa_distance(UNIFORM4, 1, v, rng),
         within=lambda v: v >= 1, aliases=("sample",),
-        checked="sample_count", unnamed={"10**30": NUMPY_SIZE}),
+        checked="sample_count", unnamed=HUGE_SIZES),
     # --- protocols ---
     Row("make_rng", "rng", "seed", 7,
         lambda v, rng: make_rng(v).integers(0, 2 ** 32, 4)),
     Row("run_rot", "n", "count", 16, lambda v, rng: run_rot(v, 1, 0, rng=rng),
-        within=lambda v: v >= 1, checked="n", unnamed={"10**30": NUMPY_SIZE}),
+        within=lambda v: v >= 1, checked="n", unnamed=HUGE_SIZES),
     Row("run_rot", "ell", "count", 4,
         lambda v, rng: run_rot(16, v, 0, rng=rng),
         within=lambda v: 1 <= v <= 16, checked="ell"),
-    Row("run_rot", "c", "bit", 1, lambda v, rng: run_rot(16, 4, v, rng=rng)),
+    Row("run_rot", "c", "bit", 1, lambda v, rng: run_rot(16, 4, v, rng=rng),
+        checked="choice bit c"),
     Row("run_rot", "rng", "seed", 7, lambda v, rng: run_rot(16, 4, 0, rng=v)),
     Row("StoreAllBob", "storage_r", "probability", 0.3,
         lambda v, rng: run_rot(16, 4, 0, bob=StoreAllBob(v), rng=rng),
         aliases=("r",)),
     Row("honest_index_sets", "c", "bit", 1,
-        lambda v, rng: honest_index_sets([0, 1, 1, 0], [0, 0, 0, 0], v)),
+        lambda v, rng: honest_index_sets([0, 1, 1, 0], [0, 0, 0, 0], v),
+        checked="choice bit c"),
     Row("run_robust_rot", "n", "real", 512,
         lambda v, rng: _robust_run(rng, n=v),
         within=lambda v: 200 <= v < math.inf and v == int(v),
@@ -349,7 +380,7 @@ ROWS = [
         lambda v, rng: _robust_run(rng, ell=v),
         within=lambda v: v is not None and 1 <= v <= 512, checked="ell"),
     Row("run_robust_rot", "c", "bit", 1,
-        lambda v, rng: _robust_run(rng, c=v)),
+        lambda v, rng: _robust_run(rng, c=v), checked="choice bit c"),
     Row("run_robust_rot", "rng", "seed", 7,
         lambda v, rng: _robust_run(v)),
     Row("run_robust_rot", "eps_target", "real", 1e-3,
@@ -386,13 +417,16 @@ ROWS = [
         lambda v, rng: estimate_leakage(4, 1, 0.3, 2, rng=rng, delta=v),
         within=_margin),
     # --- qsim ---
-    Row("bb84_prepare", "bit", "bit", 1, lambda v, rng: bb84_prepare(v, 0)),
-    Row("bb84_prepare", "basis", "bit", 1, lambda v, rng: bb84_prepare(0, v)),
+    Row("bb84_prepare", "bit", "bit", 1, lambda v, rng: bb84_prepare(v, 0),
+        checked="bit"),
+    Row("bb84_prepare", "basis", "bit", 1, lambda v, rng: bb84_prepare(0, v),
+        checked="basis"),
     Row("born_probability", "basis", "bit", 1,
-        lambda v, rng: born_probability(STATE, v, 0)),
+        lambda v, rng: born_probability(STATE, v, 0), checked="basis"),
     Row("born_probability", "outcome", "bit", 1,
-        lambda v, rng: born_probability(STATE, 0, v)),
-    Row("measure", "basis", "bit", 1, lambda v, rng: measure(STATE, v, rng)),
+        lambda v, rng: born_probability(STATE, 0, v), checked="outcome"),
+    Row("measure", "basis", "bit", 1, lambda v, rng: measure(STATE, v, rng),
+        checked="basis"),
     Row("depolarize", "r", "probability", 0.3,
         lambda v, rng: depolarize(STATE, v)),
     Row("helstrom", "p0", "probability", 0.3,
@@ -406,11 +440,14 @@ UNSWEPT = {
     "NoPositiveLengthError": "an exception class",
     "OptimizationError": "an exception class",
     "PreconditionError": "an exception class",
-    "depolarizing_capacity": "takes a StorageModel: its rows evaluate it",
-    "ot_length": "takes an OtParams: its rows evaluate it",
-    "robust_ot_length": "takes a RobustParams: its rows evaluate it",
-    "qid_error": "takes a QidParams: its rows evaluate it",
-    "impersonation_error": "takes a QidParams: its rows evaluate it",
+    "depolarizing_capacity": "takes a StorageModel: its rows evaluate _ot, "
+                             "whose capacity it is",
+    "ot_length": "returns _ot's ell and eps: the OtParams rows evaluate _ot",
+    "robust_ot_length": "returns _robust's ell and eps: the RobustParams "
+                        "rows evaluate _robust under both ec_variants",
+    "qid_error": "returns _qid's error: the QidParams rows evaluate _qid",
+    "impersonation_error": "returns _impersonation's ell and error: the "
+                           "QidParams rows evaluate _impersonation",
     "LinearCode": "takes GF(2) matrices only",
     "SubDistribution": "takes a table and its mass only",
     "SplitResult": "the record that split_binary and split_multi return",
@@ -482,12 +519,12 @@ def _admits(row, value):
 def test_input_contract(row, value_id):
     value = row.valid if value_id == "valid" else VALUES[value_id]
     result, moved = _outcome(row, value)
-    if (row.kind in INTEGER_KINDS and isinstance(value, numbers.Integral)
-            and type(value) is not int):
-        # the same bytes as int(v), or a rejection of both
-        as_int, _ = _outcome(row, int(value))
-        assert (result == as_int if isinstance(result, str)
-                else not isinstance(as_int, str)), (result, as_int)
+    bool_count = type(value) is bool and row.kind in INTEGER_KINDS
+    if bool_count or isinstance(value, np.generic):
+        # the same bytes as its Python value, or a rejection of both
+        plain, _ = _outcome(row, int(value) if bool_count else value.item())
+        assert (result == plain if isinstance(result, str)
+                else not isinstance(plain, str)), (result, plain)
     if isinstance(result, str):
         assert _admits(row, value), "admitted %s=%r" % (row.param, value)
         return
@@ -495,8 +532,12 @@ def test_input_contract(row, value_id):
     assert not moved, "the generator moved before %r" % (result,)
     pins = [row.pinned[value_id]] if value_id in row.pinned else []
     if row.checked and not KINDS[row.kind](value):
-        pins.append("^%s must be an integer, got %s$"
-                    % (re.escape(row.checked), re.escape(repr(value))))
+        pins.append("^%s must be an integer%s, got %s$"
+                    % (re.escape(row.checked),
+                       " 0 or 1" if row.kind == "bit" else "",
+                       re.escape(repr(value))))
+    if row.finite and value_id in NON_FINITE:
+        pins.append(NON_FINITE[value_id] % re.escape(row.finite))
     if isinstance(result, TypeError) and value_id in NON_NUMBERS and not pins:
         return
     assert isinstance(result, (ValueError, BoundsError)), repr(result)
