@@ -13,13 +13,17 @@ product kernel views a float64 copy of the seed through strides (row
 ``i`` starts at ``seed[ell - 1 - i]`` and steps back one element per
 row).
 
-Two kernels compute the product.  Batches, and single inputs with fewer
-than ``FFT_MIN_CELLS`` products ``ell * k`` (``k`` the input length), run
-one float64 matrix product against the view.  A larger single input runs
-one real FFT convolution of the seed with the reversed input, in
-O((ell + k) log(ell + k)) time.  Its sums are integers of at most ``k``;
-when any of them lands 0.25 or more from an integer, the call falls back
-to the matrix product, so both kernels give the same bits.
+One private kernel computes the product for a stack of (hash, input)
+pairs that share one ``ell``; ``hash_apply`` is its one-pair case and each
+protocol runner hashes a whole transfer in one call.  A stack with fewer
+than ``FFT_MIN_CELLS`` products ``N * ell * k`` (N pairs, ``k`` the longest
+input) runs one float64 matrix product against the view per pair.  A
+larger stack runs one real FFT convolution of the stacked seeds with the
+stacked reversed inputs, in O(N (ell + k) log(ell + k)) time: one ``rfft``
+of each stack and one ``irfft``.  Its sums are integers of at most ``k``;
+when any of them lands 0.25 or more from an integer, the stack falls back
+to the matrix products, so both paths give the same bits.  Batches of
+inputs under one hash (``hash_apply_many``) take one matrix product.
 """
 
 from dataclasses import dataclass
@@ -35,7 +39,7 @@ from .entropy import _uniform_distance, min_entropy
 COLLISION_MAX_N = 8
 COLLISION_MAX_ELL = 4
 
-# single inputs with at least this many ell x k products take the FFT kernel
+# stacks with at least this many N x ell x k products take the FFT
 FFT_MIN_CELLS = 2 ** 16
 # cells of pa_distance's largest stacked arrays per stack of samples
 _PA_CHUNK_CELLS = 2 ** 16
@@ -98,11 +102,21 @@ def bits_to_hex(bits):
 
 
 def random_hash(n, ell, rng, affine=False):
-    """Draw a uniformly random hash from the family."""
+    """Draw a uniformly random hash from the family.
+
+    The hash is built from the sizes just checked and the bits just drawn,
+    frozen in place: unlike ``ToeplitzHash(...)``, nothing is checked or
+    copied a second time.
+    """
     n, ell = _check_sizes(n, ell)
     seed = rng.integers(0, 2, size=n + ell - 1, dtype=np.uint8)
     offset = rng.integers(0, 2, size=ell, dtype=np.uint8) if affine else None
-    return ToeplitzHash(n=n, ell=ell, seed=seed, offset=offset)
+    for bits in (seed, offset):
+        if bits is not None:
+            bits.flags.writeable = False
+    h = object.__new__(ToeplitzHash)
+    vars(h).update(n=n, ell=ell, seed=seed, offset=offset)
+    return h
 
 
 def _columns(h, k):
@@ -114,44 +128,49 @@ def _columns(h, k):
                       offset=(h.ell - 1) * step, strides=(-step, step))
 
 
-def _convolve(h, x):
-    """T @ x over the integers for one input x of k bits, by one real FFT.
+def _hash_stack(pairs):
+    """T x (+ offset) over GF(2) for each (hash, x) pair, as an (N, ell)
+    uint8 array; the hashes share one ell and each x is a 1-D bit input no
+    longer than its hash's n.
 
-    (T x)_i = sum_j seed[ell - 1 + j - i] x_j is entry ell + k - 2 - i of
-    the linear convolution of seed[:ell + k - 1] with x reversed.  A cyclic
+    A zero-padded input meets only the first k = x.size columns of T, so
+    the padding is never built.  With N * ell * k >= FFT_MIN_CELLS (k the
+    longest input) the stack is one FFT convolution: (T x)_i is entry
+    ell + k - 2 - i of the linear convolution of seed[:ell + k - 1] with x
+    zero-padded on the right to k bits and reversed, and a cyclic
     transform of at least ell + k - 1 points leaves those entries free of
-    wrap-around.  Returns None when a sum lands 0.25 or more from an
-    integer.
+    wrap-around.  A seed shorter than ell + k - 1 (a hash of smaller n) is
+    zero-padded too, since the positions it lacks meet only padding.
+    Below the crossover, or when an FFT sum lands 0.25 or more from an
+    integer, each pair is one float64 product with :func:`_columns`,
+    whose sums count at most n ones and are exact.
     """
-    k = x.size
-    size = 1 << (h.ell + k - 2).bit_length()
-    spec = rfft(h.seed[:h.ell + k - 1], size) * rfft(x[::-1], size)
-    sums = irfft(spec, size)[k - 1:h.ell + k - 1][::-1]
-    out = np.rint(sums)
-    if np.abs(sums - out).max() >= 0.25:
-        return None
+    ell = pairs[0][0].ell
+    k = max(x.size for _, x in pairs)
+    sums = None
+    if len(pairs) * ell * k >= FFT_MIN_CELLS:
+        seeds = np.zeros((len(pairs), ell + k - 1), dtype=np.uint8)
+        flipped = np.zeros((len(pairs), k), dtype=np.uint8)
+        for row, (h, x) in enumerate(pairs):
+            seed = h.seed[:ell + k - 1]
+            seeds[row, :seed.size] = seed
+            flipped[row, k - x.size:] = x[::-1]
+        size = 1 << (ell + k - 2).bit_length()
+        spec = rfft(seeds, size)
+        spec *= rfft(flipped, size)
+        fft_sums = irfft(spec, size)[:, k - 1:ell + k - 1][:, ::-1]
+        sums = np.rint(fft_sums)
+        if np.abs(fft_sums - sums).max() >= 0.25:
+            sums = None
+    if sums is None:
+        sums = np.empty((len(pairs), ell))
+        for row, (h, x) in enumerate(pairs):
+            sums[row] = x @ _columns(h, x.size).T
+    out = (sums.astype(np.int64) & 1).astype(np.uint8)
+    for row, (h, _) in enumerate(pairs):
+        if h.offset is not None:
+            out[row] ^= h.offset
     return out
-
-
-def _apply(h, xs):
-    """T @ x (+ offset) over GF(2) for one input x or each row of a matrix.
-
-    ``xs`` is a 1-D input or an (N, <=n) bit matrix.  A zero-padded input
-    meets only the first k = xs.shape[-1] columns of T, so the padding is
-    never built.  A 1-D input with ell * k >= FFT_MIN_CELLS is convolved
-    with the seed by FFT; everything else, and an FFT result that fails its
-    rounding check, is one float64 product with :func:`_columns`.  The
-    product's sums count at most n ones and are exact.
-    """
-    k = xs.shape[-1]
-    out = None
-    if xs.ndim == 1 and h.ell * k >= FFT_MIN_CELLS:
-        out = _convolve(h, xs)
-    if out is None:
-        out = xs @ _columns(h, k).T
-    if h.offset is not None:
-        out += h.offset
-    return (out % 2).astype(np.uint8)
 
 
 def hash_apply(h, x):
@@ -161,17 +180,21 @@ def hash_apply(h, x):
         raise ValueError("input must be a 1-D bit string")
     if x.size > h.n:
         raise ValueError("input longer than the hash input size %d" % h.n)
-    return _apply(h, x)
+    return _hash_stack(((h, x),))[0]
 
 
 def hash_apply_many(h, xs):
-    """Hash every row of an (N, <=n) bit matrix at once."""
+    """Hash every row of an (N, <=n) bit matrix at once, by one float64
+    product with :func:`_columns`."""
     xs = gf2.as_bits(xs)
     if xs.ndim != 2:
         raise ValueError("expected a 2-D bit matrix")
     if xs.shape[1] > h.n:
         raise ValueError("inputs longer than the hash input size")
-    return _apply(h, xs)
+    sums = xs @ _columns(h, xs.shape[1]).T
+    if h.offset is not None:
+        sums += h.offset
+    return (sums % 2).astype(np.uint8)
 
 
 def _left_null_counts(maps):

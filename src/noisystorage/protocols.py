@@ -24,7 +24,7 @@ from .bounds import (PreconditionError, _require_bit, _require_float,
                      _require_integer, ot_epsilon)
 from .codes import syndrome, syndrome_budget_ok, syndrome_decode
 from .entropy import _uniform_distance
-from .hashing import (ToeplitzHash, _binned_outputs, _check_sizes, hash_apply,
+from .hashing import (ToeplitzHash, _binned_outputs, _check_sizes, _hash_stack,
                       random_hash)
 
 LEAKAGE_MAX_N = 24
@@ -137,9 +137,7 @@ def _random_halves(m, rng):
 
 def _stored_states(r):
     """The four (bit, basis) states after storage, indexed [bit, basis]."""
-    states = np.array([[qsim.bb84_prepare(b, t) for t in (0, 1)]
-                       for b in (0, 1)])
-    return qsim.depolarize(states, r)
+    return qsim.depolarize(qsim.bb84_prepare(*np.indices((2, 2))), r)
 
 
 class StoreAllBob:
@@ -213,6 +211,7 @@ def run_rot(n, ell, c, bob=None, rng=None):
         if not np.array_equal(np.sort(np.concatenate([i0, i1])), np.arange(n)):
             raise ValueError("index sets must partition the rounds")
         receiver = dict(theta_hat=None, x_hat=None, y=None, adversary=record)
+        s0, s1 = _hash_stack(((f0, x[i0]), (f1, x[i1])))
     else:
         x, theta = _sender_draw(n, rng)
         theta_hat = rng.integers(0, 2, n, dtype=np.uint8)
@@ -221,11 +220,11 @@ def run_rot(n, ell, c, bob=None, rng=None):
         i0, i1 = honest_index_sets(theta, theta_hat, c)
         f0, f1 = _hash_pair(n, ell, rng)
         i_c, f_c = (i0, f0) if c == 0 else (i1, f1)
-        receiver = dict(theta_hat=theta_hat, x_hat=x_hat,
-                        y=hash_apply(f_c, x_hat[i_c]), i_c_empty=i_c.size == 0)
+        s0, s1, y = _hash_stack(((f0, x[i0]), (f1, x[i1]), (f_c, x_hat[i_c])))
+        receiver = dict(theta_hat=theta_hat, x_hat=x_hat, y=y,
+                        i_c_empty=i_c.size == 0)
     return RotTranscript(n=n, ell=ell, c=c, x=x, theta=theta, i0=i0, i1=i1,
-                         f0=f0, f1=f1, s0=hash_apply(f0, x[i0]),
-                         s1=hash_apply(f1, x[i1]), **receiver)
+                         f0=f0, f1=f1, s0=s0, s1=s1, **receiver)
 
 
 # --- robust oblivious transfer ---------------------------------------------------
@@ -379,16 +378,18 @@ def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3):
 
     syn0 = block_syndromes(code, x_rem[i0])
     syn1 = block_syndromes(code, x_rem[i1])
+    pairs = ((f0, x_rem[i0]), (f1, x_rem[i1]))
     if bob is None:
         i_c, syn_c, f_c = (i0, syn0, f0) if c == 0 else (i1, syn1, f1)
         corrected = block_correct(code, x_hat[i_c], syn_c)
-        receiver = dict(x_hat=x_hat, corrected=corrected,
-                        y=hash_apply(f_c, corrected),
+        s0, s1, y = _hash_stack(pairs + ((f_c, corrected),))
+        receiver = dict(x_hat=x_hat, corrected=corrected, y=y,
                         decode_ok=bool(np.array_equal(corrected, x_rem[i_c])))
+    else:
+        s0, s1 = _hash_stack(pairs)
     return RobustTranscript(
-        **header, i0=i0, i1=i1, f0=f0, f1=f1, syn0=syn0, syn1=syn1,
-        s0=hash_apply(f0, x_rem[i0]), s1=hash_apply(f1, x_rem[i1]),
-        budget_ok=syndrome_budget_ok(code, params.ph_err), **receiver)
+        **header, i0=i0, i1=i1, f0=f0, f1=f1, syn0=syn0, syn1=syn1, s0=s0,
+        s1=s1, budget_ok=syndrome_budget_ok(code, params.ph_err), **receiver)
 
 
 # --- password identification -------------------------------------------------
@@ -447,8 +448,10 @@ def run_qid(w_alice, w_bob, qcode, ell, rng=None):
     g_inputs = max(code.k, ell)
     g = random_hash(g_inputs, ell, rng, affine=True)
 
-    z = hash_apply(f, x[i_w_alice]) ^ hash_apply(g, bits_alice)
-    check = hash_apply(f, x_hat[i_w_bob]) ^ hash_apply(g, bits_bob)
+    hashed = _hash_stack(((f, x[i_w_alice]), (g, bits_alice),
+                          (f, x_hat[i_w_bob]), (g, bits_bob)))
+    z = hashed[0] ^ hashed[1]
+    check = hashed[2] ^ hashed[3]
     accept = bool(np.array_equal(z, check))
     return QidTranscript(w_alice=w_alice, w_bob=w_bob, ell=ell, x=x,
                          theta=theta, theta_hat=theta_hat, x_hat=x_hat,
@@ -558,6 +561,8 @@ def estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
     at alpha = n log2(2/(1+r)), and the protocol-level statement error
     min(1, 2 eps(delta, n)).  The latter is always 1.0 here: 2 eps < 1
     needs n of about 4.1e5 rounds even as delta -> 1/4, and n <= 24.
+    The report's ``r`` is the float the run used, so ``True``, ``1`` and
+    ``1.0`` all report 1.0.
 
     Every input is checked before the first draw; ell may not exceed 12,
     which caps each joint table at 2^24 cells; ``trials`` may not exceed
@@ -613,7 +618,8 @@ def estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
     pa_exponent = -0.5 * ((alpha / 2.0 - 1.0 - ell) - ell) - 1.0
     pa_bound = min(1.0, 2.0 ** pa_exponent)
     return {
-        "n": n, "ell": ell, "r": r, "trials": trials, "delta": delta,
+        "n": n, "ell": ell, "r": bob.storage_r, "trials": trials,
+        "delta": delta,
         "bit_samples": bit_total,
         "per_bit_guess_rate": bit_hits / bit_total,
         "helstrom_rate": helstrom_rate,

@@ -23,13 +23,17 @@ IDENTITY = np.eye(2, dtype=complex)
 def _bit_index(value, name):
     """A 0/1 scalar or array as an index into _BASIS_VECTORS; anything
     else raises ValueError naming ``name``.  A scalar takes the runners'
-    bit rule, an array (a 0-d one too) gf2.as_bits' one check."""
+    bit rule; an array (a 0-d one too) must have an integer or bool dtype
+    and pass gf2.as_bits' one check, so a float bit is refused either way."""
     if not (np.ndim(value) or isinstance(value, np.ndarray)):
         return _require_bit(name, value)
-    try:
-        return gf2.as_bits(value).astype(np.intp)
-    except ValueError:
-        raise ValueError("%s must be 0 or 1" % name) from None
+    value = np.asarray(value)
+    if value.dtype.kind in "biu":
+        try:
+            return gf2.as_bits(value).astype(np.intp)
+        except ValueError:
+            pass
+    raise ValueError("%s must be 0 or 1" % name)
 
 
 def bb84_prepare(bit, basis):

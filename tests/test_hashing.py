@@ -25,7 +25,7 @@ from noisystorage.protocols import _json_value
 from reference import (all_hashes, int_bits, oracle_collision_bound,
                        oracle_hash_apply_many, oracle_toeplitz_matrix,
                        reference_binned_outputs, reference_collision_bound,
-                       reference_pa_distance)
+                       reference_hash_apply, reference_pa_distance)
 
 
 def kernel_matrix(h):
@@ -119,19 +119,64 @@ def test_kernels_match_literal_matrix_property(case):
     assert many.tolist() == want
 
 
+@st.composite
+def stack_cases(draw):
+    """Hashes of one ell and various n, some affine, each with an input of
+    any length up to its n (empty ones included), and whether the stack
+    takes the FFT path at any size."""
+    ell = draw(st.integers(1, 40))
+    bits = st.integers(0, 1)
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(ell, 120))
+        seed = draw(st.lists(bits, min_size=n + ell - 1, max_size=n + ell - 1))
+        offset = draw(st.none() | st.lists(bits, min_size=ell, max_size=ell))
+        x = draw(st.lists(bits, max_size=n))
+        pairs.append((n, seed, offset, x))
+    return ell, pairs, draw(st.booleans())
+
+
+@settings(max_examples=80, deadline=None)
+@given(stack_cases())
+@example((3, [(4, [1] * 6, None, []), (3, [0, 1, 1, 0, 1], [0, 1, 1], [1, 1]),
+              (9, [1, 0] * 5 + [1], None, [1, 0, 1, 1, 0, 0, 1, 0, 1])],
+          True))
+def test_stacked_kernel_matches_literal_matrix_pair_by_pair(case):
+    ell, drawn, fft = case
+    pairs = tuple((ToeplitzHash(n=n, ell=ell, seed=seed, offset=offset),
+                   np.array(x, dtype=np.uint8))
+                  for n, seed, offset, x in drawn)
+    want = [oracle_hash_apply_many(seed, offset, n, ell, [x])[0]
+            for n, seed, offset, x in drawn]
+    with pytest.MonkeyPatch.context() as patch:
+        # one cell puts every stack with a nonempty input on the FFT path
+        patch.setattr(hashing, "FFT_MIN_CELLS", 1 if fft else FFT_MIN_CELLS)
+        got = hashing._hash_stack(pairs)
+    assert got.dtype == np.uint8 and got.shape == (len(pairs), ell)
+    assert got.tolist() == want
+    assert [reference_hash_apply(h, x).tolist() for h, x in pairs] == want
+
+
 # (n, ell, k) one below, exactly at and well above the FFT crossover, each
-# with the input shorter than n and as long as n
+# with the input shorter than n and as long as n.  Each case runs alone
+# and in a stack of STACK pairs, whose cells are STACK * ell * k, and the
+# last two straddle the constant in the stack only.
+STACK = 4
 CROSSOVER_CASES = [
     (300, 255, 257), (257, 255, 257),
     (300, 256, 256), (256, 256, 256),
     (2048, 512, 1500), (2048, 1024, 2048),
+    (300, 129, 127), (128, 128, 128),
 ]
 
 
 def test_crossover_cases_straddle_the_constant():
-    products = sorted({ell * k for _, ell, k in CROSSOVER_CASES})
-    assert products[:2] == [FFT_MIN_CELLS - 1, FFT_MIN_CELLS]
-    assert products[-1] >= 16 * FFT_MIN_CELLS
+    for count in (1, STACK):
+        cells = sorted({count * ell * k for _, ell, k in CROSSOVER_CASES})
+        below = [c for c in cells if c < FFT_MIN_CELLS]
+        assert below[-1] >= FFT_MIN_CELLS - count
+        assert FFT_MIN_CELLS in cells
+        assert cells[-1] >= 16 * FFT_MIN_CELLS
 
 
 @pytest.mark.parametrize("n, ell, k", CROSSOVER_CASES)
@@ -153,11 +198,23 @@ def test_kernels_match_literal_matrix_across_fft_crossover(n, ell, k,
         want = oracle_hash_apply_many(seed, off, n, ell, [x])
         transforms.clear()
         assert [hash_apply(h, x).tolist()] == want
-        # only a single input at or above the crossover is convolved
+        # a single input is convolved at ell * k cells, as before stacking
         assert bool(transforms) == (ell * k >= FFT_MIN_CELLS)
         transforms.clear()
         assert hash_apply_many(h, x[np.newaxis, :]).tolist() == want
         assert not transforms
+    # a stack of the plain and the affine hash over inputs of k, k // 2
+    # and 0 bits, padded to the longest: one rfft per side of the product
+    plain = ToeplitzHash(n=n, ell=ell, seed=seed)
+    affine = ToeplitzHash(n=n, ell=ell, seed=seed, offset=offset)
+    pairs = ((plain, x), (affine, x[:k // 2]), (plain, x[:0]), (affine, x))
+    assert len(pairs) == STACK
+    transforms.clear()
+    got = hashing._hash_stack(pairs)
+    assert transforms == ([1, 1] if STACK * ell * k >= FFT_MIN_CELLS else [])
+    assert got.tolist() == [
+        oracle_hash_apply_many(seed, h.offset, n, ell, [row])[0]
+        for h, row in pairs]
 
 
 def test_fft_rounding_guard_falls_back_to_matrix_product(monkeypatch):
@@ -180,6 +237,16 @@ def test_fft_rounding_guard_falls_back_to_matrix_product(monkeypatch):
         assert [hash_apply(h, x).tolist()] == oracle_hash_apply_many(
             seed, off, n, ell, [x])
         assert shifted
+    # a stack falls back as a whole, each pair on its own product
+    other = ToeplitzHash(n=k // 2, ell=ell, seed=seed[:k // 2 + ell - 1],
+                         offset=offset)
+    pairs = ((h, x), (other, x[:k // 2]), (h, x[:0]))
+    shifted.clear()
+    got = hashing._hash_stack(pairs)
+    assert shifted == [1]
+    assert got.tolist() == [
+        oracle_hash_apply_many(g.seed.tolist(), g.offset, g.n, ell, [row])[0]
+        for g, row in pairs]
 
 
 def test_hash_memory_is_linear_in_n():
@@ -271,6 +338,22 @@ def test_hash_keeps_read_only_bits():
     for bits in (h.seed, h.offset):
         with pytest.raises(ValueError):
             bits[0] = 0
+
+
+@pytest.mark.parametrize("affine", [False, True])
+def test_drawn_hash_has_int_sizes_and_read_only_bits(affine):
+    # random_hash builds its hash without the constructor's second check
+    # and copy; it must keep what the constructor would
+    h = random_hash(np.int64(9), np.uint8(4), np.random.default_rng(7),
+                    affine=affine)
+    assert type(h.n) is int and type(h.ell) is int
+    assert h.seed.shape == (12,) and (h.offset is not None) == affine
+    for arr in [h.seed] + ([h.offset] if affine else []):
+        assert arr.dtype == np.uint8 and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    built = ToeplitzHash(n=9, ell=4, seed=h.seed, offset=h.offset)
+    assert _json_value("f", built) == _json_value("f", h)
 
 
 def test_hash_stores_only_its_seed_and_offset():

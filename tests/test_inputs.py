@@ -7,8 +7,9 @@ end in one of two ways:
 
 - a result, for a value that the kind and the row's range admit.  The
   result goes through ``json.dumps`` (a transcript through ``to_json()``),
-  a numpy scalar gives the same bytes as its Python value ``v.item()``,
-  and for the integer kinds a bool the same bytes as ``int(v)``;
+  a numpy scalar gives the same bytes as its Python value ``v.item()``, a
+  bool the same bytes as ``int(v)``, and for the kinds that are no integer
+  kinds an integer the same bytes as ``float(v)``;
 - a ``ValueError`` (``PreconditionError`` is one) or ``BoundsError`` whose
   message names the parameter, with any generator passed in left
   untouched.  A ``TypeError`` is allowed for the non-numbers ``"3"`` and
@@ -507,6 +508,19 @@ def _outcome(row, value):
     return json.dumps(_plain(out), allow_nan=False), False
 
 
+def _twins(row, value):
+    """The values that must give the same bytes as ``value``: a numpy
+    scalar's Python value, a bool's int and, for a kind that is no integer
+    kind, an integer's float."""
+    if isinstance(value, np.generic):
+        yield value.item()
+    if type(value) is bool:
+        yield int(value)
+    if (row.kind not in INTEGER_KINDS and isinstance(value, numbers.Integral)
+            and abs(value) < 2 ** 1024):
+        yield float(value)
+
+
 def _admits(row, value):
     return KINDS[row.kind](value) and (
         row.within is None or value is None or row.within(value))
@@ -519,12 +533,11 @@ def _admits(row, value):
 def test_input_contract(row, value_id):
     value = row.valid if value_id == "valid" else VALUES[value_id]
     result, moved = _outcome(row, value)
-    bool_count = type(value) is bool and row.kind in INTEGER_KINDS
-    if bool_count or isinstance(value, np.generic):
-        # the same bytes as its Python value, or a rejection of both
-        plain, _ = _outcome(row, int(value) if bool_count else value.item())
+    for twin in _twins(row, value):
+        # the same bytes as its twin, or a rejection of both
+        plain, _ = _outcome(row, twin)
         assert (result == plain if isinstance(result, str)
-                else not isinstance(plain, str)), (result, plain)
+                else not isinstance(plain, str)), (result, plain, twin)
     if isinstance(result, str):
         assert _admits(row, value), "admitted %s=%r" % (row.param, value)
         return

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisystorage import protocols, qsim
+from noisystorage import hashing, protocols, qsim
 from noisystorage.bounds import RobustParams, StorageModel, ot_epsilon
 from noisystorage.codes import (
     extended_hamming_8_4,
@@ -219,7 +219,7 @@ def test_store_all_matches_per_qubit_loop(n, r):
         assert rng.random(3).tobytes() == oracle_rng.random(3).tobytes()
 
 
-def test_store_all_run_makes_six_qsim_calls(monkeypatch):
+def test_store_all_run_makes_three_qsim_calls(monkeypatch):
     calls = Counter()
 
     def counted(name, fn):
@@ -231,7 +231,26 @@ def test_store_all_run_makes_six_qsim_calls(monkeypatch):
     for name in ("bb84_prepare", "depolarize", "measure"):
         monkeypatch.setattr(qsim, name, counted(name, getattr(qsim, name)))
     run_rot(1024, 256, 0, bob=StoreAllBob(0.5), rng=3)
-    assert calls == {"bb84_prepare": 4, "depolarize": 1, "measure": 1}
+    # the four stored states are prepared as one stack
+    assert calls == {"bb84_prepare": 1, "depolarize": 1, "measure": 1}
+
+
+@pytest.mark.parametrize("c", [0, 1])
+def test_honest_rot_hashes_in_one_stacked_transform(c, monkeypatch):
+    # s0, s1 and y: one rfft of the seeds, one of the inputs, one irfft
+    transforms = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            transforms[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(hashing, name, counted(name, getattr(hashing, name)))
+    t = run_rot(4096, 1024, c, rng=11)
+    assert transforms == {"rfft": 2, "irfft": 1}
+    assert np.array_equal(t.y, (t.s0, t.s1)[c])
 
 
 # --- robust oblivious transfer ----------------------------------------------

@@ -47,8 +47,12 @@ def test_prepare_examples():
                            match="^basis must be an integer 0 or 1, got "):
             bb84_prepare(0, basis)
     # a 0-d array is an array: gf2.as_bits checks it
-    assert np.array_equal(bb84_prepare(np.array(1), np.array(1.0)),
+    assert np.array_equal(bb84_prepare(np.array(1), np.array(True)),
                           bb84_prepare(1, 1))
+    # a float bit is refused as an array too, as the scalar 1.0 is
+    for bit in (np.array([1.0, 0.0]), np.array(1.0), [1.0, 0.0]):
+        with pytest.raises(ValueError, match="^bit must be 0 or 1$"):
+            bb84_prepare(bit, 0)
 
 
 def test_matched_basis_measurement_deterministic():
