@@ -182,7 +182,13 @@ class QidParams:
 def _require_float(name, value):
     """``float(value)``; an integer past the float range, where ``float``
     raises ``OverflowError``, raises PreconditionError naming the
-    parameter.  nan and +-inf pass."""
+    parameter.  A string, which ``float`` would parse, raises TypeError
+    naming it.  nan and +-inf pass.  A plain float returns before the
+    string check, as a plain int does in ``_require_integer``."""
+    if type(value) is float:
+        return value
+    if isinstance(value, (str, bytes, bytearray)):
+        raise TypeError("%s must be a number, got %r" % (name, value))
     try:
         return float(value)
     except OverflowError:

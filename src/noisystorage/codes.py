@@ -23,8 +23,10 @@ MIN_DISTANCE_MAX_K = 20
 # repetition_code(21) on a shared 2-CPU VM; at 24 it took 55 s and 1.5 GB
 COSET_TABLE_MAX_REDUNDANCY = 20
 RANDOM_CODE_TRIES = 200
-# codewords one product of _min_weight holds, across its generators
+# codewords, and codeword cells, one product of _min_weight holds across
+# its generators
 _WEIGHT_CHUNK_WORDS = 1 << 14
+_WEIGHT_CHUNK_CELLS = 1 << 20
 
 
 @dataclass
@@ -96,9 +98,10 @@ def _min_weight(generators):
 
     Each product encodes a chunk of messages under every generator at
     once, with the generators' rows laid side by side; its float32 sums
-    count at most k ones, so they are exact.  A chunk holds 2^14 // tries
-    messages, at least one, so a product holds at most 2^14 codewords
-    whenever tries <= 2^14, as one generator's chunk always did.
+    count at most k ones, so they are exact.  A chunk holds
+    min(2^14, 2^20 // n) // tries messages, at least one, so a product
+    holds at most 2^14 codewords and 2^20 cells whenever tries <= 2^14
+    and n <= 2^20 // tries; at n <= 64 that is 2^14 // tries messages.
     """
     generators = gf2.as_bits(generators)
     *lead, k, n = generators.shape
@@ -110,7 +113,8 @@ def _min_weight(generators):
     rows = stack.transpose(1, 0, 2).reshape(k, tries * n).astype(np.float32)
     ones = np.ones(n, dtype=np.float32)
     best = np.full(tries, n, dtype=np.float32)
-    chunk = max(1, _WEIGHT_CHUNK_WORDS // tries)
+    chunk = max(1, min(_WEIGHT_CHUNK_WORDS, _WEIGHT_CHUNK_CELLS // n)
+                // tries)
     for start in range(1, 2 ** k, chunk):
         msgs = gf2.unpack(np.arange(start, min(start + chunk, 2 ** k)), k)
         words = (msgs.astype(np.float32) @ rows).astype(np.uint8) & 1

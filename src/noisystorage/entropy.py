@@ -77,12 +77,16 @@ def min_entropy(dist, target, given=(), eps=0.0):
     ``eps > 0`` the table may first be smoothed: up to ``eps`` probability
     mass is removed (entrywise, never below zero) so as to minimize the
     resulting guessing weight, and -log2 of that optimum is returned.
+    The exact weight is at most 1, so a float weight past 1 (a sum 1 ulp
+    high, where the target is a function of the given registers) reads
+    as 0.0, never as a negative entropy; a weight of exactly 1 gives -0.0.
     """
     table = _smoothing_table(dist, target, given, eps)
     if eps == 0.0:
-        return -float(np.log2(table.max(axis=0).sum()))
-    _, value = _smoothed_columns(table, eps)
-    return -float(np.log2(value))
+        weight = table.max(axis=0).sum()
+    else:
+        _, weight = _smoothed_columns(table, eps)
+    return 0.0 if weight > 1.0 else -float(np.log2(weight))
 
 
 def smooth_sub_distribution(dist, target, given=(), eps=0.0):

@@ -237,7 +237,10 @@ def _binned_outputs(hashes, inputs, weights, side, n_side):
     in row-major order, so a bin sums its inputs in column order.
     """
     count, (k, size), ell = len(hashes), inputs.shape, hashes[0].ell
-    rows = np.array([_columns(h, k) for h in hashes])
+    # row i of each T starts at seed[ell - 1 - i], as in _columns
+    diagonals = np.arange(ell - 1, -1, -1)[:, np.newaxis] + np.arange(k)
+    seeds = np.array([h.seed[:ell + k - 1] for h in hashes])
+    rows = seeds[:, diagonals].astype(np.float64)
     sums = rows.reshape(count * ell, k) @ inputs
     parity = sums.astype(np.int64).reshape(count, ell, size) & 1
     codes = gf2.pack(parity.transpose(0, 2, 1))  # (count, N)

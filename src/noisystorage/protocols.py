@@ -28,10 +28,11 @@ from .hashing import (ToeplitzHash, _binned_outputs, _check_sizes, _hash_stack,
                       random_hash)
 
 LEAKAGE_MAX_N = 24
-# about a minute of estimate_leakage at n = 24 and ell = 1 (0.57 ms a trial
-# on a shared 2-CPU VM).  A trial's joint tables grow as 4^ell (one trial at
-# ell = 12 takes about 0.4 s), so estimate_leakage also caps trials times
-# _trial_cells at this many trials of its n = 24, ell = 1 tables
+# about 40 s of estimate_leakage at n = 24 and ell = 1 (0.38 ms a trial on
+# a shared 2-CPU VM, Python 3.11, numpy 2.4).  A trial's joint tables grow
+# as 4^ell (one trial at ell = 12 takes about 0.4 s), so estimate_leakage
+# also caps trials times _trial_cells at this many trials of its n = 24,
+# ell = 1 tables
 LEAKAGE_MAX_TRIALS = 100_000
 _LEAKAGE_MAX_ELL = 12  # a stacked joint table holds at most 2^24 cells
 # estimate_leakage's chunks hold at most this many cells of their largest
@@ -135,9 +136,14 @@ def _random_halves(m, rng):
 # --- storing adversary -------------------------------------------------------
 
 
+# the four pure (bit, basis) states, indexed [bit, basis]; read-only
+_BB84_STATES = qsim.bb84_prepare(*np.indices((2, 2)))
+_BB84_STATES.flags.writeable = False
+
+
 def _stored_states(r):
     """The four (bit, basis) states after storage, indexed [bit, basis]."""
-    return qsim.depolarize(qsim.bb84_prepare(*np.indices((2, 2))), r)
+    return qsim.depolarize(_BB84_STATES, r)
 
 
 class StoreAllBob:
@@ -474,24 +480,29 @@ def _hidden_nonuniformity(n, p_post, runs):
     """
     guesses, i0, i1, f0, f1 = zip(*runs)
     guesses = np.array(guesses)
+    rows = np.arange(len(runs))[:, np.newaxis]
     log_p = math.log2(p_post)
     log_q = math.log2(1.0 - p_post) if p_post < 1.0 else -math.inf
+    tables = {}  # by substring width: both halves share one at even n
     parts = []
     for idx in (i0, i1):
         width = len(idx[0])
-        values = np.arange(2 ** width)
-        bits = gf2.unpack(values, width)
+        if width not in tables:
+            values = np.arange(2 ** width)
+            bits = gf2.unpack(values, width)
+            # the posterior weight of each agreement count, looked up
+            counts = np.arange(width + 1)
+            if p_post < 1.0:
+                weight = 2.0 ** (counts * log_p + (width - counts) * log_q)
+            else:  # perfect storage: posterior concentrated on the guess
+                weight = (counts == width).astype(float)
+            # a value's agreement with the all-zero guess
+            tables[width] = (values, bits.T,
+                             width - bits.sum(axis=1, dtype=np.int64), weight)
+        values, bits_t, agreement, weight = tables[width]
         # agreement of every value with every run's guesses, (T, 2^w)
-        sub_guesses = np.take_along_axis(guesses, np.array(idx), axis=1)
-        agree = width - bits.sum(axis=1, dtype=np.int64)[
-            values ^ gf2.pack(sub_guesses)[:, np.newaxis]]
-        # the posterior weight of each agreement count, looked up
-        counts = np.arange(width + 1)
-        if p_post < 1.0:
-            weight = 2.0 ** (counts * log_p + (width - counts) * log_q)
-        else:  # perfect storage: posterior concentrated on the guess
-            weight = (counts == width).astype(float)
-        parts.append((bits.T, agree, weight[agree]))
+        agree = agreement[values ^ gf2.pack(guesses[rows, idx])[:, np.newaxis]]
+        parts.append((bits_t, agree, weight[agree]))
 
     (bits0, agree0, w0), (bits1, _, w1) = parts
     # selector: 0 when the first substring's posterior is strictly
@@ -605,12 +616,14 @@ def estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
     bit_hits = 0
     nonuni_sum = 0.0
     for start in range(0, trials, chunk):
-        runs = []
+        runs, xs = [], []
         for child in rng.spawn(min(chunk, trials - start)):
             x, _, i0, i1, record, f0, f1 = _storing_trial(n, ell, bob, stored,
                                                           child)
-            bit_hits += int((record["guesses"] == x).sum())
+            xs.append(x)
             runs.append((record["guesses"], i0, i1, f0, f1))
+        bit_hits += int(np.count_nonzero(
+            np.array([run[0] for run in runs]) == np.array(xs)))
         for value in _hidden_nonuniformity(n, p_post, runs).tolist():
             nonuni_sum += value
 

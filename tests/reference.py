@@ -35,6 +35,7 @@ from noisystorage.codes import (
     syndrome_decode,
 )
 from noisystorage.distributions import JointDistribution
+from noisystorage.entropy import _uniform_distance
 from noisystorage.hashing import (
     FFT_MIN_CELLS,
     ToeplitzHash,
@@ -650,6 +651,21 @@ def reference_binned_outputs(hashes, inputs, weights, side, n_side):
     return out
 
 
+def reference_stacked_binned_outputs(hashes, inputs, weights, side, n_side):
+    """Pins hashing._binned_outputs: its rows built by one _columns call per
+    hash, before the rows became one gather of the stacked seeds."""
+    count, (k, size), ell = len(hashes), inputs.shape, hashes[0].ell
+    rows = np.array([_columns(h, k) for h in hashes])
+    sums = rows.reshape(count * ell, k) @ inputs
+    parity = sums.astype(np.int64).reshape(count, ell, size) & 1
+    codes = gf2.pack(parity.transpose(0, 2, 1))  # (count, N)
+    bins = ((np.arange(count)[:, np.newaxis] << ell) + codes) * n_side
+    bins = bins[..., np.newaxis] + side
+    return np.bincount(bins.ravel(), weights=weights.ravel(),
+                       minlength=(count << ell) * n_side
+                       ).reshape(count, 2 ** ell, n_side)
+
+
 def reference_bits_to_hex(bits):
     """Pins hashing.bits_to_hex: the per-bit loop that 0a3e287 replaced."""
     return format(reference_pack(bits), "0%dx" % ((len(bits) + 3) // 4))
@@ -752,6 +768,46 @@ def reference_hidden_nonuniformity(t, p_post, enum):
     uniform1 = joint1.sum(axis=1, keepdims=True) / 2 ** ell
     return 0.5 * (np.abs(joint0 - uniform0).sum()
                   + np.abs(joint1 - uniform1).sum()) / total
+
+
+def reference_stacked_hidden_nonuniformity(n, p_post, runs):
+    """Pins protocols._hidden_nonuniformity: one posterior pass per half,
+    before the halves shared one per width."""
+    guesses, i0, i1, f0, f1 = zip(*runs)
+    guesses = np.array(guesses)
+    log_p = math.log2(p_post)
+    log_q = math.log2(1.0 - p_post) if p_post < 1.0 else -math.inf
+    parts = []
+    for idx in (i0, i1):
+        width = len(idx[0])
+        values = np.arange(2 ** width)
+        bits = gf2.unpack(values, width)
+        sub_guesses = np.take_along_axis(guesses, np.array(idx), axis=1)
+        agree = width - bits.sum(axis=1, dtype=np.int64)[
+            values ^ gf2.pack(sub_guesses)[:, np.newaxis]]
+        counts = np.arange(width + 1)
+        if p_post < 1.0:
+            weight = 2.0 ** (counts * log_p + (width - counts) * log_q)
+        else:
+            weight = (counts == width).astype(float)
+        parts.append((bits.T, agree, weight[agree]))
+    (bits0, agree0, w0), (bits1, _, w1) = parts
+    width0 = len(i0[0])
+    if p_post < 1.0:
+        counts = np.arange(width0 + 1)
+        margin = (2 * counts - n) * log_p + 2 * (width0 - counts) * log_q
+        selector = (margin >= 0.0).astype(np.int64)[agree0]
+    else:
+        selector = (agree0 == width0).astype(np.int64)
+    grouped0 = reference_stacked_binned_outputs(
+        f0, bits0, w0[..., np.newaxis], selector[..., np.newaxis], 2)
+    grouped1 = reference_stacked_binned_outputs(
+        f1, bits1, w1[..., np.newaxis], 0, 1)[..., 0]
+    joint0 = grouped1[:, :, np.newaxis] * grouped0[:, np.newaxis, :, 0]
+    joint1 = grouped0[:, :, 1, np.newaxis] * grouped1[:, np.newaxis, :]
+    total = joint0.sum(axis=(1, 2)) + joint1.sum(axis=(1, 2))
+    return (_uniform_distance(joint0.swapaxes(1, 2))
+            + _uniform_distance(joint1.swapaxes(1, 2))) / total
 
 
 def reference_estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):

@@ -235,6 +235,15 @@ def test_verify_suites_pass(capsys):
     assert "0 violations" in out
 
 
+def test_verify_split_admits_a_guessing_weight_past_one(capsys):
+    # the 8th m = 2 table's guessing weight sums to 1 + 1 ulp; before the
+    # clamp its H_min(X1 X2 | Z) read -3.2e-16 and split_multi raised
+    # "alpha must be nonnegative"
+    code, out, err = run_cli(capsys, "verify", "split", "--seed", "668426143",
+                             "--trials", "32")
+    assert (code, out, err) == (0, "split: 56 checks, 0 violations\n", "")
+
+
 def test_verify_codes_catches_a_wrong_distance(capsys):
     # the distance check has its own oracle, so an enumeration that is off
     # by one fails the suite instead of agreeing with itself

@@ -457,6 +457,21 @@ def test_random_code_near_k16_matches_the_loop_within_the_old_memory():
     assert code.min_distance == want.min_distance
 
 
+def test_qid_code_search_memory_is_bounded_by_cells():
+    # 200 tries at n = 1024: a chunk of 2^14 // 200 = 81 messages made a
+    # 66 MB float32 product (a 103.5 MB peak); 2^20 cells make 5 messages
+    tracemalloc.start()
+    try:
+        q = qid_code(256, 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
+    assert q.code.min_distance == 482
+    assert hashlib.sha256(q.code.generator.tobytes()).hexdigest() == (
+        "e964b3f1477f6ac1c2a40d15128b2c0359d4a53c7952dcd4610d20ccc58b7c21")
+
+
 def test_encode_takes_a_stack_of_messages():
     code = qid_code(8, 12).code
     msgs = gf2.unpack(np.arange(8), 3)

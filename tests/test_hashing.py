@@ -25,7 +25,8 @@ from noisystorage.protocols import _json_value
 from reference import (all_hashes, int_bits, oracle_collision_bound,
                        oracle_hash_apply_many, oracle_toeplitz_matrix,
                        reference_binned_outputs, reference_collision_bound,
-                       reference_hash_apply, reference_pa_distance)
+                       reference_hash_apply, reference_pa_distance,
+                       reference_stacked_binned_outputs)
 
 
 def kernel_matrix(h):
@@ -623,3 +624,5 @@ def test_binned_outputs_match_the_per_hash_reference(case):
     want = reference_binned_outputs(*case)
     assert got.shape == want.shape
     assert (got == want).all()
+    # the gathered rows sum in the order the per-hash _columns rows did
+    assert got.tobytes() == reference_stacked_binned_outputs(*case).tobytes()

@@ -12,11 +12,11 @@ end in one of two ways:
   kinds an integer the same bytes as ``float(v)``;
 - a ``ValueError`` (``PreconditionError`` is one) or ``BoundsError`` whose
   message names the parameter, with any generator passed in left
-  untouched.  A ``TypeError`` is allowed for the non-numbers ``"3"`` and
-  ``None`` only.  Where a row gives the name its integer check reports
-  (``checked``), a value the kind refuses must end in "<checked> must be
-  an integer, got <value>" ("an integer 0 or 1" for a bit), a
-  ``TypeError`` included.  Where it gives the name its finiteness check
+  untouched.  A ``TypeError`` is allowed for the non-numbers ``"3"``,
+  ``"0.5"`` and ``None`` only.  Where a row gives the name its integer
+  check reports (``checked``), a value the kind refuses must end in
+  "<checked> must be an integer, got <value>" ("an integer 0 or 1" for a
+  bit), a ``TypeError`` included.  Where it gives the name its finiteness check
   reports (``finite``), nan and +-inf must end in "<finite> must be
   finite, got <value>" and +-10**400 in "<finite> has no finite float
   value".
@@ -88,9 +88,9 @@ VALUES = {
     "nan": math.nan, "inf": math.inf, "'3'": "3", "None": None,
     "10**30": 10 ** 30, "-0.0": -0.0, "1e300": 1e300, "-inf": -math.inf,
     "10**400": 10 ** 400, "-10**400": -10 ** 400, "uint8(2)": np.uint8(2),
-    "False": False,
+    "False": False, "'0.5'": "0.5",
 }
-NON_NUMBERS = ("'3'", "None")
+NON_NUMBERS = ("'3'", "None", "'0.5'")
 # a finiteness check's diagnostic, by value id, with %s for the name
 NON_FINITE = {"nan": "^%s must be finite, got nan$",
               "inf": "^%s must be finite, got inf$",

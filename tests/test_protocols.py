@@ -41,8 +41,9 @@ from noisystorage.protocols import (
 from reference import (generator_state, reference_basis_string,
                        reference_bit_string, reference_bits_to_hex,
                        reference_block_correct, reference_block_syndromes,
-                       reference_estimate_leakage, reference_storing_trial,
-                       stored_bit_guess_probability)
+                       reference_estimate_leakage,
+                       reference_stacked_hidden_nonuniformity,
+                       reference_storing_trial, stored_bit_guess_probability)
 
 
 def robust_params(n=512, delta=0.02, ph_noclick=0.0, pd_noclick=0.0,
@@ -219,7 +220,7 @@ def test_store_all_matches_per_qubit_loop(n, r):
         assert rng.random(3).tobytes() == oracle_rng.random(3).tobytes()
 
 
-def test_store_all_run_makes_three_qsim_calls(monkeypatch):
+def test_store_all_run_makes_two_qsim_calls(monkeypatch):
     calls = Counter()
 
     def counted(name, fn):
@@ -231,8 +232,11 @@ def test_store_all_run_makes_three_qsim_calls(monkeypatch):
     for name in ("bb84_prepare", "depolarize", "measure"):
         monkeypatch.setattr(qsim, name, counted(name, getattr(qsim, name)))
     run_rot(1024, 256, 0, bob=StoreAllBob(0.5), rng=3)
-    # the four stored states are prepared as one stack
-    assert calls == {"bb84_prepare": 1, "depolarize": 1, "measure": 1}
+    # the four pure states are prepared once, at import; a run only
+    # depolarizes them and measures the stack
+    assert calls == {"depolarize": 1, "measure": 1}
+    assert np.array_equal(protocols._BB84_STATES,
+                          qsim.bb84_prepare(*np.indices((2, 2))))
 
 
 @pytest.mark.parametrize("c", [0, 1])
@@ -611,6 +615,24 @@ def test_leakage_matches_reference_across_real_chunks(n, ell, r):
     chunk = protocols._leakage_chunk(n, ell)
     assert chunk > 1
     assert_equals_the_per_trial_loop(n, ell, r, 2 * chunk + 1, seed=11)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 15, 16, 17, 24])
+def test_hidden_nonuniformity_equals_the_per_half_reference(n):
+    # at odd n the halves differ in width; at even n they share one table
+    for ell in range(1, min(n, 3) + 1):
+        for r in (0.0, 0.3, 0.77, 1.0):
+            bob, stored = StoreAllBob(r), protocols._stored_states(r)
+            p_post = qsim.helstrom(stored[0, 0], stored[1, 0])
+            for count in (1, 4, 7):
+                runs = []
+                for child in make_rng(100 * n + ell).spawn(count):
+                    _, _, i0, i1, record, f0, f1 = protocols._storing_trial(
+                        n, ell, bob, stored, child)
+                    runs.append((record["guesses"], i0, i1, f0, f1))
+                got = protocols._hidden_nonuniformity(n, p_post, runs)
+                want = reference_stacked_hidden_nonuniformity(n, p_post, runs)
+                assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisystorage.checks import _random_table
 from noisystorage.distributions import JointDistribution
@@ -179,3 +181,34 @@ def test_splits_match_index_scatter_reference(m, n_side):
                 want = reference_with_register(d, "D", 2, 1 - v_cells)
                 assert res.achieved == achieved
                 assert res.augmented.probs.tobytes() == want.probs.tobytes()
+
+
+@st.composite
+def function_of_z_tables(draw):
+    """(X1, X2, Z) tables with one nonzero cell per Z column: X1 X2 is a
+    function of Z, so H_min(X1 X2 | Z) is exactly 0, and the float sum of
+    the column maxima can land an ulp above 1."""
+    z = draw(st.integers(1, 8))
+    cells = draw(st.lists(st.integers(0, 3), min_size=z, max_size=z))
+    weights = draw(st.lists(st.floats(2.0 ** -10, 1.0), min_size=z,
+                            max_size=z))
+    probs = np.zeros((4, z))
+    probs[cells, np.arange(z)] = weights
+    probs /= probs.sum()
+    return JointDistribution([("X1", 2), ("X2", 2), ("Z", z)],
+                             probs.reshape(2, 2, z))
+
+
+@settings(max_examples=300, deadline=None)
+@given(function_of_z_tables(), st.sampled_from([0.0, 1e-9, 0.25]))
+def test_min_entropy_of_a_function_of_z_is_not_negative(d, eps):
+    alpha = min_entropy(d, ["X1", "X2"], "Z", eps=eps)
+    assert alpha >= 0.0
+    if eps == 0.0:
+        assert alpha < 1e-12
+        if d.probs.max(axis=(0, 1)).sum() == 1.0:
+            # -log2(1.0), the bytes the unclamped value had
+            assert math.copysign(1.0, alpha) == -1.0
+        # the splits take H_min as their alpha
+        split_multi(d, alpha, ["X1", "X2"], given="Z")
+        split_binary(d, alpha, "X1", "X2", given="Z")
