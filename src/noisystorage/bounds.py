@@ -7,6 +7,7 @@ and the string-length / error calculators built from them.  All logs are
 base 2; lengths are reported as whole bits.
 """
 
+import functools
 import math
 import numbers
 from collections import namedtuple
@@ -60,17 +61,12 @@ class StorageModel:
     dim: int = 2
 
     def __post_init__(self):
-        if not 0.0 <= self.r <= 1.0:
-            raise PreconditionError("retention r must lie in [0, 1]")
-        _require_finite("nu", self.nu)
-        if self.nu <= 0.0:
-            raise PreconditionError("storage rate nu must be positive")
-        dim = _require_integer("channel dimension dim", self.dim)
-        if dim is not self.dim:  # _store_integer inline: one per curve row
-            object.__setattr__(self, "dim", dim)
+        _store(self, "r", _require_real, "retention r", "[0, 1]")
+        _store(self, "nu", _require_real, "nu", "(0, inf)")
+        _store(self, "dim", _require_integer, "channel dimension dim")
         if self.dim < 2:
             raise PreconditionError("channel dimension must be at least 2")
-        _require_finite("channel dimension dim", self.dim)
+        _require_real("channel dimension dim", self.dim)
 
 
 @dataclass(frozen=True)
@@ -82,8 +78,8 @@ class OtParams:
     storage: StorageModel
 
     def __post_init__(self):
-        _require_finite("n", self.n)
-        _require_margin(self.delta)
+        _store(self, "n", _require_real, "n")
+        _store(self, "delta", _require_real, "delta", "(0, 1/4)")
         need = 4.0 / self.delta
         if not math.isfinite(need) or self.n < math.ceil(need):
             raise PreconditionError("n >= 4/delta is required for the "
@@ -109,19 +105,14 @@ class RobustParams:
     ell: int | None = None
 
     def __post_init__(self):
-        _require_finite("n", self.n)
-        if self.n <= 0.0:
-            raise PreconditionError("round count n must be positive, got %r"
-                                    % (self.n,))
-        _require_margin(self.delta)
+        _store(self, "n", _require_real, "n", "(0, inf)")
+        _store(self, "delta", _require_real, "delta", "(0, 1/4)")
         for name in ("p1_sent", "ph_noclick", "pd_noclick", "ph_err"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise PreconditionError("%s must lie in [0, 1]" % name)
+            _store(self, name, _require_real, name, "[0, 1]")
         if self.ph_err >= 0.5:
             raise PreconditionError("honest error rate must be below 1/2")
         if self.ell is not None:
-            _store_integer(self, "ell", "ell")
+            _store(self, "ell", _require_integer, "ell")
         if self.m1 <= 0.0:
             raise PreconditionError("no single-photon rounds survive "
                                     "(p1_sent - ph_noclick + pd_noclick <= 0)")
@@ -158,48 +149,68 @@ class QidParams:
     mu: float = field(init=False)
 
     def __post_init__(self):
-        _require_finite("n", self.n)
-        _store_integer(self, "m", "m")
+        _store(self, "n", _require_real, "n")
+        _store(self, "m", _require_integer, "m")
         if self.m < 2:
             raise PreconditionError("need at least two passwords")
-        _require_margin(self.delta)
+        _store(self, "delta", _require_real, "delta", "(0, 1/4)")
         object.__setattr__(self, "mu", _gv_relative_distance(self.n, self.m))
         if self.ell is not None:
-            _store_integer(self, "ell", "ell")
+            _store(self, "ell", _require_integer, "ell")
             if self.ell < 1:
                 raise PreconditionError("ell must be a positive length")
-            _require_finite("ell", self.ell)
+            _require_real("ell", self.ell)
         if self.d_code is not None:
             if self.d_code > self.n:  # inf and huge ints too
                 raise PreconditionError(
                     "code distance d_code = %s exceeds the code length "
                     "n = %.6g" % (self.d_code, self.n))
-            _require_finite("d_code", self.d_code)  # nan passes the above
-            _store_integer(self, "d_code", "d_code")
+            _require_real("d_code", self.d_code)  # nan passes the above
+            _store(self, "d_code", _require_integer, "d_code")
             _check_code_distance(self.d_code, self.m, self.delta)
 
 
-def _require_float(name, value):
-    """``float(value)``; an integer past the float range, where ``float``
-    raises ``OverflowError``, raises PreconditionError naming the
-    parameter.  A string, which ``float`` would parse, raises TypeError
-    naming it.  nan and +-inf pass.  A plain float returns before the
-    string check, as a plain int does in ``_require_integer``."""
-    if type(value) is float:
-        return value
-    if isinstance(value, (str, bytes, bytearray)):
-        raise TypeError("%s must be a number, got %r" % (name, value))
-    try:
-        return float(value)
-    except OverflowError:
-        raise PreconditionError("%s has no finite float value" % name) from None
+@functools.cache
+def _interval(text):
+    """The least and the greatest float in an interval such as "(0, 1/4)"."""
+    lo, hi = (float(num) / float(den or 1) for num, _, den in
+              (end.partition("/") for end in text[1:-1].split(", ")))
+    return (math.nextafter(lo, math.inf) if text[0] == "(" else lo,
+            math.nextafter(hi, -math.inf) if text[-1] == ")" else hi)
 
 
-def _require_finite(name, value):
-    """Reject nan, +-inf and integers past the float range, naming the
-    field."""
-    if not math.isfinite(_require_float(name, value)):
-        raise PreconditionError("%s must be finite, got %r" % (name, value))
+def _require_real(name, value, interval="(-inf, inf)"):
+    """``value`` as a Python float in ``interval``, such as "[0, 1]" or
+    "(0, inf)"; nan lies in none.  A value that is no ``numbers.Real`` (a
+    string, None) raises TypeError "<name> must be a number, got <value>",
+    an integer past the float range "<name> has no finite float value", a
+    value outside a bounded interval "<name> must lie in <interval>", and
+    one outside an interval with no upper end "<name> must be finite"
+    (nan, or an inf outside it), "nonnegative", "positive" or "at least
+    <lo>", with ", got <value>".  A plain float skips the type checks, and
+    a plain int the abstract-class check, as in ``_require_integer``."""
+    x = value
+    if type(x) is not float:
+        if type(x) is not int and not isinstance(x, numbers.Real):
+            raise TypeError("%s must be a number, got %r" % (name, value))
+        try:
+            x = float(x)
+        except OverflowError:
+            raise PreconditionError("%s has no finite float value"
+                                    % name) from None
+    lo, hi = _interval(interval)
+    if lo <= x <= hi:
+        return x
+    low, high = interval.split(", ")
+    if not high.startswith("inf"):
+        raise PreconditionError("%s must lie in %s" % (name, interval))
+    if high == "inf)" and not math.isfinite(x):
+        rule = "finite"
+    elif low in ("(0", "[0"):
+        rule = "positive" if low == "(0" else "nonnegative"
+    else:
+        rule = "at least " + low[1:]
+    raise PreconditionError("%s must be %s, got %r" % (name, rule, value))
 
 
 def _require_integer(name, value):
@@ -226,19 +237,14 @@ def _require_bit(name, value):
     return int(value)
 
 
-def _store_integer(record, name, label):
-    """Check a frozen record's integer field and keep it as a Python int;
-    a plain int is left as it is."""
+def _store(record, name, check, label, *interval):
+    """Check a frozen record's field with ``check(label, value, *interval)``,
+    :func:`_require_integer` or :func:`_require_real`, and keep what it
+    returns; a plain int or float is left as it is."""
     value = getattr(record, name)
-    checked = _require_integer(label, value)
-    if checked is not value:  # a numpy integer or a bool
+    checked = check(label, value, *interval)
+    if checked is not value:  # a numpy scalar, a bool, an int for a float
         object.__setattr__(record, name, checked)
-
-
-def _require_margin(delta):
-    """Reject a margin delta outside (0, 1/4), nan included."""
-    if not 0.0 < delta < 0.25:
-        raise PreconditionError("delta must lie in (0, 1/4)")
 
 
 def _gv_relative_distance(n, m):
@@ -265,8 +271,12 @@ def _check_code_distance(d_code, m, delta):
 
 def binary_entropy(p):
     """h(p) = -p log2 p - (1-p) log2(1-p), with h(0) = h(1) = 0."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    return _binary_entropy(_require_real("p", p, "[0, 1]"))
+
+
+def _binary_entropy(p):
+    """:func:`binary_entropy` of a float in [0, 1], which the bisection in
+    :func:`inv_binary_entropy` evaluates some 55 times a call."""
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
@@ -277,8 +287,7 @@ def inv_binary_entropy(y):
 
     Bisection until |h(p) - y| <= 1e-12.
     """
-    if not 0.0 <= y <= 1.0:
-        raise ValueError("y must lie in [0, 1]")
+    y = _require_real("y", y, "[0, 1]")
     if y == 0.0:
         return 0.0
     if y == 1.0:
@@ -286,14 +295,14 @@ def inv_binary_entropy(y):
     lo, hi = 0.0, 0.5
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) < y:
+        if _binary_entropy(mid) < y:
             lo = mid
         else:
             hi = mid
         if hi - lo == 0.0:
             break
     p = 0.5 * (lo + hi)
-    if abs(binary_entropy(p) - y) > 1e-12:
+    if abs(_binary_entropy(p) - y) > 1e-12:
         raise OptimizationError("binary entropy inversion did not converge")
     return p
 
@@ -303,18 +312,15 @@ def sigma(delta):
 
     sigma(delta) = delta^2 * log2(e) / (32 * (2 - log2(delta))^2).
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    delta = _require_real("delta", delta, "(0, 1)")
     return delta * delta * math.log2(math.e) / (
         32.0 * (2.0 - math.log2(delta)) ** 2)
 
 
 def _ot_eps_exponent(delta, n):
     """Natural-log decay rate: epsilon = 2 exp(-rate * n)."""
-    _require_margin(delta)
-    _require_finite("n", n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    delta = _require_real("delta", delta, "(0, 1/4)")
+    n = _require_real("n", n, "[1, inf)")
     return (delta / 4.0) ** 2 / (32.0 * (2.0 + math.log2(4.0 / delta)) ** 2) * n
 
 
@@ -381,9 +387,7 @@ def strong_converse_exponent(R, storage):
     nu below about 1e-303 at the bound calculators' rates), and that
     raises :class:`PreconditionError` naming R and nu.
     """
-    if not R >= 0.0:  # nan too
-        raise PreconditionError("rate R must be nonnegative, got %r" % (R,))
-    R = _require_float("rate R", R)
+    R = _require_real("rate R", R, "[0, inf]")
     d = storage.dim
     lam_plus, lam_minus = _eigenvalues(storage)
     log_d = math.log2(d)
@@ -661,11 +665,8 @@ def _impersonation(params):
 
 def dishonest_alice_error(m, ell):
     """Impersonation error of an unbounded user: m^2 / 2^ell."""
-    if not m >= 1:  # nan too
-        raise PreconditionError("m must be at least 1, got %r" % (m,))
-    _require_finite("ell", ell)
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
+    m = _require_real("m", m, "[1, inf]")
+    ell = _require_real("ell", ell, "[0, inf)")
     return _two_pow_capped(2.0 * math.log2(m) - ell)
 
 
@@ -699,7 +700,8 @@ def _region_axes(r_steps, nu_steps, r_max, nu_max, dim):
             % (REGION_MAX_ROWS, r_steps, nu_steps))
     if r_steps < 2 or nu_steps < 2:
         raise ValueError("grids need at least 2 steps per axis")
-    StorageModel(r=r_max, nu=nu_max, dim=dim)  # bounds every cell's r, nu
+    bound = StorageModel(r=r_max, nu=nu_max, dim=dim)  # bounds every cell
+    r_max, nu_max = bound.r, bound.nu
     nus = [nu_max * (j + 1) / nu_steps for j in range(nu_steps)]
     r_caps = []
     for i in range(r_steps):
@@ -739,14 +741,15 @@ def rate_curve(n, delta, nu, r_grid, dim=2):
     remains, carry ell = 0 and feasible = False.  A delta outside (0, 1/4)
     raises :class:`PreconditionError`.
     """
-    OtParams(n=n, delta=delta, storage=None)  # checks n and delta
+    params = OtParams(n=n, delta=delta, storage=None)  # checks n and delta
+    n, delta = params.n, params.delta
     rate = 0.25 - delta
     rows = []
     for r in r_grid:
-        storage = StorageModel(r=_require_float("r", r), nu=nu, dim=dim)
+        storage = StorageModel(r=r, nu=nu, dim=dim)
         t = _transfer_bound(storage, delta, n, rate, n)
         rows.append({
-            "r": storage.r, "nu": float(nu), "n": float(n), "delta": delta,
+            "r": storage.r, "nu": storage.nu, "n": n, "delta": delta,
             "gamma": t.gamma, "capacity": t.capacity, "ell": t.ell,
             "ot_rate": t.ell / n, "eps": t.eps, "two_eps": 2.0 * t.eps,
             "feasible": t.ell > 0,

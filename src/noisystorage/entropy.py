@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _require_float, _require_integer
+from .bounds import _require_integer, _require_real
 from .distributions import JointDistribution, SubDistribution
 
 # exhaustive-search caps for the channel-decoding oracle
@@ -46,7 +46,7 @@ def _smoothed_columns(table, eps):
     sorted_cols = np.sort(table, axis=0)[::-1, :]  # descending per column
     ceilings = sorted_cols[0, :].copy()
     levels = sorted_cols.tolist() + [[0.0] * n_cols]
-    budget = float(eps)
+    budget = eps
     for tier in range(n_rows):
         cost = tier + 1
         for j, (top, nxt) in enumerate(zip(levels[tier], levels[cost])):
@@ -61,13 +61,12 @@ def _smoothed_columns(table, eps):
 
 
 def _smoothing_table(dist, target, given, eps):
-    """The (target, given) table; eps must lie in [0, 1) and below its mass."""
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must satisfy 0 <= eps < 1")
+    """The (target, given) table and eps, a float in [0, 1) below its mass."""
+    eps = _require_real("eps", eps, "[0, 1)")
     table = dist.grouped(_names(target), _names(given))
     if eps > 0.0 and eps >= table.sum():
         raise ValueError("eps must be smaller than the total mass")
-    return table
+    return table, eps
 
 
 def min_entropy(dist, target, given=(), eps=0.0):
@@ -81,7 +80,7 @@ def min_entropy(dist, target, given=(), eps=0.0):
     high, where the target is a function of the given registers) reads
     as 0.0, never as a negative entropy; a weight of exactly 1 gives -0.0.
     """
-    table = _smoothing_table(dist, target, given, eps)
+    table, eps = _smoothing_table(dist, target, given, eps)
     if eps == 0.0:
         weight = table.max(axis=0).sum()
     else:
@@ -96,7 +95,7 @@ def smooth_sub_distribution(dist, target, given=(), eps=0.0):
     entries above the per-column ceiling are cut down to it, removing at
     most ``eps`` total mass.
     """
-    table = _smoothing_table(dist, target, given, eps)
+    table, eps = _smoothing_table(dist, target, given, eps)
     ceilings, _ = _smoothed_columns(table, eps)
     q = np.minimum(table, ceilings[np.newaxis, :])
     axes = dist.axes(_names(target) + _names(given))
@@ -143,11 +142,9 @@ def _select_first_large(dist, alpha, parts, given):
     if dist._axes.keys() != expected or len(expected) != m + len(given):
         raise ValueError("distribution must consist of exactly the substrings "
                          "and the side-information registers")
-    if not alpha >= 0:  # also rejects NaN
-        raise ValueError("alpha must be nonnegative")
 
     # from the Python float: an unsigned numpy alpha would wrap on negation
-    threshold = 2.0 ** (-_require_float("alpha", alpha) / 2.0)
+    threshold = 2.0 ** (-_require_real("alpha", alpha, "[0, inf]") / 2.0)
     probs = dist.probs
     part_axes = dist.axes(parts)
     v_cells = np.full(dist.sizes, m - 1, dtype=np.int64)

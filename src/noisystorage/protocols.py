@@ -20,8 +20,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import gf2, qsim
-from .bounds import (PreconditionError, _require_bit, _require_float,
-                     _require_integer, ot_epsilon)
+from .bounds import (PreconditionError, _require_bit, _require_integer,
+                     _require_real, ot_epsilon)
 from .codes import syndrome, syndrome_budget_ok, syndrome_decode
 from .entropy import _uniform_distance
 from .hashing import (ToeplitzHash, _binned_outputs, _check_sizes, _hash_stack,
@@ -155,7 +155,7 @@ class StoreAllBob:
     """
 
     def __init__(self, storage_r):
-        self.storage_r = _require_float("storage_r", storage_r)
+        self.storage_r = _require_real("retention r", storage_r, "[0, 1]")
 
     def after_reveal(self, noisy_states, theta, rng):
         guesses = qsim.measure(noisy_states, theta, rng)
@@ -330,8 +330,7 @@ def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3):
     if n != params.n:
         raise ValueError("simulation needs an integer round count")
     _, ell = _check_sizes(n, params.ell)
-    if not 0.0 < eps_target <= 1.0:
-        raise ValueError("eps_target must lie in (0, 1]")
+    eps_target = _require_real("eps_target", eps_target, "(0, 1]")
     c = _require_bit("choice bit c", c)
     rng = make_rng(rng)
     zeta = math.sqrt(math.log(2.0 / eps_target) / (2.0 * n))
@@ -604,6 +603,7 @@ def estimate_leakage(n, ell, r, trials, rng=None, delta=0.01):
     if trials > cap:
         raise PreconditionError("trials = %d exceeds the cap of %d at n = %d "
                                 "and ell = %d" % (trials, cap, n, ell))
+    delta = _require_real("delta", delta, "(0, 1/4)")  # the float reported
     statement_bound = min(1.0, 2.0 * ot_epsilon(delta, n))
     stored = _stored_states(r)
     helstrom_rate = qsim.helstrom(stored[0, 0], stored[1, 0])

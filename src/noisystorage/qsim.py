@@ -10,7 +10,7 @@ two-state discrimination.  States are 2x2 complex numpy arrays, or
 import numpy as np
 
 from . import gf2
-from .bounds import _require_bit, _require_float
+from .bounds import _require_bit, _require_real
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _BASIS_VECTORS = np.array(  # indexed [basis, outcome]
@@ -67,9 +67,7 @@ def measure(state, basis, rng):
 
 def depolarize(state, r):
     """Keep the state with probability r, else output the maximally mixed one."""
-    r = _require_float("retention r", r)
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("retention r must lie in [0, 1]")
+    r = _require_real("retention r", r, "[0, 1]")
     state = np.asarray(state, dtype=complex)
     out = r * state + (1.0 - r) * 0.5 * IDENTITY
     # re-symmetrize double-precision drift
@@ -80,11 +78,11 @@ def helstrom(rho0, rho1, p0=0.5):
     """Best success probability of telling rho0 (prior p0) from rho1.
 
     1/2 (1 + || p0 rho0 - (1-p0) rho1 ||_1), achieved by measuring the
-    sign of the weighted difference.
+    sign of the weighted difference.  A float trace norm past its exact
+    bound 1 (1 ulp high for two orthogonal pure states) reads as 1.
     """
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError("prior must lie in [0, 1]")
+    p0 = _require_real("prior", p0, "[0, 1]")
     diff = p0 * np.asarray(rho0, dtype=complex) \
         - (1.0 - p0) * np.asarray(rho1, dtype=complex)
     trace_norm = float(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).sum())
-    return 0.5 * (1.0 + trace_norm)
+    return 1.0 if trace_norm > 1.0 else 0.5 * (1.0 + trace_norm)

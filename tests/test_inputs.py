@@ -12,14 +12,17 @@ end in one of two ways:
   kinds an integer the same bytes as ``float(v)``;
 - a ``ValueError`` (``PreconditionError`` is one) or ``BoundsError`` whose
   message names the parameter, with any generator passed in left
-  untouched.  A ``TypeError`` is allowed for the non-numbers ``"3"``,
-  ``"0.5"`` and ``None`` only.  Where a row gives the name its integer
-  check reports (``checked``), a value the kind refuses must end in
-  "<checked> must be an integer, got <value>" ("an integer 0 or 1" for a
-  bit), a ``TypeError`` included.  Where it gives the name its finiteness check
+  untouched.  For a real parameter (a kind that is no integer kind) the
+  non-numbers ``"3"``, ``"0.5"`` and ``None`` must end in a ``TypeError``
+  "<name> must be a number, got <value>" and +-10**400 in "<name> has no
+  finite float value", and a record returns the field as it keeps it, so
+  the same-bytes rule asks for a Python float.  For an integer kind a
+  ``TypeError`` is allowed for the non-numbers only.  Where a row gives the name its integer check
+  reports (``checked``), a value the kind refuses must end in "<checked>
+  must be an integer, got <value>" ("an integer 0 or 1" for a bit), a
+  ``TypeError`` included.  Where it gives the name its finiteness check
   reports (``finite``), nan and +-inf must end in "<finite> must be
-  finite, got <value>" and +-10**400 in "<finite> has no finite float
-  value".
+  finite, got <value>".
 
 A row lists the calls that end otherwise, each with its reason.
 """
@@ -91,12 +94,8 @@ VALUES = {
     "False": False, "'0.5'": "0.5",
 }
 NON_NUMBERS = ("'3'", "None", "'0.5'")
-# a finiteness check's diagnostic, by value id, with %s for the name
-NON_FINITE = {"nan": "^%s must be finite, got nan$",
-              "inf": "^%s must be finite, got inf$",
-              "-inf": "^%s must be finite, got -inf$",
-              "10**400": "^%s has no finite float value$",
-              "-10**400": "^%s has no finite float value$"}
+NON_FINITE = ("nan", "inf", "-inf")
+NO_FLOAT = ("10**400", "-10**400")
 
 
 def _real(v):
@@ -129,7 +128,7 @@ class Row(NamedTuple):
     # a value the kind refuses ends in "<checked> must be an integer, got
     # v", or "... an integer 0 or 1, got v" for a bit
     checked: str = None
-    # nan, +-inf and +-10**400 end in its finiteness diagnostic
+    # nan and +-inf end in its finiteness diagnostic
     finite: str = None
     pinned: dict = {}  # value id -> the regexp its diagnostic matches
     unnamed: dict = {}  # value id -> why its ValueError need not name it
@@ -174,14 +173,14 @@ def _evaluated(evaluate, record):
 
 def _record_rows(make, evaluations, base, kinds, **extra):
     """One row per record field: the record built from ``base`` with the
-    value in the field's place, an integer field as the record keeps it,
-    and each of ``evaluations`` of the record."""
-    def call(field, kind, v):
+    value in the field's place, the field as the record keeps it, and each
+    of ``evaluations`` of the record."""
+    def call(field, v):
         record = make(**{**base, field: v})
-        kept = getattr(record, field) if kind in INTEGER_KINDS else None
-        return kept, [_evaluated(evaluate, record) for evaluate in evaluations]
+        return (getattr(record, field),
+                [_evaluated(evaluate, record) for evaluate in evaluations])
     return [Row(make.__name__, field, kind, base[field],
-                lambda v, rng, field=field, kind=kind: call(field, kind, v),
+                lambda v, rng, field=field: call(field, v),
                 **extra.get(field, {}))
             for field, kind in kinds]
 
@@ -285,7 +284,7 @@ ROWS = [
     Row("dishonest_alice_error", "ell", "real", 40,
         lambda v, rng: dishonest_alice_error(16, v),
         within=lambda v: 0 <= v < math.inf, finite="ell",
-        pinned={"-1": "^ell must be nonnegative$"}),
+        pinned={"-1": "^ell must be nonnegative, got -1$"}),
     # --- code catalog ---
     Row("repetition_code", "n", "count", 3,
         lambda v, rng: repetition_code(v), within=lambda v: v >= 1,
@@ -323,11 +322,11 @@ ROWS = [
         within=lambda v: v < 1),
     Row("split_binary", "alpha", "real", 2.0,
         lambda v, rng: split_binary(PAIR, v), within=lambda v: v >= 0,
-        pinned={"nan": "^alpha must be nonnegative$"}),
+        pinned={"nan": "^alpha must be nonnegative, got nan$"}),
     Row("split_multi", "alpha", "real", 2.0,
         lambda v, rng: split_multi(PAIR, v, ["X0", "X1"]),
         within=lambda v: v >= 0,
-        pinned={"nan": "^alpha must be nonnegative$"}),
+        pinned={"nan": "^alpha must be nonnegative, got nan$"}),
     Row("psucc_classical", "k", "count", 1,
         lambda v, rng: psucc_classical(np.eye(2), v),
         within=lambda v: 0 <= v <= 3, checked="k"),
@@ -550,16 +549,25 @@ def test_input_contract(row, value_id):
                        " 0 or 1" if row.kind == "bit" else "",
                        re.escape(repr(value))))
     if row.finite and value_id in NON_FINITE:
-        pins.append(NON_FINITE[value_id] % re.escape(row.finite))
-    if isinstance(result, TypeError) and value_id in NON_NUMBERS and not pins:
+        pins.append("^%s must be finite, got %s$"
+                    % (re.escape(row.finite), value_id))
+    names = [name for name in (row.param, row.checked, *row.aliases) if name]
+    named = r"(?<!\w)(?:%s)" % "|".join(map(re.escape, names))
+    if row.kind not in INTEGER_KINDS and value_id in NON_NUMBERS:
+        assert isinstance(result, TypeError), repr(result)
+        pins.append("%s must be a number, got %s$"
+                    % (named, re.escape(repr(value))))
+    elif (isinstance(result, TypeError) and value_id in NON_NUMBERS
+          and not pins):
         return
-    assert isinstance(result, (ValueError, BoundsError)), repr(result)
+    else:
+        assert isinstance(result, (ValueError, BoundsError)), repr(result)
+    if row.kind not in INTEGER_KINDS and value_id in NO_FLOAT:
+        pins.append("%s has no finite float value$" % named)
     if value_id in row.unnamed:
         return
     message = str(result)
-    names = filter(None, (row.param, row.checked, *row.aliases))
-    assert any(re.search(r"(?<!\w)%s(?!\w)" % re.escape(name), message)
-               for name in names), message
+    assert re.search(named + r"(?!\w)", message), message
     for pin in pins:
         assert re.search(pin, message), message
 

@@ -1,7 +1,9 @@
-"""Property tests for the transfer-bound core and the parameter records."""
+"""Property tests for the transfer-bound core, and for the floats that a
+theorem bounds, on degenerate inputs as well."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,15 +13,13 @@ from noisystorage.bounds import (
     InfeasibleStorageError,
     NoPositiveLengthError,
     OtParams,
-    PreconditionError,
-    QidParams,
-    RobustParams,
     StorageModel,
     depolarizing_capacity,
     ot_length,
     rate_curve,
     strong_converse_exponent,
 )
+from noisystorage.qsim import depolarize, helstrom
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -27,7 +27,9 @@ deltas = st.floats(1e-4, 0.249)
 retentions = st.floats(0.0, 1.0)
 nus = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0]), st.floats(0.05, 3.0))
 log_ns = st.floats(3.0, 15.0)
-non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+# the ends of the retention range, and dimensions far apart
+edge_retentions = st.sampled_from([0.0, 5e-324, 1.0 - 2.0 ** -53, 1.0])
+edge_dims = st.sampled_from([2, 13, 2 ** 40])
 
 
 def _rounds(delta, log_n):
@@ -68,19 +70,26 @@ def test_ot_length_nondecreasing_in_n_where_positive(delta, r, nu, log_ns):
             assert longer >= shorter
 
 
-@PROPERTY
-@given(non_finite, retentions, deltas)
-def test_params_records_reject_non_finite_values(bad, r, delta):
-    storage = StorageModel(r=r)
-    with pytest.raises(PreconditionError, match="^nu must be finite"):
-        StorageModel(r=r, nu=bad)
-    with pytest.raises(PreconditionError, match="^n must be finite"):
-        OtParams(n=bad, delta=delta, storage=storage)
-    with pytest.raises(PreconditionError, match="^n must be finite"):
-        RobustParams(n=bad, delta=delta, storage=storage, p1_sent=1.0,
-                     ph_noclick=0.1, pd_noclick=0.0, ph_err=0.01)
-    with pytest.raises(PreconditionError, match="^n must be finite"):
-        QidParams(n=bad, m=16, delta=delta, storage=storage)
+@settings(max_examples=200, deadline=None)
+@given(edge_retentions | retentions, edge_dims | st.integers(2, 1000))
+def test_capacity_lies_between_zero_and_log2_d(r, d):
+    capacity = depolarizing_capacity(StorageModel(r=r, dim=d))
+    assert 0.0 <= capacity <= math.log2(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi),
+       edge_retentions | retentions, st.sampled_from([0.0, 0.5, 1.0])
+       | st.floats(0.0, 1.0))
+def test_helstrom_lies_between_one_half_and_one(theta, phi, r, p0):
+    # a pure state against its orthogonal one, stored at retention r: at
+    # r = 1 the exact value is 1, and the float trace norm may pass it
+    v = np.array([math.cos(theta / 2.0),
+                  np.exp(1j * phi) * math.sin(theta / 2.0)])
+    w = np.array([-v[1].conj(), v[0].conj()])
+    rho0, rho1 = depolarize(np.stack([np.outer(v, v.conj()),
+                                      np.outer(w, w.conj())]), r)
+    assert 0.5 <= helstrom(rho0, rho1, p0) <= 1.0
 
 
 # Exact monotonicity fails at the ulp level: a sweep of near-equal pairs

@@ -545,6 +545,13 @@ def test_leakage_statement_bound_is_always_one(delta):
         assert report["statement_bound"] == 1.0
 
 
+def test_leakage_reports_delta_as_a_python_float():
+    # a numpy float32 delta was echoed as given, which json.dumps refuses
+    report = estimate_leakage(4, 1, 0.3, 1, rng=5, delta=np.float32(0.01))
+    assert report["delta"] == float(np.float32(0.01))
+    assert type(report["delta"]) is float
+
+
 def test_statement_bound_drops_below_one_only_past_4e5_rounds():
     best = math.nextafter(0.25, 0.0)
     assert 2.0 * ot_epsilon(best, 4.0e5) > 1.0 > 2.0 * ot_epsilon(best, 4.1e5)

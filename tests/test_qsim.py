@@ -191,6 +191,14 @@ def test_stacked_born_probabilities_equal_one_state_rule():
                         noisy[k], basis, outcome)
 
 
+def test_born_probability_is_clamped_at_zero():
+    # float drift leaves the diagonal entry of outcome 0 at -1e-17
+    drifted = np.diag([-1e-17, 1.0 + 1e-17]).astype(complex)
+    assert born_probability(drifted, 0, 0) == 0.0
+    stacked = born_probability(np.stack([drifted] * 2), np.zeros(2, int), 0)
+    assert stacked.tolist() == [0.0, 0.0]
+
+
 @pytest.mark.parametrize("bases", [
     np.array([-1, 0, 1]),  # -1 was read as the Hadamard basis
     np.array([0.7, 0.0, 1.0]),  # 0.7 was read as the computational one
