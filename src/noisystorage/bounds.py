@@ -84,6 +84,7 @@ class OtParams:
         if not math.isfinite(need) or self.n < math.ceil(need):
             raise PreconditionError("n >= 4/delta is required for the "
                                     "security statement")
+        _require_storage(self.storage)
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,7 @@ class RobustParams:
     def __post_init__(self):
         _store(self, "n", _require_real, "n", "(0, inf)")
         _store(self, "delta", _require_real, "delta", "(0, 1/4)")
+        _require_storage(self.storage)
         for name in ("p1_sent", "ph_noclick", "pd_noclick", "ph_err"):
             _store(self, name, _require_real, name, "[0, 1]")
         if self.ph_err >= 0.5:
@@ -154,6 +156,7 @@ class QidParams:
         if self.m < 2:
             raise PreconditionError("need at least two passwords")
         _store(self, "delta", _require_real, "delta", "(0, 1/4)")
+        _require_storage(self.storage)
         object.__setattr__(self, "mu", _gv_relative_distance(self.n, self.m))
         if self.ell is not None:
             _store(self, "ell", _require_integer, "ell")
@@ -247,6 +250,22 @@ def _store(record, name, check, label, *interval):
         object.__setattr__(record, name, checked)
 
 
+def _require_storage(storage):
+    """A record's ``storage``: a :class:`StorageModel`, or None for a record
+    whose storage nothing reads (rate_curve's, simulate robust's); the
+    bound calculators refuse None (:func:`_storage`)."""
+    if storage is not None and not isinstance(storage, StorageModel):
+        raise TypeError("storage must be a StorageModel or None, got %r"
+                        % (storage,))
+
+
+def _storage(params):
+    """``params.storage``; None raises :class:`PreconditionError`."""
+    if params.storage is None:
+        raise PreconditionError("storage must be a StorageModel, got None")
+    return params.storage
+
+
 def _gv_relative_distance(n, m):
     """Achievable relative distance of ``m`` codewords of length ``n``.
 
@@ -276,7 +295,8 @@ def binary_entropy(p):
 
 def _binary_entropy(p):
     """:func:`binary_entropy` of a float in [0, 1], which the bisection in
-    :func:`inv_binary_entropy` evaluates some 55 times a call."""
+    :func:`inv_binary_entropy` evaluates 56 times at y = 1/2, 91 at
+    y = 1e-10 and 201, its cap, below about y = 1e-43."""
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
@@ -285,7 +305,9 @@ def _binary_entropy(p):
 def inv_binary_entropy(y):
     """Inverse of the binary entropy on the branch (0, 1/2].
 
-    Bisection until |h(p) - y| <= 1e-12.
+    Bisection until |h(p) - y| <= 1e-12.  It stops once ``lo`` and ``hi``
+    are adjacent floats: their midpoint then rounds onto one of them, and
+    every further step would repeat the last one.
     """
     y = _require_real("y", y, "[0, 1]")
     if y == 0.0:
@@ -295,12 +317,12 @@ def inv_binary_entropy(y):
     lo, hi = 0.0, 0.5
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if _binary_entropy(mid) < y:
             lo = mid
         else:
             hi = mid
-        if hi - lo == 0.0:
-            break
     p = 0.5 * (lo + hi)
     if abs(_binary_entropy(p) - y) > 1e-12:
         raise OptimizationError("binary entropy inversion did not converge")
@@ -392,7 +414,8 @@ def strong_converse_exponent(R, storage):
     lam_plus, lam_minus = _eigenvalues(storage)
     log_d = math.log2(d)
     lam_plus_log2 = math.log2(lam_plus)
-    f_inf = R - log_d - lam_plus_log2  # alpha -> infinity limit
+    excess = R - log_d
+    f_inf = excess - lam_plus_log2  # alpha -> infinity limit
 
     if lam_minus == 0.0:
         # noiseless channel: objective is (1 - 1/alpha)(R - log2 d)
@@ -401,23 +424,28 @@ def strong_converse_exponent(R, storage):
     ln_p = math.log(lam_plus)
     ln_m = math.log(lam_minus)
     ln_ratio = ln_m - ln_p
+    # loop invariants, each the float its inline form gave: Python
+    # multiplies left to right, so (d - 1) * l- is one product
+    rest = d - 1.0
+    rest_minus = rest * lam_minus
+    expm1, log1p = math.expm1, math.log1p
     # float residue of lam_plus + (d-1) lam_minus - 1, kept so the
     # objective vanishes exactly in the alpha -> 1 limit
-    residue = lam_plus + (d - 1.0) * lam_minus - 1.0
+    residue = lam_plus + rest_minus - 1.0
 
     def objective(s):
         # value at alpha = 1 + s, written so that the alpha -> 1
         # cancellation happens inside expm1/log1p instead of between
         # O(1) terms (the optimum sits at s = O(R - C) near capacity)
         alpha = 1.0 + s
-        arg = (lam_plus * math.expm1(s * ln_p)
-               + (d - 1.0) * lam_minus * math.expm1(s * ln_m) + residue)
+        arg = (lam_plus * expm1(s * ln_p)
+               + rest_minus * expm1(s * ln_m) + residue)
         if arg > -0.5:
-            g = math.log1p(arg) / LN2
+            g = log1p(arg) / LN2
         else:  # far from alpha = 1; evaluate in log space instead
             g = alpha * lam_plus_log2 + math.log2(
-                1.0 + (d - 1.0) * math.exp(alpha * ln_ratio))
-        return (s * (R - log_d) - g) / alpha
+                1.0 + rest * math.exp(alpha * ln_ratio))
+        return (s * excess - g) / alpha
 
     scores = {}  # scan index -> objective value, each scored once
 
@@ -466,7 +494,7 @@ def strong_converse_exponent(R, storage):
     c2 = a + inv_phi * (b - a)
     f1, f2 = objective(c1), objective(c2)
     for _ in range(400):
-        if b - a <= ALPHA_BRACKET_TOL * max(1.0, 1.0 + a):
+        if b - a <= ALPHA_BRACKET_TOL * (1.0 + a):  # a >= 0 throughout
             break
         if f1 >= f2:
             b, c2, f2 = c2, c1, f1
@@ -514,8 +542,9 @@ def _require_capacity_below(product, limit, text):
 _Transfer = namedtuple("_Transfer", "capacity gamma value ell eps")
 
 
-def _transfer_bound(storage, delta, n, rate, rounds, ec_bits=0.0, nu_n=None):
-    """The transfer bound at rate R, epsilon decaying in ``rounds``.
+def _transfer_bound(storage, n, rate, exponent, ec_bits=0.0, nu_n=None):
+    """The transfer bound at rate R, with eps = 2 exp(-``exponent``), the
+    :func:`_ot_eps_exponent` of delta and the rounds eps decays in.
 
     ``nu_n`` = nu*n keeps robust OT's float order gamma*(nu*n); plain OT's
     (gamma*nu)*n can differ from it in ell.
@@ -524,7 +553,6 @@ def _transfer_bound(storage, delta, n, rate, rounds, ec_bits=0.0, nu_n=None):
     gamma = strong_converse_exponent(rate / storage.nu, storage)
     gain = gamma * storage.nu * n if nu_n is None else gamma * nu_n
     # log2(1/eps) in log space, so that huge n cannot underflow it
-    exponent = _ot_eps_exponent(delta, rounds)
     value = gain / 2.0 - ec_bits - (exponent / LN2 - 1.0)
     ell = max(0, math.floor(value)) if cap * storage.nu < rate else 0
     return _Transfer(cap, gamma, value, ell, 2.0 * math.exp(-exponent))
@@ -542,10 +570,11 @@ def _positive(t, storage, rate, text):
 
 def _ot(params):
     """The :func:`ot_length` bound; raises as :func:`_positive` does."""
+    storage = _storage(params)
     rate = 0.25 - params.delta
-    t = _transfer_bound(params.storage, params.delta, params.n, rate,
-                        params.n)
-    return _positive(t, params.storage, rate,
+    t = _transfer_bound(storage, params.n, rate,
+                        _ot_eps_exponent(params.delta, params.n))
+    return _positive(t, storage, rate,
                      "exceeds 1/4 - delta = %(limit).6g; no guarantee is "
                      "possible for this storage")
 
@@ -555,11 +584,12 @@ def _robust(params, ec_variant="rounds"):
     (ValueError) before evaluating anything, then raises as _positive."""
     if ec_variant not in ("rounds", "error-complement"):
         raise ValueError("unknown ec_variant %r" % ec_variant)
-    storage, n = params.storage, params.n
+    storage, n = _storage(params), params.n
     m_ec = (params.m_total if ec_variant == "rounds"
             else (1.0 - params.ph_err) * n)
     rate = (0.25 - params.delta) * params.m1 / n
-    t = _transfer_bound(storage, params.delta, n, rate, params.m1,
+    t = _transfer_bound(storage, n, rate,
+                        _ot_eps_exponent(params.delta, params.m1),
                         1.2 * binary_entropy(params.ph_err) * m_ec / 2.0,
                         storage.nu * n)
     return _positive(t, storage, rate,
@@ -605,18 +635,19 @@ _Qid = namedtuple("_Qid", "capacity e1 e2 error")
 
 def _qid(params):
     """The :func:`qid_error` bound; ``d_code`` defaults to floor(mu*n - 1)."""
+    storage = _storage(params)
     d_code = params.d_code
     if d_code is None:
         d_code = math.floor(params.mu * params.n - 1.0)
         _check_code_distance(d_code, params.m, params.delta)
     if params.ell is None:
         raise PreconditionError("the hash length ell is required")
-    nu_n = params.storage.nu * params.n
+    nu_n = storage.nu * params.n
     gamma = strong_converse_exponent(
-        (0.25 - params.delta) * d_code / nu_n, params.storage)
+        (0.25 - params.delta) * d_code / nu_n, storage)
     e1 = 0.5 * (gamma * nu_n - params.ell)
     e2 = sigma(params.delta / 4.0) * d_code - math.log2(params.m) - 3.0
-    return _Qid(depolarizing_capacity(params.storage), e1, e2,
+    return _Qid(depolarizing_capacity(storage), e1, e2,
                 min(1.0, _two_pow_capped(-e1) + _two_pow_capped(-e2)))
 
 
@@ -649,7 +680,7 @@ _Impersonation = namedtuple("_Impersonation", "capacity ell e1 e2 error")
 
 
 def _impersonation(params):
-    storage = params.storage
+    storage = _storage(params)
     cap = depolarizing_capacity(storage)
     _require_capacity_below(cap * storage.nu, 0.25, "is not below 1/4")
     gamma = strong_converse_exponent((0.25 - params.delta) / storage.nu, storage)
@@ -744,10 +775,11 @@ def rate_curve(n, delta, nu, r_grid, dim=2):
     params = OtParams(n=n, delta=delta, storage=None)  # checks n and delta
     n, delta = params.n, params.delta
     rate = 0.25 - delta
+    exponent = _ot_eps_exponent(delta, n)  # the same on every row
     rows = []
     for r in r_grid:
         storage = StorageModel(r=r, nu=nu, dim=dim)
-        t = _transfer_bound(storage, delta, n, rate, n)
+        t = _transfer_bound(storage, n, rate, exponent)
         rows.append({
             "r": storage.r, "nu": storage.nu, "n": n, "delta": delta,
             "gamma": t.gamma, "capacity": t.capacity, "ell": t.ell,

@@ -9,6 +9,7 @@ run at desk scale.
 """
 
 import argparse
+import bisect
 import functools
 import json
 import math
@@ -41,10 +42,11 @@ from .protocols import run_qid, run_robust_rot, run_rot
 
 
 # Curve steps the CLI accepts: each runs one gamma optimization (about
-# 0.06 ms, most of it the scalar golden section) and is one dict from
-# rate_curve; each curve row and each region row (at most
-# bounds.REGION_MAX_ROWS) is one formatted line (about 120 and 55 bytes of
-# CSV, or 300 and 150 of JSON), held until the output text is joined.
+# 0.024 ms with Python 3.11 on a shared 2-CPU VM, most of it the scalar
+# golden section) and is one dict from rate_curve; each curve row and each
+# region row (at most bounds.REGION_MAX_ROWS) is one formatted line (about
+# 120 and 55 bytes of CSV, or 300 and 150 of JSON), held until the output
+# text is joined.
 CURVE_MAX_STEPS = 10_000
 
 # Run sizes the simulate and verify commands accept.  A run's memory grows
@@ -325,8 +327,9 @@ def _write_table(header, specs, lines, args):
 
     ``specs`` gives each column's ``%`` spec, None for a float, which CSV
     writes as "%.12g" (format_value's text) and JSON as "%r".
-    ``lines(template, real)`` yields each row's ``template % values``, with
-    ``real`` the float spec for values written ahead as ``%s`` text.
+    ``lines(template, real)`` yields each row's text, ``template % values``
+    or made from it, with ``real`` the float spec for values written ahead
+    as ``%s`` text.
 
     No value is checked for being finite: _region_axes rejects grids with a
     non-finite cell, and every rate_curve value is finite once OtParams,
@@ -378,18 +381,21 @@ def _cmd_region(args):
                                args.dim)
 
     def lines(template, real):
-        # each nu is written once per table, each r and capacity once per
-        # r step; per cell only the product and its flag
-        nu_texts = [(nu, real % nu) for nu in nus]
+        # each nu text and each flag is written into a cell template once
+        # per table, so that a cell is one % with the r and capacity texts
+        # and the product.  Rounded products never decrease along nu (the
+        # capacity is >= 0), so each r step's feasible cells come first
+        feasible, infeasible = (
+            [template % ("%s", real % nu, "%s", real, flag) for nu in nus]
+            for flag in ("true", "false"))
         for r, cap in r_caps:
             r_text, cap_text = real % r, real % cap
-            for nu, nu_text in nu_texts:
-                product = cap * nu
-                yield template % (r_text, nu_text, cap_text, product,
-                                  ("false", "true")[product < 0.25])
+            # the first infeasible cell: product >= 1/4
+            first = bisect.bisect_left(nus, 0.25, key=cap.__mul__)
+            for nu, cell in zip(nus, feasible[:first] + infeasible[first:]):
+                yield cell % (r_text, cap_text, cap * nu)
 
-    return _write_table(FEASIBLE_REGION_HEADER,
-                        ("%s", "%s", "%s", None, "%s"), lines, args)
+    return _write_table(FEASIBLE_REGION_HEADER, ("%s",) * 5, lines, args)
 
 
 def _run_trials(args, config, run, tallies):

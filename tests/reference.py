@@ -153,7 +153,8 @@ def reference_rate_curve(n, delta, nu, r_grid, dim=2):
     rows = []
     for r in r_grid:
         t = bounds._transfer_bound(StorageModel(r=float(r), nu=nu, dim=dim),
-                                   delta, n, 0.25 - delta, n)
+                                   n, 0.25 - delta,
+                                   bounds._ot_eps_exponent(delta, n))
         rows.append({
             "r": float(r), "nu": nu, "n": n, "delta": delta,
             "gamma": t.gamma, "capacity": t.capacity, "ell": t.ell,
@@ -161,6 +162,30 @@ def reference_rate_curve(n, delta, nu, r_grid, dim=2):
             "feasible": t.ell > 0,
         })
     return rows
+
+
+def reference_inv_binary_entropy(y):
+    """Pins bounds.inv_binary_entropy: the bisection of 0826559, which ran
+    all 200 steps, since its exit on hi - lo == 0.0 never fired."""
+    y = bounds._require_real("y", y, "[0, 1]")
+    if y == 0.0:
+        return 0.0
+    if y == 1.0:
+        return 0.5
+    lo, hi = 0.0, 0.5
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if bounds._binary_entropy(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo == 0.0:
+            break
+    p = 0.5 * (lo + hi)
+    if abs(bounds._binary_entropy(p) - y) > 1e-12:
+        raise bounds.OptimizationError("binary entropy inversion did not "
+                                       "converge")
+    return p
 
 
 def oracle_ot_length(n, delta, r, nu):

@@ -41,7 +41,7 @@ from reference import (QID_GOOD, ROBUST_GOOD, oracle_impersonation_error,
                        oracle_ot_length, oracle_qid_error,
                        oracle_robust_ot_length,
                        oracle_strong_converse_exponent, qubit,
-                       reference_rate_curve,
+                       reference_inv_binary_entropy, reference_rate_curve,
                        reference_strong_converse_exponent)
 
 
@@ -73,6 +73,29 @@ def test_inv_binary_entropy_examples():
     assert inv_binary_entropy(0.5) == pytest.approx(HINV_HALF, abs=1e-9)
     with pytest.raises(ValueError):
         inv_binary_entropy(-0.01)
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=st.floats(0.0, 1.0))
+@example(y=0.0)
+@example(y=5e-324)
+@example(y=1e-300)
+@example(y=0.5)
+@example(y=1.0 - 2.0 ** -53)
+@example(y=1.0)
+def test_inv_binary_entropy_equals_the_200_step_bisection(y):
+    # the bisection stops once lo and hi are adjacent floats; below about
+    # y = 1e-43 it still runs all 200 steps without getting there
+    assert (inv_binary_entropy(y).hex()
+            == reference_inv_binary_entropy(y).hex())
+
+
+def test_inv_binary_entropy_stops_once_the_bisection_stalls():
+    with mock.patch.object(bounds, "_binary_entropy",
+                           wraps=bounds._binary_entropy) as entropy:
+        inv_binary_entropy(0.5)
+    # 55 bisection steps and the final check; all 200 steps made 201 calls
+    assert entropy.call_count <= 60
 
 
 def test_inv_binary_entropy_roundtrip():
@@ -128,7 +151,9 @@ def test_transfer_value_matches_and_survives_underflow():
     lambda: _robust(RobustParams(n=1e10, delta=0.005, storage=qubit(0.1),
                                  p1_sent=1.0, ph_noclick=0.6,
                                  pd_noclick=0.05, ph_err=0.01)),
-], ids=["ot", "robust"])
+    # delta and n are the same on every row of a curve
+    lambda: rate_curve(1e10, 0.0106, 1.0, np.linspace(0.0, 0.9, 200)),
+], ids=["ot", "robust", "curve"])
 def test_transfer_bound_evaluates_the_eps_exponent_once(evaluate):
     with mock.patch.object(bounds, "_ot_eps_exponent",
                            wraps=bounds._ot_eps_exponent) as exponent:

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from noisystorage import bounds, checks, cli, codes, entropy, hashing
@@ -666,6 +666,18 @@ def test_region_prints_a_zero_capacity_for_useless_storage(capsys):
 # a smallest nu step that rounds to 0, and a subnormal one that does not
 @example(r_steps=2, nu_steps=2, r_max=1.0, nu_max=5e-324, dim=2, fmt="csv")
 @example(r_steps=2, nu_steps=40, r_max=1.0, nu_max=4e-322, dim=2, fmt="json")
+# where the writer bisects each r step for its first infeasible cell: rows
+# feasible throughout (r = 0, capacity 0, up to nu = 1e300), a row
+# infeasible throughout (r = 1, from nu = 1/2 on), and a row whose
+# neighbouring products straddle 1/4 (one ulp below it, then 1/2)
+@example(r_steps=2, nu_steps=5, r_max=0.0, nu_max=1e300, dim=2, fmt="csv")
+@example(r_steps=2, nu_steps=5, r_max=0.0, nu_max=1e300, dim=2, fmt="json")
+@example(r_steps=2, nu_steps=4, r_max=1.0, nu_max=2.0, dim=2, fmt="csv")
+@example(r_steps=2, nu_steps=4, r_max=1.0, nu_max=2.0, dim=2, fmt="json")
+@example(r_steps=2, nu_steps=2, r_max=1.0, nu_max=0.49999999999999994,
+         dim=2, fmt="csv")
+@example(r_steps=2, nu_steps=2, r_max=1.0, nu_max=0.49999999999999994,
+         dim=2, fmt="json")
 def test_region_writer_equals_the_row_writers(r_steps, nu_steps, r_max,
                                               nu_max, dim, fmt):
     # the region table is written from its axes; the row writers over
@@ -690,6 +702,25 @@ def test_region_writer_equals_the_row_writers(r_steps, nu_steps, r_max,
     else:
         expected = json.dumps(rows, indent=2) + "\n"
     assert out.getvalue() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(r_steps=st.integers(2, 40), nu_steps=st.integers(2, 40),
+       r_max=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       nu_max=st.floats(5e-324, 1e300),
+       dim=st.sampled_from([2, 3, 13, 1000, 10 ** 18]))
+def test_region_products_never_decrease_along_nu(r_steps, nu_steps, r_max,
+                                                 nu_max, dim):
+    # the precondition of the region writer's bisection for each r step's
+    # first infeasible cell
+    try:
+        nus, r_caps = bounds._region_axes(r_steps, nu_steps, r_max, nu_max,
+                                          dim)
+    except bounds.PreconditionError:  # a nu step that rounds to 0
+        assume(False)
+    for _, cap in r_caps:
+        products = [cap * nu for nu in nus]
+        assert products == sorted(products)
 
 
 @settings(max_examples=200, deadline=None)

@@ -24,7 +24,8 @@ end in one of two ways:
   reports (``finite``), nan and +-inf must end in "<finite> must be
   finite, got <value>".
 
-A row lists the calls that end otherwise, each with its reason.
+A row lists the calls that end otherwise, each with its reason.  The
+records' ``storage`` field is no scalar, and its tests follow the sweep.
 """
 
 import dataclasses
@@ -54,14 +55,18 @@ from noisystorage import (
     estimate_leakage,
     feasible_region,
     helstrom,
+    impersonation_error,
     inv_binary_entropy,
     measure,
     min_entropy,
     ot_epsilon,
+    ot_length,
     pa_distance,
     psucc_classical,
     qid_code,
+    qid_error,
     rate_curve,
+    robust_ot_length,
     run_qid,
     run_robust_rot,
     run_rot,
@@ -71,8 +76,9 @@ from noisystorage import (
     split_multi,
     strong_converse_exponent,
 )
-from noisystorage.bounds import (BoundsError, _impersonation, _ot, _qid,
-                                 _robust, dishonest_alice_error)
+from noisystorage.bounds import (BoundsError, PreconditionError,
+                                 _impersonation, _ot, _qid, _robust,
+                                 dishonest_alice_error)
 from noisystorage.codes import identity_code, random_code, repetition_code
 from noisystorage.hashing import random_hash
 from noisystorage.protocols import (
@@ -577,3 +583,35 @@ def test_every_exported_callable_has_a_row():
                 if callable(value) and not name.startswith("_")}
     swept = {row.callable.split(".")[0] for row in ROWS}
     assert exported - swept == set(UNSWEPT)
+
+
+# each record, a valid call, and the bound calculators that read its storage
+STORAGE_RECORDS = [(OtParams, OT, [ot_length]),
+                   (RobustParams, ROBUST_GOOD, [robust_ot_length]),
+                   (QidParams, QID_GOOD, [qid_error, impersonation_error])]
+
+
+@pytest.mark.parametrize("make, base, calculators", STORAGE_RECORDS,
+                         ids=[make.__name__ for make, _, _ in STORAGE_RECORDS])
+@pytest.mark.parametrize("storage", [0.3, "0.3", {"r": 0.3}],
+                         ids=["0.3", "'0.3'", "dict"])
+def test_records_refuse_a_storage_that_is_no_storage_model(make, base,
+                                                           calculators,
+                                                           storage):
+    with pytest.raises(TypeError, match="^storage must be a StorageModel or "
+                                        "None, got %s$"
+                                        % re.escape(repr(storage))):
+        make(**{**base, "storage": storage})
+
+
+@pytest.mark.parametrize("make, base, calculators", STORAGE_RECORDS,
+                         ids=[make.__name__ for make, _, _ in STORAGE_RECORDS])
+def test_bounds_refuse_a_record_without_storage(make, base, calculators):
+    # None is the sentinel of the records that rate_curve and simulate
+    # robust build, whose storage nothing reads
+    record = make(**{**base, "storage": None})
+    assert record.storage is None
+    for bound in calculators:
+        with pytest.raises(PreconditionError,
+                           match="^storage must be a StorageModel, got None$"):
+            bound(record)
