@@ -115,10 +115,15 @@ class RobustParams:
             raise PreconditionError("honest error rate must be below 1/2")
         if self.ell is not None:
             _store(self, "ell", _require_integer, "ell")
-        if self.m1 <= 0.0:
+        m1 = self.m1
+        if m1 <= 0.0:
             raise PreconditionError("no single-photon rounds survive "
                                     "(p1_sent - ph_noclick + pd_noclick <= 0)")
-        if self.m1 < 4.0 / self.delta:
+        if m1 == math.inf:
+            raise PreconditionError("m1 = (p1_sent - ph_noclick + pd_noclick)"
+                                    " * n must be finite, got inf at n = %r"
+                                    % self.n)
+        if m1 < 4.0 / self.delta:
             raise PreconditionError("m1 = (p1_sent - ph_noclick + pd_noclick)"
                                     " * n >= 4/delta is required for the "
                                     "security statement")

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import gf2
 from .bounds import PreconditionError, _require_integer, binary_entropy
+from .hashing import _bit_rows
 
 MIN_DISTANCE_MAX_K = 20
 # a coset table of 2^20 rows took 2.0 s and an 87 MB tracemalloc peak for
@@ -214,12 +215,13 @@ def identity_code(n):
 def random_code(n, k, seed=0):
     """Best of ``RANDOM_CODE_TRIES`` random generators, distance exact.
 
-    The generators are drawn one try at a time, in the order the search
-    has always drawn them, then scored by one :func:`_min_weight` over
-    their (tries, k, n) stack.  A draw's minimum weight is 0 exactly when
-    its rows are dependent, so it is the rank check too.  Only the first
-    draw of the greatest weight becomes a code.  A ``seed`` that numpy's
-    ``default_rng`` refuses raises :class:`PreconditionError` naming it.
+    The generators are drawn in one :func:`hashing._bit_rows` call, with
+    the bits that one ``(k, n)`` draw per try would take, then scored by
+    one :func:`_min_weight` over their (tries, k, n) stack.  A draw's
+    minimum weight is 0 exactly when its rows are dependent, so it is the
+    rank check too.  Only the first draw of the greatest weight becomes a
+    code.  A ``seed`` that numpy's ``default_rng`` refuses raises
+    :class:`PreconditionError` naming it.
     """
     n, k = _require_integer("n", n), _require_integer("k", k)
     if k < 1:
@@ -232,8 +234,7 @@ def random_code(n, k, seed=0):
         raise PreconditionError(
             "seed must be a SeedSequence, None or a nonnegative integer, "
             "got %r" % (seed,)) from None
-    tries = np.array([rng.integers(0, 2, (k, n), dtype=np.uint8)
-                      for _ in range(RANDOM_CODE_TRIES)])
+    tries = _bit_rows(rng, RANDOM_CODE_TRIES, k * n).reshape(-1, k, n)
     weights = _min_weight(tries)
     best = int(np.argmax(weights))  # argmax takes the first maximum
     if weights[best] == 0:

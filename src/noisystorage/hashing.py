@@ -24,6 +24,11 @@ of each stack and one ``irfft``.  Its sums are integers of at most ``k``;
 when any of them lands 0.25 or more from an integer, the stack falls back
 to the matrix products, so both paths give the same bits.  Batches of
 inputs under one hash (``hash_apply_many``) take one matrix product.
+
+Seeds are drawn a stack at a time: ``pa_distance``'s samples, a
+transfer's two hashes and ``codes.random_code``'s generators each come
+from one generator call of rows padded to whole 32-bit words, which
+yields the bits, and leaves the generator state, of one call per row.
 """
 
 from dataclasses import dataclass
@@ -101,22 +106,39 @@ def bits_to_hex(bits):
     return digits[len(digits) - width:] or "0"
 
 
-def random_hash(n, ell, rng, affine=False):
-    """Draw a uniformly random hash from the family.
+def _bit_rows(rng, count, width):
+    """``count`` rows of ``width`` uniform bits from one generator call:
+    the (count, width) uint8 bits, and the generator state, that ``count``
+    calls ``rng.integers(0, 2, width, dtype=np.uint8)`` would leave.
 
-    The hash is built from the sizes just checked and the bits just drawn,
-    frozen in place: unlike ``ToeplitzHash(...)``, nothing is checked or
-    copied a second time.
+    Such a call takes one byte per bit from 32-bit words, never rejects,
+    and drops the unused bytes of its last word when it ends.  Padding
+    each row to whole words drops the same bytes, so the rows are the
+    leading ``width`` columns of one (count, 4 * ceil(width / 4)) draw.
     """
-    n, ell = _check_sizes(n, ell)
-    seed = rng.integers(0, 2, size=n + ell - 1, dtype=np.uint8)
-    offset = rng.integers(0, 2, size=ell, dtype=np.uint8) if affine else None
+    padded = -(-width // 4) * 4
+    return rng.integers(0, 2, (count, padded), dtype=np.uint8)[:, :width]
+
+
+def _frozen_hash(n, ell, seed, offset=None):
+    """A hash frozen in place from checked int sizes and freshly drawn
+    uint8 bits: unlike ``ToeplitzHash(...)``, nothing is checked or copied
+    a second time."""
     for bits in (seed, offset):
         if bits is not None:
             bits.flags.writeable = False
     h = object.__new__(ToeplitzHash)
     vars(h).update(n=n, ell=ell, seed=seed, offset=offset)
     return h
+
+
+def random_hash(n, ell, rng, affine=False):
+    """Draw a uniformly random hash from the family: its seed, then its
+    offset when ``affine``, each in one generator call."""
+    n, ell = _check_sizes(n, ell)
+    seed = rng.integers(0, 2, size=n + ell - 1, dtype=np.uint8)
+    offset = rng.integers(0, 2, size=ell, dtype=np.uint8) if affine else None
+    return _frozen_hash(n, ell, seed, offset)
 
 
 def _columns(h, k):
@@ -227,19 +249,21 @@ def collision_bound(n, ell):
     return float(_left_null_counts(maps).max()) / 2 ** ell
 
 
-def _binned_outputs(hashes, inputs, weights, side, n_side):
+def _binned_outputs(seeds, inputs, weights, side, n_side):
     """``weights`` summed by (hash, output value, side value) for a stack
     of offset-free hashes of one ell, as a (hashes, 2^ell, n_side) stack.
 
-    ``inputs`` is a (k, N) bit matrix, one input per column.  ``side``
-    broadcasts against the (hash, input, 1) grid, and ``weights`` has the
-    shape of the result; one ``np.bincount`` adds its cells to their bins
-    in row-major order, so a bin sums its inputs in column order.
+    ``seeds`` is the (hashes, ell + k - 1) matrix of the hashes' seeds cut
+    to the k input bits, so it fixes ell, and ``inputs`` is a (k, N) bit
+    matrix, one input per column.  ``side`` broadcasts against the (hash,
+    input, 1) grid, and ``weights`` has the shape of the result; one
+    ``np.bincount`` adds its cells to their bins in row-major order, so a
+    bin sums its inputs in column order.
     """
-    count, (k, size), ell = len(hashes), inputs.shape, hashes[0].ell
+    count, (k, size) = len(seeds), inputs.shape
+    ell = seeds.shape[1] - k + 1
     # row i of each T starts at seed[ell - 1 - i], as in _columns
     diagonals = np.arange(ell - 1, -1, -1)[:, np.newaxis] + np.arange(k)
-    seeds = np.array([h.seed[:ell + k - 1] for h in hashes])
     rows = seeds[:, diagonals].astype(np.float64)
     sums = rows.reshape(count * ell, k) @ inputs
     parity = sums.astype(np.int64).reshape(count, ell, size) & 1
@@ -261,8 +285,9 @@ def pa_distance(dist, ell, sample_count, rng):
     hashes, and the guarantee 2^(-(H_min(X | side) - ell)/2 - 1) on
     their average over the whole family, not on any one hash.
 
-    Each stack of hashes, drawn one at a time and in order, is binned by
-    one :func:`_binned_outputs` call and scored by one
+    Each stack of hash seeds is drawn in one :func:`_bit_rows` call, with
+    the bits that one :func:`random_hash` call per sample would draw, then
+    binned by one :func:`_binned_outputs` call and scored by one
     :func:`_uniform_distance` call.  A stack holds as many samples as keep
     its (samples, ell, 2^n) sums and (samples, 2^n, |side|) bins within
     ``_PA_CHUNK_CELLS`` cells, and at least one, so memory does not grow
@@ -289,10 +314,10 @@ def pa_distance(dist, ell, sample_count, rng):
     distances = np.empty(sample_count)
     for start in range(0, sample_count, chunk):
         count = min(chunk, sample_count - start)
-        hashes = [random_hash(n_bits, ell, rng) for _ in range(count)]
+        seeds = _bit_rows(rng, count, n_bits + ell - 1)
         cells = np.broadcast_to(table, (count,) + table.shape)
         distances[start:start + count] = _uniform_distance(_binned_outputs(
-            hashes, xs, cells, np.arange(n_side), n_side))
+            seeds, xs, cells, np.arange(n_side), n_side))
 
     h_min = min_entropy(dist, x_register, side)
     return distances, 2.0 ** (-0.5 * (h_min - ell) - 1.0)

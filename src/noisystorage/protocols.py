@@ -24,8 +24,8 @@ from .bounds import (PreconditionError, _require_bit, _require_integer,
                      _require_real, ot_epsilon)
 from .codes import syndrome, syndrome_budget_ok, syndrome_decode
 from .entropy import _uniform_distance
-from .hashing import (ToeplitzHash, _binned_outputs, _check_sizes, _hash_stack,
-                      random_hash)
+from .hashing import (ToeplitzHash, _binned_outputs, _bit_rows, _check_sizes,
+                      _frozen_hash, _hash_stack, random_hash)
 
 LEAKAGE_MAX_N = 24
 # about 40 s of estimate_leakage at n = 24 and ell = 1 (0.38 ms a trial on
@@ -116,15 +116,11 @@ def _honest_measurement(x, theta, theta_hat, rng):
                     rng.integers(0, 2, len(x), dtype=np.uint8)).astype(np.uint8)
 
 
-def _sender_draw(n, rng):
-    """The sender's n random bits x, then its n random bases theta."""
-    return (rng.integers(0, 2, n, dtype=np.uint8),
-            rng.integers(0, 2, n, dtype=np.uint8))
-
-
 def _hash_pair(n, ell, rng):
-    """The two hashes f0, then f1, that finish every transfer."""
-    return random_hash(n, ell, rng), random_hash(n, ell, rng)
+    """The two hashes f0, then f1, that finish every transfer, their seeds
+    drawn in one call; ``n`` and ``ell`` are ints already checked."""
+    seeds = _bit_rows(rng, 2, n + ell - 1)
+    return _frozen_hash(n, ell, seeds[0]), _frozen_hash(n, ell, seeds[1])
 
 
 def _random_halves(m, rng):
@@ -219,8 +215,8 @@ def run_rot(n, ell, c, bob=None, rng=None):
         receiver = dict(theta_hat=None, x_hat=None, y=None, adversary=record)
         s0, s1 = _hash_stack(((f0, x[i0]), (f1, x[i1])))
     else:
-        x, theta = _sender_draw(n, rng)
-        theta_hat = rng.integers(0, 2, n, dtype=np.uint8)
+        # the sender's bits and bases, then the receiver's bases
+        x, theta, theta_hat = _bit_rows(rng, 3, n)
         x_hat = _honest_measurement(x, theta, theta_hat, rng)
         # -- waiting time --
         i0, i1 = honest_index_sets(theta, theta_hat, c)
@@ -335,8 +331,8 @@ def run_robust_rot(params, code, c, bob=None, rng=None, eps_target=1e-3):
     rng = make_rng(rng)
     zeta = math.sqrt(math.log(2.0 / eps_target) / (2.0 * n))
 
-    x, theta = _sender_draw(n, rng)
-    theta_hat = rng.integers(0, 2, n, dtype=np.uint8)
+    # the sender's bits and bases, then the receiver's bases
+    x, theta, theta_hat = _bit_rows(rng, 3, n)
     single_mask = rng.random(n) < params.p1_sent
 
     if bob is None:
@@ -438,8 +434,8 @@ def run_qid(w_alice, w_bob, qcode, ell, rng=None):
     bits_bob = qcode.password_bits(w_bob)
     w_alice, w_bob = int(w_alice), int(w_bob)
     rng = make_rng(rng)
-    x, theta = _sender_draw(n, rng)
-    theta_hat = rng.integers(0, 2, n, dtype=np.uint8)
+    # the sender's bits and bases, then the receiver's bases
+    x, theta, theta_hat = _bit_rows(rng, 3, n)
     x_hat = _honest_measurement(x, theta, theta_hat, rng)
 
     # -- waiting time --
@@ -516,10 +512,15 @@ def _hidden_nonuniformity(n, p_post, runs):
         selector = (margin >= 0.0).astype(np.int64)[agree0]
     else:
         selector = (agree0 == width0).astype(np.int64)
-    # per-run tables by hash value, each bin summed in value order
-    grouped0 = _binned_outputs(f0, bits0, w0[..., np.newaxis],
+    # per-run tables by hash value, each bin summed in value order, from
+    # each run's seeds cut to its halves' widths
+    ell = f0[0].ell
+    seeds0 = np.array([h.seed[:ell + width0 - 1] for h in f0])
+    seeds1 = np.array([h.seed[:ell + len(i1[0]) - 1] for h in f1])
+    grouped0 = _binned_outputs(seeds0, bits0, w0[..., np.newaxis],
                                selector[..., np.newaxis], 2)
-    grouped1 = _binned_outputs(f1, bits1, w1[..., np.newaxis], 0, 1)[..., 0]
+    grouped1 = _binned_outputs(seeds1, bits1, w1[..., np.newaxis],
+                               0, 1)[..., 0]
     # joint tables indexed (run, known string, hidden string) per selector
     joint0 = grouped1[:, :, np.newaxis] * grouped0[:, np.newaxis, :, 0]
     joint1 = grouped0[:, :, 1, np.newaxis] * grouped1[:, np.newaxis, :]
@@ -538,7 +539,7 @@ def _storing_trial(n, ell, bob, stored, rng):
     ``i0`` and ``i1`` are the receiver's index sets as it returned them,
     unchecked.
     """
-    x, theta = _sender_draw(n, rng)
+    x, theta = _bit_rows(rng, 2, n)  # the sender's bits, then its bases
     i0, i1, record = bob.after_reveal(stored[x, theta], theta, rng)
     f0, f1 = _hash_pair(n, ell, rng)
     return x, theta, i0, i1, record, f0, f1

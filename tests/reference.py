@@ -576,6 +576,14 @@ def reference_rref(mat):
 # --- hashing -----------------------------------------------------------------
 
 
+def reference_bit_rows(rng, count, width):
+    """Pins hashing._bit_rows: one ``width``-bit draw per row, the loop that
+    pa_distance, the transfers' hash pairs and random_code ran until
+    203387d."""
+    return np.array([rng.integers(0, 2, width, dtype=np.uint8)
+                     for _ in range(count)])
+
+
 def oracle_toeplitz_matrix(seed, n, ell):
     """Pins ToeplitzHash's matrix: T[i, j] = seed[ell - 1 + j - i]."""
     return np.array([[seed[ell - 1 + j - i] for j in range(n)]

@@ -421,6 +421,11 @@ def test_qid_params_reject_non_integer_counts(field, value, message):
     # m1 = 45 < 4/delta = 800
     (lambda: RobustParams(**{**ROBUST_GOOD, "n": 100, "ell": 2.5}),
      "ell must be an integer, got 2.5"),
+    # m1 = 1.45 * 1.7e308 overflows; the n itself is finite
+    (lambda: RobustParams(**{**ROBUST_GOOD, "n": 1.7e308, "p1_sent": 1.0,
+                             "ph_noclick": 0.0, "pd_noclick": 0.45}),
+     "m1 = (p1_sent - ph_noclick + pd_noclick) * n must be finite, got inf "
+     "at n = 1.7e+308"),
     (lambda: QidParams(**{**QID_GOOD, "n": math.nan, "m": 1}),
      "n must be finite, got nan"),
     (lambda: QidParams(**{**QID_GOOD, "n": math.inf, "delta": 0.3}),
@@ -431,7 +436,7 @@ def test_qid_params_reject_non_integer_counts(field, value, message):
      "delta must lie in (0, 1/4)"),
 ], ids=["ot-n-delta", "robust-n-ph_err", "robust-n-delta",
         "robust-delta-p1_sent", "robust-ph_err-ell", "robust-ell-m1",
-        "qid-n-m", "qid-n-delta", "qid-m-delta", "qid-delta-ell"])
+        "robust-m1-inf", "qid-n-m", "qid-n-delta", "qid-m-delta", "qid-delta-ell"])
 def test_records_name_their_first_faulty_field(make, message):
     # fields in declaration order: n, then m (identification), then delta,
     # then the probabilities and ell, then m1

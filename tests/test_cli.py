@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -223,6 +224,17 @@ def test_simulate_qid(capsys):
     assert json.loads(out)["accepts"] <= 1
 
 
+def test_simulate_qid_random_code_digest(capsys):
+    # no catalog code has 12 bits for 8 passwords, so qid_code reaches
+    # random_code, whose 200 generators come from one padded draw
+    code, out, err = run_cli(capsys, "simulate", "qid", "--m", "8",
+                             "--code-n", "12", "--ell", "8", "--w-alice", "3",
+                             "--w-bob", "5", "--seed", "7")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4d79e05fe298129bc909742a7008ad90d60493ed9d6506dbdde9d7381cc21167")
+
+
 def test_verify_suites_pass(capsys):
     for suite, trials in (("split", "300"), ("hashing", "50"),
                           ("pa", "60"), ("lemma4", "40")):
@@ -426,6 +438,12 @@ OUT_OF_RANGE_BOUNDS = [
            "the top nu step is 1e+307 and its product capacity * nu is inf"),
           (("--nu-max", "5e-324"), "the smallest nu step is 0.0")]
       for fmt in ("csv", "json")),
+    # m1 = (1.0 - 0.0 + 0.5) * 1.7e308 overflows to inf
+    (("bounds", "robust", "--n", "1.7e308", "--delta", "0.005", "--r", "0.1",
+      "--p1-sent", "1.0", "--ph-noclick", "0.0", "--pd-noclick", "0.5",
+      "--ph-err", "0.01"),
+     "error: m1 = (p1_sent - ph_noclick + pd_noclick) * n must be finite, "
+     "got inf at n = 1.7e+308\n"),
 ]
 
 

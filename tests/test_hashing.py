@@ -25,8 +25,8 @@ from noisystorage.protocols import _json_value
 from reference import (all_hashes, int_bits, oracle_collision_bound,
                        oracle_hash_apply_many, oracle_toeplitz_matrix,
                        reference_binned_outputs, reference_collision_bound,
-                       reference_hash_apply, reference_pa_distance,
-                       reference_stacked_binned_outputs)
+                       reference_bit_rows, reference_hash_apply,
+                       reference_pa_distance, reference_stacked_binned_outputs)
 
 
 def kernel_matrix(h):
@@ -620,9 +620,35 @@ SINGLE_HASH_FULL_LENGTH = (
 @given(binning_cases())
 @example(SINGLE_HASH_FULL_LENGTH)
 def test_binned_outputs_match_the_per_hash_reference(case):
-    got = hashing._binned_outputs(*case)
+    hashes, inputs, *rest = case
+    # the kernel reads each seed cut to the k input bits, and ell from them
+    seeds = np.array([h.seed[:h.ell + inputs.shape[0] - 1] for h in hashes])
+    got = hashing._binned_outputs(seeds, inputs, *rest)
     want = reference_binned_outputs(*case)
     assert got.shape == want.shape
     assert (got == want).all()
     # the gathered rows sum in the order the per-hash _columns rows did
     assert got.tobytes() == reference_stacked_binned_outputs(*case).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([np.random.PCG64, np.random.Philox]),
+       st.integers(0, 2 ** 64 - 1), st.integers(1, 40), st.integers(1, 20))
+# a width off whole 32-bit words: one unpadded (count, width) draw differs
+@example(np.random.PCG64, 0, 5, 3)
+def test_bit_rows_equal_one_draw_per_row(bit_generator, seed, width, count):
+    def draw(bit_rows):
+        rng = np.random.Generator(bit_generator(seed))
+        # a scalar draw leaves half of a 64-bit word in the generator's
+        # buffer, which the rows must take up as the loop did
+        before = (rng.integers(7), rng.random())
+        rows = bit_rows(rng, count, width)
+        after = (rng.integers(7), rng.random())
+        return rows, before + after, rng.bit_generator.state
+
+    rows, scalars, state = draw(hashing._bit_rows)
+    want_rows, want_scalars, want_state = draw(reference_bit_rows)
+    assert rows.dtype == np.uint8 and rows.shape == (count, width)
+    assert (rows == want_rows).all()
+    assert scalars == want_scalars
+    np.testing.assert_equal(state, want_state)
